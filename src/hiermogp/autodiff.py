@@ -2,7 +2,7 @@
 
 A small tape of ``Node`` objects covering exactly the matrix operations the
 variational objective is built from: broadcasting arithmetic, reductions,
-matmul, Cholesky factorisation, triangular solves and block assembly.
+batched matmul, Cholesky factorisation, triangular solves and block assembly.
 Values are float64 throughout. The vector-Jacobian product of every
 primitive is checked against central finite differences in the test suite.
 """
@@ -17,6 +17,8 @@ class Node:
     """A value in the computation graph; leaves have no parents."""
 
     __slots__ = ("value", "parents")
+    # numpy operators defer to the reflected Node method (``ndarray * Node``)
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
@@ -59,6 +61,9 @@ class Node:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -226,19 +231,6 @@ def concat(nodes, axis=0) -> Node:
     return Node(value, tuple((n, make_vjp(i)) for i, n in enumerate(nodes)))
 
 
-def take0(a, index: int) -> Node:
-    """Select one slice along the leading axis."""
-    a = as_node(a)
-    shape = a.value.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[index] = g
-        return out
-
-    return Node(a.value[index].copy(), ((a, vjp),))
-
-
 def diag_embed(a) -> Node:
     """Vector to diagonal matrix."""
     a = as_node(a)
@@ -283,35 +275,17 @@ def strict_lower_embed(v, n: int) -> Node:
 
 
 def matmul(a, b) -> Node:
+    """``a @ b`` on operands of at least two axes, broadcast over leading axes."""
     a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError("matmul is restricted to 2-d operands")
+    if a.value.ndim < 2 or b.value.ndim < 2:
+        raise ValueError("matmul needs operands with at least two axes")
     return Node(
         a.value @ b.value,
         (
-            (a, lambda g: g @ b.value.T),
-            (b, lambda g: a.value.T @ g),
+            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)),
+            (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)),
         ),
     )
-
-
-def block_diag(blocks) -> Node:
-    """Rectangular block-diagonal assembly; zero-row blocks still advance columns."""
-    blocks = [as_node(b) for b in blocks]
-    shapes = [b.value.shape for b in blocks]
-    row_off = np.concatenate([[0], np.cumsum([s[0] for s in shapes])])
-    col_off = np.concatenate([[0], np.cumsum([s[1] for s in shapes])])
-    value = np.zeros((row_off[-1], col_off[-1]))
-    for i, blk in enumerate(blocks):
-        value[row_off[i] : row_off[i + 1], col_off[i] : col_off[i + 1]] = blk.value
-
-    def make_vjp(i):
-        def vjp(g):
-            return g[row_off[i] : row_off[i + 1], col_off[i] : col_off[i + 1]]
-
-        return vjp
-
-    return Node(value, tuple((b, make_vjp(i)) for i, b in enumerate(blocks)))
 
 
 def cholesky(a) -> Node:

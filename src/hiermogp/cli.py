@@ -10,6 +10,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -159,8 +160,6 @@ class RunConfig:
                 adam_beta1=_take(opt, "optimizer", "adam_beta1", float, 0.9),
                 adam_beta2=_take(opt, "optimizer", "adam_beta2", float, 0.999),
                 adam_eps=_take(opt, "optimizer", "adam_eps", float, 1e-8),
-                gradient_mode=_take(opt, "optimizer", "gradient_mode", str, "analytic"),
-                fd_step=_take(opt, "optimizer", "fd_step", float, 1e-5),
             )
         except ValueError as err:
             raise ConfigError(f"optimizer: {err}") from None
@@ -219,16 +218,7 @@ def _plan_for_repeat(config: RunConfig, dataset: HierarchicalDataset, seed: int)
 
 
 def _model_config(config: RunConfig, ablation: str | None) -> ModelConfig:
-    mc = config.model
-    return ModelConfig(
-        latent_dim=mc.latent_dim,
-        inducing_per_replica=mc.inducing_per_replica,
-        inducing_latent=mc.inducing_latent,
-        shared_family=mc.shared_family,
-        replica_family=mc.replica_family,
-        flat=(ablation == "flat"),
-        regime=mc.regime,
-    )
+    return dataclasses.replace(config.model, flat=(ablation == "flat"))
 
 
 def _save_model(state: ModelState, path, extras: dict | None = None) -> None:
@@ -236,6 +226,15 @@ def _save_model(state: ModelState, path, extras: dict | None = None) -> None:
     if extras:
         payload.update(extras)
     pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _model_extras(train: HierarchicalDataset) -> dict:
+    """What a saved model keeps of its training data: the replica count and,
+    for standardised data, the constants that map predictions back."""
+    extras = {"n_replicas": train.n_replicas}
+    if "standardization" in train.metadata:
+        extras["standardization"] = train.metadata["standardization"]
+    return extras
 
 
 def _load_model(path) -> tuple[ModelState, dict]:
@@ -302,16 +301,7 @@ def cmd_generate(config: RunConfig, out_dir: pathlib.Path) -> pathlib.Path:
 
 
 def _fit_once(config: RunConfig, dataset: HierarchicalDataset, seed: int, ablation: str | None) -> FitResult:
-    opt = OptimizerConfig(
-        learning_rate=config.optimizer.learning_rate,
-        iterations=config.optimizer.iterations,
-        adam_beta1=config.optimizer.adam_beta1,
-        adam_beta2=config.optimizer.adam_beta2,
-        adam_eps=config.optimizer.adam_eps,
-        gradient_mode=config.optimizer.gradient_mode,
-        fd_step=config.optimizer.fd_step,
-        seed=seed,
-    )
+    opt = dataclasses.replace(config.optimizer, seed=seed)
     return fit(dataset, _model_config(config, ablation), opt)
 
 
@@ -328,10 +318,7 @@ def cmd_fit(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = Non
         train = dataset
     result = _fit_once(config, train, config.seed, ablation)
     model_path = out_dir / "model.json"
-    extras = {"n_replicas": train.n_replicas}
-    if "standardization" in train.metadata:
-        extras["standardization"] = train.metadata["standardization"]
-    _save_model(result.state, model_path, extras)
+    _save_model(result.state, model_path, _model_extras(train))
     _write_trace(result.trace, out_dir / "elbo_trace.csv")
     manifest = {
         "command": "fit",
@@ -366,6 +353,11 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
     input_dim = state.input_dim
     if at_path is not None:
         points = load_csv(at_path)
+        if points.n_outputs > state.n_outputs:
+            raise ConfigError(
+                f"points file uses output indices up to {points.n_outputs - 1}, "
+                f"model has {state.n_outputs} outputs"
+            )
         if points.n_replicas > state.n_replicas:
             raise ConfigError(
                 f"points file uses replica indices up to {points.n_replicas - 1}, "
@@ -459,7 +451,7 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         save_csv(train, out_dir / f"train_rep{rep}.csv")
         save_csv(test, out_dir / f"test_rep{rep}.csv")
         result = _fit_once(config, train, seed, ablation)
-        _save_model(result.state, out_dir / f"model_rep{rep}.json", {"n_replicas": train.n_replicas})
+        _save_model(result.state, out_dir / f"model_rep{rep}.json", _model_extras(train))
         _write_trace(result.trace, out_dir / f"trace_rep{rep}.csv")
         rows = _predict_dataset(result.state, test, seed)
         _write_predictions(rows, dataset.input_dim, out_dir / f"predictions_rep{rep}.csv")

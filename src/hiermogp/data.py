@@ -348,6 +348,8 @@ def load_csv(path, standardize: bool = False) -> HierarchicalDataset:
             y = float(cells[-1])
         except ValueError as err:
             raise CsvSchemaError(f"{path}:{lineno}: non-numeric field ({err})") from None
+        if not np.all(np.isfinite(xs)) or not np.isfinite(y):
+            raise CsvSchemaError(f"{path}:{lineno}: non-finite value")
         if d < 0 or r < 0:
             raise CsvSchemaError(f"{path}:{lineno}: output and replica indices must be >= 0")
         rows.append((d, r, xs, y))

@@ -2,7 +2,8 @@
 
 ``elbo_shared`` and ``elbo_per_output`` evaluate the production
 Kronecker-factorised bound (one isotropic noise for a common input set, one
-noise per output otherwise). ``elbo_naive_oracle`` rebuilds the same bound
+noise per output otherwise); both read their data into the one batched bound
+of ``objective.build_graph``. ``elbo_naive_oracle`` rebuilds the same bound
 with dense Kronecker products and no factorisation shortcuts, and
 ``exact_log_marginal_fixed_h`` evaluates the exact Gaussian log marginal for
 fixed latent coordinates; both exist to pin the efficient path down in tests.

@@ -35,11 +35,12 @@ class GraphPieces:
 
 
 def _gram(family: str, variance: ad.Node, lengthscales: ad.Node, x1, x2) -> ad.Node:
+    """Gram between point sets (..., n1, v) and (..., n2, v), batched over leading axes."""
     x1, x2 = ad.as_node(x1), ad.as_node(x2)
-    n1, v = x1.shape
-    n2 = x2.shape[0]
-    diff = (ad.reshape(x1, (n1, 1, v)) - ad.reshape(x2, (1, n2, v))) / lengthscales
-    sq = ad.sum(diff * diff, axis=2)
+    *lead1, n1, v = x1.shape
+    *lead2, n2, _ = x2.shape
+    diff = (ad.reshape(x1, (*lead1, n1, 1, v)) - ad.reshape(x2, (*lead2, 1, n2, v))) / lengthscales
+    sq = ad.sum(diff * diff, axis=-1)
     if family == RBF:
         return variance * ad.exp(-0.5 * sq)
     # Matern 3/2; the clamp keeps sqrt differentiable at coincident points,
@@ -48,17 +49,56 @@ def _gram(family: str, variance: ad.Node, lengthscales: ad.Node, x1, x2) -> ad.N
     return variance * ((1.0 + _SQRT3 * r) * ad.exp(-_SQRT3 * r))
 
 
-def _hier_gram(hier, shared_params, replica_params, a_blocks, b_blocks) -> ad.Node:
-    a_blocks = [ad.as_node(b) for b in a_blocks]
-    b_blocks = [ad.as_node(b) for b in b_blocks]
-    fam_f, vf, lsf = replica_params
-    within = ad.block_diag([_gram(fam_f, vf, lsf, ar, br) for ar, br in zip(a_blocks, b_blocks)])
-    if hier.shared is None:
+def _hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
+    """Hierarchical Gram of replica-tagged points: the shared kernel over every
+    pair plus ``(tag_a == tag_b)`` times the replica kernel. Rows of ``xa``
+    tagged -1 are padding and come out zero."""
+    within = _gram(*replica_params, xa, xb) * (tags_a[..., :, None] == tags_b[..., None, :])
+    if shared_params is None:
         return within
-    fam_g, vg, lsg = shared_params
-    a_all = a_blocks[0] if len(a_blocks) == 1 else ad.concat(a_blocks, axis=0)
-    b_all = b_blocks[0] if len(b_blocks) == 1 else ad.concat(b_blocks, axis=0)
-    return _gram(fam_g, vg, lsg, a_all, b_all) + within
+    return _gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
+
+
+def _input_groups(x, y, n_outputs: int, n_replicas: int, input_dim: int, regime: str):
+    """Read the data into G groups of padded, replica-tagged input points.
+
+    The shared regime is one group whose target columns are all D outputs;
+    per-output data are D groups of one column each, padded to the longest
+    output with tag -1 and zero targets. Returns points (G, n, v), tags
+    (G, n), targets (G, D/G, n), and per output its point count and y^T y.
+    """
+    if regime == "shared":
+        if len(x) != n_replicas:
+            raise ValueError(f"expected {n_replicas} replica blocks, got {len(x)}")
+        y = np.asarray(y, float).ravel()
+        n_points = sum(np.atleast_2d(b).shape[0] for b in x)
+        if y.size != n_outputs * n_points:
+            raise ValueError(f"target vector has {y.size} entries, expected {n_outputs * n_points}")
+        groups, group_targets = [x], [y.reshape(n_outputs, n_points)]
+    elif regime == "per_output":
+        if len(x) != n_outputs or len(y) != n_outputs:
+            raise ValueError(f"per-output data must have {n_outputs} entries")
+        groups = x
+        group_targets = [np.asarray(y_d, float).reshape(1, -1) for y_d in y]
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    groups = [[np.atleast_2d(np.asarray(b, float)) for b in blocks] for blocks in groups]
+    n_max = max(sum(b.shape[0] for b in blocks) for blocks in groups)
+    points = np.zeros((len(groups), n_max, input_dim))
+    tags = np.full((len(groups), n_max), -1)
+    targets = np.zeros((len(groups), group_targets[0].shape[0], n_max))
+    counts = []
+    for g, (blocks, y_g) in enumerate(zip(groups, group_targets)):
+        if len(blocks) != n_replicas:
+            raise ValueError(f"output {g}: expected {n_replicas} replica blocks")
+        n_g = sum(b.shape[0] for b in blocks)
+        if y_g.shape[1] != n_g:
+            raise ValueError(f"output {g}: {y_g.shape[1]} targets for {n_g} points")
+        points[g, :n_g] = np.concatenate(blocks, axis=0)
+        tags[g, :n_g] = np.repeat(np.arange(n_replicas), [b.shape[0] for b in blocks])
+        targets[g, :, :n_g] = y_g
+        counts += [n_g] * y_g.shape[0]
+    return points, tags, targets, np.asarray(counts, float), np.sum(targets**2, axis=2).ravel()
 
 
 def _psi_nodes(variance, lengthscales, mu, log_s, zh):
@@ -108,8 +148,6 @@ def build_graph(
     base_jitter: float = 1e-6,
 ):
     """Assemble the bound; returns the graph pieces and leaves in layout order."""
-    if regime not in ("shared", "per_output"):
-        raise ValueError(f"unknown regime {regime!r}")
     if template.latent_kernel.family != RBF:
         raise ValueError("training requires an RBF kernel over latent coordinates")
     arrays = layout.split(np.asarray(theta, float))
@@ -117,6 +155,9 @@ def build_graph(
     flat = template.is_flat
     n_outputs = template.n_outputs
     n_replicas = template.n_replicas
+    points, tags, targets, counts, yy = _input_groups(
+        x, y, n_outputs, n_replicas, template.input_dim, regime
+    )
     m_h = template.inducing.m_h
     m_x = template.inducing.m_x
 
@@ -139,6 +180,8 @@ def build_graph(
     mu = leaves["latent_mean"]
     log_s = leaves["latent_log_variance"]
     z_blocks = [leaves[f"inducing_inputs_{r}"] for r in range(n_replicas)]
+    z = ad.concat(z_blocks, axis=0)
+    z_tags = np.repeat(np.arange(n_replicas), [b.shape[0] for b in z_blocks])
     zh = leaves["inducing_latents"]
     m_mat = leaves["inducing_mean"]
 
@@ -154,7 +197,7 @@ def build_graph(
     logdet_sx = 2.0 * ad.sum(leaves["cov_input_log_diag"])
 
     kuu_h = _gram(RBF, vh, lsh, zh, zh)
-    kuu_x = _hier_gram(template.hier_kernel, shared_params, replica_params, z_blocks, z_blocks)
+    kuu_x = _hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
     l_h, jitter_h = _chol_with_jitter(kuu_h, base_jitter)
     l_x, jitter_x = _chol_with_jitter(kuu_x, base_jitter)
     a_h = _inverse_from_chol(l_h)
@@ -176,74 +219,33 @@ def build_graph(
 
     psi1, psi2 = _psi_nodes(vh, lsh, mu, log_s, zh)
 
-    # shared pieces of the data-fit term
+    # data fit: one term per output, from the statistics Phi_x[d] = Kfu_d^T Kfu_d
+    # and b[d] = Kfu_d^T y_d; a group's Phi_x serves each output it carries
     ax_m = a_x @ m_mat
     w = ax_m @ a_h  # Kx^-1 M Kh^-1
     g_h = a_h @ sigma_h @ a_h
     g_x = a_x @ sigma_x @ a_x
     diag_amplitude = vf if flat else vf + vg  # self covariance of the input kernel
+    kfu = _hier_gram(shared_params, replica_params, points, tags, z, z_tags)  # (G, n, m_x)
+    phi_x = ad.transpose(kfu, (0, 2, 1)) @ kfu  # (G, m_x, m_x)
+    b = ad.reshape(ad.matmul(targets, kfu), (n_outputs, m_x))
 
-    if regime == "shared":
-        blocks = [np.atleast_2d(np.asarray(b, float)) for b in x]
-        if len(blocks) != n_replicas:
-            raise ValueError(f"expected {n_replicas} replica blocks, got {len(blocks)}")
-        y = np.asarray(y, float).ravel()
-        n_points = sum(b.shape[0] for b in blocks)
-        if y.size != n_outputs * n_points:
-            raise ValueError(f"target vector has {y.size} entries, expected {n_outputs * n_points}")
-        sigma2 = ad.exp(scalar("log_noise_variance"))
-        kfu = _hier_gram(template.hier_kernel, shared_params, replica_params, blocks, z_blocks)
-        phi_x = ad.transpose(kfu) @ kfu
-        phi_h = ad.sum(psi2, axis=0)
-        mean_grid = (kfu @ w) @ ad.transpose(psi1)  # (n_points, n_outputs)
-        data_dot = ad.sum(ad.reshape(ad.transpose(mean_grid), (n_points * n_outputs,)) * y)
-        quad_m = ad.trace((ad.transpose(ax_m) @ phi_x @ ax_m) @ (a_h @ phi_h @ a_h))
-        quad_s = ad.trace(phi_h @ g_h) * ad.trace(phi_x @ g_x)
-        corr = ad.trace(phi_h @ a_h) * ad.trace(phi_x @ a_x)
-        psi0_total = vh * (float(n_outputs * n_points) * diag_amplitude)
-        n_total = float(n_outputs * n_points)
-        data_fit = (
-            -0.5 * n_total * (_LOG_2PI + ad.log(sigma2))
-            - 0.5 * float(y @ y) / sigma2
-            + data_dot / sigma2
-            - 0.5 * (psi0_total - corr) / sigma2
-            - 0.5 * (quad_m + quad_s) / sigma2
-        )
-    else:
-        if len(x) != n_outputs or len(y) != n_outputs:
-            raise ValueError(f"per-output data must have {n_outputs} entries")
-        per_output_noise = layout.span("log_noise_variance").size == n_outputs
-        data_fit = None
-        for d in range(n_outputs):
-            blocks = [np.atleast_2d(np.asarray(b, float)) for b in x[d]]
-            if len(blocks) != n_replicas:
-                raise ValueError(f"output {d}: expected {n_replicas} replica blocks")
-            y_d = np.asarray(y[d], float).ravel()
-            n_d = sum(b.shape[0] for b in blocks)
-            if y_d.size != n_d:
-                raise ValueError(f"output {d}: {y_d.size} targets for {n_d} points")
-            if per_output_noise:
-                sigma2 = ad.exp(ad.take0(leaves["log_noise_variance"], d))
-            else:
-                sigma2 = ad.exp(scalar("log_noise_variance"))
-            kfu_d = _hier_gram(template.hier_kernel, shared_params, replica_params, blocks, z_blocks)
-            phi_x_d = ad.transpose(kfu_d) @ kfu_d
-            phi_h_d = ad.take0(psi2, d)
-            psi1_d = ad.reshape(ad.take0(psi1, d), (1, m_h))
-            mean_d = (kfu_d @ w) @ ad.transpose(psi1_d)  # (n_d, 1)
-            data_dot = ad.sum(ad.reshape(mean_d, (n_d,)) * y_d)
-            quad_m = ad.trace((ad.transpose(ax_m) @ phi_x_d @ ax_m) @ (a_h @ phi_h_d @ a_h))
-            quad_s = ad.trace(phi_h_d @ g_h) * ad.trace(phi_x_d @ g_x)
-            corr = ad.trace(phi_h_d @ a_h) * ad.trace(phi_x_d @ a_x)
-            psi0_d = vh * (float(n_d) * diag_amplitude)
-            f_d = (
-                -0.5 * float(n_d) * (_LOG_2PI + ad.log(sigma2))
-                - 0.5 * float(y_d @ y_d) / sigma2
-                + data_dot / sigma2
-                - 0.5 * (psi0_d - corr) / sigma2
-                - 0.5 * (quad_m + quad_s) / sigma2
-            )
-            data_fit = f_d if data_fit is None else data_fit + f_d
+    def tr_x(a):  # (G,)
+        return ad.sum(phi_x * a, axis=(1, 2))
+
+    def tr_h(a):  # (D,)
+        return ad.sum(psi2 * a, axis=(1, 2))
+
+    data_dot = ad.sum((b @ w) * psi1, axis=1)
+    quad_m = ad.sum((ad.transpose(ax_m) @ phi_x @ ax_m) * (a_h @ psi2 @ a_h), axis=(1, 2))
+    quad_s = tr_h(g_h) * tr_x(g_x)
+    corr = tr_h(a_h) * tr_x(a_x)
+    psi0 = vh * diag_amplitude * counts
+    sigma2 = ad.exp(leaves["log_noise_variance"])  # (D,), or tied (1,)
+    data_fit = ad.sum(
+        -0.5 * counts * (_LOG_2PI + ad.log(sigma2))
+        + (data_dot - 0.5 * (yy + psi0 - corr + quad_m + quad_s)) / sigma2
+    )
 
     total = data_fit - kl_inducing - kl_latent
     pieces = GraphPieces(

@@ -50,8 +50,6 @@ class OptimizerConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    gradient_mode: str = "analytic"  # or "numeric"
-    fd_step: float = 1e-5
     seed: int = 0
     trainable: list = None  # span names; None trains everything
 
@@ -60,8 +58,6 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.gradient_mode not in ("analytic", "numeric"):
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
 
 
 @dataclass
@@ -190,39 +186,9 @@ def initialize_state(
     )
 
 
-def _central_fd(fun, theta: np.ndarray, step_rel: float) -> np.ndarray:
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        step = step_rel * max(1.0, abs(theta[i]))
-        plus = theta.copy()
-        minus = theta.copy()
-        plus[i] += step
-        minus[i] -= step
-        grad[i] = (fun(plus) - fun(minus)) / (2.0 * step)
-    return grad
-
-
-def grad_elbo(
-    theta: np.ndarray,
-    layout: ParamLayout,
-    template: ModelState,
-    x,
-    y,
-    regime: str,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-):
-    """Bound value and gradient at an unconstrained parameter vector."""
-    if mode == "analytic":
-        breakdown, grad, jitters = objective.evaluate_with_grad(theta, layout, template, x, y, regime)
-    else:
-        breakdown, jitters = objective.evaluate(theta, layout, template, x, y, regime)
-
-        def value_at(vec):
-            b, _ = objective.evaluate(vec, layout, template, x, y, regime)
-            return b.total
-
-        grad = _central_fd(value_at, theta, fd_step)
+def grad_elbo(theta: np.ndarray, layout: ParamLayout, template: ModelState, x, y, regime: str):
+    """Bound value and analytic gradient at an unconstrained parameter vector."""
+    breakdown, grad, jitters = objective.evaluate_with_grad(theta, layout, template, x, y, regime)
     if not np.isfinite(breakdown.total):
         raise FitError(
             "bound is not finite at the requested parameters",
@@ -291,16 +257,7 @@ def fit(
     last_improvement = 0
     for t in range(1, optimizer_config.iterations + 1):
         try:
-            breakdown, grad, jitters = grad_elbo(
-                theta,
-                layout,
-                template,
-                x,
-                y,
-                model_config.regime,
-                mode=optimizer_config.gradient_mode,
-                fd_step=optimizer_config.fd_step,
-            )
+            breakdown, grad, jitters = grad_elbo(theta, layout, template, x, y, model_config.regime)
         except FitError as err:
             err.diagnostics["iteration"] = t
             raise

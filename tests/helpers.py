@@ -1,7 +1,9 @@
-"""Builders for random tiny model states and datasets used across tests."""
+"""Builders for random tiny model states and datasets used across tests,
+and a finite-difference oracle for the bound's gradient."""
 
 import numpy as np
 
+from hiermogp import objective
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.model import ModelState
@@ -83,3 +85,20 @@ def random_per_output_data(rng, state, n_per_replica=3, ragged=False):
         x.append(blocks)
         y.append(rng.standard_normal(sum(counts)))
     return x, y
+
+
+def central_fd_grad(theta, layout, state, x, y, regime, step_rel=1e-5):
+    """Central differences of the bound, one coordinate at a time, with a step
+    of ``step_rel`` relative to the coordinate (at least ``step_rel``)."""
+    theta = np.asarray(theta, float)
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        step = step_rel * max(1.0, abs(theta[i]))
+        plus = theta.copy()
+        minus = theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        f_plus = objective.evaluate(plus, layout, state, x, y, regime)[0].total
+        f_minus = objective.evaluate(minus, layout, state, x, y, regime)[0].total
+        grad[i] = (f_plus - f_minus) / (2.0 * step)
+    return grad

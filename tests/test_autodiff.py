@@ -80,23 +80,37 @@ def test_matmul():
     check(lambda a, b: ad.sum((a @ b) ** 2), a, b)
 
 
-def test_concat_take0():
+def test_matmul_batched_and_broadcast():
+    a = RNG.standard_normal((2, 3, 4))
+    b = RNG.standard_normal((2, 4, 2))
+    check(lambda a, b: ad.sum((a @ b) ** 2), a, b)
+    # a 2-d operand against a stack, either side
+    m = RNG.standard_normal((5, 3))
+    check(lambda m, a: ad.sum((m @ a) ** 2), m, a)
+    n = RNG.standard_normal((2, 3))
+    check(lambda b, n: ad.sum((b @ n) ** 2), b, n)
+    # a size-one batch axis broadcast against a full one
+    c = RNG.standard_normal((1, 4, 3))
+    check(lambda a, c: ad.sum((a @ c) ** 2), a, c)
+
+
+def test_matmul_with_constant_array_on_the_left():
+    a = RNG.standard_normal((2, 3))
+    b = RNG.standard_normal((3, 4))
+    node = ad.Node(b)
+    out = a @ node
+    assert isinstance(out, ad.Node)
+    (g,) = ad.grad(ad.sum(out), [node])
+    assert np.allclose(g, a.T @ np.ones((2, 4)))
+    assert isinstance(b * node, ad.Node)
+    with pytest.raises(ValueError):
+        ad.matmul(np.ones(3), node)
+
+
+def test_concat():
     a = RNG.standard_normal((2, 3))
     b = RNG.standard_normal((4, 3))
     check(lambda a, b: ad.sum(ad.concat([a, b], axis=0) ** 2), a, b)
-    check(lambda a: ad.sum(ad.take0(a, 1) ** 2), a)
-
-
-def test_block_diag_including_empty_blocks():
-    a = RNG.standard_normal((2, 2))
-    b = RNG.standard_normal((3, 1))
-    check(lambda a, b: ad.sum(ad.block_diag([a, b]) ** 2), a, b)
-    empty = np.zeros((0, 2))
-    node_a = ad.Node(a)
-    out = ad.block_diag([node_a, ad.Node(empty)])
-    assert out.value.shape == (2, 4)
-    (g,) = ad.grad(ad.sum(out**2), [node_a])
-    assert np.allclose(g, 2 * a)
 
 
 def test_diag_trace():

@@ -123,6 +123,44 @@ def test_grid_prediction(tmp_path):
     assert len(lines) == 1 + 5 * 3 * 2  # grid x outputs x replicas
 
 
+def test_predict_rejects_output_index_the_model_lacks(tmp_path, capsys):
+    config_path = write_config(tmp_path, base_config(tmp_path / "run", iterations=5))
+    assert main(["fit", "--config", str(config_path), "--out", str(tmp_path / "fit")]) == 0
+    points = tmp_path / "points.csv"
+    points.write_text("output,replica,x_0,y\n0,0,0.1,0.0\n3,1,0.2,0.0\n")
+    code = main(
+        [
+            "predict",
+            "--model",
+            str(tmp_path / "fit" / "model.json"),
+            "--at",
+            str(points),
+            "--out",
+            str(tmp_path / "pred.csv"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "output indices up to 3" in err
+    assert "3 outputs" in err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_experiment_keeps_standardization_constants(tmp_path):
+    gen_config = base_config(tmp_path / "gen", iterations=5, repeats=1)
+    main(["generate", "--config", str(write_config(tmp_path, gen_config)), "--out", str(tmp_path / "gen")])
+    config = base_config(tmp_path / "runZ", iterations=5, repeats=1)
+    config["dataset"] = {"csv": {"path": str(tmp_path / "gen" / "dataset.csv"), "standardize": True}}
+    config_path = tmp_path / "config_std.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    assert main(["experiment", "--config", str(config_path)]) == 0
+    assert main(["fit", "--config", str(config_path), "--out", str(tmp_path / "fitZ")]) == 0
+    kept = json.loads((tmp_path / "runZ" / "model_rep0.json").read_text())["standardization"]
+    fitted = json.loads((tmp_path / "fitZ" / "model.json").read_text())["standardization"]
+    assert kept == fitted
+    assert set(kept) == {"x_mean", "x_std", "y_mean", "y_std"}
+
+
 def test_experiment_summary_and_determinism(tmp_path):
     config = base_config(tmp_path / "runA", iterations=25, repeats=2)
     config_path = write_config(tmp_path, config)

@@ -183,6 +183,14 @@ def test_csv_schema_errors(tmp_path):
         load_csv(short_row)
 
 
+@pytest.mark.parametrize("row", ["0,0,inf,1.0", "0,0,0.5,nan", "0,0,-inf,1.0", "0,0,0.5,NaN"])
+def test_csv_rejects_non_finite_values(tmp_path, row):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"output,replica,x_0,y\n0,0,0.1,0.2\n{row}\n")
+    with pytest.raises(CsvSchemaError, match="nonfinite.csv:3: non-finite value"):
+        load_csv(path)
+
+
 def test_standardization_on_load(tmp_path):
     config = SyntheticConfig(n_outputs=2, n_replicas=2, points_per_replica=6)
     dataset = generate_synthetic(config, seed=6)

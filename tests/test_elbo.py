@@ -98,6 +98,44 @@ def test_regimes_coincide_on_identical_inputs_and_noise():
     assert np.isclose(a.data_fit, b.data_fit, rtol=1e-8)
 
 
+def test_per_output_with_missing_replica_and_empty_output_matches_naive():
+    # output 0 misses replica 1, output 2 has no points at all: padded rows
+    # and empty outputs must contribute nothing beyond their n_d = 0 terms
+    for trial in range(5):
+        rng = np.random.default_rng(900 + trial)
+        state = random_state(rng, n_outputs=3, n_replicas=3, flat=(trial % 2 == 1))
+        x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+        x[0][1] = np.zeros((0, state.input_dim))
+        y[0] = rng.standard_normal(sum(b.shape[0] for b in x[0]))
+        x[2] = [np.zeros((0, state.input_dim)) for _ in range(state.n_replicas)]
+        y[2] = np.zeros(0)
+        fast = elbo_per_output(state, x, y)
+        slow = elbo_naive_oracle(state, x, y)
+        for name in ("data_fit", "kl_inducing", "kl_latent", "total"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert np.isclose(a, b, rtol=1e-8, atol=0.0), (trial, name, a, b)
+
+
+def test_permuting_outputs_leaves_bound_unchanged():
+    for trial in range(5):
+        rng = np.random.default_rng(950 + trial)
+        state = random_state(rng, n_outputs=4, n_replicas=2, flat=(trial % 2 == 1))
+        x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+        perm = rng.permutation(state.n_outputs)
+        post = state.latent_posterior
+        permuted = ModelState(
+            hier_kernel=state.hier_kernel,
+            latent_kernel=state.latent_kernel,
+            latent_posterior=LatentPosterior(means=post.means[perm], variances=post.variances[perm]),
+            inducing=state.inducing,
+            noise_variance=state.noise_variance[perm],
+        )
+        a = elbo_per_output(state, x, y)
+        b = elbo_per_output(permuted, [x[d] for d in perm], [y[d] for d in perm])
+        for name in ("data_fit", "kl_latent", "total"):
+            assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0.0), (trial, name)
+
+
 def test_zero_data_reduction():
     # y = 0 and zero inducing mean leave only the constant and trace terms
     rng = np.random.default_rng(6)

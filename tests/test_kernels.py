@@ -214,7 +214,9 @@ def test_hyperparameter_gradients_match_finite_differences(family):
     step = 1e-6
     for i in range(4):
         for j in range(3):
-            entry = ad.take0(ad.take0(gram_node, i), j)
+            onehot = np.zeros((4, 3))
+            onehot[i, j] = 1.0
+            entry = ad.sum(gram_node * onehot)
             dv, dls = ad.grad(entry, [lv_node, lls_node])
             fd_v = (gram(log_v + step, log_ls)[i, j] - gram(log_v - step, log_ls)[i, j]) / (2 * step)
             assert np.isclose(dv, fd_v, rtol=1e-5, atol=1e-8)

@@ -16,7 +16,7 @@ from hiermogp.training import (
     initialize_state,
 )
 
-from .helpers import random_per_output_data, random_shared_data, random_state
+from .helpers import central_fd_grad, random_per_output_data, random_shared_data, random_state
 
 
 def test_layout_roundtrip_state():
@@ -84,8 +84,8 @@ def test_gradient_zero_at_latent_prior():
 def fd_check(state, x, y, regime, rtol=1e-4, step=1e-5):
     layout = ParamLayout(state)
     theta = layout.pack(state)
-    _, grad, _ = grad_elbo(theta, layout, state, x, y, regime, mode="analytic")
-    _, grad_fd, _ = grad_elbo(theta, layout, state, x, y, regime, mode="numeric", fd_step=step)
+    _, grad, _ = grad_elbo(theta, layout, state, x, y, regime)
+    grad_fd = central_fd_grad(theta, layout, state, x, y, regime, step_rel=step)
     scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(grad_fd)))
     worst = np.max(np.abs(grad - grad_fd) / scale)
     assert worst < rtol, (worst, layout.span_of_index(int(np.argmax(np.abs(grad - grad_fd) / scale))))
@@ -120,7 +120,7 @@ def test_noise_only_gradient_matches_hand_derivative():
     def value_at(log_sig2):
         theta2 = theta.copy()
         theta2[span.start] = log_sig2
-        b, _, _ = grad_elbo(theta2, layout, state, x, y, "per_output", mode="analytic")
+        b, _, _ = grad_elbo(theta2, layout, state, x, y, "per_output")
         return b.total
 
     step = 1e-6
@@ -253,14 +253,6 @@ def test_fit_shared_regime_runs_on_common_grid():
     result = fit(dataset, model_config, OptimizerConfig(iterations=30, seed=0))
     assert result.state.noise_variance.ndim == 0
     assert result.trace[-1] > result.trace[0]
-
-
-def test_numeric_gradient_mode_trains():
-    dataset = tiny_dataset(seed=10, n_outputs=2, points=4)
-    model_config = ModelConfig(inducing_per_replica=2, inducing_latent=2)
-    opt = OptimizerConfig(iterations=5, gradient_mode="numeric", seed=0)
-    result = fit(dataset, model_config, opt)
-    assert np.all(np.isfinite(result.trace))
 
 
 def test_initialize_state_pca_on_common_grid():
