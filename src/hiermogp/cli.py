@@ -28,6 +28,7 @@ from .data import (
     load_csv,
     save_csv,
     split,
+    unstandardize_dataset,
 )
 from .kernels import MATERN32, RBF, StationaryKernel
 from .metrics import evaluate
@@ -48,9 +49,14 @@ def _fmt(x: float) -> str:
 # config parsing
 
 
-def _expect_mapping(node, path):
+def _expect_mapping(node, path, fields):
+    """``node`` as a mapping whose keys are all among ``fields``."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping")
+    for key in node:
+        if key not in fields:
+            prefix = "" if path == "config" else f"{path}."
+            raise ConfigError(f"{prefix}{key}: unknown field")
     return node
 
 
@@ -70,7 +76,7 @@ def _take(node: dict, path: str, key: str, kind, default="__required__"):
 def _kernel_from_config(node, path, input_dim, default_variance, family_default=MATERN32):
     if node is None:
         return StationaryKernel(family_default, default_variance, np.ones(input_dim))
-    node = _expect_mapping(node, path)
+    node = _expect_mapping(node, path, ("family", "variance", "lengthscale", "lengthscales"))
     family = _take(node, path, "family", str, family_default)
     if family not in (RBF, MATERN32):
         raise ConfigError(f"{path}.family: unknown kernel family {family!r}")
@@ -91,27 +97,36 @@ class RunConfig:
     """Validated run description; see the README for the grammar."""
 
     def __init__(self, raw: dict):
-        raw = _expect_mapping(raw, "config")
+        raw = _expect_mapping(
+            raw, "config", ("seed", "output_dir", "experiment", "dataset", "model", "optimizer", "split")
+        )
         self.seed = _take(raw, "config", "seed", int, 0)
         self.output_dir = _take(raw, "config", "output_dir", str, "runs/out")
         self.repeats = 1
         if "experiment" in raw:
-            exp = _expect_mapping(raw["experiment"], "experiment")
+            exp = _expect_mapping(raw["experiment"], "experiment", ("repeats",))
             self.repeats = _take(exp, "experiment", "repeats", int, 3)
             if self.repeats < 1:
                 raise ConfigError("experiment.repeats: must be at least 1")
 
-        dataset = _expect_mapping(_take(raw, "config", "dataset", dict), "dataset")
+        dataset = _expect_mapping(_take(raw, "config", "dataset", dict), "dataset", ("csv", "synthetic"))
         self.csv_source = None
         self.synthetic = None
         if "csv" in dataset:
-            csv = _expect_mapping(dataset["csv"], "dataset.csv")
+            csv = _expect_mapping(dataset["csv"], "dataset.csv", ("path", "standardize"))
             self.csv_source = {
                 "path": _take(csv, "dataset.csv", "path", str),
                 "standardize": _take(csv, "dataset.csv", "standardize", bool, False),
             }
         elif "synthetic" in dataset:
-            syn = _expect_mapping(dataset["synthetic"], "dataset.synthetic")
+            syn = _expect_mapping(
+                dataset["synthetic"],
+                "dataset.synthetic",
+                (
+                    "n_outputs", "n_replicas", "points_per_replica", "input_dim", "latent_dim",
+                    "shared_kernel", "replica_kernel", "latent_kernel", "noise_variance", "share_inputs",
+                ),
+            )
             path = "dataset.synthetic"
             input_dim = _take(syn, path, "input_dim", int, 1)
             latent_dim = _take(syn, path, "latent_dim", int, 2)
@@ -134,12 +149,18 @@ class RunConfig:
                     noise_variance=_take(syn, path, "noise_variance", float, 0.02),
                     share_inputs=_take(syn, path, "share_inputs", bool, False),
                 )
+            except ConfigError:
+                raise
             except ValueError as err:
                 raise ConfigError(f"{path}: {err}") from None
         else:
             raise ConfigError("dataset: needs a 'synthetic' or 'csv' section")
 
-        model = _expect_mapping(raw.get("model", {}), "model")
+        model = _expect_mapping(
+            raw.get("model", {}),
+            "model",
+            ("latent_dim", "inducing_per_replica", "inducing_latent", "shared_family", "replica_family", "regime"),
+        )
         try:
             self.model = ModelConfig(
                 latent_dim=_take(model, "model", "latent_dim", int, 2),
@@ -152,7 +173,11 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(f"model: {err}") from None
 
-        opt = _expect_mapping(raw.get("optimizer", {}), "optimizer")
+        opt = _expect_mapping(
+            raw.get("optimizer", {}),
+            "optimizer",
+            ("learning_rate", "iterations", "adam_beta1", "adam_beta2", "adam_eps"),
+        )
         try:
             self.optimizer = OptimizerConfig(
                 learning_rate=_take(opt, "optimizer", "learning_rate", float, 0.01),
@@ -166,7 +191,7 @@ class RunConfig:
 
         self.split_spec = None
         if "split" in raw:
-            sp = _expect_mapping(raw["split"], "split")
+            sp = _expect_mapping(raw["split"], "split", ("mode", "fraction", "missing"))
             mode = _take(sp, "split", "mode", str)
             if mode == "random_fraction":
                 self.split_spec = {
@@ -248,9 +273,20 @@ def _write_trace(trace: np.ndarray, path) -> None:
     pathlib.Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _original_moments(moments, standardization: dict | None):
+    """Predictive mean and variance in the units of the data before standardisation."""
+    if standardization is None:
+        return moments.mean, moments.variance
+    y_std = standardization["y_std"]
+    return moments.mean * y_std + standardization["y_mean"], moments.variance * y_std**2
+
+
 def _predict_dataset(state: ModelState, dataset: HierarchicalDataset, seed: int):
     """Marginal predictions at every observed point of a dataset, row-aligned
-    with the CSV serialisation order (output-major, then replica)."""
+    with the CSV serialisation order (output-major, then replica). Rows of a
+    standardised dataset are in its original units."""
+    standardization = dataset.metadata.get("standardization")
+    original = unstandardize_dataset(dataset)
     rows = []
     for d in range(dataset.n_outputs):
         for r in range(dataset.n_replicas):
@@ -259,8 +295,10 @@ def _predict_dataset(state: ModelState, dataset: HierarchicalDataset, seed: int)
                 continue
             tags = np.full(block.n_points, r, dtype=int)
             moments = predict_marginal(state, block.inputs, tags, d, seed=seed)
+            mean, variance = _original_moments(moments, standardization)
+            raw = original.block(d, r)
             for i in range(block.n_points):
-                rows.append((d, r, block.inputs[i], moments.mean[i], moments.variance[i], block.targets[i]))
+                rows.append((d, r, raw.inputs[i], mean[i], variance[i], raw.targets[i]))
     return rows
 
 
@@ -312,8 +350,8 @@ def cmd_fit(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = Non
     plan = _plan_for_repeat(config, dataset, config.seed)
     if plan is not None:
         train, test = split(dataset, plan)
-        save_csv(train, out_dir / "train.csv")
-        save_csv(test, out_dir / "test.csv")
+        save_csv(unstandardize_dataset(train), out_dir / "train.csv")
+        save_csv(unstandardize_dataset(test), out_dir / "test.csv")
     else:
         train = dataset
     result = _fit_once(config, train, config.seed, ablation)
@@ -384,10 +422,7 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
             inputs = (inputs - x_mean) / x_std
         tags = np.full(inputs.shape[0], r, dtype=int)
         moments = predict_marginal(state, inputs, tags, d, seed=seed)
-        mean, variance = moments.mean, moments.variance
-        if standardization is not None:
-            mean = mean * standardization["y_std"] + standardization["y_mean"]
-            variance = variance * standardization["y_std"] ** 2
+        mean, variance = _original_moments(moments, standardization)
         for i in range(inputs.shape[0]):
             rows.append((d, r, raw_inputs[i], mean[i], variance[i], np.nan))
     _write_predictions(rows, input_dim, out_path)
@@ -448,8 +483,8 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         dataset = _dataset_for_repeat(config, seed)
         plan = _plan_for_repeat(config, dataset, seed)
         train, test = split(dataset, plan)
-        save_csv(train, out_dir / f"train_rep{rep}.csv")
-        save_csv(test, out_dir / f"test_rep{rep}.csv")
+        save_csv(unstandardize_dataset(train), out_dir / f"train_rep{rep}.csv")
+        save_csv(unstandardize_dataset(test), out_dir / f"test_rep{rep}.csv")
         result = _fit_once(config, train, seed, ablation)
         _save_model(result.state, out_dir / f"model_rep{rep}.json", _model_extras(train))
         _write_trace(result.trace, out_dir / f"trace_rep{rep}.csv")

@@ -410,3 +410,26 @@ def standardize_dataset(dataset: HierarchicalDataset) -> HierarchicalDataset:
         "y_std": y_std,
     }
     return HierarchicalDataset(outputs=outputs, metadata=metadata)
+
+
+def unstandardize_dataset(dataset: HierarchicalDataset) -> HierarchicalDataset:
+    """Map a standardised dataset back to its original units; others are returned as is."""
+    constants = dataset.metadata.get("standardization")
+    if constants is None:
+        return dataset
+    x_mean, x_std = np.asarray(constants["x_mean"]), np.asarray(constants["x_std"])
+    outputs = [
+        OutputRecord(
+            replicas=[
+                ReplicaBlock(
+                    inputs=b.inputs * x_std + x_mean if b.n_points else b.inputs,
+                    targets=b.targets * constants["y_std"] + constants["y_mean"],
+                )
+                for b in record.replicas
+            ],
+            name=record.name,
+        )
+        for record in dataset.outputs
+    ]
+    metadata = {k: v for k, v in dataset.metadata.items() if k != "standardization"}
+    return HierarchicalDataset(outputs=outputs, metadata=metadata)

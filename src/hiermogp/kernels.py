@@ -93,9 +93,13 @@ def validate_replica_blocks(blocks, input_dim=None):
 
 def _scaled_sqdist(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     # direct pairwise differences: exact for coincident points, unlike the
-    # usual |a|^2 + |b|^2 - 2ab expansion
-    diff = (np.asarray(x1, float)[:, None, :] - np.asarray(x2, float)[None, :, :]) / lengthscales
-    return np.sum(diff * diff, axis=2)
+    # usual |a|^2 + |b|^2 - 2ab expansion; one dimension at a time, since a
+    # sum over a short last axis is slow
+    sq = np.zeros((x1.shape[0], x2.shape[0]))
+    for k, scale in enumerate(lengthscales):
+        diff = (x1[:, k, None] - x2[None, :, k]) / scale
+        sq += diff * diff
+    return sq
 
 
 def eval_stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -163,9 +167,7 @@ def hier_cross_cov(spec: HierarchicalKernel, points: np.ndarray, replica_tags, b
     for r, br in enumerate(b):
         rows = np.flatnonzero(tags == r)
         if rows.size and br.shape[0]:
-            out[np.ix_(rows, np.arange(c0, c0 + br.shape[0]))] += eval_stationary(
-                spec.replica, points[rows], br
-            )
+            out[rows, c0 : c0 + br.shape[0]] += eval_stationary(spec.replica, points[rows], br)
         c0 += br.shape[0]
     return out
 

@@ -74,13 +74,10 @@ def trace_kron(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.trace(a) * np.trace(b))
 
 
-def choose_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> float:
-    """Smallest jitter from ``{0} U {base * mean_diag * 10^k, k=0..6}`` that
-    makes ``a + jitter * I`` factorisable."""
-    a = np.asarray(a, float)
+def _factor_with_jitter(a: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
+    """``(lower factor of a + jitter * I, jitter)`` for the jitter :func:`choose_jitter` picks."""
     try:
-        np.linalg.cholesky(a)
-        return 0.0
+        return np.linalg.cholesky(a), 0.0
     except np.linalg.LinAlgError:
         pass
     scale = float(np.mean(np.diag(a))) if a.size else 1.0
@@ -90,8 +87,7 @@ def choose_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> float:
     for k in range(7):
         jitter = base_jitter * scale * 10.0**k
         try:
-            np.linalg.cholesky(a + jitter * eye)
-            return jitter
+            return np.linalg.cholesky(a + jitter * eye), jitter
         except np.linalg.LinAlgError:
             continue
     raise IndefiniteMatrixError(
@@ -99,15 +95,20 @@ def choose_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> float:
     )
 
 
+def choose_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> float:
+    """Smallest jitter from ``{0} U {base * mean_diag * 10^k, k=0..6}`` that
+    makes ``a + jitter * I`` factorisable."""
+    return _factor_with_jitter(np.asarray(a, float), base_jitter)[1]
+
+
 def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> CholeskyFactor:
-    """Factor ``a + j * I`` for the smallest workable jitter ``j``."""
+    """Factor ``a + j * I`` for the smallest workable jitter ``j``, keeping the
+    factor of the trial that succeeded."""
     a = np.asarray(a, float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("cholesky_jitter requires a square matrix")
-    jitter = choose_jitter(a, base_jitter)
-    if jitter > 0.0:
-        a = a + jitter * np.eye(a.shape[0])
-    return CholeskyFactor(lower=np.linalg.cholesky(a), jitter_used=jitter)
+    lower, jitter = _factor_with_jitter(a, base_jitter)
+    return CholeskyFactor(lower=lower, jitter_used=jitter)
 
 
 def tri_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:

@@ -10,12 +10,13 @@ from .kernels import HierarchicalKernel, StationaryKernel
 from .latent import InducingState, LatentPosterior
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelState:
     """All free parameters of the model in structured form.
 
     ``noise_variance`` is a scalar array for the shared-input bound and one
-    entry per output for the per-output bound.
+    entry per output for the per-output bound. States compare and hash by
+    identity, so prediction can cache what it factors per state.
     """
 
     hier_kernel: HierarchicalKernel

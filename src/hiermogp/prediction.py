@@ -6,17 +6,25 @@ posterior is intractable, so the mixture moments are estimated by seeded
 Monte Carlo over the latent coordinate of the requested output; the mixture
 mean also has a closed form through the expected latent kernel row, which
 the tests hold against the Monte Carlo estimate.
+
+A fitted state's inducing Grams are factored once, on its first prediction,
+and an output's latent draws are reduced once per (output, draws, seed) to
+four sample statistics. A block then costs its cross covariance against the
+inducing inputs plus O(n m_x^2) algebra. The cache is keyed on the state's
+identity, so a ``ModelState`` must not be changed in place once it has been
+predicted from.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
-from .kernels import RBF, hier_block_cov, hier_cross_cov, latent_cov
+from .kernels import RBF, eval_stationary, hier_block_cov, hier_cross_cov, latent_cov
 from .kron import cholesky_jitter
 from .latent import LatentPosterior, UnsupportedKernelError, psi_stats_closed_form
 from .model import ModelState
@@ -33,59 +41,94 @@ class PredictiveMoments:
 
 
 @dataclass(frozen=True)
-class _InputSideOperators:
-    """Everything about the test inputs that does not depend on the latent draw."""
+class _LatentMoments:
+    """Sample statistics of an output's latent kernel rows ``k_s`` over its draws."""
 
-    mean_base: np.ndarray  # (n, m_h): cross cov times Kx^-1 M Kh^-1
-    nystrom_diag: np.ndarray  # (n,)
-    smoothed_diag: np.ndarray  # (n,)
-    prior_diag: np.ndarray  # (n,)
-    kh_chol: np.ndarray
-    cov_latent: np.ndarray
+    row_mean: np.ndarray  # (m_h,) mean of the k_s
+    row_cov: np.ndarray  # (m_h, m_h) covariance of the k_s, ddof=0
+    nystrom: float  # mean of k_s Kh^-1 k_s
+    smoothed: float  # mean of k_s Kh^-1 S_h Kh^-1 k_s
 
 
-def _input_side(state: ModelState, xstar: np.ndarray, replica_tags) -> _InputSideOperators:
-    ind = state.inducing
-    kuu_x = hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)
-    kuu_h = latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)
-    factor_x = cholesky_jitter(kuu_x)
-    factor_h = cholesky_jitter(kuu_h)
-    cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, ind.z_input)
-    kh_inv = solve_triangular(
-        factor_h.lower,
-        solve_triangular(factor_h.lower, np.eye(ind.m_h), lower=True),
-        lower=True,
-        trans="T",
-    )
-    w = solve_triangular(
-        factor_x.lower,
-        solve_triangular(factor_x.lower, ind.mean, lower=True),
-        lower=True,
-        trans="T",
-    ) @ kh_inv  # Kx^-1 M Kh^-1
-    half = solve_triangular(factor_x.lower, cross.T, lower=True)
-    b = solve_triangular(factor_x.lower, half, lower=True, trans="T").T  # cross Kx^-1
-    nystrom_diag = np.sum(b * cross, axis=1)
-    smoothed_diag = np.sum((b @ ind.cov_input) * b, axis=1)
-    prior_diag = np.full(cross.shape[0], state.hier_kernel.diag_value)
-    return _InputSideOperators(
-        mean_base=cross @ w,
-        nystrom_diag=nystrom_diag,
-        smoothed_diag=smoothed_diag,
-        prior_diag=prior_diag,
-        kh_chol=factor_h.lower,
-        cov_latent=ind.cov_latent,
-    )
+@dataclass
+class _Posterior:
+    """What prediction needs from one fitted state, factored once; holds no
+    reference to the state, which keys it weakly. With ``S = C C^T``,
+    ``smooth = (L^-1 C)^T`` maps ``L^-1 k`` to a root of ``k K^-1 S K^-1 k``."""
+
+    chol_x: np.ndarray  # Cholesky factors L of Kuu_x and Kuu_h
+    chol_h: np.ndarray
+    smooth_x: np.ndarray
+    smooth_h: np.ndarray
+    w: np.ndarray  # (m_x, m_h): Kx^-1 M Kh^-1
+    outputs: dict = field(default_factory=dict)  # (output, mc_samples, seed) -> _LatentMoments
 
 
-def _latent_row_terms(ops: _InputSideOperators, state: ModelState, latents: np.ndarray):
-    """Latent-side scalars per latent row: kernel row, Nystrom and smoothing weights."""
+_POSTERIORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _posterior(state: ModelState) -> _Posterior:
+    post = _POSTERIORS.get(state)
+    if post is None:
+        ind = state.inducing
+        chol_x = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)).lower
+        chol_h = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)).lower
+        post = _POSTERIORS[state] = _Posterior(
+            chol_x=chol_x,
+            chol_h=chol_h,
+            smooth_x=solve_triangular(chol_x, ind.cov_input_chol, lower=True).T,
+            smooth_h=solve_triangular(chol_h, ind.cov_latent_chol, lower=True).T,
+            w=cho_solve((chol_h, True), cho_solve((chol_x, True), ind.mean).T).T,
+        )
+    return post
+
+
+def _latent_moments(post: _Posterior, state: ModelState, latents: np.ndarray) -> _LatentMoments:
     rows = latent_cov(state.latent_kernel, latents, state.inducing.z_latent)  # (s, m_h)
-    half = solve_triangular(ops.kh_chol, rows.T, lower=True)
-    rows_inv = solve_triangular(ops.kh_chol, half, lower=True, trans="T").T  # rows @ Kh^-1
-    nystrom = np.sum(rows_inv * rows, axis=1)
-    smoothed = np.sum((rows_inv @ ops.cov_latent) * rows_inv, axis=1)
-    return rows, nystrom, smoothed
+    half = solve_triangular(post.chol_h, rows.T, lower=True)
+    smooth = post.smooth_h @ half
+    row_mean = rows.mean(axis=0)
+    centred = rows - row_mean
+    return _LatentMoments(
+        row_mean=row_mean,
+        row_cov=centred.T @ centred / rows.shape[0],
+        nystrom=float(np.mean(np.sum(half * half, axis=0))),
+        smoothed=float(np.mean(np.sum(smooth * smooth, axis=0))),
+    )
+
+
+def _output_moments(post: _Posterior, state: ModelState, output: int, mc_samples: int, seed):
+    """Latent moments of ``mc_samples`` seeded draws of the output's coordinate,
+    kept for reuse unless the seed is not an int (unseeded or a generator)."""
+    key = (int(output), int(mc_samples), int(seed)) if isinstance(seed, (int, np.integer)) else None
+    if key is None or key not in post.outputs:
+        rng = np.random.default_rng(seed)
+        mu = state.latent_posterior.means[output]
+        std = np.sqrt(state.latent_posterior.variances[output])
+        moments = _latent_moments(post, state, mu + std * rng.standard_normal((mc_samples, mu.shape[0])))
+        if key is None:
+            return moments
+        post.outputs[key] = moments
+    return post.outputs[key]
+
+
+def _input_terms(post: _Posterior, state: ModelState, xstar: np.ndarray, replica_tags):
+    """Per-block operators: ``cross Kx^-1 M Kh^-1``, ``Lx^-1 cross^T`` and its smoothing root."""
+    cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, state.inducing.z_input)
+    half = solve_triangular(post.chol_x, cross.T, lower=True)
+    return cross @ post.w, half, post.smooth_x @ half
+
+
+def _block_moments(post, state, xstar, replica_tags, moments: _LatentMoments):
+    """Mixture mean and variance: mean conditional variance plus variance of conditional means."""
+    base, half, smooth = _input_terms(post, state, xstar, replica_tags)
+    variance = (
+        state.latent_kernel.variance * state.hier_kernel.diag_value
+        - moments.nystrom * np.sum(half * half, axis=0)
+        + moments.smoothed * np.sum(smooth * smooth, axis=0)
+        + np.sum((base @ moments.row_cov) * base, axis=1)
+    )
+    return base @ moments.row_mean, _clip_variance(variance)
 
 
 def _clip_variance(variance: np.ndarray) -> np.ndarray:
@@ -115,46 +158,23 @@ def predict_conditional(
     """
     xstar = np.atleast_2d(np.asarray(xstar, float))
     latent_point = np.asarray(latent_point, float).reshape(1, -1)
-    ops = _input_side(state, xstar, replica_tags)
-    rows, nystrom_h, smoothed_h = _latent_row_terms(ops, state, latent_point)
-    mean = (ops.mean_base @ rows[0]).ravel()
-    prior_h = state.latent_kernel.variance
-    if full_cov:
-        tags = np.asarray(replica_tags, int)
-        kxx = _tagged_pair_cov(state, xstar, tags)
-        cross = hier_cross_cov(state.hier_kernel, xstar, tags, state.inducing.z_input)
-        factor_x = cholesky_jitter(hier_block_cov(state.hier_kernel, state.inducing.z_input, state.inducing.z_input))
-        half = solve_triangular(factor_x.lower, cross.T, lower=True)
-        b = solve_triangular(factor_x.lower, half, lower=True, trans="T").T
-        cov = (
-            prior_h * kxx
-            - nystrom_h[0] * (b @ cross.T)
-            + smoothed_h[0] * (b @ state.inducing.cov_input @ b.T)
-        )
-        if include_noise:
-            cov = cov + state.noise_for(output if output is not None else 0) * np.eye(cov.shape[0])
-        return PredictiveMoments(mean=mean, variance=cov)
-    variance = (
-        prior_h * ops.prior_diag
-        - nystrom_h[0] * ops.nystrom_diag
-        + smoothed_h[0] * ops.smoothed_diag
+    post = _posterior(state)
+    moments = _latent_moments(post, state, latent_point)
+    noise = state.noise_for(output if output is not None else 0) if include_noise else 0.0
+    if not full_cov:
+        mean, variance = _block_moments(post, state, xstar, replica_tags, moments)
+        return PredictiveMoments(mean=mean, variance=variance + noise)
+    base, half, smooth = _input_terms(post, state, xstar, replica_tags)
+    tags = np.asarray(replica_tags, int)
+    kxx = (tags[:, None] == tags[None, :]) * eval_stationary(state.hier_kernel.replica, xstar, xstar)
+    if state.hier_kernel.shared is not None:
+        kxx = kxx + eval_stationary(state.hier_kernel.shared, xstar, xstar)
+    cov = (
+        state.latent_kernel.variance * kxx
+        - moments.nystrom * (half.T @ half)
+        + moments.smoothed * (smooth.T @ smooth)
     )
-    variance = _clip_variance(variance)
-    if include_noise:
-        variance = variance + state.noise_for(output if output is not None else 0)
-    return PredictiveMoments(mean=mean, variance=variance)
-
-
-def _tagged_pair_cov(state: ModelState, points: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """Input-kernel covariance between tagged points, keeping their order."""
-    from .kernels import eval_stationary
-
-    hier = state.hier_kernel
-    same = tags[:, None] == tags[None, :]
-    cov = same * eval_stationary(hier.replica, points, points)
-    if hier.shared is not None:
-        cov = cov + eval_stationary(hier.shared, points, points)
-    return cov
+    return PredictiveMoments(mean=base @ moments.row_mean, variance=cov + noise * np.eye(cov.shape[0]))
 
 
 def predict_marginal(
@@ -175,22 +195,9 @@ def predict_marginal(
     if not 0 <= output < state.n_outputs:
         raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
     xstar = np.atleast_2d(np.asarray(xstar, float))
-    ops = _input_side(state, xstar, replica_tags)
-    rng = np.random.default_rng(seed)
-    mu = state.latent_posterior.means[output]
-    std = np.sqrt(state.latent_posterior.variances[output])
-    draws = mu + std * rng.standard_normal((mc_samples, mu.shape[0]))
-    rows, nystrom_h, smoothed_h = _latent_row_terms(ops, state, draws)
-    means = ops.mean_base @ rows.T  # (n, samples)
-    prior_h = state.latent_kernel.variance
-    cond_var = (
-        prior_h * ops.prior_diag[:, None]
-        - ops.nystrom_diag[:, None] * nystrom_h[None, :]
-        + ops.smoothed_diag[:, None] * smoothed_h[None, :]
-    )
-    mean = means.mean(axis=1)
-    variance = cond_var.mean(axis=1) + means.var(axis=1)
-    variance = _clip_variance(variance)
+    post = _posterior(state)
+    moments = _output_moments(post, state, output, mc_samples, seed)
+    mean, variance = _block_moments(post, state, xstar, replica_tags, moments)
     if include_noise:
         variance = variance + state.noise_for(output)
     return PredictiveMoments(mean=mean, variance=variance)
@@ -203,13 +210,13 @@ def predict_marginal_mean_closed_form(
     if state.latent_kernel.family != RBF:
         raise UnsupportedKernelError("closed-form mixture mean needs an RBF latent kernel")
     xstar = np.atleast_2d(np.asarray(xstar, float))
-    ops = _input_side(state, xstar, replica_tags)
     single = LatentPosterior(
         means=state.latent_posterior.means[output : output + 1],
         variances=state.latent_posterior.variances[output : output + 1],
     )
     psi = psi_stats_closed_form(single, state.latent_kernel, state.inducing.z_latent)
-    return (ops.mean_base @ psi.psi1[0]).ravel()
+    cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, state.inducing.z_input)
+    return cross @ _posterior(state).w @ psi.psi1[0]
 
 
 def predict_missing_replica(
@@ -230,12 +237,4 @@ def predict_missing_replica(
     if not 0 <= replica < state.n_replicas:
         raise ValueError(f"replica {replica} outside 0..{state.n_replicas - 1}")
     tags = np.full(grid.shape[0], replica, dtype=int)
-    return predict_marginal(
-        state,
-        grid,
-        tags,
-        output,
-        mc_samples=mc_samples,
-        seed=seed,
-        include_noise=include_noise,
-    )
+    return predict_marginal(state, grid, tags, output, mc_samples, seed, include_noise)

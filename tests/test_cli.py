@@ -8,6 +8,17 @@ import pytest
 import yaml
 
 from hiermogp.cli import ConfigError, RunConfig, load_config, main, run_experiment, run_eval
+from hiermogp.data import (
+    HierarchicalDataset,
+    OutputRecord,
+    ReplicaBlock,
+    SplitPlan,
+    SyntheticConfig,
+    generate_synthetic,
+    load_csv,
+    save_csv,
+    split,
+)
 
 
 def base_config(out_dir, iterations=40, repeats=2, seed=0):
@@ -46,6 +57,27 @@ def test_config_validation_reports_field_paths():
         RunConfig(
             {"dataset": {"synthetic": {"shared_kernel": {"family": "cubic"}}}}
         )
+
+
+def test_config_rejects_unknown_fields(tmp_path, capsys):
+    cases = {
+        "optimizer.lerning_rate": {"optimizer": {"lerning_rate": 0.5}},
+        "optimizer.gradient_mode": {"optimizer": {"gradient_mode": "numeric"}},
+        "optimizer.fd_step": {"optimizer": {"fd_step": 1e-5}},
+        "dataset.synthetic.shared_kernel.famly": {
+            "dataset": {"synthetic": {"shared_kernel": {"famly": "rbf"}}}
+        },
+        "model.inducing": {"model": {"inducing": 4}},
+        "sede": {"sede": 1},
+    }
+    for field, extra in cases.items():
+        raw = {"dataset": {"synthetic": {}}, **extra}
+        with pytest.raises(ConfigError, match=rf"^{field}: unknown field$"):
+            RunConfig(raw)
+    config = base_config(tmp_path / "run")
+    config["optimizer"]["lerning_rate"] = 0.5
+    assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
+    assert "optimizer.lerning_rate: unknown field" in capsys.readouterr().err
 
 
 def test_generate_fit_predict_eval_chain(tmp_path):
@@ -159,6 +191,31 @@ def test_experiment_keeps_standardization_constants(tmp_path):
     fitted = json.loads((tmp_path / "fitZ" / "model.json").read_text())["standardization"]
     assert kept == fitted
     assert set(kept) == {"x_mean", "x_std", "y_mean", "y_std"}
+
+
+def test_experiment_on_standardized_csv_scores_in_original_units(tmp_path):
+    # targets and inputs far from unit scale, so NLPD in standardised units differs
+    dataset = generate_synthetic(SyntheticConfig(n_outputs=3, n_replicas=2, points_per_replica=8), seed=4)
+    scaled = HierarchicalDataset(
+        outputs=[
+            OutputRecord(replicas=[ReplicaBlock(3.0 * b.inputs - 1.0, 40.0 * b.targets + 7.0) for b in o.replicas])
+            for o in dataset.outputs
+        ]
+    )
+    save_csv(scaled, tmp_path / "scaled.csv")
+    config = base_config(tmp_path / "runZ", iterations=10, repeats=1)
+    config["dataset"] = {"csv": {"path": str(tmp_path / "scaled.csv"), "standardize": True}}
+    summary = run_experiment(RunConfig(config), tmp_path / "runZ")
+
+    _, test = split(load_csv(tmp_path / "scaled.csv"), SplitPlan(mode="random_fraction", fraction=0.5, seed=0))
+    save_csv(test, tmp_path / "test_original.csv")
+    scored = run_eval(tmp_path / "runZ" / "predictions_rep0.csv", tmp_path / "test_original.csv", tmp_path / "eval")
+    assert np.isclose(summary["nlpd_values"][0], scored["nlpd"], rtol=1e-9, atol=0.0)
+    assert np.isclose(summary["nmse_values"][0], scored["nmse"], rtol=1e-9, atol=0.0)
+    written = load_csv(tmp_path / "runZ" / "test_rep0.csv")
+    assert np.allclose(
+        np.concatenate(written.training_arrays()[1]), np.concatenate(test.training_arrays()[1]), rtol=1e-12
+    )
 
 
 def test_experiment_summary_and_determinism(tmp_path):

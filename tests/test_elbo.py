@@ -136,6 +136,70 @@ def test_permuting_outputs_leaves_bound_unchanged():
             assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0.0), (trial, name)
 
 
+def test_permuting_replicas_leaves_bound_unchanged():
+    # inducing blocks, replica tags of the data and targets move together
+    for trial in range(5):
+        rng = np.random.default_rng(960 + trial)
+        state = random_state(rng, n_outputs=3, n_replicas=3, m_per_replica=2, flat=(trial % 2 == 1))
+        x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+        perm = rng.permutation(state.n_replicas)
+        ind = state.inducing
+        starts = np.cumsum([0] + [b.shape[0] for b in ind.z_input])
+        rows = np.concatenate([np.arange(starts[r], starts[r + 1]) for r in perm])
+        cov_input = ind.cov_input[np.ix_(rows, rows)]
+        permuted = ModelState(
+            hier_kernel=state.hier_kernel,
+            latent_kernel=state.latent_kernel,
+            latent_posterior=state.latent_posterior,
+            inducing=InducingState(
+                z_input=[ind.z_input[r] for r in perm],
+                z_latent=ind.z_latent,
+                mean=ind.mean[rows],
+                cov_latent_chol=ind.cov_latent_chol,
+                cov_input_chol=np.linalg.cholesky(cov_input),
+            ),
+            noise_variance=state.noise_variance,
+        )
+        x_perm, y_perm = [], []
+        for blocks, targets in zip(x, y):
+            cuts = np.cumsum([b.shape[0] for b in blocks])[:-1]
+            pieces = np.split(targets, cuts)
+            x_perm.append([blocks[r] for r in perm])
+            y_perm.append(np.concatenate([pieces[r] for r in perm]))
+        a = elbo_per_output(state, x, y)
+        b = elbo_per_output(permuted, x_perm, y_perm)
+        for name in ("data_fit", "kl_inducing", "total"):
+            assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-9, atol=0.0), (trial, name)
+
+
+def test_hierarchical_bound_tends_to_flat_as_shared_variance_vanishes():
+    rng = np.random.default_rng(970)
+    state = random_state(rng, n_outputs=3, n_replicas=2, per_output_noise=False)
+    x_shared, y_shared = random_shared_data(rng, state, n_per_replica=3)
+    x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+
+    def with_shared(shared):
+        return ModelState(
+            hier_kernel=HierarchicalKernel(shared=shared, replica=state.hier_kernel.replica),
+            latent_kernel=state.latent_kernel,
+            latent_posterior=state.latent_posterior,
+            inducing=state.inducing,
+            noise_variance=state.noise_variance,
+        )
+
+    flat = with_shared(None)
+    shared = state.hier_kernel.shared
+    for bound, args in ((elbo_shared, (x_shared, y_shared)), (elbo_per_output, (x, y))):
+        target = bound(flat, *args).total
+        gaps = [
+            abs(bound(with_shared(StationaryKernel(shared.family, v, shared.lengthscales)), *args).total - target)
+            for v in (1e-1, 1e-3, 1e-5, 1e-7)
+        ]
+        # the gap shrinks in proportion to the shared variance
+        assert all(later < 0.05 * earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] <= 1e-6 * max(1.0, abs(target)), gaps
+
+
 def test_zero_data_reduction():
     # y = 0 and zero inducing mean leave only the constant and trace terms
     rng = np.random.default_rng(6)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hiermogp.kron import (
     CholeskyFactor,
     IndefiniteMatrixError,
+    choose_jitter,
     cholesky_jitter,
     kron,
     kron_matvec,
@@ -130,6 +131,27 @@ def test_cholesky_rank_deficient_gets_jitter():
 def test_cholesky_indefinite_raises():
     with pytest.raises(IndefiniteMatrixError):
         cholesky_jitter(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def test_cholesky_keeps_the_factor_of_the_chosen_jitter():
+    # the factor and jitter equal choosing the jitter first and factoring again
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((5, 2))
+    cases = {
+        "positive definite": random_spd(rng, 4),
+        "near singular": b @ b.T,
+        "escalation": np.diag([1.0, 1.0, -1e-5]),
+    }
+    for name, a in cases.items():
+        jitter = choose_jitter(a)
+        expected = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]) if jitter > 0.0 else a)
+        factor = cholesky_jitter(a)
+        assert factor.jitter_used == jitter, name
+        assert np.array_equal(factor.lower, expected), name
+    assert cholesky_jitter(cases["positive definite"]).jitter_used == 0.0
+    assert cholesky_jitter(cases["near singular"]).jitter_used > 0.0
+    scale = np.mean(np.diag(cases["escalation"]))
+    assert cholesky_jitter(cases["escalation"]).jitter_used > 1e-6 * scale
 
 
 @settings(max_examples=30, deadline=None)

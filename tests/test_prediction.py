@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hiermogp import prediction
 from hiermogp.data import SyntheticConfig, generate_synthetic, split, SplitPlan
 from hiermogp.elbo import optimal_inducing_dense
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
@@ -17,6 +20,7 @@ from hiermogp.prediction import (
 from hiermogp.training import ModelConfig, OptimizerConfig, fit
 
 from .helpers import random_state
+from .oracles import mean_base, predict_marginal_per_draw
 
 
 def single_output_state(rng, n_train_per_replica=10, n_replicas=2, noise=1e-6):
@@ -155,12 +159,110 @@ def test_marginal_mean_closed_form_within_monte_carlo_error():
     from hiermogp.kernels import latent_cov
 
     rows = latent_cov(state.latent_kernel, draws, state.inducing.z_latent)
-    from hiermogp.prediction import _input_side
-
-    ops = _input_side(state, xstar, tags)
-    per_sample = ops.mean_base @ rows.T
+    per_sample = mean_base(state, xstar, tags) @ rows.T
     se = per_sample.std(axis=1, ddof=1) / np.sqrt(samples)
     assert np.all(np.abs(closed - marg.mean) <= 3.0 * se + 1e-12)
+
+
+def assert_matches_oracle(got, want):
+    assert np.allclose(got.mean, want.mean, rtol=1e-8, atol=1e-12)
+    assert np.allclose(got.variance, want.variance, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_marginal_matches_per_draw_oracle(flat):
+    rng = np.random.default_rng(40 + flat)
+    state = random_state(rng, n_outputs=3, n_replicas=3, flat=flat, latent_var_scale=2.0)
+    xstar = rng.uniform(-0.5, 1.5, size=(7, 1))
+    tags = rng.integers(0, state.n_replicas, size=7)
+    # one state throughout, so every (output, draws, seed) reuses or adds to its cache
+    for d in range(state.n_outputs):
+        for samples, seed, include_noise in itertools.product((1, 2, 7, 500), (0, 5), (False, True)):
+            kwargs = dict(mc_samples=samples, seed=seed, include_noise=include_noise)
+            assert_matches_oracle(
+                predict_marginal(state, xstar, tags, d, **kwargs),
+                predict_marginal_per_draw(state, xstar, tags, d, **kwargs),
+            )
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_missing_replica_matches_per_draw_oracle(flat):
+    rng = np.random.default_rng(42 + flat)
+    state = random_state(rng, n_outputs=2, n_replicas=3, flat=flat)
+    grid = np.linspace(0.0, 1.0, 6)[:, None]
+    for d in range(state.n_outputs):
+        for r in range(state.n_replicas):
+            for include_noise in (False, True):
+                got = predict_missing_replica(state, d, r, grid, mc_samples=300, seed=3, include_noise=include_noise)
+                want = predict_marginal_per_draw(
+                    state, grid, np.full(6, r), d, mc_samples=300, seed=3, include_noise=include_noise
+                )
+                assert_matches_oracle(got, want)
+
+
+def test_full_covariance_diagonal_matches_marginal_variances():
+    rng = np.random.default_rng(44)
+    state = random_state(rng, n_outputs=2)
+    xstar = rng.uniform(size=(5, 1))
+    tags = rng.integers(0, state.n_replicas, size=5)
+    h = state.latent_posterior.means[1]
+    for include_noise in (False, True):
+        marginal = predict_conditional(state, xstar, tags, h, output=1, include_noise=include_noise)
+        full = predict_conditional(state, xstar, tags, h, output=1, include_noise=include_noise, full_cov=True)
+        assert np.allclose(full.mean, marginal.mean, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.diag(full.variance), marginal.variance, rtol=1e-10, atol=1e-12)
+        assert np.allclose(full.variance, full.variance.T, rtol=0.0, atol=1e-12)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(prediction, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(prediction, name, counted)
+    return calls
+
+
+def test_each_state_factors_once_and_each_output_draws_once(monkeypatch):
+    rng = np.random.default_rng(45)
+    state = random_state(rng, n_outputs=3, n_replicas=2)
+    factored = count_calls(monkeypatch, "cholesky_jitter")
+    latent_rows = count_calls(monkeypatch, "latent_cov")
+    for d in range(state.n_outputs):
+        for r in range(state.n_replicas):
+            xstar = rng.uniform(size=(4, 1))
+            predict_marginal(state, xstar, np.full(4, r), d, mc_samples=50)
+            predict_missing_replica(state, d, r, xstar, mc_samples=50)
+    # one latent Gram plus one set of draws per output
+    assert len(latent_rows) == 1 + state.n_outputs
+    predict_conditional(state, xstar, [0] * 4, state.latent_posterior.means[0], full_cov=True)
+    predict_marginal_mean_closed_form(state, xstar, [0] * 4, 1)
+    assert len(factored) == 2
+
+    # an equal state that is a different object is factored again
+    twin = ModelState(
+        hier_kernel=state.hier_kernel,
+        latent_kernel=state.latent_kernel,
+        latent_posterior=state.latent_posterior,
+        inducing=state.inducing,
+        noise_variance=state.noise_variance,
+    )
+    a = predict_marginal(twin, xstar, [1] * 4, 0, mc_samples=50)
+    b = predict_marginal(state, xstar, [1] * 4, 0, mc_samples=50)
+    assert len(factored) == 4
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.variance, b.variance)
+
+
+def test_unseeded_draws_are_not_reused():
+    rng = np.random.default_rng(46)
+    state = random_state(rng, n_outputs=2, latent_var_scale=2.0)
+    xstar = rng.uniform(size=(3, 1))
+    a = predict_marginal(state, xstar, [0, 1, 0], 0, mc_samples=20, seed=None)
+    b = predict_marginal(state, xstar, [0, 1, 0], 0, mc_samples=20, seed=None)
+    assert not np.array_equal(a.mean, b.mean)
 
 
 def test_invalid_output_and_replica_raise():
