@@ -20,14 +20,9 @@ from .data import (
     save_csv,
     split,
 )
-from .elbo import (
-    elbo_naive_oracle,
-    elbo_per_output,
-    elbo_shared,
-    exact_log_marginal_fixed_h,
-)
+from .elbo import elbo_per_output, elbo_shared
 from .kernels import HierarchicalKernel, StationaryKernel
-from .latent import InducingState, LatentPosterior, PsiStats, kl_inducing_kron, kl_latent
+from .latent import InducingState, LatentPosterior
 from .metrics import EvalReport, evaluate, nlpd, nmse
 from .model import ElboBreakdown, ModelState
 from .prediction import (
@@ -51,21 +46,16 @@ __all__ = [
     "OptimizerConfig",
     "OutputRecord",
     "PredictiveMoments",
-    "PsiStats",
     "ReplicaBlock",
     "SplitPlan",
     "StationaryKernel",
     "SyntheticConfig",
-    "elbo_naive_oracle",
     "elbo_per_output",
     "elbo_shared",
     "evaluate",
-    "exact_log_marginal_fixed_h",
     "fit",
     "generate_synthetic",
     "initialize_state",
-    "kl_inducing_kron",
-    "kl_latent",
     "load_csv",
     "nlpd",
     "nmse",

@@ -73,16 +73,51 @@ def _take(node: dict, path: str, key: str, kind, default="__required__"):
     return value
 
 
-def _kernel_from_config(node, path, input_dim, default_variance, family_default=MATERN32):
+def _present(node: dict, path: str, kinds: dict) -> dict:
+    """The fields of ``node`` named in ``kinds``, type-checked. Absent fields
+    are left out, so their defaults live only in the config dataclasses."""
+    return {key: _take(node, path, key, kind) for key, kind in kinds.items() if key in node}
+
+
+_SYNTHETIC_SCALARS = {
+    "n_outputs": int,
+    "n_replicas": int,
+    "points_per_replica": int,
+    "input_dim": int,
+    "latent_dim": int,
+    "noise_variance": float,
+    "share_inputs": bool,
+}
+_SYNTHETIC_KERNELS = ("shared_kernel", "replica_kernel", "latent_kernel")
+_MODEL_FIELDS = {
+    "latent_dim": int,
+    "inducing_per_replica": int,
+    "inducing_latent": int,
+    "shared_family": str,
+    "replica_family": str,
+    "regime": str,
+}
+_OPTIMIZER_FIELDS = {
+    "learning_rate": float,
+    "iterations": int,
+    "adam_beta1": float,
+    "adam_beta2": float,
+    "adam_eps": float,
+}
+
+
+def _kernel_from_config(node, path, default: StationaryKernel) -> StationaryKernel:
+    """A kernel section; the fields it leaves out, or all of them, come from ``default``."""
     if node is None:
-        return StationaryKernel(family_default, default_variance, np.ones(input_dim))
+        return default
     node = _expect_mapping(node, path, ("family", "variance", "lengthscale", "lengthscales"))
-    family = _take(node, path, "family", str, family_default)
+    family = _take(node, path, "family", str, default.family)
     if family not in (RBF, MATERN32):
         raise ConfigError(f"{path}.family: unknown kernel family {family!r}")
-    variance = _take(node, path, "variance", float, default_variance)
-    lengthscale = node.get("lengthscale", node.get("lengthscales", 1.0))
+    variance = _take(node, path, "variance", float, default.variance)
+    lengthscale = node.get("lengthscale", node.get("lengthscales", default.lengthscales))
     lengthscales = np.atleast_1d(np.asarray(lengthscale, float))
+    input_dim = default.input_dim
     if lengthscales.size == 1:
         lengthscales = np.full(input_dim, lengthscales[0])
     if lengthscales.size != input_dim:
@@ -119,36 +154,17 @@ class RunConfig:
                 "standardize": _take(csv, "dataset.csv", "standardize", bool, False),
             }
         elif "synthetic" in dataset:
-            syn = _expect_mapping(
-                dataset["synthetic"],
-                "dataset.synthetic",
-                (
-                    "n_outputs", "n_replicas", "points_per_replica", "input_dim", "latent_dim",
-                    "shared_kernel", "replica_kernel", "latent_kernel", "noise_variance", "share_inputs",
-                ),
-            )
             path = "dataset.synthetic"
-            input_dim = _take(syn, path, "input_dim", int, 1)
-            latent_dim = _take(syn, path, "latent_dim", int, 2)
+            syn = _expect_mapping(dataset["synthetic"], path, (*_SYNTHETIC_SCALARS, *_SYNTHETIC_KERNELS))
+            scalars = _present(syn, path, _SYNTHETIC_SCALARS)
             try:
-                self.synthetic = SyntheticConfig(
-                    n_outputs=_take(syn, path, "n_outputs", int, 50),
-                    n_replicas=_take(syn, path, "n_replicas", int, 3),
-                    points_per_replica=_take(syn, path, "points_per_replica", int, 10),
-                    input_dim=input_dim,
-                    latent_dim=latent_dim,
-                    shared_kernel=_kernel_from_config(
-                        syn.get("shared_kernel"), f"{path}.shared_kernel", input_dim, 0.1
-                    ),
-                    replica_kernel=_kernel_from_config(
-                        syn.get("replica_kernel"), f"{path}.replica_kernel", input_dim, 1.0
-                    ),
-                    latent_kernel=_kernel_from_config(
-                        syn.get("latent_kernel"), f"{path}.latent_kernel", latent_dim, 1.0, RBF
-                    ),
-                    noise_variance=_take(syn, path, "noise_variance", float, 0.02),
-                    share_inputs=_take(syn, path, "share_inputs", bool, False),
-                )
+                # the default kernels, at the configured dimensions
+                defaults = SyntheticConfig(**{k: scalars[k] for k in ("input_dim", "latent_dim") if k in scalars})
+                kernels = {
+                    name: _kernel_from_config(syn.get(name), f"{path}.{name}", getattr(defaults, name))
+                    for name in _SYNTHETIC_KERNELS
+                }
+                self.synthetic = SyntheticConfig(**scalars, **kernels)
             except ConfigError:
                 raise
             except ValueError as err:
@@ -156,36 +172,15 @@ class RunConfig:
         else:
             raise ConfigError("dataset: needs a 'synthetic' or 'csv' section")
 
-        model = _expect_mapping(
-            raw.get("model", {}),
-            "model",
-            ("latent_dim", "inducing_per_replica", "inducing_latent", "shared_family", "replica_family", "regime"),
-        )
+        model = _expect_mapping(raw.get("model", {}), "model", _MODEL_FIELDS)
         try:
-            self.model = ModelConfig(
-                latent_dim=_take(model, "model", "latent_dim", int, 2),
-                inducing_per_replica=_take(model, "model", "inducing_per_replica", int, 6),
-                inducing_latent=_take(model, "model", "inducing_latent", int, 2),
-                shared_family=_take(model, "model", "shared_family", str, MATERN32),
-                replica_family=_take(model, "model", "replica_family", str, MATERN32),
-                regime=_take(model, "model", "regime", str, "per_output"),
-            )
+            self.model = ModelConfig(**_present(model, "model", _MODEL_FIELDS))
         except ValueError as err:
             raise ConfigError(f"model: {err}") from None
 
-        opt = _expect_mapping(
-            raw.get("optimizer", {}),
-            "optimizer",
-            ("learning_rate", "iterations", "adam_beta1", "adam_beta2", "adam_eps"),
-        )
+        opt = _expect_mapping(raw.get("optimizer", {}), "optimizer", _OPTIMIZER_FIELDS)
         try:
-            self.optimizer = OptimizerConfig(
-                learning_rate=_take(opt, "optimizer", "learning_rate", float, 0.01),
-                iterations=_take(opt, "optimizer", "iterations", int, 10_000),
-                adam_beta1=_take(opt, "optimizer", "adam_beta1", float, 0.9),
-                adam_beta2=_take(opt, "optimizer", "adam_beta2", float, 0.999),
-                adam_eps=_take(opt, "optimizer", "adam_eps", float, 1e-8),
-            )
+            self.optimizer = OptimizerConfig(**_present(opt, "optimizer", _OPTIMIZER_FIELDS))
         except ValueError as err:
             raise ConfigError(f"optimizer: {err}") from None
 
@@ -194,10 +189,12 @@ class RunConfig:
             sp = _expect_mapping(raw["split"], "split", ("mode", "fraction", "missing"))
             mode = _take(sp, "split", "mode", str)
             if mode == "random_fraction":
-                self.split_spec = {
-                    "mode": mode,
-                    "fraction": _take(sp, "split", "fraction", float, 0.5),
-                }
+                fraction = _take(sp, "split", "fraction", float, SplitPlan.fraction)
+                try:
+                    SplitPlan(mode=mode, fraction=fraction)
+                except ValueError as err:
+                    raise ConfigError(f"split: {err}") from None
+                self.split_spec = {"mode": mode, "fraction": fraction}
             elif mode == "missing_replica":
                 missing = sp.get("missing", "random")
                 if missing != "random":
@@ -377,14 +374,20 @@ def _parse_grid(spec: str):
     parts = spec.split(",")
     if len(parts) != 3:
         raise ConfigError("--grid expects 'count,low,high'")
-    count = int(parts[0])
-    low, high = float(parts[1]), float(parts[2])
+    try:
+        count = int(parts[0])
+        low, high = float(parts[1]), float(parts[2])
+    except ValueError:
+        raise ConfigError(f"--grid expects an integer count and two numbers, got {spec!r}") from None
     if count < 1:
         raise ConfigError("--grid count must be positive")
+    if not np.isfinite([low, high]).all():
+        raise ConfigError("--grid bounds must be finite")
     return np.linspace(low, high, count)[:, None]
 
 
 def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 0) -> pathlib.Path:
+    grid = _parse_grid(grid_spec) if at_path is None else None
     state, payload = _load_model(model_path)
     standardization = payload.get("standardization")
     rows = []
@@ -408,7 +411,6 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
             if points.block(d, r).n_points > 0
         ]
     else:
-        grid = _parse_grid(grid_spec)
         if input_dim != 1:
             raise ConfigError("--grid only supports one-dimensional inputs")
         targets_iter = [

@@ -15,11 +15,9 @@ slowest, matching the stacking of the target vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import kron
 
 RBF = "rbf"
 MATERN32 = "matern32"
@@ -122,27 +120,16 @@ def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:
 
     Block (r, r') is ``shared(A_r, B_r')`` off the diagonal and
     ``(shared + replica)(A_r, B_r)`` on it. Serves the data Gram, the
-    inducing Gram and the data/inducing cross covariance alike.
+    inducing Gram and the data/inducing cross covariance alike: the rows of
+    ``a``, tagged with their replica, through :func:`hier_cross_cov`.
     """
     if len(a) != len(b):
         raise ValueError(f"replica count mismatch: {len(a)} vs {len(b)}")
     v = validate_replica_blocks(a, spec.input_dim)
     validate_replica_blocks(b, v)
     a = [np.atleast_2d(np.asarray(blk, float)) for blk in a]
-    b = [np.atleast_2d(np.asarray(blk, float)) for blk in b]
-    n_rows = sum(blk.shape[0] for blk in a)
-    n_cols = sum(blk.shape[0] for blk in b)
-    out = np.zeros((n_rows, n_cols))
-    if spec.shared is not None:
-        out += eval_stationary(spec.shared, np.concatenate(a, axis=0), np.concatenate(b, axis=0))
-    r0 = 0
-    c0 = 0
-    for ar, br in zip(a, b):
-        if ar.shape[0] and br.shape[0]:
-            out[r0 : r0 + ar.shape[0], c0 : c0 + br.shape[0]] += eval_stationary(spec.replica, ar, br)
-        r0 += ar.shape[0]
-        c0 += br.shape[0]
-    return out
+    tags = np.repeat(np.arange(len(a)), [blk.shape[0] for blk in a])
+    return hier_cross_cov(spec, np.concatenate(a, axis=0), tags, b)
 
 
 def hier_cross_cov(spec: HierarchicalKernel, points: np.ndarray, replica_tags, b) -> np.ndarray:
@@ -175,15 +162,3 @@ def hier_cross_cov(spec: HierarchicalKernel, points: np.ndarray, replica_tags, b
 def latent_cov(spec: StationaryKernel, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Gram matrix of the output kernel on latent coordinates."""
     return eval_stationary(spec, h1, h2)
-
-
-def full_cov(k_outputs: np.ndarray, k_inputs: np.ndarray) -> np.ndarray:
-    """Joint covariance ``k_outputs (x) k_inputs``, outputs-major."""
-    k_outputs = np.asarray(k_outputs, float)
-    k_inputs = np.asarray(k_inputs, float)
-    for name, m in (("output", k_outputs), ("input", k_inputs)):
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"{name} covariance must be square")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(m).max(initial=0.0))):
-            raise ValueError(f"{name} covariance must be symmetric")
-    return kron.kron(k_outputs, k_inputs)

@@ -1,9 +1,12 @@
-"""Dense linear algebra helpers built around Kronecker structure.
+"""Cholesky factorisation with jitter escalation for the model's Gram matrices.
 
-Covariances in this package factor as ``A (x) B`` over output and input
-spaces. These routines let the rest of the code exploit that factorisation
-instead of materialising the full product. Vectorisation is column-stacking
-throughout: ``vec(W)[j * rows + i] = W[i, j]``.
+Every inducing Gram in this package (``Kuu_h`` over latent coordinates,
+``Kuu_x`` over replica-blocked inputs) is one factor of a Kronecker product,
+so only the factors are ever decomposed. A Gram that is numerically
+singular is factored with the smallest diagonal jitter from a fixed ladder,
+and the bound reports the jitter each Gram needed. The dense
+Kronecker helpers the tests check this structure with live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 
 class IndefiniteMatrixError(np.linalg.LinAlgError):
@@ -28,50 +30,6 @@ class CholeskyFactor:
     @property
     def n(self) -> int:
         return self.lower.shape[0]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (i, j) equals ``a[i, j] * b``."""
-    return np.kron(np.asarray(a, float), np.asarray(b, float))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorisation."""
-    return np.asarray(a).ravel(order="F")
-
-
-def unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    x = np.asarray(x)
-    if x.size != rows * cols:
-        raise ValueError(f"cannot reshape {x.size} entries into {rows}x{cols}")
-    return x.reshape((rows, cols), order="F")
-
-
-def kron_matvec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Compute ``(a (x) b) @ x`` without forming the Kronecker product.
-
-    Uses ``(a (x) b) vec(W) = vec(b @ W @ a.T)`` with the column-stacking
-    convention of :func:`vec`, so the cost is two small matrix products.
-    """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    x = np.asarray(x, float)
-    if x.ndim != 1 or x.size != a.shape[1] * b.shape[1]:
-        raise ValueError(
-            f"vector of length {x.size} does not match {a.shape[1]} * {b.shape[1]}"
-        )
-    w = unvec(x, b.shape[1], a.shape[1])
-    return vec(b @ w @ a.T)
-
-
-def trace_kron(a: np.ndarray, b: np.ndarray) -> float:
-    """``Tr(a (x) b) = Tr(a) * Tr(b)``."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("trace_kron requires square factors")
-    return float(np.trace(a) * np.trace(b))
 
 
 def _factor_with_jitter(a: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
@@ -109,17 +67,3 @@ def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> CholeskyFactor:
         raise ValueError("cholesky_jitter requires a square matrix")
     lower, jitter = _factor_with_jitter(a, base_jitter)
     return CholeskyFactor(lower=lower, jitter_used=jitter)
-
-
-def tri_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) x = rhs`` via two triangular solves."""
-    rhs = np.asarray(rhs, float)
-    if rhs.shape[0] != factor.n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, factor is {factor.n}x{factor.n}")
-    half = solve_triangular(factor.lower, rhs, lower=True)
-    return solve_triangular(factor.lower, half, lower=True, trans="T")
-
-
-def logdet(factor: CholeskyFactor) -> float:
-    """Log determinant of the factored matrix."""
-    return float(2.0 * np.sum(np.log(np.diag(factor.lower))))

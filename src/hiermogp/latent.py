@@ -1,4 +1,5 @@
-"""Variational distributions over latent coordinates and inducing values.
+"""Variational distributions over latent coordinates and inducing values,
+and the closed forms of the bound that depend only on them.
 
 The posterior over latent output coordinates factorises into independent
 diagonal Gaussians, one per output. The posterior over inducing values is a
@@ -6,9 +7,11 @@ Gaussian whose covariance is the Kronecker product of an output-side and an
 input-side factor, which shrinks the variational parameter count from
 (m_h * m_x)^2 to m_h^2 + m_x^2.
 
-Expectations of the output kernel under the latent posterior (the psi
-statistics) have closed forms for the ARD RBF family; a seeded Monte Carlo
-estimator of the same quantities doubles as an independent oracle.
+The three closed forms the bound needs are written once here, as ``autodiff``
+graph nodes: the psi statistics of the ARD RBF output kernel under the latent
+posterior (Titsias & Lawrence, Bayesian GPLVM), the Kronecker-factorised
+inducing KL and the latent KL. ``objective.build_graph`` assembles the bound
+from them; the tests evaluate them on constant arrays.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kron
-from .kernels import RBF, StationaryKernel, eval_stationary, validate_replica_blocks
-
-
-class UnsupportedKernelError(ValueError):
-    """Closed-form psi statistics only exist for the RBF family."""
+from . import autodiff as ad
+from .kernels import validate_replica_blocks
 
 
 @dataclass
@@ -103,127 +102,58 @@ class InducingState:
         return self.cov_input_chol @ self.cov_input_chol.T
 
 
-@dataclass
-class PsiStats:
-    """Expected output-kernel statistics under the latent posterior.
+def psi_stats(variance, lengthscales, mu, log_s, zh):
+    """Closed-form psi1 (d, m) and psi2 (d, m, m) of an ARD RBF output kernel.
 
-    Everything is kept per output so both the shared-input and the
-    per-output bound can be assembled from one object.
+    For each output with posterior N(mu, diag(exp(log_s))) and inducing
+    coordinates z, psi1[m] integrates k(h, z_m) against the Gaussian, which
+    lengthens each squared lengthscale by the variance; psi2[m, m'] integrates
+    k(h, z_m) k(h, z_m') and factorises into a fixed term in z_m - z_m' and a
+    Gaussian in their midpoint. psi0 is the kernel variance (stationarity).
     """
+    d, q = mu.shape
+    m = zh.shape[0]
+    s = ad.exp(log_s)
+    l2 = lengthscales * lengthscales
+    ratio = s / l2  # (d, q)
+    log_norm1 = 0.5 * ad.sum(ad.log(1.0 + ratio), axis=1)  # (d,)
+    dmu = ad.reshape(mu, (d, 1, q)) - ad.reshape(zh, (1, m, q))
+    expo1 = ad.sum(dmu * dmu / ad.reshape(l2 + s, (d, 1, q)), axis=2)
+    psi1 = variance * ad.exp(-0.5 * expo1 - ad.reshape(log_norm1, (d, 1)))
 
-    psi0: np.ndarray  # (n_outputs,) expected self covariance per output
-    psi1: np.ndarray  # (n_outputs, m_h) expected cross covariance rows
-    psi2: np.ndarray  # (n_outputs, m_h, m_h) expected outer products
-
-    @property
-    def psi0_total(self) -> float:
-        return float(np.sum(self.psi0))
-
-    @property
-    def psi2_total(self) -> np.ndarray:
-        return np.sum(self.psi2, axis=0)
-
-
-def psi_stats_closed_form(
-    posterior: LatentPosterior, kernel: StationaryKernel, z_latent: np.ndarray
-) -> PsiStats:
-    """Closed-form psi statistics for an ARD RBF output kernel.
-
-    For each output with posterior N(mu, diag(s)) and inducing coordinates z:
-
-    * psi0 is the kernel variance (stationarity),
-    * psi1[m] integrates k(h, z_m) against the Gaussian, lengthening each
-      squared lengthscale by s,
-    * psi2[m, m'] integrates k(h, z_m) k(h, z_m'), which factorises into a
-      fixed term in z_m - z_m' and a Gaussian in the midpoint.
-    """
-    if kernel.family != RBF:
-        raise UnsupportedKernelError(
-            f"closed-form psi statistics need an RBF kernel, got {kernel.family!r}; "
-            "use psi_stats_mc instead"
-        )
-    z = np.atleast_2d(np.asarray(z_latent, float))
-    if z.shape[1] != kernel.input_dim or posterior.latent_dim != kernel.input_dim:
-        raise ValueError("latent dimension mismatch between posterior, kernel and z_latent")
-    mu = posterior.means  # (d, q)
-    s = posterior.variances  # (d, q)
-    l2 = kernel.lengthscales**2  # (q,)
-    variance = kernel.variance
-
-    psi0 = np.full(posterior.n_outputs, variance)
-
-    # psi1: (d, m)
-    dmu = mu[:, None, :] - z[None, :, :]  # (d, m, q)
-    expo1 = np.sum(dmu**2 / (l2 + s)[:, None, :], axis=2)
-    norm1 = 0.5 * np.sum(np.log1p(s / l2), axis=1)  # (d,)
-    psi1 = variance * np.exp(-0.5 * expo1 - norm1[:, None])
-
-    # psi2: (d, m, m)
-    zd = z[:, None, :] - z[None, :, :]  # (m, m, q)
-    fixed = np.sum(zd**2 / (4.0 * l2), axis=2)  # (m, m)
-    zbar = 0.5 * (z[:, None, :] + z[None, :, :])  # (m, m, q)
-    dmb = mu[:, None, None, :] - zbar[None, :, :, :]  # (d, m, m, q)
-    expo2 = np.sum(dmb**2 / (l2 + 2.0 * s)[:, None, None, :], axis=3)
-    norm2 = 0.5 * np.sum(np.log1p(2.0 * s / l2), axis=1)  # (d,)
-    psi2 = variance**2 * np.exp(-fixed[None, :, :] - expo2 - norm2[:, None, None])
-    return PsiStats(psi0=psi0, psi1=psi1, psi2=psi2)
-
-
-def psi_stats_mc(
-    posterior: LatentPosterior,
-    kernel: StationaryKernel,
-    z_latent: np.ndarray,
-    samples: int,
-    seed: int,
-) -> PsiStats:
-    """Monte Carlo psi statistics; unbiased and deterministic under the seed."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    z = np.atleast_2d(np.asarray(z_latent, float))
-    rng = np.random.default_rng(seed)
-    d, q = posterior.means.shape
-    m = z.shape[0]
-    psi0 = np.zeros(d)
-    psi1 = np.zeros((d, m))
-    psi2 = np.zeros((d, m, m))
-    std = np.sqrt(posterior.variances)
-    for i in range(d):
-        draws = posterior.means[i] + std[i] * rng.standard_normal((samples, q))
-        rows = eval_stationary(kernel, draws, z)  # (samples, m)
-        psi0[i] = kernel.variance
-        psi1[i] = rows.mean(axis=0)
-        psi2[i] = rows.T @ rows / samples
-    return PsiStats(psi0=psi0, psi1=psi1, psi2=psi2)
-
-
-def kl_latent(posterior: LatentPosterior) -> float:
-    """KL divergence of the latent posterior from its standard normal prior."""
-    s = posterior.variances
-    mu = posterior.means
-    return float(0.5 * np.sum(s + mu**2 - 1.0 - np.log(s)))
-
-
-def kl_inducing_kron(state: InducingState, kuu_h: np.ndarray, kuu_x: np.ndarray) -> float:
-    """KL divergence of the Kronecker inducing posterior from its prior.
-
-    Both Gaussians factor over the output and input sides, so the divergence
-    reduces to per-factor log determinants and traces plus one quadratic form
-    in the mean; nothing of size (m_h * m_x)^2 is ever built.
-    """
-    m_h, m_x = state.m_h, state.m_x
-    factor_h = kron.cholesky_jitter(np.asarray(kuu_h, float))
-    factor_x = kron.cholesky_jitter(np.asarray(kuu_x, float))
-    logdet_kh = kron.logdet(factor_h)
-    logdet_kx = kron.logdet(factor_x)
-    logdet_sh = float(2.0 * np.sum(np.log(np.diag(state.cov_latent_chol))))
-    logdet_sx = float(2.0 * np.sum(np.log(np.diag(state.cov_input_chol))))
-    quad = float(np.trace(state.mean.T @ kron.tri_solve(factor_x, state.mean) @ kron.tri_solve(factor_h, np.eye(m_h))))
-    trace_h = float(np.trace(kron.tri_solve(factor_h, state.cov_latent)))
-    trace_x = float(np.trace(kron.tri_solve(factor_x, state.cov_input)))
-    return 0.5 * (
-        m_x * (logdet_kh - logdet_sh)
-        + m_h * (logdet_kx - logdet_sx)
-        + quad
-        + trace_h * trace_x
-        - m_h * m_x
+    zd = ad.reshape(zh, (m, 1, q)) - ad.reshape(zh, (1, m, q))
+    fixed = ad.sum(zd * zd / (4.0 * l2), axis=2)  # (m, m)
+    zbar = 0.5 * (ad.reshape(zh, (m, 1, q)) + ad.reshape(zh, (1, m, q)))
+    dmb = ad.reshape(mu, (d, 1, 1, q)) - ad.reshape(zbar, (1, m, m, q))
+    expo2 = ad.sum(dmb * dmb / ad.reshape(l2 + 2.0 * s, (d, 1, 1, q)), axis=3)
+    log_norm2 = 0.5 * ad.sum(ad.log(1.0 + 2.0 * ratio), axis=1)
+    psi2 = (variance * variance) * ad.exp(
+        -ad.reshape(fixed, (1, m, m)) - expo2 - ad.reshape(log_norm2, (d, 1, 1))
     )
+    return psi1, psi2
+
+
+def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, logdet_kh, logdet_kx):
+    """KL divergence of N(vec M, S_h (x) S_x) from its prior N(0, K_h (x) K_x).
+
+    Both Gaussians factor over the output (h) and input (x) sides, so the
+    divergence reduces to per-factor log determinants and traces plus one
+    quadratic form in the (m_x, m_h) mean; nothing of size (m_h * m_x)^2 is
+    built. Takes the posterior factors S with their log determinants and the
+    inverse prior Grams K^-1 with the log determinants of K.
+    """
+    m_x, m_h = mean.shape
+    quad_mean = ad.trace(ad.transpose(mean) @ (inv_kx @ mean) @ inv_kh)
+    return 0.5 * (
+        m_x * (logdet_kh - logdet_cov_h)
+        + m_h * (logdet_kx - logdet_cov_x)
+        + quad_mean
+        + ad.trace(inv_kh @ cov_h) * ad.trace(inv_kx @ cov_x)
+        - float(m_h * m_x)
+    )
+
+
+def kl_latent(mu, log_s):
+    """KL divergence of the diagonal latent posterior from its standard normal prior."""
+    s = ad.exp(log_s)
+    return 0.5 * ad.sum(s + mu * mu - 1.0 - log_s)

@@ -4,8 +4,10 @@ Builds the bound as an autodiff graph over the flat unconstrained parameter
 vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
-(m_h * m_x)^2 is ever materialised. The forward value backs the public bound
-evaluation; the backward pass supplies analytic gradients for training.
+(m_h * m_x)^2 is ever materialised. The psi statistics and both KL terms come
+from ``latent``; the Grams and the data-fit term are assembled here. The
+forward value backs the public bound evaluation; the backward pass supplies
+analytic gradients for training.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .kernels import RBF
 from .kron import choose_jitter
+from .latent import kl_inducing, kl_latent, psi_stats
 from .model import ElboBreakdown, ModelState
 from .params import ParamLayout
 
@@ -101,30 +104,6 @@ def _input_groups(x, y, n_outputs: int, n_replicas: int, input_dim: int, regime:
     return points, tags, targets, np.asarray(counts, float), np.sum(targets**2, axis=2).ravel()
 
 
-def _psi_nodes(variance, lengthscales, mu, log_s, zh):
-    """Closed-form psi statistics as graph nodes (RBF output kernel only)."""
-    d, q = mu.shape
-    m = zh.shape[0]
-    s = ad.exp(log_s)
-    l2 = lengthscales * lengthscales
-    ratio = s / l2  # (d, q)
-    log_norm1 = 0.5 * ad.sum(ad.log(1.0 + ratio), axis=1)  # (d,)
-    dmu = ad.reshape(mu, (d, 1, q)) - ad.reshape(zh, (1, m, q))
-    expo1 = ad.sum(dmu * dmu / ad.reshape(l2 + s, (d, 1, q)), axis=2)
-    psi1 = variance * ad.exp(-0.5 * expo1 - ad.reshape(log_norm1, (d, 1)))
-
-    zd = ad.reshape(zh, (m, 1, q)) - ad.reshape(zh, (1, m, q))
-    fixed = ad.sum(zd * zd / (4.0 * l2), axis=2)  # (m, m)
-    zbar = 0.5 * (ad.reshape(zh, (m, 1, q)) + ad.reshape(zh, (1, m, q)))
-    dmb = ad.reshape(mu, (d, 1, 1, q)) - ad.reshape(zbar, (1, m, m, q))
-    expo2 = ad.sum(dmb * dmb / ad.reshape(l2 + 2.0 * s, (d, 1, 1, q)), axis=3)
-    log_norm2 = 0.5 * ad.sum(ad.log(1.0 + 2.0 * ratio), axis=1)
-    psi2 = (variance * variance) * ad.exp(
-        -ad.reshape(fixed, (1, m, m)) - expo2 - ad.reshape(log_norm2, (d, 1, 1))
-    )
-    return psi1, psi2
-
-
 def _chol_with_jitter(k: ad.Node, base_jitter: float):
     jitter = choose_jitter(k.value, base_jitter)
     if jitter > 0.0:
@@ -205,19 +184,9 @@ def build_graph(
     logdet_kh = 2.0 * ad.sum(ad.log(ad.diagonal(l_h)))
     logdet_kx = 2.0 * ad.sum(ad.log(ad.diagonal(l_x)))
 
-    # KL terms
-    quad_mean = ad.trace(ad.transpose(m_mat) @ (a_x @ m_mat) @ a_h)
-    kl_inducing = 0.5 * (
-        m_x * (logdet_kh - logdet_sh)
-        + m_h * (logdet_kx - logdet_sx)
-        + quad_mean
-        + ad.trace(a_h @ sigma_h) * ad.trace(a_x @ sigma_x)
-        - float(m_h * m_x)
-    )
-    s_lat = ad.exp(log_s)
-    kl_latent = 0.5 * ad.sum(s_lat + mu * mu - 1.0 - log_s)
-
-    psi1, psi2 = _psi_nodes(vh, lsh, mu, log_s, zh)
+    kl_u = kl_inducing(m_mat, sigma_h, sigma_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx)
+    kl_h = kl_latent(mu, log_s)
+    psi1, psi2 = psi_stats(vh, lsh, mu, log_s, zh)
 
     # data fit: one term per output, from the statistics Phi_x[d] = Kfu_d^T Kfu_d
     # and b[d] = Kfu_d^T y_d; a group's Phi_x serves each output it carries
@@ -247,11 +216,11 @@ def build_graph(
         + (data_dot - 0.5 * (yy + psi0 - corr + quad_m + quad_s)) / sigma2
     )
 
-    total = data_fit - kl_inducing - kl_latent
+    total = data_fit - kl_u - kl_h
     pieces = GraphPieces(
         data_fit=data_fit,
-        kl_inducing=kl_inducing,
-        kl_latent=kl_latent,
+        kl_inducing=kl_u,
+        kl_latent=kl_h,
         total=total,
         jitters={"kuu_h": jitter_h, "kuu_x": jitter_x},
     )

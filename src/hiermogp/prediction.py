@@ -3,9 +3,9 @@
 Conditioned on fixed latent coordinates, the predictive moments are exact
 Gaussian algebra through the inducing posterior. Marginalising the latent
 posterior is intractable, so the mixture moments are estimated by seeded
-Monte Carlo over the latent coordinate of the requested output; the mixture
-mean also has a closed form through the expected latent kernel row, which
-the tests hold against the Monte Carlo estimate.
+Monte Carlo over the latent coordinate of the requested output. The tests
+hold the estimate to a per-draw oracle and its mean to the closed form
+through the expected latent kernel row psi1 (``tests/oracles.py``).
 
 A fitted state's inducing Grams are factored once, on its first prediction,
 and an output's latent draws are reduced once per (output, draws, seed) to
@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .kernels import RBF, eval_stationary, hier_block_cov, hier_cross_cov, latent_cov
+from .kernels import hier_block_cov, hier_cross_cov, latent_cov
 from .kron import cholesky_jitter
-from .latent import LatentPosterior, UnsupportedKernelError, psi_stats_closed_form
 from .model import ModelState
 
 log = logging.getLogger(__name__)
@@ -165,10 +164,12 @@ def predict_conditional(
         mean, variance = _block_moments(post, state, xstar, replica_tags, moments)
         return PredictiveMoments(mean=mean, variance=variance + noise)
     base, half, smooth = _input_terms(post, state, xstar, replica_tags)
+    # prior covariance of the tagged points; the columns come grouped by
+    # replica, and column rank[i] is point i
     tags = np.asarray(replica_tags, int)
-    kxx = (tags[:, None] == tags[None, :]) * eval_stationary(state.hier_kernel.replica, xstar, xstar)
-    if state.hier_kernel.shared is not None:
-        kxx = kxx + eval_stationary(state.hier_kernel.shared, xstar, xstar)
+    blocks = [xstar[tags == r] for r in range(state.n_replicas)]
+    rank = np.argsort(np.argsort(tags, kind="stable"))
+    kxx = hier_cross_cov(state.hier_kernel, xstar, tags, blocks)[:, rank]
     cov = (
         state.latent_kernel.variance * kxx
         - moments.nystrom * (half.T @ half)
@@ -194,6 +195,8 @@ def predict_marginal(
     """
     if not 0 <= output < state.n_outputs:
         raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     xstar = np.atleast_2d(np.asarray(xstar, float))
     post = _posterior(state)
     moments = _output_moments(post, state, output, mc_samples, seed)
@@ -201,22 +204,6 @@ def predict_marginal(
     if include_noise:
         variance = variance + state.noise_for(output)
     return PredictiveMoments(mean=mean, variance=variance)
-
-
-def predict_marginal_mean_closed_form(
-    state: ModelState, xstar: np.ndarray, replica_tags, output: int
-) -> np.ndarray:
-    """Mixture mean through the expected latent kernel row (RBF only)."""
-    if state.latent_kernel.family != RBF:
-        raise UnsupportedKernelError("closed-form mixture mean needs an RBF latent kernel")
-    xstar = np.atleast_2d(np.asarray(xstar, float))
-    single = LatentPosterior(
-        means=state.latent_posterior.means[output : output + 1],
-        variances=state.latent_posterior.variances[output : output + 1],
-    )
-    psi = psi_stats_closed_form(single, state.latent_kernel, state.inducing.z_latent)
-    cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, state.inducing.z_input)
-    return cross @ _posterior(state).w @ psi.psi1[0]
 
 
 def predict_missing_replica(

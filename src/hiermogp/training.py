@@ -39,6 +39,9 @@ class ModelConfig:
     regime: str = "per_output"  # or "shared"
 
     def __post_init__(self):
+        for name in ("latent_dim", "inducing_per_replica", "inducing_latent"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.regime not in ("per_output", "shared"):
             raise ValueError(f"unknown regime {self.regime!r}")
 
@@ -58,6 +61,11 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0.0:
+            raise ValueError("adam_eps must be positive")
 
 
 @dataclass
@@ -228,7 +236,9 @@ def fit(
 
     Returns the best state encountered together with the full bound trace
     (one entry per evaluated iterate, including the final one). A plateau in
-    the best value is logged but never stops the run.
+    the best value is logged but never stops the run. A ``FitError`` carries
+    the best state so far (``None`` before the first finite bound) and the
+    trace so far in its ``diagnostics``, under ``best_state`` and ``trace``.
     """
     if model_config.regime == "shared" and not dataset.has_common_inputs():
         raise ValueError("shared regime requires every output on one common input grid")
@@ -255,11 +265,17 @@ def fit(
     best_index = 0
     jitter_events = 0
     last_improvement = 0
+
+    def progress(evaluated: int) -> dict:
+        """The best state so far and the first ``evaluated`` trace entries."""
+        best_state = layout.unpack(best_theta, template) if best_value > -np.inf else None
+        return {"best_state": best_state, "trace": trace[:evaluated].copy()}
+
     for t in range(1, optimizer_config.iterations + 1):
         try:
             breakdown, grad, jitters = grad_elbo(theta, layout, template, x, y, model_config.regime)
         except FitError as err:
-            err.diagnostics["iteration"] = t
+            err.diagnostics.update(iteration=t, **progress(t - 1))
             raise
         trace[t - 1] = breakdown.total
         jitter_events += sum(1 for j in jitters.values() if j > 0.0)
@@ -280,7 +296,7 @@ def fit(
         best_theta = theta.copy()
         best_index = optimizer_config.iterations
     if not np.all(np.isfinite(trace)):
-        raise FitError("bound trace contains non-finite values")
+        raise FitError("bound trace contains non-finite values", diagnostics=progress(trace.size))
     best_state = layout.unpack(best_theta, template)
     diagnostics = {
         "jitter_events": jitter_events,

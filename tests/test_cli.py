@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import hiermogp
 from hiermogp.cli import ConfigError, RunConfig, load_config, main, run_experiment, run_eval
 from hiermogp.data import (
     HierarchicalDataset,
@@ -281,8 +283,11 @@ def test_csv_dataset_experiment(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same hiermogp as this process, installed or not
+    package_root = str(pathlib.Path(hiermogp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-m", "hiermogp.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "hiermogp.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0
     assert "generate" in result.stdout
@@ -295,3 +300,26 @@ def test_seed_override(tmp_path):
     main(["experiment", "--config", str(config_path), "--seed", "7"])
     manifest = json.loads((tmp_path / "runS" / "manifest.json").read_text())
     assert manifest["seeds"] == [7]
+
+
+@pytest.mark.parametrize("grid", ["3,0,x", "3.5,0,1", "3,nan,1"])
+def test_predict_rejects_malformed_grid(tmp_path, capsys, grid):
+    config_path = write_config(tmp_path, base_config(tmp_path / "run", iterations=5))
+    assert main(["fit", "--config", str(config_path), "--out", str(tmp_path / "fit")]) == 0
+    capsys.readouterr()
+    model = str(tmp_path / "fit" / "model.json")
+    code = main(["predict", "--model", model, "--grid", grid, "--out", str(tmp_path / "grid.csv")])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+def test_split_fraction_outside_unit_interval_is_a_config_error(tmp_path, capsys, fraction):
+    config = base_config(tmp_path / "run")
+    config["split"]["fraction"] = fraction
+    with pytest.raises(ConfigError, match="^split: fraction"):
+        RunConfig(config)
+    assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
+    assert "split: fraction must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -10,7 +10,6 @@ from hiermogp.kernels import (
     HierarchicalKernel,
     StationaryKernel,
     eval_stationary,
-    full_cov,
     hier_block_cov,
     hier_cross_cov,
     latent_cov,
@@ -18,6 +17,8 @@ from hiermogp.kernels import (
 )
 from hiermogp.kron import cholesky_jitter
 from hiermogp.objective import _gram
+
+from .oracles import full_cov
 
 
 def rbf(variance=1.0, lengthscales=1.0):

@@ -3,19 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermogp.kron import (
-    CholeskyFactor,
-    IndefiniteMatrixError,
-    choose_jitter,
-    cholesky_jitter,
-    kron,
-    kron_matvec,
-    logdet,
-    trace_kron,
-    tri_solve,
-    unvec,
-    vec,
-)
+from hiermogp.kron import CholeskyFactor, IndefiniteMatrixError, choose_jitter, cholesky_jitter
+
+from .oracles import kron, kron_matvec, logdet, trace_kron, tri_solve, unvec, vec
 
 
 def random_matrix(rng, rows, cols):

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermogp.elbo import elbo_per_output
 from hiermogp.kernels import MATERN32, RBF, StationaryKernel, latent_cov
-from hiermogp.kron import kron
-from hiermogp.latent import (
-    InducingState,
-    LatentPosterior,
-    PsiStats,
-    UnsupportedKernelError,
-    kl_inducing_kron,
-    kl_latent,
-    psi_stats_closed_form,
+from hiermogp.latent import InducingState, LatentPosterior
+from hiermogp.model import ModelState
+
+from .helpers import random_per_output_data, random_state
+from .oracles import (
+    kl_inducing_closed_form,
+    kl_latent_closed_form,
+    kron,
+    psi_closed_form,
     psi_stats_mc,
+    vec,
 )
 
 
@@ -34,12 +36,23 @@ def test_posterior_validation():
 
 
 def test_non_rbf_kernel_rejected():
+    # the closed-form psi statistics, hence the bound, exist for RBF only
+    rng = np.random.default_rng(0)
+    state = random_state(rng)
+    x, y = random_per_output_data(rng, state)
+    spec = StationaryKernel(MATERN32, 1.0, np.ones(state.latent_dim))
+    matern = ModelState(
+        hier_kernel=state.hier_kernel,
+        latent_kernel=spec,
+        latent_posterior=state.latent_posterior,
+        inducing=state.inducing,
+        noise_variance=state.noise_variance,
+    )
+    with pytest.raises(ValueError, match="RBF"):
+        elbo_per_output(matern, x, y)
+    # the Monte Carlo oracle accepts any family
     post = LatentPosterior(means=np.zeros((1, 1)), variances=np.ones((1, 1)))
-    spec = StationaryKernel(MATERN32, 1.0, [1.0])
-    with pytest.raises(UnsupportedKernelError, match="psi_stats_mc"):
-        psi_stats_closed_form(post, spec, np.zeros((1, 1)))
-    # the Monte Carlo path accepts any family
-    psi_stats_mc(post, spec, np.zeros((1, 1)), samples=10, seed=0)
+    psi_stats_mc(post, StationaryKernel(MATERN32, 1.0, [1.0]), np.zeros((1, 1)), samples=10, seed=0)
 
 
 def test_delta_limit_recovers_plain_kernel():
@@ -49,20 +62,11 @@ def test_delta_limit_recovers_plain_kernel():
     post = LatentPosterior(means=means, variances=np.full((d, q), 1e-12))
     spec = rbf_kernel(rng, q)
     z = rng.standard_normal((m, q))
-    psi = psi_stats_closed_form(post, spec, z)
+    psi1, psi2 = psi_closed_form(post, spec, z)
     plain = latent_cov(spec, means, z)
-    assert np.allclose(psi.psi1, plain, atol=1e-6)
+    assert np.allclose(psi1, plain, atol=1e-6)
     for i in range(d):
-        assert np.allclose(psi.psi2[i], np.outer(plain[i], plain[i]), atol=1e-6)
-    assert np.allclose(psi.psi0, spec.variance)
-
-
-def test_psi0_is_variance_for_any_posterior():
-    rng = np.random.default_rng(1)
-    post = posterior(rng, 4, 3)
-    spec = rbf_kernel(rng, 3)
-    psi = psi_stats_closed_form(post, spec, rng.standard_normal((2, 3)))
-    assert np.allclose(psi.psi0, spec.variance)
+        assert np.allclose(psi2[i], np.outer(plain[i], plain[i]), atol=1e-6)
 
 
 def test_mc_single_sample_zero_variance_is_plain_eval():
@@ -71,8 +75,8 @@ def test_mc_single_sample_zero_variance_is_plain_eval():
     post = LatentPosterior(means=means, variances=np.full((2, 2), 1e-300))
     spec = rbf_kernel(rng, 2)
     z = rng.standard_normal((3, 2))
-    psi = psi_stats_mc(post, spec, z, samples=1, seed=5)
-    assert np.allclose(psi.psi1, latent_cov(spec, means, z))
+    psi1, _ = psi_stats_mc(post, spec, z, samples=1, seed=5)
+    assert np.allclose(psi1, latent_cov(spec, means, z))
 
 
 def test_mc_deterministic_under_seed():
@@ -82,8 +86,8 @@ def test_mc_deterministic_under_seed():
     z = rng.standard_normal((3, 2))
     a = psi_stats_mc(post, spec, z, samples=500, seed=9)
     b = psi_stats_mc(post, spec, z, samples=500, seed=9)
-    assert np.array_equal(a.psi1, b.psi1)
-    assert np.array_equal(a.psi2, b.psi2)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_mc_error_shrinks_with_sample_count():
@@ -91,11 +95,11 @@ def test_mc_error_shrinks_with_sample_count():
     post = posterior(rng, 1, 1)
     spec = StationaryKernel(RBF, 1.0, [1.0])
     z = np.array([[0.3]])
-    exact = psi_stats_closed_form(post, spec, z).psi1[0, 0]
+    exact = psi_closed_form(post, spec, z)[0][0, 0]
     errors = []
     for samples in (1_000, 100_000):
         reps = [
-            abs(psi_stats_mc(post, spec, z, samples=samples, seed=s).psi1[0, 0] - exact)
+            abs(psi_stats_mc(post, spec, z, samples=samples, seed=s)[0][0, 0] - exact)
             for s in range(8)
         ]
         errors.append(np.mean(reps))
@@ -137,10 +141,10 @@ def test_closed_form_matches_monte_carlo_oracle():
         post = posterior(rng, d, q)
         spec = rbf_kernel(rng, q)
         z = rng.standard_normal((m, q))
-        exact = psi_stats_closed_form(post, spec, z)
+        exact1, exact2 = psi_closed_form(post, spec, z)
         psi1, se1, psi2, se2 = mc_with_se(post, spec, z, samples=100_000, seed=trial)
-        assert np.all(np.abs(exact.psi1 - psi1) <= 5.0 * se1 + 1e-12)
-        assert np.all(np.abs(exact.psi2 - psi2) <= 5.0 * se2 + 1e-12)
+        assert np.all(np.abs(exact1 - psi1) <= 5.0 * se1 + 1e-12)
+        assert np.all(np.abs(exact2 - psi2) <= 5.0 * se2 + 1e-12)
     assert failures == 0
 
 
@@ -151,26 +155,26 @@ def test_psi2_symmetric_psd(seed):
     d, q, m = 3, 2, 4
     post = posterior(rng, d, q)
     spec = rbf_kernel(rng, q)
-    psi = psi_stats_closed_form(post, spec, rng.standard_normal((m, q)))
+    _, psi2 = psi_closed_form(post, spec, rng.standard_normal((m, q)))
     for i in range(d):
-        assert np.allclose(psi.psi2[i], psi.psi2[i].T)
-        assert np.linalg.eigvalsh(psi.psi2[i]).min() >= -1e-10
-    total = psi.psi2_total
+        assert np.allclose(psi2[i], psi2[i].T)
+        assert np.linalg.eigvalsh(psi2[i]).min() >= -1e-10
+    total = np.sum(psi2, axis=0)
     assert np.linalg.eigvalsh(total).min() >= -1e-10
 
 
 def test_kl_latent_values():
     prior_match = LatentPosterior(means=np.zeros((3, 2)), variances=np.ones((3, 2)))
-    assert kl_latent(prior_match) == 0.0
+    assert kl_latent_closed_form(prior_match) == 0.0
     single = LatentPosterior(means=np.array([[1.0]]), variances=np.array([[1.0]]))
-    assert np.isclose(kl_latent(single), 0.5)
+    assert np.isclose(kl_latent_closed_form(single), 0.5)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_kl_latent_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    assert kl_latent(posterior(rng, 3, 2, var_scale=rng.uniform(0.1, 5.0))) >= -1e-10
+    assert kl_latent_closed_form(posterior(rng, 3, 2, var_scale=rng.uniform(0.1, 5.0))) >= -1e-10
 
 
 def random_inducing(rng, m_h=2, m_x=4, q=2, v=1, mean_scale=1.0):
@@ -216,7 +220,7 @@ def test_kl_inducing_zero_at_prior():
         cov_latent_chol=np.linalg.cholesky(kuu_h),
         cov_input_chol=np.linalg.cholesky(kuu_x),
     )
-    assert abs(kl_inducing_kron(state, kuu_h, kuu_x)) < 1e-9
+    assert abs(kl_inducing_closed_form(state, kuu_h, kuu_x)) < 1e-9
 
 
 def test_kl_inducing_matches_dense_kl():
@@ -225,9 +229,7 @@ def test_kl_inducing_matches_dense_kl():
         state = random_inducing(rng)
         kuu_h = random_kuu(rng, state.m_h)
         kuu_x = random_kuu(rng, state.m_x)
-        got = kl_inducing_kron(state, kuu_h, kuu_x)
-        from hiermogp.kron import vec
-
+        got = kl_inducing_closed_form(state, kuu_h, kuu_x)
         dense = dense_gaussian_kl(
             vec(state.mean),
             kron(state.cov_latent, state.cov_input),
@@ -241,7 +243,7 @@ def test_kl_inducing_mean_term_is_quadratic():
     state = random_inducing(rng)
     kuu_h = random_kuu(rng, state.m_h)
     kuu_x = random_kuu(rng, state.m_x)
-    base = kl_inducing_kron(
+    base = kl_inducing_closed_form(
         InducingState(
             z_input=state.z_input,
             z_latent=state.z_latent,
@@ -252,8 +254,8 @@ def test_kl_inducing_mean_term_is_quadratic():
         kuu_h,
         kuu_x,
     )
-    one = kl_inducing_kron(state, kuu_h, kuu_x)
-    doubled = kl_inducing_kron(
+    one = kl_inducing_closed_form(state, kuu_h, kuu_x)
+    doubled = kl_inducing_closed_form(
         InducingState(
             z_input=state.z_input,
             z_latent=state.z_latent,
@@ -273,14 +275,4 @@ def test_kl_inducing_mean_term_is_quadratic():
 def test_kl_inducing_nonnegative(seed):
     rng = np.random.default_rng(seed)
     state = random_inducing(rng, mean_scale=rng.uniform(0.0, 2.0))
-    assert kl_inducing_kron(state, random_kuu(rng, state.m_h), random_kuu(rng, state.m_x)) >= -1e-10
-
-
-def test_psi_stats_container_totals():
-    psi = PsiStats(
-        psi0=np.array([1.0, 2.0]),
-        psi1=np.zeros((2, 3)),
-        psi2=np.stack([np.eye(3), 2 * np.eye(3)]),
-    )
-    assert psi.psi0_total == 3.0
-    assert np.allclose(psi.psi2_total, 3 * np.eye(3))
+    assert kl_inducing_closed_form(state, random_kuu(rng, state.m_h), random_kuu(rng, state.m_x)) >= -1e-10

@@ -5,22 +5,26 @@ import pytest
 
 from hiermogp import prediction
 from hiermogp.data import SyntheticConfig, generate_synthetic, split, SplitPlan
-from hiermogp.elbo import optimal_inducing_dense
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
-from hiermogp.kron import unvec
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.metrics import nmse
 from hiermogp.model import ModelState
 from hiermogp.prediction import (
     predict_conditional,
     predict_marginal,
-    predict_marginal_mean_closed_form,
     predict_missing_replica,
 )
 from hiermogp.training import ModelConfig, OptimizerConfig, fit
 
 from .helpers import random_state
-from .oracles import mean_base, predict_marginal_per_draw
+from .oracles import (
+    mean_base,
+    optimal_inducing_dense,
+    predict_marginal_mean_closed_form,
+    predict_marginal_per_draw,
+    tri_solve,
+    unvec,
+)
 
 
 def single_output_state(rng, n_train_per_replica=10, n_replicas=2, noise=1e-6):
@@ -97,7 +101,7 @@ def test_zero_posterior_reduction():
     moments = predict_conditional(state, xstar, tags, state.latent_posterior.means[0])
     assert np.allclose(moments.mean, 0.0)
     from hiermogp.kernels import hier_cross_cov, hier_block_cov
-    from hiermogp.kron import cholesky_jitter, tri_solve
+    from hiermogp.kron import cholesky_jitter
 
     cross = hier_cross_cov(state.hier_kernel, xstar, tags, state.inducing.z_input)
     kuu_x = hier_block_cov(state.hier_kernel, state.inducing.z_input, state.inducing.z_input)
@@ -239,7 +243,6 @@ def test_each_state_factors_once_and_each_output_draws_once(monkeypatch):
     # one latent Gram plus one set of draws per output
     assert len(latent_rows) == 1 + state.n_outputs
     predict_conditional(state, xstar, [0] * 4, state.latent_posterior.means[0], full_cov=True)
-    predict_marginal_mean_closed_form(state, xstar, [0] * 4, 1)
     assert len(factored) == 2
 
     # an equal state that is a different object is factored again
@@ -274,6 +277,16 @@ def test_invalid_output_and_replica_raise():
         predict_missing_replica(state, 0, replica=99, grid=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="replica tag"):
         predict_conditional(state, np.zeros((1, 1)), [7], state.latent_posterior.means[0])
+
+
+def test_marginal_rejects_fewer_than_one_draw():
+    rng = np.random.default_rng(6)
+    state = random_state(rng)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="mc_samples"):
+            predict_marginal(state, np.zeros((1, 1)), [0], output=0, mc_samples=samples)
+        with pytest.raises(ValueError, match="mc_samples"):
+            predict_missing_replica(state, 0, 0, np.zeros((1, 1)), mc_samples=samples)
 
 
 def test_variance_never_negative():

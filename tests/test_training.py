@@ -301,3 +301,65 @@ def test_fit_error_reports_offending_span():
     theta[layout.span("log_noise_variance").start] = 800.0  # exp overflows
     with pytest.raises(FitError):
         grad_elbo(theta, layout, state, x, y, "per_output")
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        (ModelConfig, "latent_dim", 0),
+        (ModelConfig, "inducing_per_replica", 0),
+        (ModelConfig, "inducing_latent", 0),
+        (OptimizerConfig, "adam_beta1", 1.0),
+        (OptimizerConfig, "adam_beta1", -0.1),
+        (OptimizerConfig, "adam_beta2", 1.0),
+        (OptimizerConfig, "adam_eps", 0.0),
+    ],
+)
+def test_bad_model_and_optimizer_configs_are_rejected(config, field, value):
+    from hiermogp.cli import ConfigError, RunConfig
+
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
+    section = "model" if config is ModelConfig else "optimizer"
+    with pytest.raises(ConfigError, match=rf"^{section}: {field}"):
+        RunConfig({"dataset": {"synthetic": {}}, section: {field: value}})
+
+
+def test_fit_error_keeps_best_state_and_trace(monkeypatch):
+    from hiermogp import objective
+    from hiermogp.elbo import elbo_per_output
+    from hiermogp.model import ElboBreakdown, ModelState
+
+    original = objective.evaluate_with_grad
+    calls = []
+
+    def nan_gradient_at_third_call(*args, **kwargs):
+        calls.append(1)
+        breakdown, grad, jitters = original(*args, **kwargs)
+        if len(calls) == 3:
+            grad = np.full_like(grad, np.nan)
+        return breakdown, grad, jitters
+
+    monkeypatch.setattr(objective, "evaluate_with_grad", nan_gradient_at_third_call)
+    dataset = tiny_dataset(seed=2)
+    with pytest.raises(FitError, match="non-finite gradient") as caught:
+        fit(dataset, ModelConfig(inducing_per_replica=3, inducing_latent=2), OptimizerConfig(iterations=10))
+    diagnostics = caught.value.diagnostics
+    assert diagnostics["iteration"] == 3
+    trace = diagnostics["trace"]
+    assert trace.shape == (2,) and np.all(np.isfinite(trace))
+    best = diagnostics["best_state"]
+    assert isinstance(best, ModelState)
+    x, y = dataset.training_arrays()
+    assert np.isclose(elbo_per_output(best, x, y).total, trace.max(), rtol=1e-12)
+
+    # a non-finite bound at the final iterate fails after the loop, keeping the same
+    monkeypatch.setattr(objective, "evaluate_with_grad", original)
+    monkeypatch.setattr(objective, "evaluate", lambda *args: (ElboBreakdown(np.nan, 0.0, 0.0), {}))
+    with pytest.raises(FitError, match="non-finite values") as caught:
+        fit(dataset, ModelConfig(inducing_per_replica=3, inducing_latent=2), OptimizerConfig(iterations=4))
+    monkeypatch.undo()
+    trace = caught.value.diagnostics["trace"]
+    assert trace.shape == (5,) and np.all(np.isfinite(trace[:4])) and np.isnan(trace[4])
+    best = caught.value.diagnostics["best_state"]
+    assert np.isclose(elbo_per_output(best, x, y).total, trace[:4].max(), rtol=1e-12)
