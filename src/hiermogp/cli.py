@@ -66,9 +66,9 @@ def _take(node: dict, path: str, key: str, kind, default="__required__"):
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
     value = node[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and type(value) is int:
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -173,14 +173,16 @@ class RunConfig:
             raise ConfigError("dataset: needs a 'synthetic' or 'csv' section")
 
         model = _expect_mapping(raw.get("model", {}), "model", _MODEL_FIELDS)
+        model = _present(model, "model", _MODEL_FIELDS)  # outside the try: its errors name the field
         try:
-            self.model = ModelConfig(**_present(model, "model", _MODEL_FIELDS))
+            self.model = ModelConfig(**model)
         except ValueError as err:
             raise ConfigError(f"model: {err}") from None
 
         opt = _expect_mapping(raw.get("optimizer", {}), "optimizer", _OPTIMIZER_FIELDS)
+        opt = _present(opt, "optimizer", _OPTIMIZER_FIELDS)
         try:
-            self.optimizer = OptimizerConfig(**_present(opt, "optimizer", _OPTIMIZER_FIELDS))
+            self.optimizer = OptimizerConfig(**opt)
         except ValueError as err:
             raise ConfigError(f"optimizer: {err}") from None
 

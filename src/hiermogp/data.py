@@ -112,12 +112,12 @@ class HierarchicalDataset:
 
     def has_common_inputs(self) -> bool:
         """True when every output is observed on the same inputs, in order."""
-        first = self.outputs[0]
-        for o in self.outputs[1:]:
-            for a, b in zip(first.replicas, o.replicas):
-                if a.inputs.shape != b.inputs.shape or not np.array_equal(a.inputs, b.inputs):
-                    return False
-        return True
+        return common_inputs([self.per_output_blocks(d) for d in range(self.n_outputs)])
+
+
+def common_inputs(x) -> bool:
+    """True when every output's list of input blocks equals the first's."""
+    return all(np.array_equal(a, b) for blocks in x[1:] for a, b in zip(x[0], blocks))
 
 
 @dataclass
@@ -145,8 +145,8 @@ class SyntheticConfig:
         for name in ("n_outputs", "n_replicas", "points_per_replica", "input_dim", "latent_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.noise_variance < 0.0:
-            raise ValueError("noise_variance must be nonnegative")
+        if not 0.0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be nonnegative and finite")
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> HierarchicalDataset:

@@ -1,35 +1,34 @@
 """Evidence lower bound of a model state on data.
 
-``elbo_shared`` and ``elbo_per_output`` evaluate the Kronecker-factorised
-bound (one isotropic noise for a common input set, one noise per output
-otherwise); both read their data into the one batched bound of
-``objective.build_graph``. The dense reference forms the tests hold them to
-live in ``tests/oracles.py``.
+``elbo_per_output`` evaluates the Kronecker-factorised bound on per-output
+data, with one noise variance per output or one tied across outputs.
+``elbo_shared`` is the same bound for every output observed on one common
+replica-blocked input set with a single noise variance: it hands each output
+that input set and its slice of the stacked targets. Both read their data
+once through ``objective.read_data``. The dense reference forms the tests
+hold them to live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import objective
 from .model import ElboBreakdown, ModelState
 from .params import ParamLayout
 
 
-def _layout_and_theta(state: ModelState):
-    layout = ParamLayout(state)
-    return layout, layout.pack(state)
-
-
 def elbo_shared(state: ModelState, x, y) -> ElboBreakdown:
-    """Bound for all outputs observed on one common replica-blocked input set."""
+    """Bound for all outputs observed on one common replica-blocked input set;
+    ``y`` stacks the outputs' targets, output-major."""
     if state.noise_variance.ndim != 0:
         raise ValueError("the shared-input bound uses a single scalar noise variance")
-    layout, theta = _layout_and_theta(state)
-    breakdown, _ = objective.evaluate(theta, layout, state, x, y, "shared")
-    return breakdown
+    return elbo_per_output(state, [x] * state.n_outputs, np.reshape(y, (state.n_outputs, -1)))
 
 
 def elbo_per_output(state: ModelState, x, y) -> ElboBreakdown:
-    """Bound for per-output input sets with per-output noise variances."""
-    layout, theta = _layout_and_theta(state)
-    breakdown, _ = objective.evaluate(theta, layout, state, x, y, "per_output")
+    """Bound for per-output input sets: D lists of R input blocks and D target vectors."""
+    layout = ParamLayout(state)
+    data = objective.read_data(state, x, y)
+    breakdown, _ = objective.evaluate(layout.pack(state), layout, state, data)
     return breakdown

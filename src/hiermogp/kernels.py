@@ -37,10 +37,10 @@ class StationaryKernel:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         object.__setattr__(self, "lengthscales", np.atleast_1d(np.asarray(self.lengthscales, float)))
-        if self.variance <= 0.0:
-            raise ValueError("kernel variance must be positive")
-        if np.any(self.lengthscales <= 0.0):
-            raise ValueError("kernel lengthscales must be positive")
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("kernel variance must be positive and finite")
+        if not np.all((0.0 < self.lengthscales) & (self.lengthscales < np.inf)):
+            raise ValueError("kernel lengthscales must be positive and finite")
 
     @property
     def input_dim(self) -> int:

@@ -27,8 +27,8 @@ class ModelState:
 
     def __post_init__(self):
         self.noise_variance = np.asarray(self.noise_variance, float)
-        if np.any(self.noise_variance <= 0.0):
-            raise ValueError("noise variances must be strictly positive")
+        if not np.all((0.0 < self.noise_variance) & (self.noise_variance < np.inf)):
+            raise ValueError("noise variances must be strictly positive and finite")
         if self.latent_kernel.input_dim != self.latent_posterior.latent_dim:
             raise ValueError("latent kernel dimension disagrees with the posterior")
         if self.inducing.z_latent.shape[1] != self.latent_posterior.latent_dim:

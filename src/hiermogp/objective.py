@@ -8,7 +8,12 @@ input-side piece (built from the hierarchical kernel), so nothing of size
 from ``latent``; the Grams and the data-fit term are assembled here. The
 forward value backs the public bound evaluation; the backward pass supplies
 analytic gradients for training.
-"""
+
+The data reach the bound once, through ``read_data``: per-output input
+blocks and targets become a frozen ``BoundData`` of padded point groups,
+which every evaluation reuses. The noise in the template state is one
+variance per output or one tied across outputs; the bound has no other
+notion of a data regime."""
 
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .data import common_inputs
 from .kernels import RBF
 from .kron import choose_jitter
 from .latent import kl_inducing, kl_latent, psi_stats
@@ -62,46 +68,49 @@ def _hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node
     return _gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
 
 
-def _input_groups(x, y, n_outputs: int, n_replicas: int, input_dim: int, regime: str):
-    """Read the data into G groups of padded, replica-tagged input points.
+@dataclass(frozen=True)
+class BoundData:
+    """Training data as the bound reads it, in G groups of padded,
+    replica-tagged input points: one group carrying every output when all
+    outputs have the same input blocks, one group per output otherwise.
+    Padding rows are tagged -1 and have zero targets."""
 
-    The shared regime is one group whose target columns are all D outputs;
-    per-output data are D groups of one column each, padded to the longest
-    output with tag -1 and zero targets. Returns points (G, n, v), tags
-    (G, n), targets (G, D/G, n), and per output its point count and y^T y.
-    """
-    if regime == "shared":
-        if len(x) != n_replicas:
-            raise ValueError(f"expected {n_replicas} replica blocks, got {len(x)}")
-        y = np.asarray(y, float).ravel()
-        n_points = sum(np.atleast_2d(b).shape[0] for b in x)
-        if y.size != n_outputs * n_points:
-            raise ValueError(f"target vector has {y.size} entries, expected {n_outputs * n_points}")
-        groups, group_targets = [x], [y.reshape(n_outputs, n_points)]
-    elif regime == "per_output":
-        if len(x) != n_outputs or len(y) != n_outputs:
-            raise ValueError(f"per-output data must have {n_outputs} entries")
-        groups = x
-        group_targets = [np.asarray(y_d, float).reshape(1, -1) for y_d in y]
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    groups = [[np.atleast_2d(np.asarray(b, float)) for b in blocks] for blocks in groups]
-    n_max = max(sum(b.shape[0] for b in blocks) for blocks in groups)
-    points = np.zeros((len(groups), n_max, input_dim))
-    tags = np.full((len(groups), n_max), -1)
-    targets = np.zeros((len(groups), group_targets[0].shape[0], n_max))
-    counts = []
-    for g, (blocks, y_g) in enumerate(zip(groups, group_targets)):
+    points: np.ndarray  # (G, n, v)
+    tags: np.ndarray  # (G, n)
+    targets: np.ndarray  # (G, D/G, n)
+    counts: np.ndarray  # (D,) points per output
+    yy: np.ndarray  # (D,) y_d^T y_d
+
+    def __post_init__(self):
+        for array in (self.points, self.tags, self.targets, self.counts, self.yy):
+            array.flags.writeable = False
+
+
+def read_data(template: ModelState, x, y) -> BoundData:
+    """Read per-output data, D lists of R input blocks and D target vectors."""
+    n_outputs, n_replicas = template.n_outputs, template.n_replicas
+    if len(x) != n_outputs or len(y) != n_outputs:
+        raise ValueError(f"per-output data must have {n_outputs} entries")
+    x = [[np.atleast_2d(np.asarray(b, float)) for b in blocks] for blocks in x]
+    y = [np.asarray(y_d, float).ravel() for y_d in y]
+    counts = np.array([sum(b.shape[0] for b in blocks) for blocks in x], float)
+    n_max = int(counts.max())
+    targets = np.zeros((n_outputs, n_max))
+    for d, blocks in enumerate(x):
         if len(blocks) != n_replicas:
-            raise ValueError(f"output {g}: expected {n_replicas} replica blocks")
-        n_g = sum(b.shape[0] for b in blocks)
-        if y_g.shape[1] != n_g:
-            raise ValueError(f"output {g}: {y_g.shape[1]} targets for {n_g} points")
+            raise ValueError(f"output {d}: expected {n_replicas} replica blocks")
+        if y[d].size != counts[d]:
+            raise ValueError(f"output {d}: {y[d].size} targets for {int(counts[d])} points")
+        targets[d, : y[d].size] = y[d]
+    groups = x[:1] if common_inputs(x) else x
+    points = np.zeros((len(groups), n_max, template.input_dim))
+    tags = np.full((len(groups), n_max), -1)
+    for g, blocks in enumerate(groups):
+        n_g = int(counts[g])
         points[g, :n_g] = np.concatenate(blocks, axis=0)
         tags[g, :n_g] = np.repeat(np.arange(n_replicas), [b.shape[0] for b in blocks])
-        targets[g, :, :n_g] = y_g
-        counts += [n_g] * y_g.shape[0]
-    return points, tags, targets, np.asarray(counts, float), np.sum(targets**2, axis=2).ravel()
+    targets = targets.reshape(len(groups), -1, n_max)
+    return BoundData(points, tags, targets, counts, np.sum(targets**2, axis=2).ravel())
 
 
 def _chol_with_jitter(k: ad.Node, base_jitter: float):
@@ -121,9 +130,7 @@ def build_graph(
     theta: np.ndarray,
     layout: ParamLayout,
     template: ModelState,
-    x,
-    y,
-    regime: str,
+    data: BoundData,
     base_jitter: float = 1e-6,
 ):
     """Assemble the bound; returns the graph pieces and leaves in layout order."""
@@ -134,9 +141,6 @@ def build_graph(
     flat = template.is_flat
     n_outputs = template.n_outputs
     n_replicas = template.n_replicas
-    points, tags, targets, counts, yy = _input_groups(
-        x, y, n_outputs, n_replicas, template.input_dim, regime
-    )
     m_h = template.inducing.m_h
     m_x = template.inducing.m_x
 
@@ -195,9 +199,9 @@ def build_graph(
     g_h = a_h @ sigma_h @ a_h
     g_x = a_x @ sigma_x @ a_x
     diag_amplitude = vf if flat else vf + vg  # self covariance of the input kernel
-    kfu = _hier_gram(shared_params, replica_params, points, tags, z, z_tags)  # (G, n, m_x)
+    kfu = _hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (G, n, m_x)
     phi_x = ad.transpose(kfu, (0, 2, 1)) @ kfu  # (G, m_x, m_x)
-    b = ad.reshape(ad.matmul(targets, kfu), (n_outputs, m_x))
+    b = ad.reshape(ad.matmul(data.targets, kfu), (n_outputs, m_x))
 
     def tr_x(a):  # (G,)
         return ad.sum(phi_x * a, axis=(1, 2))
@@ -209,11 +213,11 @@ def build_graph(
     quad_m = ad.sum((ad.transpose(ax_m) @ phi_x @ ax_m) * (a_h @ psi2 @ a_h), axis=(1, 2))
     quad_s = tr_h(g_h) * tr_x(g_x)
     corr = tr_h(a_h) * tr_x(a_x)
-    psi0 = vh * diag_amplitude * counts
+    psi0 = vh * diag_amplitude * data.counts
     sigma2 = ad.exp(leaves["log_noise_variance"])  # (D,), or tied (1,)
     data_fit = ad.sum(
-        -0.5 * counts * (_LOG_2PI + ad.log(sigma2))
-        + (data_dot - 0.5 * (yy + psi0 - corr + quad_m + quad_s)) / sigma2
+        -0.5 * data.counts * (_LOG_2PI + ad.log(sigma2))
+        + (data_dot - 0.5 * (data.yy + psi0 - corr + quad_m + quad_s)) / sigma2
     )
 
     total = data_fit - kl_u - kl_h
@@ -228,23 +232,18 @@ def build_graph(
     return pieces, ordered_leaves
 
 
-def evaluate(theta, layout, template, x, y, regime, base_jitter=1e-6):
-    pieces, _ = build_graph(theta, layout, template, x, y, regime, base_jitter)
-    breakdown = ElboBreakdown(
-        data_fit=float(pieces.data_fit.value),
-        kl_inducing=float(pieces.kl_inducing.value),
-        kl_latent=float(pieces.kl_latent.value),
-    )
-    return breakdown, pieces.jitters
+def _breakdown(pieces: GraphPieces) -> ElboBreakdown:
+    values = (pieces.data_fit, pieces.kl_inducing, pieces.kl_latent)
+    return ElboBreakdown(*(float(v.value) for v in values))
 
 
-def evaluate_with_grad(theta, layout, template, x, y, regime, base_jitter=1e-6):
-    pieces, leaves = build_graph(theta, layout, template, x, y, regime, base_jitter)
+def evaluate(theta, layout, template, data, base_jitter=1e-6):
+    pieces, _ = build_graph(theta, layout, template, data, base_jitter)
+    return _breakdown(pieces), pieces.jitters
+
+
+def evaluate_with_grad(theta, layout, template, data, base_jitter=1e-6):
+    pieces, leaves = build_graph(theta, layout, template, data, base_jitter)
     grads = ad.grad(pieces.total, leaves)
     flat_grad = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
-    breakdown = ElboBreakdown(
-        data_fit=float(pieces.data_fit.value),
-        kl_inducing=float(pieces.kl_inducing.value),
-        kl_latent=float(pieces.kl_latent.value),
-    )
-    return breakdown, flat_grad, pieces.jitters
+    return _breakdown(pieces), flat_grad, pieces.jitters

@@ -151,15 +151,19 @@ def predict_conditional(
     """Exact predictive moments for one output at a fixed latent coordinate.
 
     ``xstar`` rows carry replica tags that route the replica-level kernel;
-    ``output`` selects the noise variance when it is per output. With
-    ``full_cov`` the full covariance matrix is returned in place of the
-    marginal variances.
+    ``output`` selects the noise variance, which ``include_noise`` needs when
+    it is per output. With ``full_cov`` the full covariance matrix is
+    returned in place of the marginal variances.
     """
+    if output is not None and not 0 <= output < state.n_outputs:
+        raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
+    if include_noise and output is None and state.noise_variance.ndim == 1:
+        raise ValueError("include_noise with per-output noise needs an output index")
     xstar = np.atleast_2d(np.asarray(xstar, float))
     latent_point = np.asarray(latent_point, float).reshape(1, -1)
     post = _posterior(state)
     moments = _latent_moments(post, state, latent_point)
-    noise = state.noise_for(output if output is not None else 0) if include_noise else 0.0
+    noise = state.noise_for(output) if include_noise else 0.0
     if not full_cov:
         mean, variance = _block_moments(post, state, xstar, replica_tags, moments)
         return PredictiveMoments(mean=mean, variance=variance + noise)

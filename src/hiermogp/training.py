@@ -36,7 +36,7 @@ class ModelConfig:
     shared_family: str = MATERN32
     replica_family: str = MATERN32
     flat: bool = False  # force zero cross-replica coupling (ablation)
-    regime: str = "per_output"  # or "shared"
+    regime: str = "per_output"  # one noise per output; "shared" ties it (common grid only)
 
     def __post_init__(self):
         for name in ("latent_dim", "inducing_per_replica", "inducing_latent"):
@@ -57,8 +57,8 @@ class OptimizerConfig:
     trainable: list = None  # span names; None trains everything
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         for name in ("adam_beta1", "adam_beta2"):
@@ -194,9 +194,9 @@ def initialize_state(
     )
 
 
-def grad_elbo(theta: np.ndarray, layout: ParamLayout, template: ModelState, x, y, regime: str):
+def grad_elbo(theta: np.ndarray, layout: ParamLayout, template: ModelState, data: objective.BoundData):
     """Bound value and analytic gradient at an unconstrained parameter vector."""
-    breakdown, grad, jitters = objective.evaluate_with_grad(theta, layout, template, x, y, regime)
+    breakdown, grad, jitters = objective.evaluate_with_grad(theta, layout, template, data)
     if not np.isfinite(breakdown.total):
         raise FitError(
             "bound is not finite at the requested parameters",
@@ -242,22 +242,17 @@ def fit(
     """
     if model_config.regime == "shared" and not dataset.has_common_inputs():
         raise ValueError("shared regime requires every output on one common input grid")
-    state0 = initial_state or initialize_state(
+    template = initial_state or initialize_state(
         dataset, model_config, optimizer_config.seed, init_strategy
     )
-    layout = ParamLayout(state0)
-    template = state0
-    if model_config.regime == "shared":
-        x = dataset.per_output_blocks(0)
-        y = np.concatenate([dataset.per_output_targets(d) for d in range(dataset.n_outputs)])
-    else:
-        x, y = dataset.training_arrays()
+    layout = ParamLayout(template)
+    data = objective.read_data(template, *dataset.training_arrays())
 
     mask = None
     if optimizer_config.trainable is not None:
         mask = layout.mask_for(optimizer_config.trainable)
 
-    theta = layout.pack(state0)
+    theta = layout.pack(template)
     moments = (np.zeros_like(theta), np.zeros_like(theta))
     trace = np.empty(optimizer_config.iterations + 1)
     best_value = -np.inf
@@ -273,7 +268,7 @@ def fit(
 
     for t in range(1, optimizer_config.iterations + 1):
         try:
-            breakdown, grad, jitters = grad_elbo(theta, layout, template, x, y, model_config.regime)
+            breakdown, grad, jitters = grad_elbo(theta, layout, template, data)
         except FitError as err:
             err.diagnostics.update(iteration=t, **progress(t - 1))
             raise
@@ -289,7 +284,7 @@ def fit(
         if mask is not None:
             grad = grad * mask
         theta, moments = adam_step(theta, grad, moments, optimizer_config, t)
-    final, _ = objective.evaluate(theta, layout, template, x, y, model_config.regime)
+    final, _ = objective.evaluate(theta, layout, template, data)
     trace[-1] = final.total
     if final.total > best_value:
         best_value = final.total

@@ -73,6 +73,11 @@ def random_shared_data(rng, state, n_per_replica=3):
     return blocks, y
 
 
+def shared_as_per_output(state, blocks, y):
+    """Shared-grid data (R blocks, targets stacked output-major) as per-output data."""
+    return [blocks] * state.n_outputs, np.reshape(y, (state.n_outputs, -1))
+
+
 def random_per_output_data(rng, state, n_per_replica=3, ragged=False):
     x = []
     y = []
@@ -87,7 +92,7 @@ def random_per_output_data(rng, state, n_per_replica=3, ragged=False):
     return x, y
 
 
-def central_fd_grad(theta, layout, state, x, y, regime, step_rel=1e-5):
+def central_fd_grad(theta, layout, state, data, step_rel=1e-5):
     """Central differences of the bound, one coordinate at a time, with a step
     of ``step_rel`` relative to the coordinate (at least ``step_rel``)."""
     theta = np.asarray(theta, float)
@@ -98,7 +103,7 @@ def central_fd_grad(theta, layout, state, x, y, regime, step_rel=1e-5):
         minus = theta.copy()
         plus[i] += step
         minus[i] -= step
-        f_plus = objective.evaluate(plus, layout, state, x, y, regime)[0].total
-        f_minus = objective.evaluate(minus, layout, state, x, y, regime)[0].total
+        f_plus = objective.evaluate(plus, layout, state, data)[0].total
+        f_minus = objective.evaluate(minus, layout, state, data)[0].total
         grad[i] = (f_plus - f_minus) / (2.0 * step)
     return grad

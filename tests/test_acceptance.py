@@ -20,6 +20,7 @@ from hiermogp.kron import cholesky_jitter
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.metrics import nlpd, nmse
 from hiermogp.model import ModelState
+from hiermogp.objective import read_data
 from hiermogp.params import ParamLayout
 from hiermogp.training import ModelConfig, OptimizerConfig, grad_elbo
 
@@ -29,6 +30,7 @@ from .helpers import (
     random_per_output_data,
     random_shared_data,
     random_state,
+    shared_as_per_output,
 )
 from .oracles import (
     elbo_naive_oracle,
@@ -210,8 +212,9 @@ def test_criterion_5_gradient_gate():
         x, y = random_per_output_data(rng, state, ragged=True)
         layout = ParamLayout(state)
         theta = layout.pack(state)
-        _, grad, _ = grad_elbo(theta, layout, state, x, y, "per_output")
-        grad_fd = central_fd_grad(theta, layout, state, x, y, "per_output", step_rel=1e-5)
+        data = read_data(state, x, y)
+        _, grad, _ = grad_elbo(theta, layout, state, data)
+        grad_fd = central_fd_grad(theta, layout, state, data, step_rel=1e-5)
         scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(grad_fd)))
         worst = max(worst, float(np.max(np.abs(grad - grad_fd) / scale)))
     for trial in range(5):
@@ -220,8 +223,9 @@ def test_criterion_5_gradient_gate():
         x, y = random_shared_data(rng, state)
         layout = ParamLayout(state)
         theta = layout.pack(state)
-        _, grad, _ = grad_elbo(theta, layout, state, x, y, "shared")
-        grad_fd = central_fd_grad(theta, layout, state, x, y, "shared", step_rel=1e-5)
+        data = read_data(state, *shared_as_per_output(state, x, y))
+        _, grad, _ = grad_elbo(theta, layout, state, data)
+        grad_fd = central_fd_grad(theta, layout, state, data, step_rel=1e-5)
         scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(grad_fd)))
         worst = max(worst, float(np.max(np.abs(grad - grad_fd) / scale)))
     assert worst < 1e-4, worst

@@ -323,3 +323,24 @@ def test_split_fraction_outside_unit_interval_is_a_config_error(tmp_path, capsys
     assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
     assert "split: fraction must lie strictly between 0 and 1" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "section, field, kind",
+    [
+        ("model", "latent_dim", "int"),
+        ("optimizer", "learning_rate", "float"),
+        (None, "seed", "int"),
+        ("experiment", "repeats", "int"),
+    ],
+)
+def test_yaml_boolean_is_not_a_number(tmp_path, capsys, section, field, kind):
+    config = base_config(tmp_path / "run")
+    (config if section is None else config[section])[field] = True
+    path = f"{section or 'config'}.{field}"
+    with pytest.raises(ConfigError, match=rf"^{path}: expected {kind}, got bool$"):
+        RunConfig(config)
+    config_path = write_config(tmp_path, config)
+    assert "true" in config_path.read_text()
+    assert main(["fit", "--config", str(config_path)]) == 2
+    assert f"{path}: expected {kind}, got bool" in capsys.readouterr().err

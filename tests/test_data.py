@@ -19,6 +19,12 @@ from hiermogp.data import (
 from hiermogp.kernels import MATERN32, StationaryKernel, eval_stationary
 
 
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
+def test_synthetic_config_rejects_bad_noise(noise):
+    with pytest.raises(ValueError, match="noise_variance"):
+        SyntheticConfig(noise_variance=noise)
+
+
 def test_default_protocol_shape():
     config = SyntheticConfig()
     dataset = generate_synthetic(config, seed=0)

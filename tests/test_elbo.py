@@ -6,6 +6,7 @@ from hiermogp.kernels import HierarchicalKernel, RBF, StationaryKernel, hier_blo
 from hiermogp.kron import CholeskyFactor
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.model import ElboBreakdown, ModelState
+from hiermogp.objective import read_data
 
 from .helpers import random_per_output_data, random_shared_data, random_state
 from .oracles import (
@@ -100,6 +101,31 @@ def test_regimes_coincide_on_identical_inputs_and_noise():
     b = elbo_per_output(per_state, x_list, y_list)
     assert np.isclose(a.total, b.total, rtol=1e-8)
     assert np.isclose(a.data_fit, b.data_fit, rtol=1e-8)
+
+
+def test_permuting_one_outputs_replica_block_leaves_the_bound_unchanged():
+    # on a common grid the data are read as one group carrying every output;
+    # reordering one output's points splits them into one group per output,
+    # which must give the same bound
+    for trial in range(6):
+        rng = np.random.default_rng(950 + trial)
+        state = random_state(
+            rng, n_outputs=3, n_replicas=3, flat=(trial % 3 == 2), per_output_noise=(trial % 2 == 0)
+        )
+        blocks, y = random_shared_data(rng, state, n_per_replica=4)
+        x = [blocks] * state.n_outputs
+        y = list(np.reshape(y, (state.n_outputs, -1)))
+        d, r = trial % state.n_outputs, trial % state.n_replicas
+        order = np.roll(np.arange(4), 1 + trial % 3)
+        x_perm = [list(b) for b in x]
+        x_perm[d][r] = blocks[r][order]
+        y_perm = [y_d.copy() for y_d in y]
+        y_perm[d][4 * r : 4 * r + 4] = y[d][4 * r : 4 * r + 4][order]
+        assert read_data(state, x, y).points.shape[0] == 1
+        assert read_data(state, x_perm, y_perm).points.shape[0] == state.n_outputs
+        a, b = elbo_per_output(state, x, y), elbo_per_output(state, x_perm, y_perm)
+        for name in ("data_fit", "kl_inducing", "kl_latent", "total"):
+            assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0.0), (trial, name)
 
 
 def test_per_output_with_missing_replica_and_empty_output_matches_naive():

@@ -38,6 +38,15 @@ def test_spec_validation():
         StationaryKernel(RBF, 1.0, [1.0, -2.0])
 
 
+@pytest.mark.parametrize(
+    "variance, lengthscales",
+    [(np.nan, 1.0), (np.inf, 1.0), (1.0, [1.0, np.nan]), (1.0, [np.inf, 1.0])],
+)
+def test_spec_rejects_non_finite_hyperparameters(variance, lengthscales):
+    with pytest.raises(ValueError, match="positive and finite"):
+        StationaryKernel(RBF, variance, lengthscales)
+
+
 def test_zero_distance_gives_variance():
     x = np.array([[0.3, -0.2]])
     for spec in (rbf(2.5, [1.0, 2.0]), matern(0.7, [0.5, 3.0])):

@@ -382,3 +382,21 @@ def test_adding_data_never_increases_variance():
     small = moments_for(list(subset_idx))
     large = moments_for(list(range(xs.shape[0])))
     assert np.all(large.variance <= small.variance + 1e-9)
+
+
+def test_conditional_noise_needs_a_valid_output():
+    import dataclasses
+
+    state = random_state(np.random.default_rng(31), n_outputs=2, per_output_noise=True)
+    xstar, tags, h = np.zeros((2, 1)), [0, 1], state.latent_posterior.means[0]
+    for output in (-1, 2, 5):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            predict_conditional(state, xstar, tags, h, output=output, include_noise=True)
+    with pytest.raises(ValueError, match="needs an output index"):
+        predict_conditional(state, xstar, tags, h, include_noise=True)
+    latent = predict_conditional(state, xstar, tags, h).variance
+    noisy = predict_conditional(state, xstar, tags, h, output=1, include_noise=True).variance
+    assert np.allclose(noisy - latent, state.noise_variance[1], rtol=1e-12)
+    tied = dataclasses.replace(state, noise_variance=np.asarray(0.2))
+    noisy = predict_conditional(tied, xstar, tags, h, include_noise=True).variance
+    assert np.allclose(noisy - latent, 0.2, rtol=1e-12)
