@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A small tape of ``Node`` objects covering exactly the matrix operations the
-variational objective is built from: broadcasting arithmetic, reductions,
-batched matmul, Cholesky factorisation, triangular solves and block assembly.
-Values are float64 throughout. The vector-Jacobian product of every
-primitive is checked against central finite differences in the test suite.
+variational objective is built from: broadcasting arithmetic, ``exp``,
+``log`` and constant powers, reshapes, transposes, sums, concatenation,
+diagonals, traces and strict-lower-triangle packing, batched matmul,
+Cholesky factorisation and triangular solves. Other modules may build fused
+nodes with hand-written vector-Jacobian products, as ``kernels.gram`` does
+for the stationary Gram. Values are float64 throughout. The vector-Jacobian
+product of every primitive is checked against central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -150,27 +154,12 @@ def log(a) -> Node:
     return Node(np.log(a.value), ((a, lambda g: g / a.value),))
 
 
-def sqrt(a) -> Node:
-    a = as_node(a)
-    out = np.sqrt(a.value)
-    return Node(out, ((a, lambda g: g * (0.5 / out)),))
-
-
 def power(a, exponent: float) -> Node:
     a = as_node(a)
     if isinstance(exponent, Node):
         raise TypeError("only constant exponents are supported")
     out = a.value**exponent
     return Node(out, ((a, lambda g: g * exponent * a.value ** (exponent - 1)),))
-
-
-def maximum(a, floor: float) -> Node:
-    """Clamp from below by a constant; gradient is zero on the clamped set."""
-    a = as_node(a)
-    return Node(
-        np.maximum(a.value, floor),
-        ((a, lambda g: np.where(a.value > floor, g, 0.0)),),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,8 @@ class RunConfig:
                 missing = sp.get("missing", "random")
                 if missing != "random":
                     if not isinstance(missing, list) or not all(
-                        isinstance(p, list) and len(p) == 2 for p in missing
+                        isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p)
+                        for p in missing
                     ):
                         raise ConfigError("split.missing: expected 'random' or a list of [output, replica] pairs")
                 self.split_spec = {"mode": mode, "missing": missing}
@@ -239,6 +240,14 @@ def _plan_for_repeat(config: RunConfig, dataset: HierarchicalDataset, seed: int)
         rng = np.random.default_rng(seed)
         missing = [[d, int(rng.integers(dataset.n_replicas))] for d in range(dataset.n_outputs)]
     return SplitPlan(mode="missing_replica", missing=[(int(d), int(r)) for d, r in missing], seed=seed)
+
+
+def _split(dataset: HierarchicalDataset, plan: SplitPlan):
+    """``data.split``, whose only errors are ``split.missing`` pairs the dataset cannot hold."""
+    try:
+        return split(dataset, plan)
+    except ValueError as err:
+        raise ConfigError(f"split.missing: {err}") from None
 
 
 def _model_config(config: RunConfig, ablation: str | None) -> ModelConfig:
@@ -348,7 +357,7 @@ def cmd_fit(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = Non
     dataset = _dataset_for_repeat(config, config.seed)
     plan = _plan_for_repeat(config, dataset, config.seed)
     if plan is not None:
-        train, test = split(dataset, plan)
+        train, test = _split(dataset, plan)
         save_csv(unstandardize_dataset(train), out_dir / "train.csv")
         save_csv(unstandardize_dataset(test), out_dir / "test.csv")
     else:
@@ -438,11 +447,21 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = load_csv(truth_path)
     pred_lines = pathlib.Path(predictions_path).read_text().splitlines()
-    header = pred_lines[0].split(",")
+    header = pred_lines[0].split(",") if pred_lines else []
     if header[:2] != ["output", "replica"] or header[-2:] != ["mean", "variance"]:
         raise ConfigError(f"{predictions_path}: expected output,replica,x_*,mean,variance columns")
     y_true, means, variances, outputs = [], [], [], []
-    rows = [line.split(",") for line in pred_lines[1:] if line.strip()]
+    rows = []
+    for line_no, line in enumerate(pred_lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
+            rows.append((int(cells[0]), int(cells[1]), [float(c) for c in cells[2:]]))
+        except ValueError as err:
+            raise ConfigError(f"{predictions_path}:{line_no}: {err}") from None
     truth_rows = []
     for d in range(truth.n_outputs):
         for r in range(truth.n_replicas):
@@ -453,15 +472,15 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
         raise ConfigError(
             f"prediction rows ({len(rows)}) and truth rows ({len(truth_rows)}) disagree"
         )
-    for cells, (d, r, x, y) in zip(rows, truth_rows):
-        if int(cells[0]) != d or int(cells[1]) != r:
+    for (pred_d, pred_r, values), (d, r, x, y) in zip(rows, truth_rows):
+        if pred_d != d or pred_r != r:
             raise ConfigError("prediction and truth files are not row-aligned")
-        if not np.allclose([float(c) for c in cells[2:-2]], x, atol=1e-9):
+        if not np.allclose(values[:-2], x, atol=1e-9):
             raise ConfigError("prediction and truth files disagree on input locations")
         outputs.append(d)
         y_true.append(y)
-        means.append(float(cells[-2]))
-        variances.append(float(cells[-1]))
+        means.append(values[-2])
+        variances.append(values[-1])
     report = evaluate(np.array(y_true), np.array(means), np.array(variances), np.array(outputs))
     payload = report.to_dict()
     _write_json(payload, out_dir / "metrics.json")
@@ -486,7 +505,7 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         seed = config.seed + rep
         dataset = _dataset_for_repeat(config, seed)
         plan = _plan_for_repeat(config, dataset, seed)
-        train, test = split(dataset, plan)
+        train, test = _split(dataset, plan)
         save_csv(unstandardize_dataset(train), out_dir / f"train_rep{rep}.csv")
         save_csv(unstandardize_dataset(test), out_dir / f"test_rep{rep}.csv")
         result = _fit_once(config, train, seed, ablation)

@@ -250,7 +250,10 @@ def split(dataset: HierarchicalDataset, plan: SplitPlan):
         pairs = {(int(d), int(r)) for d, r in plan.missing}
         for d, r in pairs:
             if not (0 <= d < dataset.n_outputs and 0 <= r < dataset.n_replicas):
-                raise ValueError(f"missing pair ({d}, {r}) outside the dataset shape")
+                raise ValueError(
+                    f"pair [{d}, {r}] is outside the dataset "
+                    f"({dataset.n_outputs} outputs, {dataset.n_replicas} replicas)"
+                )
         observed = {
             d: dataset.n_replicas - sum(1 for dd, _ in pairs if dd == d)
             for d in range(dataset.n_outputs)

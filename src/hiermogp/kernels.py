@@ -11,6 +11,15 @@ Two stationary families (ARD RBF and Matern 3/2) are combined in two ways:
 The joint covariance over (output, replica, input) triples is the Kronecker
 product of the two Gram matrices, outputs-major: the output index varies
 slowest, matching the stacking of the target vector.
+
+The stationary formula is written once, here. With the scaled squared
+distance sq = sum_k ((x1_k - x2_k) / l_k)^2 and r = sqrt(sq), the kernel is
+``v * exp(-sq / 2)`` (RBF) or ``v * ((1 + sqrt(3) r) * exp(-sqrt(3) r))``
+(Matern 3/2), and its derivative in sq is ``-k / 2`` or
+``-1.5 v exp(-sqrt(3) r)``, finite at r = 0. ``eval_stationary`` serves the
+numpy callers (data generation, initialisation, prediction); ``gram`` is the
+same formula as one node of the ``autodiff`` tape for the bound, with its
+backward pass written by hand.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import autodiff as ad
 
 RBF = "rbf"
 MATERN32 = "matern32"
@@ -89,15 +100,39 @@ def validate_replica_blocks(blocks, input_dim=None):
     return v
 
 
+def _scaled_diff(x1: np.ndarray, x2: np.ndarray, k: int, scale) -> np.ndarray:
+    """(..., n1, n2) differences of input dimension ``k``, over its lengthscale."""
+    diff = x1[..., :, k, None] - x2[..., None, :, k]
+    diff /= scale
+    return diff
+
+
 def _scaled_sqdist(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     # direct pairwise differences: exact for coincident points, unlike the
     # usual |a|^2 + |b|^2 - 2ab expansion; one dimension at a time, since a
     # sum over a short last axis is slow
-    sq = np.zeros((x1.shape[0], x2.shape[0]))
-    for k, scale in enumerate(lengthscales):
-        diff = (x1[:, k, None] - x2[None, :, k]) / scale
-        sq += diff * diff
+    sq = _scaled_diff(x1, x2, 0, lengthscales[0])
+    sq *= sq
+    for k in range(1, len(lengthscales)):
+        diff = _scaled_diff(x1, x2, k, lengthscales[k])
+        diff *= diff
+        sq += diff
     return sq
+
+
+def _profile(family: str, sq: np.ndarray):
+    """Overwrite ``sq`` with the unit-variance kernel and return it, with the
+    ``exp(-sqrt(3) r)`` factor of Matern's derivative (``None`` for RBF)."""
+    if family == RBF:
+        sq *= -0.5
+        return np.exp(sq, out=sq), None
+    r3 = np.sqrt(sq, out=sq)
+    r3 *= _SQRT3
+    decay = np.negative(r3)
+    np.exp(decay, out=decay)
+    r3 += 1.0
+    r3 *= decay
+    return r3, decay
 
 
 def eval_stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -108,11 +143,61 @@ def eval_stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> n
         raise ValueError(
             f"points have dimension {x1.shape[1]}/{x2.shape[1]}, kernel expects {spec.input_dim}"
         )
-    sq = _scaled_sqdist(x1, x2, spec.lengthscales)
-    if spec.family == RBF:
-        return spec.variance * np.exp(-0.5 * sq)
-    r = np.sqrt(sq)
-    return spec.variance * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
+    unit, _ = _profile(spec.family, _scaled_sqdist(x1, x2, spec.lengthscales))
+    unit *= spec.variance
+    return unit
+
+
+def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
+    """The stationary Gram as one tape node, batched over leading axes:
+    point sets (..., n1, v) and (..., n2, v) give (..., n1, n2).
+
+    Gradients flow into whichever arguments are ``Node``s (the variance, the
+    lengthscales and the inducing inputs, never the data); the rest are
+    constants. The same node may be passed as both point sets."""
+    args = (variance, lengthscales, x1, x2)
+    v, ls, p1, p2 = (a.value if isinstance(a, ad.Node) else np.asarray(a, float) for a in args)
+    unit, decay = _profile(family, _scaled_sqdist(p1, p2, ls))
+    value = v * unit
+    memo = []
+
+    def backward(g):
+        """Gradients of all four arguments; the tape hands each parent the
+        same cotangent, so one pass serves them all."""
+        if memo and memo[0] is g:
+            return memo[1]
+        if decay is None:  # RBF: d(value)/d(sq) = -value / 2
+            slope = g * value
+            slope *= -0.5
+        else:  # Matern 3/2: d(value)/d(sq) = -1.5 v exp(-sqrt(3) r)
+            slope = g * decay
+            slope *= -1.5 * v
+        grad_ls = np.zeros(ls.shape)
+        # constant point sets (the data) get no gradient and cost nothing
+        grad1 = np.zeros(value.shape[:-1] + ls.shape) if isinstance(x1, ad.Node) else None
+        grad2 = np.zeros(value.shape[:-2] + p2.shape[-2:]) if isinstance(x2, ad.Node) else None
+        for k, scale in enumerate(ls):
+            diff = _scaled_diff(p1, p2, k, scale)
+            weighted = diff * slope
+            grad_ls[k] = np.vdot(weighted, diff) * (-2.0 / scale)
+            if grad1 is not None:
+                grad1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
+            if grad2 is not None:
+                grad2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
+        grads = (
+            np.vdot(g, unit),
+            grad_ls,
+            None if grad1 is None else ad._unbroadcast(grad1, p1.shape),
+            None if grad2 is None else ad._unbroadcast(grad2, p2.shape),
+        )
+        memo[:] = [g, grads]
+        return grads
+
+    def vjp(i):
+        return lambda g: np.reshape(backward(g)[i], args[i].value.shape)
+
+    parents = tuple((a, vjp(i)) for i, a in enumerate(args) if isinstance(a, ad.Node))
+    return ad.Node(value, parents)
 
 
 def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:

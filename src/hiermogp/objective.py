@@ -5,7 +5,8 @@ vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
 (m_h * m_x)^2 is ever materialised. The psi statistics and both KL terms come
-from ``latent``; the Grams and the data-fit term are assembled here. The
+from ``latent``, each Gram is one ``kernels.gram`` node, and the
+hierarchical Grams and the data-fit term are assembled here. The
 forward value backs the public bound evaluation; the backward pass supplies
 analytic gradients for training.
 
@@ -23,15 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import common_inputs
-from .kernels import RBF
+from .kernels import RBF, gram
 from .kron import choose_jitter
 from .latent import kl_inducing, kl_latent, psi_stats
 from .model import ElboBreakdown, ModelState
 from .params import ParamLayout
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-_SQRT3 = np.sqrt(3.0)
-_TINY_SQDIST = 1e-36
 
 
 @dataclass
@@ -43,29 +42,14 @@ class GraphPieces:
     jitters: dict
 
 
-def _gram(family: str, variance: ad.Node, lengthscales: ad.Node, x1, x2) -> ad.Node:
-    """Gram between point sets (..., n1, v) and (..., n2, v), batched over leading axes."""
-    x1, x2 = ad.as_node(x1), ad.as_node(x2)
-    *lead1, n1, v = x1.shape
-    *lead2, n2, _ = x2.shape
-    diff = (ad.reshape(x1, (*lead1, n1, 1, v)) - ad.reshape(x2, (*lead2, 1, n2, v))) / lengthscales
-    sq = ad.sum(diff * diff, axis=-1)
-    if family == RBF:
-        return variance * ad.exp(-0.5 * sq)
-    # Matern 3/2; the clamp keeps sqrt differentiable at coincident points,
-    # where the true gradient vanishes anyway
-    r = ad.sqrt(ad.maximum(sq, _TINY_SQDIST))
-    return variance * ((1.0 + _SQRT3 * r) * ad.exp(-_SQRT3 * r))
-
-
 def _hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
     """Hierarchical Gram of replica-tagged points: the shared kernel over every
     pair plus ``(tag_a == tag_b)`` times the replica kernel. Rows of ``xa``
     tagged -1 are padding and come out zero."""
-    within = _gram(*replica_params, xa, xb) * (tags_a[..., :, None] == tags_b[..., None, :])
+    within = gram(*replica_params, xa, xb) * (tags_a[..., :, None] == tags_b[..., None, :])
     if shared_params is None:
         return within
-    return _gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
+    return gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
 
 
 @dataclass(frozen=True)
@@ -179,7 +163,7 @@ def build_graph(
     logdet_sh = 2.0 * ad.sum(leaves["cov_latent_log_diag"])
     logdet_sx = 2.0 * ad.sum(leaves["cov_input_log_diag"])
 
-    kuu_h = _gram(RBF, vh, lsh, zh, zh)
+    kuu_h = gram(RBF, vh, lsh, zh, zh)
     kuu_x = _hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
     l_h, jitter_h = _chol_with_jitter(kuu_h, base_jitter)
     l_x, jitter_x = _chol_with_jitter(kuu_x, base_jitter)

@@ -42,6 +42,9 @@ class ModelConfig:
         for name in ("latent_dim", "inducing_per_replica", "inducing_latent"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        for name in ("shared_family", "replica_family"):
+            if getattr(self, name) not in (RBF, MATERN32):
+                raise ValueError(f"{name}: unknown kernel family {getattr(self, name)!r}")
         if self.regime not in ("per_output", "shared"):
             raise ValueError(f"unknown regime {self.regime!r}")
 

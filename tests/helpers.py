@@ -1,8 +1,9 @@
 """Builders for random tiny model states and datasets used across tests,
-and a finite-difference oracle for the bound's gradient."""
+and finite-difference oracles for tape gradients and the bound's gradient."""
 
 import numpy as np
 
+from hiermogp import autodiff as ad
 from hiermogp import objective
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
 from hiermogp.latent import InducingState, LatentPosterior
@@ -107,3 +108,33 @@ def central_fd_grad(theta, layout, state, data, step_rel=1e-5):
         f_minus = objective.evaluate(minus, layout, state, data)[0].total
         grad[i] = (f_plus - f_minus) / (2.0 * step)
     return grad
+
+
+def fd_grad(fun, x, step=1e-6):
+    """Central finite differences of a scalar function of one array."""
+    x = np.asarray(x, float)
+    g = np.zeros_like(x)
+    flat = x.ravel()
+    for i in range(flat.size):
+        plus = flat.copy()
+        minus = flat.copy()
+        plus[i] += step
+        minus[i] -= step
+        g.ravel()[i] = (fun(plus.reshape(x.shape)) - fun(minus.reshape(x.shape))) / (2 * step)
+    return g
+
+
+def check(build, *arrays, step=1e-6, rtol=1e-6, atol=1e-8):
+    """Compare autodiff gradients of a scalar graph against finite differences."""
+    leaves = [ad.Node(a) for a in arrays]
+    out = build(*leaves)
+    grads = ad.grad(out, leaves)
+    for k, array in enumerate(arrays):
+
+        def value_at(replaced, k=k):
+            args = [ad.Node(a) for a in arrays]
+            args[k] = ad.Node(replaced)
+            return float(build(*args).value)
+
+        fd = fd_grad(value_at, array, step=step)
+        assert np.allclose(grads[k], fd, rtol=rtol, atol=atol), f"leaf {k}"

@@ -344,3 +344,59 @@ def test_yaml_boolean_is_not_a_number(tmp_path, capsys, section, field, kind):
     assert "true" in config_path.read_text()
     assert main(["fit", "--config", str(config_path)]) == 2
     assert f"{path}: expected {kind}, got bool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["shared_family", "replica_family"])
+def test_unknown_model_family_is_a_config_error(tmp_path, capsys, field):
+    config = base_config(tmp_path / "run")
+    config["model"][field] = "foo"
+    with pytest.raises(ConfigError, match=rf"^model: {field}: unknown kernel family 'foo'$"):
+        RunConfig(config)
+    assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
+    assert f"model: {field}: unknown kernel family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "missing, problem",
+    [
+        ([[7, 0]], "pair [7, 0] is outside the dataset (3 outputs, 2 replicas)"),
+        ([[0, 0], [0, 1]], "every output must keep at least one observed replica"),
+    ],
+)
+def test_split_missing_the_dataset_cannot_hold_is_a_config_error(tmp_path, capsys, missing, problem):
+    config = base_config(tmp_path / "run", repeats=1)
+    config["split"] = {"mode": "missing_replica", "missing": missing}
+    assert main(["experiment", "--config", str(write_config(tmp_path, config))]) == 2
+    assert f"split.missing: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("0x,0,0.2,2.0,1.0", "invalid literal"), ("0,0,0.2,2.0", "expected 5 fields, got 4")],
+)
+def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, problem):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("output,replica,x_0,y\n0,0,0.1,1.0\n0,0,0.2,2.0\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text(f"output,replica,x_0,mean,variance\n0,0,0.1,1.0,1.0\n{row}\n")
+    with pytest.raises(ConfigError, match=rf"^{pred}:3: {problem}"):
+        run_eval(pred, truth, tmp_path / "out")
+    code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{pred}:3: " in capsys.readouterr().err
+
+
+CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.yaml"))
+
+
+def test_configs_directory_is_not_empty():
+    assert [path.stem for path in CONFIGS] == ["missing_points", "missing_replica"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_configs_run(tmp_path, path):
+    raw = yaml.safe_load(path.read_text())
+    raw["optimizer"]["iterations"] = 2
+    raw["experiment"]["repeats"] = 1
+    summary = run_experiment(RunConfig(raw), tmp_path)
+    assert np.isfinite(summary["nmse_mean"]) and np.isfinite(summary["nlpd_mean"])

@@ -10,14 +10,14 @@ from hiermogp.kernels import (
     HierarchicalKernel,
     StationaryKernel,
     eval_stationary,
+    gram,
     hier_block_cov,
     hier_cross_cov,
     latent_cov,
     validate_replica_blocks,
 )
 from hiermogp.kron import cholesky_jitter
-from hiermogp.objective import _gram
-
+from .helpers import check
 from .oracles import full_cov
 
 
@@ -206,21 +206,22 @@ def test_full_cov_psd(seed):
 
 @pytest.mark.parametrize("family", [RBF, MATERN32])
 def test_hyperparameter_gradients_match_finite_differences(family):
-    # smoothness in log-variance and log-lengthscale, entry by entry
+    # the Gram node against the numpy Gram: smoothness in log-variance and
+    # log-lengthscale entry by entry, then gradients into the point sets
     rng = np.random.default_rng(5)
     x1 = rng.uniform(size=(4, 2))
     x2 = rng.uniform(size=(3, 2))
     log_v = np.log(1.3)
     log_ls = np.log([0.7, 1.4])
 
-    def gram(lv, lls):
+    def numpy_gram(lv, lls):
         spec = StationaryKernel(family, np.exp(lv), np.exp(lls))
         return eval_stationary(spec, x1, x2)
 
     lv_node = ad.Node(np.asarray(log_v))
     lls_node = ad.Node(log_ls)
-    gram_node = _gram(family, ad.exp(lv_node), ad.exp(lls_node), x1, x2)
-    assert np.allclose(gram_node.value, gram(log_v, log_ls), rtol=1e-12, atol=1e-12)
+    gram_node = gram(family, ad.exp(lv_node), ad.exp(lls_node), x1, x2)
+    assert np.allclose(gram_node.value, numpy_gram(log_v, log_ls), rtol=1e-12, atol=1e-12)
     step = 1e-6
     for i in range(4):
         for j in range(3):
@@ -228,10 +229,35 @@ def test_hyperparameter_gradients_match_finite_differences(family):
             onehot[i, j] = 1.0
             entry = ad.sum(gram_node * onehot)
             dv, dls = ad.grad(entry, [lv_node, lls_node])
-            fd_v = (gram(log_v + step, log_ls)[i, j] - gram(log_v - step, log_ls)[i, j]) / (2 * step)
+            fd_v = (numpy_gram(log_v + step, log_ls)[i, j] - numpy_gram(log_v - step, log_ls)[i, j]) / (2 * step)
             assert np.isclose(dv, fd_v, rtol=1e-5, atol=1e-8)
             for q in range(2):
                 delta = np.zeros(2)
                 delta[q] = step
-                fd_l = (gram(log_v, log_ls + delta)[i, j] - gram(log_v, log_ls - delta)[i, j]) / (2 * step)
+                fd_l = (numpy_gram(log_v, log_ls + delta)[i, j] - numpy_gram(log_v, log_ls - delta)[i, j]) / (2 * step)
                 assert np.isclose(dls[q], fd_l, rtol=1e-5, atol=1e-8)
+
+    # a batch of point sets against one shared set, every argument live
+    batch = rng.uniform(size=(3, 4, 2))
+    points = rng.uniform(size=(5, 2))
+    spec = StationaryKernel(family, 1.3, [0.7, 1.4])
+    weights = rng.standard_normal((3, 4, 5))
+
+    def batched(lv, lls, a, b):
+        return ad.sum(gram(family, ad.exp(lv), ad.exp(lls), a, b) * weights)
+
+    check(batched, np.asarray(log_v), log_ls, batch, points, rtol=1e-5)
+    node = gram(family, 1.3, [0.7, 1.4], batch, ad.Node(points))
+    assert len(node.parents) == 1  # constants get no backward pass
+    for i in range(3):
+        assert np.allclose(node.value[i], eval_stationary(spec, batch[i], points), rtol=1e-12, atol=1e-12)
+
+    # one node as both point sets, as the inducing Gram takes it; the last
+    # point coincides with the first, where Matern's sqrt has no derivative
+    z = np.concatenate([points, points[:1]])
+    weights_zz = rng.standard_normal((6, 6))
+
+    def square(lv, lls, z):
+        return ad.sum(gram(family, ad.exp(lv), ad.exp(lls), z, z) * weights_zz)
+
+    check(square, np.asarray(log_v), log_ls, z, rtol=1e-5)
