@@ -4,17 +4,17 @@ A small tape of ``Node`` objects covering exactly the matrix operations the
 variational objective is built from: broadcasting arithmetic, ``exp``,
 ``log`` and constant powers, reshapes, transposes, sums, concatenation,
 diagonals, traces and strict-lower-triangle packing, batched matmul,
-Cholesky factorisation and triangular solves. Other modules may build fused
-nodes with hand-written vector-Jacobian products, as ``kernels.gram`` does
-for the stationary Gram. Values are float64 throughout. The vector-Jacobian
-product of every primitive is checked against central finite differences in
-the test suite.
+Cholesky factorisation and the inverse of a lower-triangular factor. Both
+of these rest on one numpy-only triangular inverse, ``_tril_inverse``, which
+prediction uses too. Other modules may build fused nodes with hand-written
+vector-Jacobian products, as ``kernels.gram`` does for the stationary Gram.
+Values are float64 throughout. The vector-Jacobian product of every
+primitive is checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class Node:
@@ -277,47 +277,42 @@ def matmul(a, b) -> Node:
     )
 
 
+def _tril_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangle of ``l``; the upper triangle is never read.
+
+    The solve runs on the triangle reversed in both axes, which is upper
+    triangular: partial pivoting finds nothing to swap and every elimination
+    multiplier is zero, so the LU factorisation is exact and the solve is
+    one substitution, in the row order of forward substitution on ``L`` as a
+    LAPACK triangular solve takes it. Solving against ``L`` itself pivots on
+    ill-conditioned factors and loses several times more accuracy. The
+    copy keeps the result contiguous, which matrix products need to be fast.
+    """
+    return np.linalg.solve(np.tril(l)[::-1, ::-1], np.eye(l.shape[0]))[::-1, ::-1].copy()
+
+
 def cholesky(a) -> Node:
     a = as_node(a)
     lower = np.linalg.cholesky(a.value)
 
     def vjp(g):
-        # Murray-style backward pass: two triangular solves around the
-        # lower-half projection of L^T g, symmetrised at the end.
+        # Murray-style backward pass: L^-T p L^-1 around the lower-half
+        # projection p of L^T g, symmetrised at the end.
         n = lower.shape[0]
         p = np.tril(lower.T @ g)
         p[np.diag_indices(n)] *= 0.5
-        half = scipy.linalg.solve_triangular(lower, p.T, lower=True, trans="T")
-        s = scipy.linalg.solve_triangular(lower, half.T, lower=True, trans="T")
+        inv = _tril_inverse(lower)
+        s = inv.T @ p @ inv
         return 0.5 * (s + s.T)
 
     return Node(lower, ((a, vjp),))
 
 
-def solve_triangular(l, b, trans: str = "N") -> Node:
-    """Solve ``L x = b`` (trans='N') or ``L^T x = b`` (trans='T'), L lower."""
-    l, b = as_node(l), as_node(b)
-    x = scipy.linalg.solve_triangular(l.value, b.value, lower=True, trans=trans)
-
-    if trans == "N":
-
-        def vjp_b(g):
-            return scipy.linalg.solve_triangular(l.value, g, lower=True, trans="T")
-
-        def vjp_l(g):
-            bbar = scipy.linalg.solve_triangular(l.value, g, lower=True, trans="T")
-            return -np.tril(bbar @ x.T)
-
-    else:
-
-        def vjp_b(g):
-            return scipy.linalg.solve_triangular(l.value, g, lower=True, trans="N")
-
-        def vjp_l(g):
-            bbar = scipy.linalg.solve_triangular(l.value, g, lower=True, trans="N")
-            return -np.tril(x @ bbar.T)
-
-    return Node(x, ((l, vjp_l), (b, vjp_b)))
+def tril_inverse(l) -> Node:
+    """``X = L^-1`` for the lower triangle ``L`` of ``l``."""
+    l = as_node(l)
+    x = _tril_inverse(l.value)
+    return Node(x, ((l, lambda g: -np.tril(x.T @ g @ x.T)),))
 
 
 # ---------------------------------------------------------------------------

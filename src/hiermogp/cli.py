@@ -21,6 +21,7 @@ import yaml
 
 from . import __version__
 from .data import (
+    CsvSchemaError,
     HierarchicalDataset,
     SplitPlan,
     SyntheticConfig,
@@ -404,7 +405,11 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
     rows = []
     input_dim = state.input_dim
     if at_path is not None:
-        points = load_csv(at_path)
+        points = load_csv(at_path, targets_optional=True)
+        if points.input_dim != input_dim:
+            raise ConfigError(
+                f"points file has {points.input_dim} input columns, model has input dimension {input_dim}"
+            )
         if points.n_outputs > state.n_outputs:
             raise ConfigError(
                 f"points file uses output indices up to {points.n_outputs - 1}, "
@@ -616,6 +621,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except CsvSchemaError as err:
+        print(f"data error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:
         print(f"missing file: {err}", file=sys.stderr)

@@ -323,17 +323,21 @@ class CsvSchemaError(ValueError):
     """A data file does not follow the documented schema."""
 
 
-def load_csv(path, standardize: bool = False) -> HierarchicalDataset:
+def load_csv(path, standardize: bool = False, targets_optional: bool = False) -> HierarchicalDataset:
     """Read a dataset; optionally rescale inputs and targets to zero mean and
-    unit variance, recording the constants in the metadata."""
+    unit variance, recording the constants in the metadata. With
+    ``targets_optional`` the ``y`` column may be left out, and the targets
+    then read NaN."""
     path = pathlib.Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise CsvSchemaError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
-    if header[:2] != ["output", "replica"] or header[-1] != "y":
-        raise CsvSchemaError(f"{path}:1: header must be output,replica,x_0[,...],y")
-    x_cols = header[2:-1]
+    has_y = header[-1] == "y"
+    if header[:2] != ["output", "replica"] or not (has_y or targets_optional):
+        y_spec = "[,y]" if targets_optional else ",y"
+        raise CsvSchemaError(f"{path}:1: header must be output,replica,x_0[,...]{y_spec}")
+    x_cols = header[2:-1] if has_y else header[2:]
     if x_cols != [f"x_{i}" for i in range(len(x_cols))] or not x_cols:
         raise CsvSchemaError(f"{path}:1: input columns must be x_0, x_1, ...")
     v = len(x_cols)
@@ -348,10 +352,10 @@ def load_csv(path, standardize: bool = False) -> HierarchicalDataset:
             d = int(cells[0])
             r = int(cells[1])
             xs = [float(c) for c in cells[2 : 2 + v]]
-            y = float(cells[-1])
+            y = float(cells[-1]) if has_y else np.nan
         except ValueError as err:
             raise CsvSchemaError(f"{path}:{lineno}: non-numeric field ({err})") from None
-        if not np.all(np.isfinite(xs)) or not np.isfinite(y):
+        if not np.all(np.isfinite(xs)) or (has_y and not np.isfinite(y)):
             raise CsvSchemaError(f"{path}:{lineno}: non-finite value")
         if d < 0 or r < 0:
             raise CsvSchemaError(f"{path}:{lineno}: output and replica indices must be >= 0")

@@ -105,8 +105,7 @@ def _chol_with_jitter(k: ad.Node, base_jitter: float):
 
 
 def _inverse_from_chol(lower: ad.Node) -> ad.Node:
-    eye = np.eye(lower.shape[0])
-    half = ad.solve_triangular(lower, eye, trans="N")
+    half = ad.tril_inverse(lower)
     return ad.transpose(half) @ half
 
 

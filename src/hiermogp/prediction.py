@@ -7,10 +7,11 @@ Monte Carlo over the latent coordinate of the requested output. The tests
 hold the estimate to a per-draw oracle and its mean to the closed form
 through the expected latent kernel row psi1 (``tests/oracles.py``).
 
-A fitted state's inducing Grams are factored once, on its first prediction,
-and an output's latent draws are reduced once per (output, draws, seed) to
-four sample statistics. A block then costs its cross covariance against the
-inducing inputs plus O(n m_x^2) algebra. The cache is keyed on the state's
+A fitted state's inducing Grams are factored and their Cholesky factors
+inverted once, on its first prediction, and an output's latent draws are
+reduced once per (output, draws, seed) to four sample statistics. A block
+then costs its cross covariance against the inducing inputs plus GEMMs with
+the cached inverses, O(n m_x^2) in all. The cache is keyed on the state's
 identity, so a ``ModelState`` must not be changed in place once it has been
 predicted from.
 """
@@ -22,8 +23,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
+from .autodiff import _tril_inverse
 from .kernels import hier_block_cov, hier_cross_cov, latent_cov
 from .kron import cholesky_jitter
 from .model import ModelState
@@ -55,8 +56,8 @@ class _Posterior:
     reference to the state, which keys it weakly. With ``S = C C^T``,
     ``smooth = (L^-1 C)^T`` maps ``L^-1 k`` to a root of ``k K^-1 S K^-1 k``."""
 
-    chol_x: np.ndarray  # Cholesky factors L of Kuu_x and Kuu_h
-    chol_h: np.ndarray
+    inv_x: np.ndarray  # inverses L^-1 of the Cholesky factors of Kuu_x and Kuu_h
+    inv_h: np.ndarray
     smooth_x: np.ndarray
     smooth_h: np.ndarray
     w: np.ndarray  # (m_x, m_h): Kx^-1 M Kh^-1
@@ -70,21 +71,23 @@ def _posterior(state: ModelState) -> _Posterior:
     post = _POSTERIORS.get(state)
     if post is None:
         ind = state.inducing
-        chol_x = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)).lower
-        chol_h = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)).lower
+        kuu_x = hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)
+        kuu_h = latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)
+        inv_x = _tril_inverse(cholesky_jitter(kuu_x).lower)
+        inv_h = _tril_inverse(cholesky_jitter(kuu_h).lower)
         post = _POSTERIORS[state] = _Posterior(
-            chol_x=chol_x,
-            chol_h=chol_h,
-            smooth_x=solve_triangular(chol_x, ind.cov_input_chol, lower=True).T,
-            smooth_h=solve_triangular(chol_h, ind.cov_latent_chol, lower=True).T,
-            w=cho_solve((chol_h, True), cho_solve((chol_x, True), ind.mean).T).T,
+            inv_x=inv_x,
+            inv_h=inv_h,
+            smooth_x=(inv_x @ ind.cov_input_chol).T,
+            smooth_h=(inv_h @ ind.cov_latent_chol).T,
+            w=inv_x.T @ (inv_x @ ind.mean @ inv_h.T) @ inv_h,
         )
     return post
 
 
 def _latent_moments(post: _Posterior, state: ModelState, latents: np.ndarray) -> _LatentMoments:
     rows = latent_cov(state.latent_kernel, latents, state.inducing.z_latent)  # (s, m_h)
-    half = solve_triangular(post.chol_h, rows.T, lower=True)
+    half = post.inv_h @ rows.T
     smooth = post.smooth_h @ half
     row_mean = rows.mean(axis=0)
     centred = rows - row_mean
@@ -114,7 +117,7 @@ def _output_moments(post: _Posterior, state: ModelState, output: int, mc_samples
 def _input_terms(post: _Posterior, state: ModelState, xstar: np.ndarray, replica_tags):
     """Per-block operators: ``cross Kx^-1 M Kh^-1``, ``Lx^-1 cross^T`` and its smoothing root."""
     cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, state.inducing.z_input)
-    half = solve_triangular(post.chol_x, cross.T, lower=True)
+    half = post.inv_x @ cross.T
     return cross @ post.w, half, post.smooth_x @ half
 
 

@@ -1,10 +1,10 @@
 """Slow, direct reference formulas that the package's fast paths are held to.
 
-Dense Kronecker algebra, the closed forms of ``latent`` evaluated on constant
-arrays, Monte Carlo psi statistics, the naive dense bound, the exact
-marginal likelihood at fixed latent coordinates, the optimal dense inducing
-posterior and the per-draw predictive moments. The package itself uses none
-of them.
+Dense Kronecker algebra, LAPACK triangular solves (scipy, which only the
+tests use), the closed forms of ``latent`` evaluated on constant arrays,
+Monte Carlo psi statistics, the naive dense bound, the exact marginal
+likelihood at fixed latent coordinates, the optimal dense inducing posterior
+and the per-draw predictive moments. The package itself uses none of them.
 """
 
 import numpy as np
@@ -68,6 +68,11 @@ def trace_kron(a, b):
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("trace_kron requires square factors")
     return float(np.trace(a) * np.trace(b))
+
+
+def tril_inverse(lower):
+    """``L^-1`` by a LAPACK triangular solve against the identity."""
+    return solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
 
 
 def tri_solve(factor, rhs):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hiermogp import autodiff as ad
+from hiermogp.kernels import RBF, StationaryKernel, eval_stationary
 
+from . import oracles
 from .helpers import check
 
 
@@ -108,13 +110,24 @@ def test_cholesky_vjp():
     )
 
 
-def test_solve_triangular_vjps():
-    a = spd(4, seed=2)
-    lower = np.linalg.cholesky(a)
-    rhs = RNG.standard_normal((4, 3))
-    # scipy only reads the lower triangle, so upper perturbations are inert
-    check(lambda l, b: ad.sum(ad.solve_triangular(l, b) ** 2), lower, rhs, rtol=1e-5)
-    check(lambda l, b: ad.sum(ad.solve_triangular(l, b, trans="T") ** 2), lower, rhs, rtol=1e-5)
+def test_tril_inverse_vjp():
+    lower = np.linalg.cholesky(spd(4, seed=2))
+    # only the lower triangle is read, so upper perturbations are inert
+    upper = np.triu(RNG.standard_normal((4, 4)), k=1)
+    assert np.array_equal(ad.tril_inverse(lower + upper).value, ad.tril_inverse(lower).value)
+    weights = RNG.standard_normal((4, 4))
+    check(lambda l: ad.sum(ad.tril_inverse(l) * weights), lower, rtol=1e-5)
+    check(lambda l: ad.sum(ad.tril_inverse(l) ** 2), lower + upper, rtol=1e-5)
+
+
+def test_tril_inverse_matches_triangular_solve_on_ill_conditioned_factor():
+    x = np.linspace(0.0, 1.0, 8)[:, None]
+    gram = eval_stationary(StationaryKernel(RBF, 1.0, np.array([0.4])), x, x)
+    assert 1e6 < np.linalg.cond(gram) < 1e8
+    lower = np.linalg.cholesky(gram)
+    expected = oracles.tril_inverse(lower)
+    got = ad._tril_inverse(lower)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_grad_requires_scalar():

@@ -157,27 +157,53 @@ def test_grid_prediction(tmp_path):
     assert len(lines) == 1 + 5 * 3 * 2  # grid x outputs x replicas
 
 
-def test_predict_rejects_output_index_the_model_lacks(tmp_path, capsys):
+def _predict_at(tmp_path, points_text):
+    """Fit a 1-D model, then predict at a points file; returns the exit code."""
     config_path = write_config(tmp_path, base_config(tmp_path / "run", iterations=5))
     assert main(["fit", "--config", str(config_path), "--out", str(tmp_path / "fit")]) == 0
     points = tmp_path / "points.csv"
-    points.write_text("output,replica,x_0,y\n0,0,0.1,0.0\n3,1,0.2,0.0\n")
-    code = main(
-        [
-            "predict",
-            "--model",
-            str(tmp_path / "fit" / "model.json"),
-            "--at",
-            str(points),
-            "--out",
-            str(tmp_path / "pred.csv"),
-        ]
-    )
-    assert code == 2
+    points.write_text(points_text)
+    model = str(tmp_path / "fit" / "model.json")
+    return main(["predict", "--model", model, "--at", str(points), "--out", str(tmp_path / "pred.csv")])
+
+
+def test_predict_rejects_output_index_the_model_lacks(tmp_path, capsys):
+    assert _predict_at(tmp_path, "output,replica,x_0,y\n0,0,0.1,0.0\n3,1,0.2,0.0\n") == 2
     err = capsys.readouterr().err
     assert "output indices up to 3" in err
     assert "3 outputs" in err
     assert not (tmp_path / "pred.csv").exists()
+
+
+def test_predict_at_points_without_targets(tmp_path):
+    assert _predict_at(tmp_path, "output,replica,x_0\n0,0,0.1\n2,1,0.2\n") == 0
+    lines = (tmp_path / "pred.csv").read_text().splitlines()
+    assert lines[0] == "output,replica,x_0,mean,variance"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["0", "0"], ["2", "1"]]
+    assert np.isfinite([float(v) for row in rows for v in row[2:]]).all()
+
+
+def test_predict_rejects_points_of_another_input_dimension(tmp_path, capsys):
+    assert _predict_at(tmp_path, "output,replica,x_0,x_1,y\n0,0,0.1,0.5,0.0\n") == 2
+    assert "2 input columns, model has input dimension 1" in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_malformed_data_file_exits_2_with_its_line(tmp_path, capsys, command):
+    data = tmp_path / "data.csv"
+    data.write_text("output,replica,x_0,y\n0,0,0.1,1.0\n0,0,0.2,oops\n")
+    if command == "fit":
+        config = base_config(tmp_path / "run", iterations=2)
+        config["dataset"] = {"csv": {"path": str(data)}}
+        argv = ["fit", "--config", str(write_config(tmp_path, config))]
+    else:
+        pred = tmp_path / "pred.csv"
+        pred.write_text("output,replica,x_0,mean,variance\n0,0,0.1,1.0,1.0\n0,0,0.2,1.0,1.0\n")
+        argv = ["eval", "--predictions", str(pred), "--truth", str(data), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"{data}:3: non-numeric field" in capsys.readouterr().err
 
 
 def test_experiment_keeps_standardization_constants(tmp_path):
@@ -282,16 +308,28 @@ def test_csv_dataset_experiment(tmp_path):
     assert (tmp_path / "runC" / "summary.json").exists()
 
 
-def test_console_entry_point_runs():
-    # the child imports the same hiermogp as this process, installed or not
+def _run_child(*args):
+    """Run ``python *args`` with the same hiermogp as this process, installed or not."""
     package_root = str(pathlib.Path(hiermogp.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "hiermogp.cli", "--help"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    result = _run_child("-m", "hiermogp.cli", "--help")
     assert result.returncode == 0
     assert "generate" in result.stdout
     assert "experiment" in result.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    result = _run_child(
+        "-c",
+        "import sys, hiermogp, hiermogp.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_seed_override(tmp_path):
