@@ -1,15 +1,18 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small tape of ``Node`` objects covering exactly the matrix operations the
-variational objective is built from: broadcasting arithmetic, ``exp``,
+A small tape of ``Node`` objects covering the generic operations the
+variational objective is assembled with: broadcasting arithmetic, ``exp``,
 ``log`` and constant powers, reshapes, transposes, sums, concatenation,
-diagonals, traces and strict-lower-triangle packing, batched matmul,
-Cholesky factorisation and the inverse of a lower-triangular factor. Both
-of these rest on one numpy-only triangular inverse, ``_tril_inverse``, which
-prediction uses too. Other modules may build fused nodes with hand-written
-vector-Jacobian products, as ``kernels.gram`` does for the stationary Gram.
-Values are float64 throughout. The vector-Jacobian product of every
-primitive is checked against central finite differences in the test suite.
+diagonal and strict-lower-triangle packing, and batched matmul. Every closed
+form with a known gradient is instead one fused node with a hand-written
+vector-Jacobian product, built with ``fused``: the inverse and
+log-determinant of a positive definite matrix (``spd_inverse``, here), the
+stationary Gram (``kernels.gram``), and the psi statistics and both KL terms
+(``latent``). The inverse rests on one numpy-only triangular inverse,
+``_tril_inverse``, which prediction uses too. ``grad`` runs no VJP into a
+constant: a parentless node that is not a requested leaf. Values are float64
+throughout. The vector-Jacobian product of every primitive and fused node is
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -226,24 +229,6 @@ def diag_embed(a) -> Node:
     return Node(np.diag(a.value), ((a, lambda g: np.diagonal(g).copy()),))
 
 
-def diagonal(a) -> Node:
-    a = as_node(a)
-    n, m = a.value.shape
-
-    def vjp(g):
-        out = np.zeros((n, m))
-        np.fill_diagonal(out, g)
-        return out
-
-    return Node(np.diagonal(a.value).copy(), ((a, vjp),))
-
-
-def trace(a) -> Node:
-    a = as_node(a)
-    n = a.value.shape[0]
-    return Node(np.trace(a.value), ((a, lambda g: g * np.eye(n)),))
-
-
 def strict_lower_embed(v, n: int) -> Node:
     """Pack a vector into the strictly lower triangle of an n x n matrix."""
     v = as_node(v)
@@ -291,28 +276,80 @@ def _tril_inverse(l: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.tril(l)[::-1, ::-1], np.eye(l.shape[0]))[::-1, ::-1].copy()
 
 
-def cholesky(a) -> Node:
-    a = as_node(a)
-    lower = np.linalg.cholesky(a.value)
-
-    def vjp(g):
-        # Murray-style backward pass: L^-T p L^-1 around the lower-half
-        # projection p of L^T g, symmetrised at the end.
-        n = lower.shape[0]
-        p = np.tril(lower.T @ g)
-        p[np.diag_indices(n)] *= 0.5
-        inv = _tril_inverse(lower)
-        s = inv.T @ p @ inv
-        return 0.5 * (s + s.T)
-
-    return Node(lower, ((a, vjp),))
+# ---------------------------------------------------------------------------
+# fused nodes
 
 
-def tril_inverse(l) -> Node:
-    """``X = L^-1`` for the lower triangle ``L`` of ``l``."""
-    l = as_node(l)
-    x = _tril_inverse(l.value)
-    return Node(x, ((l, lambda g: -np.tril(x.T @ g @ x.T)),))
+def fused(values, args, backward):
+    """Nodes for the outputs of one closed form with a hand-written backward pass.
+
+    ``values`` is one output array or a tuple of them, and ``args`` are the
+    inputs: ``Node``s, which receive gradients, or constants, which do not.
+    ``backward(*cotangents)`` takes one cotangent per output (zeros for an
+    output the root does not reach) and returns one gradient per argument,
+    any value for a constant. It runs once per backward pass, whichever of
+    the arguments are ``Node``s: the tape hands each of them the same
+    cotangent, and the result is kept for it.
+
+    With several outputs, the first is the node the arguments hang from and
+    each later one hangs from the first: the tape then reaches the first
+    only after every later output's cotangent is known. A later output
+    passes the first a zero and keeps its own cotangent for ``backward``.
+    """
+    several = isinstance(values, tuple)
+    values = values if several else (values,)
+    later = [None] * (len(values) - 1)  # cotangents of the later outputs
+    memo = []
+
+    def gradients(g):
+        if not (memo and memo[0] is g):
+            cotangents = [np.zeros(np.shape(v)) if c is None else c for c, v in zip(later, values[1:])]
+            later[:] = [None] * len(later)
+            memo[:] = [g, backward(g, *cotangents)]
+        return memo[1]
+
+    def vjp(i):
+        shape = args[i].value.shape
+        return lambda g: np.reshape(gradients(g)[i], shape)
+
+    first = Node(values[0], tuple((a, vjp(i)) for i, a in enumerate(args) if isinstance(a, Node)))
+
+    def keep(k):
+        def vjp(g):
+            later[k] = g
+            return np.zeros(first.value.shape)
+
+        return vjp
+
+    rest = tuple(Node(v, ((first, keep(k)),)) for k, v in enumerate(values[1:]))
+    return (first, *rest) if several else first
+
+
+def spd_inverse(k, jitter: float = 0.0):
+    """``(A, log|K + jitter I|)`` with ``A = (K + jitter I)^-1``, as two nodes of
+    one closed form, for a symmetric positive definite ``K`` of which only
+    the lower triangle is read.
+
+    One Cholesky factor ``L`` gives both: ``A = L^-T L^-1`` and the
+    log-determinant ``2 sum(log diag L)``. The backward pass is
+    ``g_logdet A - A G A`` for the cotangents ``G`` of ``A`` and ``g_logdet``
+    of the log-determinant: the gradient of the matrix function, which on the
+    symmetric matrices the bound passes here is the gradient in ``K``."""
+    value = k.value if isinstance(k, Node) else np.asarray(k, float)
+    if jitter > 0.0:
+        value = value + jitter * np.eye(value.shape[0])
+    lower = np.linalg.cholesky(value)
+    half = _tril_inverse(lower)
+    inverse = half.T @ half
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
+
+    def backward(g_inverse, g_logdet):
+        grad = inverse @ g_inverse @ inverse
+        grad *= -1.0
+        grad += g_logdet * inverse
+        return (grad,)
+
+    return fused((inverse, logdet), (k,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +376,21 @@ def _topological_order(root: Node) -> list[Node]:
 
 
 def grad(output: Node, leaves) -> list[np.ndarray]:
-    """Gradients of a scalar output with respect to each leaf node."""
+    """Gradients of a scalar output with respect to each leaf node; a leaf
+    the output does not depend on gets zeros."""
     if output.value.size != 1:
         raise ValueError("grad requires a scalar output")
     order = _topological_order(output)
+    leaves = list(leaves)
+    wanted = {id(leaf) for leaf in leaves}
     grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.value)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
             continue
         for parent, vjp in node.parents:
+            if not parent.parents and id(parent) not in wanted:
+                continue  # a constant: its gradient would be thrown away
             contribution = vjp(g)
             seen = grads.get(id(parent))
             grads[id(parent)] = contribution if seen is None else seen + contribution

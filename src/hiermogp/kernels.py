@@ -159,13 +159,8 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
     v, ls, p1, p2 = (a.value if isinstance(a, ad.Node) else np.asarray(a, float) for a in args)
     unit, decay = _profile(family, _scaled_sqdist(p1, p2, ls))
     value = v * unit
-    memo = []
 
     def backward(g):
-        """Gradients of all four arguments; the tape hands each parent the
-        same cotangent, so one pass serves them all."""
-        if memo and memo[0] is g:
-            return memo[1]
         if decay is None:  # RBF: d(value)/d(sq) = -value / 2
             slope = g * value
             slope *= -0.5
@@ -184,20 +179,14 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
                 grad1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
             if grad2 is not None:
                 grad2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
-        grads = (
+        return (
             np.vdot(g, unit),
             grad_ls,
             None if grad1 is None else ad._unbroadcast(grad1, p1.shape),
             None if grad2 is None else ad._unbroadcast(grad2, p2.shape),
         )
-        memo[:] = [g, grads]
-        return grads
 
-    def vjp(i):
-        return lambda g: np.reshape(backward(g)[i], args[i].value.shape)
-
-    parents = tuple((a, vjp(i)) for i, a in enumerate(args) if isinstance(a, ad.Node))
-    return ad.Node(value, parents)
+    return ad.fused(value, args, backward)
 
 
 def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:

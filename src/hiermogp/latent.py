@@ -7,11 +7,14 @@ Gaussian whose covariance is the Kronecker product of an output-side and an
 input-side factor, which shrinks the variational parameter count from
 (m_h * m_x)^2 to m_h^2 + m_x^2.
 
-The three closed forms the bound needs are written once here, as ``autodiff``
-graph nodes: the psi statistics of the ARD RBF output kernel under the latent
-posterior (Titsias & Lawrence, Bayesian GPLVM), the Kronecker-factorised
-inducing KL and the latent KL. ``objective.build_graph`` assembles the bound
-from them; the tests evaluate them on constant arrays.
+The three closed forms the bound needs are written once here, each as a fused
+``autodiff`` node with a hand-written backward pass (``autodiff.fused``): the
+psi statistics of the ARD RBF output kernel under the latent posterior
+(Titsias & Lawrence, Bayesian GPLVM), the Kronecker-factorised inducing KL
+and the latent KL. Gradients flow into whichever arguments are ``Node``s.
+``objective.build_graph`` assembles the bound from them; the tests evaluate
+them on constant arrays and check every backward pass against finite
+differences.
 """
 
 from __future__ import annotations
@@ -103,57 +106,123 @@ class InducingState:
 
 
 def psi_stats(variance, lengthscales, mu, log_s, zh):
-    """Closed-form psi1 (d, m) and psi2 (d, m, m) of an ARD RBF output kernel.
+    """Closed-form psi1 (d, m) and psi2 (d, m, m) of an ARD RBF output kernel,
+    as two nodes of one closed form.
 
     For each output with posterior N(mu, diag(exp(log_s))) and inducing
     coordinates z, psi1[m] integrates k(h, z_m) against the Gaussian, which
     lengthens each squared lengthscale by the variance; psi2[m, m'] integrates
     k(h, z_m) k(h, z_m') and factorises into a fixed term in z_m - z_m' and a
     Gaussian in their midpoint. psi0 is the kernel variance (stationarity).
+    One backward pass serves both statistics: with ``a1 = l^2 + s`` and
+    ``a2 = l^2 + 2 s``, each exponent is a sum over latent dimensions of
+    squared distances over ``a1`` or ``a2``, half log-ratios ``a/l^2`` and,
+    for psi2, ``(z_m - z_m')^2 / 4 l^2``, whose derivatives are written out
+    below.
     """
-    d, q = mu.shape
-    m = zh.shape[0]
-    s = ad.exp(log_s)
-    l2 = lengthscales * lengthscales
-    ratio = s / l2  # (d, q)
-    log_norm1 = 0.5 * ad.sum(ad.log(1.0 + ratio), axis=1)  # (d,)
-    dmu = ad.reshape(mu, (d, 1, q)) - ad.reshape(zh, (1, m, q))
-    expo1 = ad.sum(dmu * dmu / ad.reshape(l2 + s, (d, 1, q)), axis=2)
-    psi1 = variance * ad.exp(-0.5 * expo1 - ad.reshape(log_norm1, (d, 1)))
+    args = (variance, lengthscales, mu, log_s, zh)
+    v, ls, mu, log_s, zh = (ad.as_node(x).value for x in args)
+    s = np.exp(log_s)
+    l2 = ls * ls
+    ratio = s / l2
+    a1 = l2 + s  # (d, q)
+    log_norm1 = 0.5 * np.sum(np.log(1.0 + ratio), axis=1)  # (d,)
+    dmu = mu[:, None, :] - zh[None, :, :]  # (d, m, q)
+    expo1 = np.sum(dmu * dmu / a1[:, None, :], axis=2)
+    unit1 = np.exp(-0.5 * expo1 - log_norm1[:, None])
 
-    zd = ad.reshape(zh, (m, 1, q)) - ad.reshape(zh, (1, m, q))
-    fixed = ad.sum(zd * zd / (4.0 * l2), axis=2)  # (m, m)
-    zbar = 0.5 * (ad.reshape(zh, (m, 1, q)) + ad.reshape(zh, (1, m, q)))
-    dmb = ad.reshape(mu, (d, 1, 1, q)) - ad.reshape(zbar, (1, m, m, q))
-    expo2 = ad.sum(dmb * dmb / ad.reshape(l2 + 2.0 * s, (d, 1, 1, q)), axis=3)
-    log_norm2 = 0.5 * ad.sum(ad.log(1.0 + 2.0 * ratio), axis=1)
-    psi2 = (variance * variance) * ad.exp(
-        -ad.reshape(fixed, (1, m, m)) - expo2 - ad.reshape(log_norm2, (d, 1, 1))
-    )
-    return psi1, psi2
+    zd = zh[:, None, :] - zh[None, :, :]  # (m, m, q)
+    fixed = np.sum(zd * zd / (4.0 * l2), axis=2)
+    zbar = 0.5 * (zh[:, None, :] + zh[None, :, :])
+    dmb = mu[:, None, None, :] - zbar[None]  # (d, m, m, q)
+    a2 = l2 + 2.0 * s
+    expo2 = np.sum(dmb * dmb / a2[:, None, None, :], axis=3)
+    log_norm2 = 0.5 * np.sum(np.log(1.0 + 2.0 * ratio), axis=1)
+    unit2 = np.exp(-fixed[None] - expo2 - log_norm2[:, None, None])
+    psi1 = v * unit1
+    psi2 = (v * v) * unit2
+
+    def backward(g1, g2):
+        w1 = g1 * psi1  # cotangents of the exponents
+        w2 = g2 * psi2
+        r1 = dmu / a1[:, None, :]
+        wr1 = w1[:, :, None] * r1
+        r2 = dmb / a2[:, None, None, :]
+        wr2 = w2[..., None] * r2
+        w1_sum = np.sum(w1, axis=1)[:, None]  # (d, 1)
+        w2_sum = np.sum(w2, axis=(1, 2))[:, None]
+        # the exponents through a1 and a2, each entering as l^2 and as s
+        t1 = 0.5 * (np.sum(wr1 * r1, axis=1) - w1_sum / a1)
+        t2 = np.sum(wr2 * r2, axis=(1, 2)) - 0.5 * w2_sum / a2
+        w2_pairs = np.sum(w2, axis=0)  # (m, m), symmetrised below
+        w2_pairs = w2_pairs + w2_pairs.T
+        grad_l2 = (
+            np.sum(t1 + t2, axis=0)
+            + 0.5 * np.sum(w1_sum + w2_sum) / l2  # the -log l^2 of both log-ratios
+            + np.sum(w2_pairs[:, :, None] * zd * zd, axis=(0, 1)) / (8.0 * l2 * l2)
+        )
+        grad_s = t1 + 2.0 * t2
+        grad_mu = -np.sum(wr1, axis=1) - 2.0 * np.sum(wr2, axis=(1, 2))
+        pairs = np.sum(wr2, axis=0)  # (m, m, q); z_m is in the midpoint of its row and its column
+        grad_zh = (
+            np.sum(wr1, axis=0)
+            + np.sum(pairs, axis=1)
+            + np.sum(pairs, axis=0)
+            - np.sum(w2_pairs[:, :, None] * zd, axis=1) / (2.0 * l2)
+        )
+        grad_v = np.vdot(g1, unit1) + 2.0 * v * np.vdot(g2, unit2)
+        return grad_v, 2.0 * ls * grad_l2, grad_mu, s * grad_s, grad_zh
+
+    return ad.fused((psi1, psi2), args, backward)
 
 
 def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, logdet_kh, logdet_kx):
-    """KL divergence of N(vec M, S_h (x) S_x) from its prior N(0, K_h (x) K_x).
+    """KL divergence of N(vec M, S_h (x) S_x) from its prior N(0, K_h (x) K_x),
+    as one node.
 
     Both Gaussians factor over the output (h) and input (x) sides, so the
     divergence reduces to per-factor log determinants and traces plus one
     quadratic form in the (m_x, m_h) mean; nothing of size (m_h * m_x)^2 is
     built. Takes the posterior factors S with their log determinants and the
-    inverse prior Grams K^-1 with the log determinants of K.
+    inverse prior Grams A = K^-1 with the log determinants of K.
     """
-    m_x, m_h = mean.shape
-    quad_mean = ad.trace(ad.transpose(mean) @ (inv_kx @ mean) @ inv_kh)
-    return 0.5 * (
-        m_x * (logdet_kh - logdet_cov_h)
-        + m_h * (logdet_kx - logdet_cov_x)
+    args = (mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, logdet_kh, logdet_kx)
+    m, s_h, s_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx = (ad.as_node(x).value for x in args)
+    m_x, m_h = m.shape
+    ax_m = a_x @ m
+    quad_mean = np.trace(m.T @ ax_m @ a_h)
+    tr_h = np.trace(a_h @ s_h)
+    tr_x = np.trace(a_x @ s_x)
+    value = 0.5 * (
+        m_x * (logdet_kh - logdet_sh)
+        + m_h * (logdet_kx - logdet_sx)
         + quad_mean
-        + ad.trace(inv_kh @ cov_h) * ad.trace(inv_kx @ cov_x)
+        + tr_h * tr_x
         - float(m_h * m_x)
     )
 
+    def backward(g):
+        h = 0.5 * g
+        return (
+            h * (ax_m @ a_h + a_x.T @ m @ a_h.T),
+            (h * tr_x) * a_h.T,
+            (h * tr_h) * a_x.T,
+            -h * m_x,
+            -h * m_h,
+            h * ((m.T @ ax_m).T + tr_x * s_h.T),
+            h * (m @ a_h.T @ m.T + tr_h * s_x.T),
+            h * m_x,
+            h * m_h,
+        )
+
+    return ad.fused(value, args, backward)
+
 
 def kl_latent(mu, log_s):
-    """KL divergence of the diagonal latent posterior from its standard normal prior."""
-    s = ad.exp(log_s)
-    return 0.5 * ad.sum(s + mu * mu - 1.0 - log_s)
+    """KL divergence of the diagonal latent posterior from its standard normal
+    prior, as one node."""
+    args = (mu, log_s)
+    mu, log_s = (ad.as_node(x).value for x in args)
+    s = np.exp(log_s)
+    value = 0.5 * np.sum(s + mu * mu - 1.0 - log_s)
+    return ad.fused(value, args, lambda g: (g * mu, 0.5 * g * (s - 1.0)))

@@ -4,11 +4,14 @@ Builds the bound as an autodiff graph over the flat unconstrained parameter
 vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
-(m_h * m_x)^2 is ever materialised. The psi statistics and both KL terms come
-from ``latent``, each Gram is one ``kernels.gram`` node, and the
-hierarchical Grams and the data-fit term are assembled here. The
-forward value backs the public bound evaluation; the backward pass supplies
-analytic gradients for training.
+(m_h * m_x)^2 is ever materialised. Every closed form is one fused tape node
+with a hand-written backward pass: the psi statistics and both KL terms
+come from ``latent``, each Gram is one ``kernels.gram`` node, and each
+inducing Gram's inverse and log-determinant is one ``autodiff.spd_inverse``
+node, factored with the jitter ``choose_jitter`` picks. The hierarchical
+Grams and the data-fit term are assembled here from generic tape
+operations. The forward value backs the public bound evaluation; the
+backward pass supplies analytic gradients for training.
 
 The data reach the bound once, through ``read_data``: per-output input
 blocks and targets become a frozen ``BoundData`` of padded point groups,
@@ -97,16 +100,11 @@ def read_data(template: ModelState, x, y) -> BoundData:
     return BoundData(points, tags, targets, counts, np.sum(targets**2, axis=2).ravel())
 
 
-def _chol_with_jitter(k: ad.Node, base_jitter: float):
+def _inverse_logdet(k: ad.Node, base_jitter: float):
+    """``(K^-1, log|K|, jitter)`` of an inducing Gram, with the smallest
+    jitter that factors it added to its diagonal."""
     jitter = choose_jitter(k.value, base_jitter)
-    if jitter > 0.0:
-        k = k + jitter * np.eye(k.shape[0])
-    return ad.cholesky(k), jitter
-
-
-def _inverse_from_chol(lower: ad.Node) -> ad.Node:
-    half = ad.tril_inverse(lower)
-    return ad.transpose(half) @ half
+    return (*ad.spd_inverse(k, jitter), jitter)
 
 
 def build_graph(
@@ -164,12 +162,8 @@ def build_graph(
 
     kuu_h = gram(RBF, vh, lsh, zh, zh)
     kuu_x = _hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
-    l_h, jitter_h = _chol_with_jitter(kuu_h, base_jitter)
-    l_x, jitter_x = _chol_with_jitter(kuu_x, base_jitter)
-    a_h = _inverse_from_chol(l_h)
-    a_x = _inverse_from_chol(l_x)
-    logdet_kh = 2.0 * ad.sum(ad.log(ad.diagonal(l_h)))
-    logdet_kx = 2.0 * ad.sum(ad.log(ad.diagonal(l_x)))
+    a_h, logdet_kh, jitter_h = _inverse_logdet(kuu_h, base_jitter)
+    a_x, logdet_kx, jitter_x = _inverse_logdet(kuu_x, base_jitter)
 
     kl_u = kl_inducing(m_mat, sigma_h, sigma_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx)
     kl_h = kl_latent(mu, log_s)

@@ -30,6 +30,12 @@ class Span:
         return self.stop - self.start
 
 
+def _numbered_group(span_name: str) -> str | None:
+    """``inducing_inputs`` for ``inducing_inputs_3``; ``None`` for an unnumbered span."""
+    stem, _, number = span_name.rpartition("_")
+    return stem if number.isdigit() else None
+
+
 class ParamLayout:
     """Named spans of one flat vector, derived from a template state."""
 
@@ -92,10 +98,12 @@ class ParamLayout:
         return theta
 
     def mask_for(self, names) -> np.ndarray:
-        """0/1 mask selecting the given spans (prefix match on inducing inputs)."""
+        """0/1 mask selecting the given spans. A name selects the span of that
+        name; ``inducing_inputs`` selects every replica's block of inducing
+        inputs (``inducing_inputs_0``, ``inducing_inputs_1``, ...)."""
         mask = np.zeros(self.size)
         for name in names:
-            matched = [s for s in self.spans if s.name == name or s.name.startswith(name)]
+            matched = [s for s in self.spans if name in (s.name, _numbered_group(s.name))]
             if not matched:
                 raise KeyError(f"no parameter span named {name!r}")
             for s in matched:

@@ -79,12 +79,10 @@ def test_concat():
     check(lambda a, b: ad.sum(ad.concat([a, b], axis=0) ** 2), a, b)
 
 
-def test_diag_trace():
-    a = RNG.standard_normal((4, 4))
+def test_diag_embed():
     v = RNG.standard_normal(4)
-    check(lambda a: ad.sum(ad.diagonal(a) ** 2), a)
-    check(lambda v: ad.trace(ad.diag_embed(v) @ ad.diag_embed(v)), v)
-    check(lambda a: ad.trace(a @ a), a)
+    weights = RNG.standard_normal((4, 4))
+    check(lambda v: ad.sum((ad.diag_embed(v) @ ad.diag_embed(v)) * weights), v)
 
 
 def test_strict_lower_embed():
@@ -99,25 +97,30 @@ def spd(n, seed=0):
     return b @ b.T + n * np.eye(n)
 
 
-def test_cholesky_vjp():
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_spd_inverse_values_and_vjp(jitter):
     a = spd(4, seed=1)
-    check(lambda a: ad.sum(ad.cholesky(0.5 * (a + ad.transpose(a))) ** 2), a, rtol=1e-5)
-    # logdet through the factor diagonal, the pattern used by the objective
-    check(
-        lambda a: 2.0 * ad.sum(ad.log(ad.diagonal(ad.cholesky(0.5 * (a + ad.transpose(a)))))),
-        a,
-        rtol=1e-5,
-    )
-
-
-def test_tril_inverse_vjp():
-    lower = np.linalg.cholesky(spd(4, seed=2))
+    inverse, logdet = ad.spd_inverse(a, jitter)
+    shifted = a + jitter * np.eye(4)
+    assert np.allclose(inverse.value, np.linalg.inv(shifted), rtol=1e-12, atol=1e-14)
+    assert np.isclose(logdet.value, np.linalg.slogdet(shifted)[1], rtol=1e-13)
     # only the lower triangle is read, so upper perturbations are inert
     upper = np.triu(RNG.standard_normal((4, 4)), k=1)
-    assert np.array_equal(ad.tril_inverse(lower + upper).value, ad.tril_inverse(lower).value)
+    assert np.array_equal(ad.spd_inverse(a + upper, jitter)[0].value, inverse.value)
+
+    def symmetric(a):
+        return 0.5 * (a + ad.transpose(a))
+
     weights = RNG.standard_normal((4, 4))
-    check(lambda l: ad.sum(ad.tril_inverse(l) * weights), lower, rtol=1e-5)
-    check(lambda l: ad.sum(ad.tril_inverse(l) ** 2), lower + upper, rtol=1e-5)
+
+    def both(a):
+        inverse, logdet = ad.spd_inverse(symmetric(a), jitter)
+        return ad.sum(inverse * weights) + 1.7 * logdet
+
+    check(both, a, rtol=1e-5)
+    # each output alone: the other one's cotangent is zero
+    check(lambda a: ad.sum(ad.spd_inverse(symmetric(a), jitter)[0] * weights), a, rtol=1e-5)
+    check(lambda a: ad.spd_inverse(symmetric(a), jitter)[1], a, rtol=1e-5)
 
 
 def test_tril_inverse_matches_triangular_solve_on_ill_conditioned_factor():
@@ -128,6 +131,45 @@ def test_tril_inverse_matches_triangular_solve_on_ill_conditioned_factor():
     expected = oracles.tril_inverse(lower)
     got = ad._tril_inverse(lower)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_fused_backward_runs_once_per_pass():
+    calls = []
+
+    def backward(g1, g2):
+        calls.append((g1, g2))
+        return g1.sum() + 2.0 * g2, None, g1.sum() - g2
+
+    a, b = ad.Node(np.asarray(1.0)), ad.Node(np.asarray(2.0))
+    first, second = ad.fused((np.zeros(3), np.asarray(0.0)), (a, 5.0, b), backward)
+    assert [p for p, _ in first.parents] == [a, b]
+    assert [p for p, _ in second.parents] == [first]
+    ga, gb = ad.grad(ad.sum(first) + 10.0 * second, [a, b])
+    assert len(calls) == 1
+    assert np.allclose(calls[0][0], 1.0) and np.isclose(calls[0][1], 10.0)
+    assert np.isclose(ga, 23.0) and np.isclose(gb, 3.0 - 10.0)
+    # a later pass that reaches only the first output hands the second a zero
+    ad.grad(ad.sum(first), [a])
+    assert len(calls) == 2 and calls[1][1] == 0.0
+
+
+def test_grad_skips_vjps_into_constants():
+    called = []
+
+    def vjp(name):
+        return lambda g: called.append(name) or g
+
+    leaf = ad.Node(np.asarray(1.0))
+    constant = ad.Node(np.asarray(2.0))
+    hidden = ad.Node(np.asarray(3.0), ((constant, vjp("hidden")),))
+    out = ad.Node(np.asarray(6.0), ((leaf, vjp("leaf")), (constant, vjp("constant")), (hidden, vjp("out"))))
+    ad.grad(out, [leaf])
+    # ``hidden`` has a parent, so it gets its VJP; no VJP goes into the constant
+    assert sorted(called) == ["leaf", "out"]
+    # a constant asked for is a leaf like any other
+    called.clear()
+    ad.grad(out, [leaf, constant])
+    assert sorted(called) == ["constant", "hidden", "leaf", "out"]
 
 
 def test_grad_requires_scalar():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from hiermogp import autodiff as ad
+from hiermogp import data, objective, training
 from hiermogp.elbo import elbo_per_output, elbo_shared
 from hiermogp.kernels import HierarchicalKernel, RBF, StationaryKernel, hier_block_cov, latent_cov
 from hiermogp.kron import CholeskyFactor
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.model import ElboBreakdown, ModelState
 from hiermogp.objective import read_data
+from hiermogp.params import ParamLayout
 
 from .helpers import random_per_output_data, random_shared_data, random_state
 from .oracles import (
@@ -454,3 +457,18 @@ def test_bound_tight_at_optimal_inducing_posterior():
         gap = exact - (bound.data_fit - bound.kl_inducing)
         assert abs(gap) < 1e-5, (trial, gap)
         assert bound.data_fit - bound.kl_inducing <= exact + 1e-6
+
+
+def test_desk_shaped_step_stays_within_its_tape_budget():
+    # 10 outputs with 3 replicas of per-output inputs, m_r=8 and m_h=6: the
+    # closed forms (Grams, psi statistics, KL terms, each inducing Gram's
+    # inverse and log-determinant) are fused nodes, and 130 nodes per step
+    # leaves room for a few more without undoing any of them
+    dataset = data.generate_synthetic(data.SyntheticConfig(n_outputs=10, n_replicas=3), seed=0)
+    train, _ = data.split(dataset, data.SplitPlan(mode="random_fraction", fraction=0.5, seed=0))
+    config = training.ModelConfig(inducing_per_replica=8, inducing_latent=6)
+    template = training.initialize_state(train, config, seed=0)
+    layout = ParamLayout(template)
+    bound_data = read_data(template, *train.training_arrays())
+    pieces, _ = objective.build_graph(layout.pack(template), layout, template, bound_data)
+    assert len(ad._topological_order(pieces.total)) <= 130

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermogp import autodiff as ad
 from hiermogp.elbo import elbo_per_output
 from hiermogp.kernels import MATERN32, RBF, StationaryKernel, latent_cov
-from hiermogp.latent import InducingState, LatentPosterior
+from hiermogp.latent import InducingState, LatentPosterior, kl_inducing, kl_latent, psi_stats
 from hiermogp.model import ModelState
 
-from .helpers import random_per_output_data, random_state
+from .helpers import check, random_per_output_data, random_state
 from .oracles import (
     kl_inducing_closed_form,
     kl_latent_closed_form,
@@ -175,6 +176,52 @@ def test_kl_latent_values():
 def test_kl_latent_nonnegative(seed):
     rng = np.random.default_rng(seed)
     assert kl_latent_closed_form(posterior(rng, 3, 2, var_scale=rng.uniform(0.1, 5.0))) >= -1e-10
+
+
+@pytest.mark.parametrize("d, q, m", [(3, 2, 4), (1, 1, 1), (4, 3, 2)])
+def test_psi_stats_vjp(d, q, m):
+    rng = np.random.default_rng(10 * d + m)
+    args = (
+        np.asarray(rng.uniform(0.5, 1.5)),
+        rng.uniform(0.6, 1.5, size=q),
+        rng.standard_normal((d, q)),
+        np.log(rng.uniform(0.1, 1.0, size=(d, q))),
+        rng.standard_normal((m, q)),
+    )
+    w1 = rng.standard_normal((d, m))
+    w2 = rng.standard_normal((d, m, m))
+
+    def weighted(*args, use1=True, use2=True):
+        psi1, psi2 = psi_stats(*args)
+        return (ad.sum(psi1 * w1) if use1 else 0.0) + (ad.sum(psi2 * w2) if use2 else 0.0)
+
+    check(weighted, *args)
+    # either statistic alone: the other one's cotangent is zero
+    check(lambda *a: weighted(*a, use2=False), *args)
+    check(lambda *a: weighted(*a, use1=False), *args)
+
+
+def test_kl_latent_vjp():
+    rng = np.random.default_rng(11)
+    check(kl_latent, rng.standard_normal((3, 2)), np.log(rng.uniform(0.1, 2.0, size=(3, 2))))
+
+
+def test_kl_inducing_vjp():
+    # the closed form holds for any matrices, so none is made symmetric here
+    rng = np.random.default_rng(12)
+    m_x, m_h = 4, 3
+    check(
+        kl_inducing,
+        rng.standard_normal((m_x, m_h)),
+        rng.standard_normal((m_h, m_h)),
+        rng.standard_normal((m_x, m_x)),
+        np.asarray(rng.standard_normal()),
+        np.asarray(rng.standard_normal()),
+        rng.standard_normal((m_h, m_h)),
+        rng.standard_normal((m_x, m_x)),
+        np.asarray(rng.standard_normal()),
+        np.asarray(rng.standard_normal()),
+    )
 
 
 def random_inducing(rng, m_h=2, m_x=4, q=2, v=1, mean_scale=1.0):

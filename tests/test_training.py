@@ -63,6 +63,23 @@ def test_span_lookup_and_mask():
         layout.mask_for(["no_such_span"])
 
 
+def test_mask_selects_exact_spans_at_twelve_replicas():
+    state = random_state(np.random.default_rng(3), n_replicas=12)
+    layout = ParamLayout(state)
+
+    def selected(names):
+        mask = layout.mask_for(names)
+        return [s.name for s in layout.spans if mask[s.start : s.stop].all()]
+
+    assert selected(["inducing_inputs_1"]) == ["inducing_inputs_1"]
+    assert selected(["inducing_inputs_11"]) == ["inducing_inputs_11"]
+    assert selected(["inducing_inputs"]) == [f"inducing_inputs_{r}" for r in range(12)]
+    assert layout.mask_for(["inducing_inputs_1"]).sum() == layout.span("inducing_inputs_1").size
+    for partial in ("inducing", "inducing_input", "log_noise", "log_noise_varianc", "inducing_inputs_12"):
+        with pytest.raises(KeyError):
+            layout.mask_for([partial])
+
+
 def test_gradient_zero_at_latent_prior():
     # kl_latent is minimised at mean zero, unit variance; with data terms
     # blocked out, those spans should carry zero gradient
