@@ -2,9 +2,9 @@
 
 A small tape of ``Node`` objects covering the generic operations the
 variational objective is assembled with: broadcasting arithmetic, ``exp``,
-``log`` and constant powers, reshapes, transposes, sums, concatenation,
-diagonal and strict-lower-triangle packing, and batched matmul. Every closed
-form with a known gradient is instead one fused node with a hand-written
+``log`` and constant powers, reshapes, transposes, sums, diagonal and
+strict-lower-triangle packing, and batched matmul. Every closed form with a
+known gradient is instead one fused node with a hand-written
 vector-Jacobian product, built with ``fused``: the inverse and
 log-determinant of a positive definite matrix (``spd_inverse``, here), the
 stationary Gram (``kernels.gram``), and the psi statistics and both KL terms
@@ -202,25 +202,6 @@ def sum(a, axis=None, keepdims=False) -> Node:  # noqa: A001 - mirrors numpy
         return np.broadcast_to(g_exp, shape)
 
     return Node(np.sum(a.value, axis=axis, keepdims=keepdims), ((a, vjp),))
-
-
-def concat(nodes, axis=0) -> Node:
-    nodes = [as_node(n) for n in nodes]
-    sizes = [n.value.shape[axis] for n in nodes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    value = np.concatenate([n.value for n in nodes], axis=axis)
-    return Node(value, tuple((n, make_vjp(i)) for i, n in enumerate(nodes)))
 
 
 def diag_embed(a) -> Node:

@@ -23,6 +23,8 @@ from . import __version__
 from .data import (
     CsvSchemaError,
     HierarchicalDataset,
+    OutputRecord,
+    ReplicaBlock,
     SplitPlan,
     SyntheticConfig,
     generate_synthetic,
@@ -290,24 +292,26 @@ def _original_moments(moments, standardization: dict | None):
     return moments.mean * y_std + standardization["y_mean"], moments.variance * y_std**2
 
 
-def _predict_dataset(state: ModelState, dataset: HierarchicalDataset, seed: int):
-    """Marginal predictions at every observed point of a dataset, row-aligned
-    with the CSV serialisation order (output-major, then replica). Rows of a
-    standardised dataset are in its original units."""
-    standardization = dataset.metadata.get("standardization")
-    original = unstandardize_dataset(dataset)
+def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, standardization: dict | None):
+    """Marginal predictions at every point of a dataset in original units,
+    row-aligned with the CSV serialisation order (output-major, then replica).
+    Each output is predicted in one call over its replica-tagged points, mapped
+    into model units with the saved standardisation constants."""
     rows = []
-    for d in range(dataset.n_outputs):
-        for r in range(dataset.n_replicas):
-            block = dataset.block(d, r)
-            if block.n_points == 0:
-                continue
-            tags = np.full(block.n_points, r, dtype=int)
-            moments = predict_marginal(state, block.inputs, tags, d, seed=seed)
-            mean, variance = _original_moments(moments, standardization)
-            raw = original.block(d, r)
-            for i in range(block.n_points):
-                rows.append((d, r, raw.inputs[i], mean[i], variance[i], raw.targets[i]))
+    for d in range(points.n_outputs):
+        blocks = points.per_output_blocks(d)
+        tags = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+        if tags.size == 0:
+            continue
+        raw_inputs = np.concatenate(blocks, axis=0)
+        inputs = raw_inputs
+        if standardization is not None:
+            inputs = (raw_inputs - np.asarray(standardization["x_mean"])) / np.asarray(standardization["x_std"])
+        moments = predict_marginal(state, inputs, tags, d, seed=seed)
+        mean, variance = _original_moments(moments, standardization)
+        targets = points.per_output_targets(d)
+        for i, r in enumerate(tags.tolist()):
+            rows.append((d, r, raw_inputs[i], mean[i], variance[i], targets[i]))
     return rows
 
 
@@ -348,6 +352,10 @@ def cmd_generate(config: RunConfig, out_dir: pathlib.Path) -> pathlib.Path:
 
 
 def _fit_once(config: RunConfig, dataset: HierarchicalDataset, seed: int, ablation: str | None) -> FitResult:
+    if config.model.regime == "shared" and not dataset.has_common_inputs():
+        raise ConfigError(
+            "model.regime: 'shared' needs every output of the training data on one common input grid"
+        )
     opt = dataclasses.replace(config.optimizer, seed=seed)
     return fit(dataset, _model_config(config, ablation), opt)
 
@@ -401,8 +409,6 @@ def _parse_grid(spec: str):
 def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 0) -> pathlib.Path:
     grid = _parse_grid(grid_spec) if at_path is None else None
     state, payload = _load_model(model_path)
-    standardization = payload.get("standardization")
-    rows = []
     input_dim = state.input_dim
     if at_path is not None:
         points = load_csv(at_path, targets_optional=True)
@@ -420,29 +426,14 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
                 f"points file uses replica indices up to {points.n_replicas - 1}, "
                 f"model has {state.n_replicas} replicas"
             )
-        targets_iter = [
-            (d, r, points.block(d, r).inputs)
-            for d in range(points.n_outputs)
-            for r in range(points.n_replicas)
-            if points.block(d, r).n_points > 0
-        ]
     else:
         if input_dim != 1:
             raise ConfigError("--grid only supports one-dimensional inputs")
-        targets_iter = [
-            (d, r, grid) for d in range(state.n_outputs) for r in range(state.n_replicas)
-        ]
-    for d, r, inputs in targets_iter:
-        raw_inputs = inputs
-        if standardization is not None:
-            x_mean = np.asarray(standardization["x_mean"])
-            x_std = np.asarray(standardization["x_std"])
-            inputs = (inputs - x_mean) / x_std
-        tags = np.full(inputs.shape[0], r, dtype=int)
-        moments = predict_marginal(state, inputs, tags, d, seed=seed)
-        mean, variance = _original_moments(moments, standardization)
-        for i in range(inputs.shape[0]):
-            rows.append((d, r, raw_inputs[i], mean[i], variance[i], np.nan))
+        unobserved = ReplicaBlock(grid, np.full(grid.shape[0], np.nan))
+        points = HierarchicalDataset(
+            outputs=[OutputRecord(replicas=[unobserved] * state.n_replicas) for _ in range(state.n_outputs)]
+        )
+    rows = _predict_dataset(state, points, seed, payload.get("standardization"))
     _write_predictions(rows, input_dim, out_path)
     print(f"wrote {out_path} ({len(rows)} predictions)")
     return pathlib.Path(out_path)
@@ -512,11 +503,13 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         plan = _plan_for_repeat(config, dataset, seed)
         train, test = _split(dataset, plan)
         save_csv(unstandardize_dataset(train), out_dir / f"train_rep{rep}.csv")
-        save_csv(unstandardize_dataset(test), out_dir / f"test_rep{rep}.csv")
+        test_original = unstandardize_dataset(test)
+        save_csv(test_original, out_dir / f"test_rep{rep}.csv")
         result = _fit_once(config, train, seed, ablation)
-        _save_model(result.state, out_dir / f"model_rep{rep}.json", _model_extras(train))
+        extras = _model_extras(train)
+        _save_model(result.state, out_dir / f"model_rep{rep}.json", extras)
         _write_trace(result.trace, out_dir / f"trace_rep{rep}.csv")
-        rows = _predict_dataset(result.state, test, seed)
+        rows = _predict_dataset(result.state, test_original, seed, extras.get("standardization"))
         _write_predictions(rows, dataset.input_dim, out_dir / f"predictions_rep{rep}.csv")
         metrics = _metrics_from_rows(rows)
         _write_json(metrics, out_dir / f"metrics_rep{rep}.json")

@@ -173,7 +173,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> HierarchicalDatase
 
     hier = HierarchicalKernel(shared=config.shared_kernel, replica=config.replica_kernel)
     kh = latent_cov(config.latent_kernel, latents, latents)
-    chol_h = cholesky_jitter(kh, base_jitter=1e-10).lower
+    chol_h, _ = cholesky_jitter(kh, base_jitter=1e-10)
     if config.share_inputs:
         pooled = [grids[0][rep] for rep in range(r)]
         rows_of = lambda d_idx, rep: np.arange(rep * n, (rep + 1) * n)
@@ -183,7 +183,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> HierarchicalDatase
         pooled = [np.concatenate([grids[di][rep] for di in range(d)], axis=0) for rep in range(r)]
         rows_of = lambda d_idx, rep: np.arange(rep * d * n + d_idx * n, rep * d * n + (d_idx + 1) * n)
     kx = hier_block_cov(hier, pooled, pooled)
-    chol_x = cholesky_jitter(kx, base_jitter=1e-10).lower
+    chol_x, _ = cholesky_jitter(kx, base_jitter=1e-10)
     white = rng.standard_normal((kx.shape[0], d))
     values = chol_x @ white @ chol_h.T  # (pooled points, outputs)
     noise = rng.normal(scale=np.sqrt(config.noise_variance), size=(d, r, n))

@@ -11,25 +11,11 @@ Kronecker helpers the tests check this structure with live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class IndefiniteMatrixError(np.linalg.LinAlgError):
     """Matrix stayed non positive definite after jitter escalation."""
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor of ``a + jitter_used * I``."""
-
-    lower: np.ndarray
-    jitter_used: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
 
 
 def _factor_with_jitter(a: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
@@ -59,11 +45,10 @@ def choose_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> float:
     return _factor_with_jitter(np.asarray(a, float), base_jitter)[1]
 
 
-def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> CholeskyFactor:
-    """Factor ``a + j * I`` for the smallest workable jitter ``j``, keeping the
-    factor of the trial that succeeded."""
+def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarray, float]:
+    """``(lower, j)``: the lower Cholesky factor of ``a + j * I`` for the
+    smallest workable jitter ``j``, from the trial that succeeded."""
     a = np.asarray(a, float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("cholesky_jitter requires a square matrix")
-    lower, jitter = _factor_with_jitter(a, base_jitter)
-    return CholeskyFactor(lower=lower, jitter_used=jitter)
+    return _factor_with_jitter(a, base_jitter)

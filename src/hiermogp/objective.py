@@ -10,8 +10,10 @@ come from ``latent``, each Gram is one ``kernels.gram`` node, and each
 inducing Gram's inverse and log-determinant is one ``autodiff.spd_inverse``
 node, factored with the jitter ``choose_jitter`` picks. The hierarchical
 Grams and the data-fit term are assembled here from generic tape
-operations. The forward value backs the public bound evaluation; the
-backward pass supplies analytic gradients for training.
+operations. The inducing inputs are one leaf of replica-tagged points, as
+the data are, so a step's tape has the same nodes at any replica count.
+The forward value backs the public bound evaluation; the backward pass
+supplies analytic gradients for training.
 
 The data reach the bound once, through ``read_data``: per-output input
 blocks and targets become a frozen ``BoundData`` of padded point groups,
@@ -143,9 +145,8 @@ def build_graph(
     lsh = ad.exp(leaves["log_latent_kernel_lengthscales"])
     mu = leaves["latent_mean"]
     log_s = leaves["latent_log_variance"]
-    z_blocks = [leaves[f"inducing_inputs_{r}"] for r in range(n_replicas)]
-    z = ad.concat(z_blocks, axis=0)
-    z_tags = np.repeat(np.arange(n_replicas), [b.shape[0] for b in z_blocks])
+    z = leaves["inducing_inputs"]  # (m_x, v): the replica blocks, stacked
+    z_tags = np.repeat(np.arange(n_replicas), [b.shape[0] for b in template.inducing.z_input])
     zh = leaves["inducing_latents"]
     m_mat = leaves["inducing_mean"]
 

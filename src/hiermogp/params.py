@@ -4,7 +4,9 @@ Every constrained quantity maps through a smooth bijection: variances,
 lengthscales and noise through ``log``, covariance factors through their
 lower triangle with a log diagonal. Locations and means pass through
 unchanged. The layout is an ordered list of named spans so gradients and
-diagnostics can always be attributed to a parameter group.
+diagnostics can always be attributed to a parameter group. The inducing
+inputs of every replica form one span, ``inducing_inputs``, of shape
+(m_x, v): the replica blocks stacked in order, as the bound reads them.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ class Span:
         return self.stop - self.start
 
 
-def _numbered_group(span_name: str) -> str | None:
-    """``inducing_inputs`` for ``inducing_inputs_3``; ``None`` for an unnumbered span."""
-    stem, _, number = span_name.rpartition("_")
-    return stem if number.isdigit() else None
-
-
 class ParamLayout:
     """Named spans of one flat vector, derived from a template state."""
 
@@ -57,8 +53,7 @@ class ParamLayout:
         shapes.append(("log_latent_kernel_lengthscales", (q,)))
         shapes.append(("latent_mean", (d, q)))
         shapes.append(("latent_log_variance", (d, q)))
-        for r, block in enumerate(ind.z_input):
-            shapes.append((f"inducing_inputs_{r}", block.shape))
+        shapes.append(("inducing_inputs", (ind.m_x, v)))
         shapes.append(("inducing_latents", (ind.m_h, q)))
         shapes.append(("inducing_mean", (ind.m_x, ind.m_h)))
         shapes.append(("cov_latent_offdiag", (ind.m_h * (ind.m_h - 1) // 2,)))
@@ -98,16 +93,13 @@ class ParamLayout:
         return theta
 
     def mask_for(self, names) -> np.ndarray:
-        """0/1 mask selecting the given spans. A name selects the span of that
-        name; ``inducing_inputs`` selects every replica's block of inducing
-        inputs (``inducing_inputs_0``, ``inducing_inputs_1``, ...)."""
+        """0/1 mask selecting the spans of the given names."""
         mask = np.zeros(self.size)
         for name in names:
-            matched = [s for s in self.spans if name in (s.name, _numbered_group(s.name))]
-            if not matched:
+            if name not in self._by_name:
                 raise KeyError(f"no parameter span named {name!r}")
-            for s in matched:
-                mask[s.start : s.stop] = 1.0
+            s = self._by_name[name]
+            mask[s.start : s.stop] = 1.0
         return mask
 
     # -- state <-> vector ---------------------------------------------------
@@ -124,8 +116,7 @@ class ParamLayout:
         arrays["log_latent_kernel_lengthscales"] = np.log(state.latent_kernel.lengthscales)
         arrays["latent_mean"] = state.latent_posterior.means
         arrays["latent_log_variance"] = np.log(state.latent_posterior.variances)
-        for r, block in enumerate(state.inducing.z_input):
-            arrays[f"inducing_inputs_{r}"] = block
+        arrays["inducing_inputs"] = np.concatenate(state.inducing.z_input, axis=0)
         arrays["inducing_latents"] = state.inducing.z_latent
         arrays["inducing_mean"] = state.inducing.mean
         for side, chol in (("latent", state.inducing.cov_latent_chol), ("input", state.inducing.cov_input_chol)):
@@ -169,8 +160,9 @@ class ParamLayout:
             return chol
 
         ind = template.inducing
+        ends = np.cumsum([b.shape[0] for b in ind.z_input])[:-1]
         inducing = InducingState(
-            z_input=[arrays[f"inducing_inputs_{r}"].copy() for r in range(ind.n_replicas)],
+            z_input=[b.copy() for b in np.split(arrays["inducing_inputs"], ends)],
             z_latent=arrays["inducing_latents"].copy(),
             mean=arrays["inducing_mean"].copy(),
             cov_latent_chol=build_chol("latent", ind.m_h),

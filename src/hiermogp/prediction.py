@@ -73,8 +73,8 @@ def _posterior(state: ModelState) -> _Posterior:
         ind = state.inducing
         kuu_x = hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)
         kuu_h = latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)
-        inv_x = _tril_inverse(cholesky_jitter(kuu_x).lower)
-        inv_h = _tril_inverse(cholesky_jitter(kuu_h).lower)
+        inv_x = _tril_inverse(cholesky_jitter(kuu_x)[0])
+        inv_h = _tril_inverse(cholesky_jitter(kuu_h)[0])
         post = _POSTERIORS[state] = _Posterior(
             inv_x=inv_x,
             inv_h=inv_h,

@@ -173,8 +173,8 @@ def initialize_state(
 
     kuu_x = hier_block_cov(hier, z_input, z_input)
     kuu_h = latent_cov(latent_kernel, z_latent, z_latent)
-    cov_input_chol = np.sqrt(0.1) * cholesky_jitter(kuu_x).lower
-    cov_latent_chol = np.sqrt(0.1) * cholesky_jitter(kuu_h).lower
+    cov_input_chol = np.sqrt(0.1) * cholesky_jitter(kuu_x)[0]
+    cov_latent_chol = np.sqrt(0.1) * cholesky_jitter(kuu_h)[0]
 
     inducing = InducingState(
         z_input=z_input,

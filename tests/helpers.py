@@ -1,8 +1,15 @@
 """Builders for random tiny model states and datasets used across tests,
-and finite-difference oracles for tape gradients and the bound's gradient."""
+finite-difference oracles for tape gradients and the bound's gradient, and
+a runner for child Python processes."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
+import hiermogp
 from hiermogp import autodiff as ad
 from hiermogp import objective
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
@@ -138,3 +145,10 @@ def check(build, *arrays, step=1e-6, rtol=1e-6, atol=1e-8):
 
         fd = fd_grad(value_at, array, step=step)
         assert np.allclose(grads[k], fd, rtol=rtol, atol=atol), f"leaf {k}"
+
+
+def run_child(*args):
+    """Run ``python *args`` with the same hiermogp as this process, installed or not."""
+    package_root = str(pathlib.Path(hiermogp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)

@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 from hiermogp import autodiff as ad
 from hiermogp import latent
 from hiermogp.kernels import eval_stationary, hier_block_cov, hier_cross_cov, latent_cov
-from hiermogp.kron import CholeskyFactor, choose_jitter, cholesky_jitter
+from hiermogp.kron import choose_jitter, cholesky_jitter
 from hiermogp.model import ElboBreakdown
 from hiermogp.prediction import PredictiveMoments
 
@@ -75,18 +75,19 @@ def tril_inverse(lower):
     return solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
 
 
-def tri_solve(factor, rhs):
-    """Solve ``(L L^T) x = rhs`` via two triangular solves."""
+def tri_solve(lower, rhs):
+    """Solve ``(L L^T) x = rhs`` for a lower Cholesky factor ``L`` via two triangular solves."""
     rhs = np.asarray(rhs, float)
-    if rhs.shape[0] != factor.n:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, factor is {factor.n}x{factor.n}")
-    half = solve_triangular(factor.lower, rhs, lower=True)
-    return solve_triangular(factor.lower, half, lower=True, trans="T")
+    n = lower.shape[0]
+    if rhs.shape[0] != n:
+        raise ValueError(f"rhs has {rhs.shape[0]} rows, factor is {n}x{n}")
+    half = solve_triangular(lower, rhs, lower=True)
+    return solve_triangular(lower, half, lower=True, trans="T")
 
 
-def logdet(factor):
-    """Log determinant of the factored matrix."""
-    return float(2.0 * np.sum(np.log(np.diag(factor.lower))))
+def logdet(lower):
+    """Log determinant of ``L L^T`` for a lower Cholesky factor ``L``."""
+    return float(2.0 * np.sum(np.log(np.diag(lower))))
 
 
 def full_cov(k_outputs, k_inputs):
@@ -132,8 +133,8 @@ def kl_latent_closed_form(posterior):
 
 def kl_inducing_closed_form(inducing, kuu_h, kuu_x):
     """``latent.kl_inducing`` of an inducing state against prior Grams."""
-    factor_h = cholesky_jitter(np.asarray(kuu_h, float))
-    factor_x = cholesky_jitter(np.asarray(kuu_x, float))
+    lower_h, _ = cholesky_jitter(np.asarray(kuu_h, float))
+    lower_x, _ = cholesky_jitter(np.asarray(kuu_x, float))
     return float(
         tape_value(
             latent.kl_inducing,
@@ -142,10 +143,10 @@ def kl_inducing_closed_form(inducing, kuu_h, kuu_x):
             inducing.cov_input,
             float(2.0 * np.sum(np.log(np.diag(inducing.cov_latent_chol)))),
             float(2.0 * np.sum(np.log(np.diag(inducing.cov_input_chol)))),
-            tri_solve(factor_h, np.eye(factor_h.n)),
-            tri_solve(factor_x, np.eye(factor_x.n)),
-            logdet(factor_h),
-            logdet(factor_x),
+            tri_solve(lower_h, np.eye(lower_h.shape[0])),
+            tri_solve(lower_x, np.eye(lower_x.shape[0])),
+            logdet(lower_h),
+            logdet(lower_x),
         )
     )
 
@@ -202,8 +203,8 @@ def elbo_naive_oracle(state, x, y, sigma_u=None):
     kuu_h = _jittered(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent))
     kuu_x = _jittered(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
     kuu = kron(kuu_h, kuu_x)
-    factor = CholeskyFactor(lower=np.linalg.cholesky(kuu))
-    kuu_inv = tri_solve(factor, np.eye(m_total))
+    lower = np.linalg.cholesky(kuu)
+    kuu_inv = tri_solve(lower, np.eye(m_total))
     m_vec = vec(ind.mean)
     if sigma_u is None:
         sigma_u = kron(ind.cov_latent, ind.cov_input)
@@ -244,7 +245,7 @@ def elbo_naive_oracle(state, x, y, sigma_u=None):
             - 0.5 * float(np.trace(kuu_inv @ phi_full @ kuu_inv @ mm_plus_su)) / sig2
         )
 
-    logdet_kuu = logdet(factor)
+    logdet_kuu = logdet(lower)
     logdet_su = float(2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(sigma_u)))))
     kl_inducing = 0.5 * (
         logdet_kuu
@@ -351,13 +352,13 @@ def optimal_inducing_dense(state, x, y):
 def mean_base(state, xstar, replica_tags):
     """``cross Kx^-1 M Kh^-1``: the conditional mean is this times a latent kernel row."""
     ind = state.inducing
-    factor_x = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
-    factor_h = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent))
+    lower_x, _ = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
+    lower_h, _ = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent))
     kh_inv = solve_triangular(
-        factor_h.lower, solve_triangular(factor_h.lower, np.eye(ind.m_h), lower=True), lower=True, trans="T"
+        lower_h, solve_triangular(lower_h, np.eye(ind.m_h), lower=True), lower=True, trans="T"
     )
     w = solve_triangular(
-        factor_x.lower, solve_triangular(factor_x.lower, ind.mean, lower=True), lower=True, trans="T"
+        lower_x, solve_triangular(lower_x, ind.mean, lower=True), lower=True, trans="T"
     ) @ kh_inv
     return hier_cross_cov(state.hier_kernel, xstar, replica_tags, ind.z_input) @ w
 
@@ -373,11 +374,11 @@ def predict_marginal_per_draw(
     """
     xstar = np.atleast_2d(np.asarray(xstar, float))
     ind = state.inducing
-    factor_x = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
-    factor_h = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent))
+    lower_x, _ = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
+    lower_h, _ = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent))
     cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, ind.z_input)
-    half = solve_triangular(factor_x.lower, cross.T, lower=True)
-    b = solve_triangular(factor_x.lower, half, lower=True, trans="T").T  # cross Kx^-1
+    half = solve_triangular(lower_x, cross.T, lower=True)
+    b = solve_triangular(lower_x, half, lower=True, trans="T").T  # cross Kx^-1
     nystrom_x = np.sum(b * cross, axis=1)
     smoothed_x = np.sum((b @ ind.cov_input) * b, axis=1)
 
@@ -386,8 +387,8 @@ def predict_marginal_per_draw(
     std = np.sqrt(state.latent_posterior.variances[output])
     draws = mu + std * rng.standard_normal((mc_samples, mu.shape[0]))
     rows = latent_cov(state.latent_kernel, draws, ind.z_latent)  # (s, m_h)
-    half_h = solve_triangular(factor_h.lower, rows.T, lower=True)
-    rows_inv = solve_triangular(factor_h.lower, half_h, lower=True, trans="T").T  # rows Kh^-1
+    half_h = solve_triangular(lower_h, rows.T, lower=True)
+    rows_inv = solve_triangular(lower_h, half_h, lower=True, trans="T").T  # rows Kh^-1
     nystrom_h = np.sum(rows_inv * rows, axis=1)
     smoothed_h = np.sum((rows_inv @ ind.cov_latent) * rows_inv, axis=1)
 

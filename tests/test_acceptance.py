@@ -83,15 +83,15 @@ def test_criterion_1_kronecker_algebra():
         assert np.array_equal(unvec(vec(w), cb, ca), w)
         # cholesky + solve + logdet against dense references
         spd = sa @ sa.T + ra * np.eye(ra)
-        factor = cholesky_jitter(spd)
-        rebuilt = factor.lower @ factor.lower.T - factor.jitter_used * np.eye(ra)
+        lower, jitter = cholesky_jitter(spd)
+        rebuilt = lower @ lower.T - jitter * np.eye(ra)
         worst = max(worst, float(np.abs(rebuilt - spd).max() / (1.0 + np.abs(spd).max())))
         rhs = rng.standard_normal((ra, 2))
-        solved = tri_solve(factor, rhs)
-        target = np.linalg.solve(spd + factor.jitter_used * np.eye(ra), rhs)
+        solved = tri_solve(lower, rhs)
+        target = np.linalg.solve(spd + jitter * np.eye(ra), rhs)
         worst = max(worst, float(np.abs(solved - target).max() / (1.0 + np.abs(target).max())))
-        sign, logabs = np.linalg.slogdet(spd + factor.jitter_used * np.eye(ra))
-        worst = max(worst, abs(logdet(factor) - logabs) / (1.0 + abs(logabs)))
+        sign, logabs = np.linalg.slogdet(spd + jitter * np.eye(ra))
+        worst = max(worst, abs(logdet(lower) - logabs) / (1.0 + abs(logabs)))
     assert worst < 1e-10, worst
     assert time.time() - started < 5.0
     report(1, "kronecker algebra vs dense brute force", started, f"max rel err {worst:.2e}")

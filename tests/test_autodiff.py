@@ -73,12 +73,6 @@ def test_matmul_with_constant_array_on_the_left():
         ad.matmul(np.ones(3), node)
 
 
-def test_concat():
-    a = RNG.standard_normal((2, 3))
-    b = RNG.standard_normal((4, 3))
-    check(lambda a, b: ad.sum(ad.concat([a, b], axis=0) ** 2), a, b)
-
-
 def test_diag_embed():
     v = RNG.standard_normal(4)
     weights = RNG.standard_normal((4, 4))

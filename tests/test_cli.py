@@ -1,14 +1,11 @@
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import yaml
 
-import hiermogp
+from hiermogp import cli
 from hiermogp.cli import ConfigError, RunConfig, load_config, main, run_experiment, run_eval
 from hiermogp.data import (
     HierarchicalDataset,
@@ -21,6 +18,10 @@ from hiermogp.data import (
     save_csv,
     split,
 )
+from hiermogp.model import state_from_dict
+from hiermogp.prediction import predict_marginal
+
+from .helpers import run_child
 
 
 def base_config(out_dir, iterations=40, repeats=2, seed=0):
@@ -308,22 +309,15 @@ def test_csv_dataset_experiment(tmp_path):
     assert (tmp_path / "runC" / "summary.json").exists()
 
 
-def _run_child(*args):
-    """Run ``python *args`` with the same hiermogp as this process, installed or not."""
-    package_root = str(pathlib.Path(hiermogp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-
-
 def test_console_entry_point_runs():
-    result = _run_child("-m", "hiermogp.cli", "--help")
+    result = run_child("-m", "hiermogp.cli", "--help")
     assert result.returncode == 0
     assert "generate" in result.stdout
     assert "experiment" in result.stdout
 
 
 def test_import_leaves_scipy_unloaded():
-    result = _run_child(
+    result = run_child(
         "-c",
         "import sys, hiermogp, hiermogp.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
@@ -422,6 +416,79 @@ def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, problem):
     code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"{pred}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, share_inputs, split_spec",
+    [
+        ("fit", False, None),
+        ("experiment", True, {"mode": "missing_replica", "missing": [[0, 1]]}),
+    ],
+)
+def test_shared_regime_without_a_common_grid_is_a_config_error(tmp_path, capsys, command, share_inputs, split_spec):
+    config = base_config(tmp_path / "run", iterations=2, repeats=1)
+    config["dataset"]["synthetic"]["share_inputs"] = share_inputs
+    config["model"]["regime"] = "shared"
+    if split_spec is None:
+        del config["split"]
+    else:
+        config["split"] = split_spec
+    assert main([command, "--config", str(write_config(tmp_path, config))]) == 2
+    assert "config error: model.regime: 'shared' needs every output" in capsys.readouterr().err
+    assert not list((tmp_path / "run").glob("model*.json"))
+
+
+def _count_predict_calls(monkeypatch):
+    """Outputs of the ``predict_marginal`` calls the CLI makes."""
+    outputs = []
+    predict = cli.predict_marginal
+
+    def counted(state, xstar, replica_tags, output, **kwargs):
+        outputs.append(output)
+        return predict(state, xstar, replica_tags, output, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_marginal", counted)
+    return outputs
+
+
+def _assert_rows_match_per_block_calls(model_path, points, predictions_path, seed=0):
+    state = state_from_dict(json.loads(model_path.read_text()))
+    expected = []
+    for d in range(points.n_outputs):
+        for r in range(points.n_replicas):
+            block = points.block(d, r)
+            if block.n_points:
+                moments = predict_marginal(state, block.inputs, np.full(block.n_points, r), d, seed=seed)
+                expected += zip(moments.mean, moments.variance)
+    rows = np.loadtxt(predictions_path, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == len(expected)
+    assert np.allclose(rows[:, -2:], expected, rtol=1e-12, atol=0.0)
+
+
+def test_experiment_predicts_each_output_in_one_call(tmp_path, monkeypatch):
+    outputs = _count_predict_calls(monkeypatch)
+    run_experiment(RunConfig(base_config(tmp_path, iterations=5, repeats=1)), tmp_path)
+    test = load_csv(tmp_path / "test_rep0.csv")
+    assert outputs == [d for d in range(test.n_outputs) if test.per_output_targets(d).size]
+    _assert_rows_match_per_block_calls(tmp_path / "model_rep0.json", test, tmp_path / "predictions_rep0.csv")
+
+
+def test_predict_at_predicts_each_output_in_one_call(tmp_path, monkeypatch):
+    outputs = _count_predict_calls(monkeypatch)
+    points = "output,replica,x_0\n0,1,0.3\n0,0,0.1\n2,1,0.2\n0,0,0.2\n2,0,0.7\n"
+    assert _predict_at(tmp_path, points) == 0
+    assert outputs == [0, 2]
+    rows = (tmp_path / "pred.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["0", "0", "0.10000000000000001"],
+        ["0", "0", "0.20000000000000001"],
+        ["0", "1", "0.29999999999999999"],
+        ["2", "0", "0.69999999999999996"],
+        ["2", "1", "0.20000000000000001"],
+    ]
+    _assert_rows_match_per_block_calls(
+        tmp_path / "fit" / "model.json", load_csv(tmp_path / "points.csv", targets_optional=True), tmp_path / "pred.csv"
+    )
 
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.yaml"))

@@ -5,7 +5,6 @@ from hiermogp import autodiff as ad
 from hiermogp import data, objective, training
 from hiermogp.elbo import elbo_per_output, elbo_shared
 from hiermogp.kernels import HierarchicalKernel, RBF, StationaryKernel, hier_block_cov, latent_cov
-from hiermogp.kron import CholeskyFactor
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.model import ElboBreakdown, ModelState
 from hiermogp.objective import read_data
@@ -248,7 +247,7 @@ def test_zero_data_reduction():
         _jittered(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)),
         _jittered(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)),
     )
-    kuu_inv = tri_solve(CholeskyFactor(np.linalg.cholesky(kuu)), np.eye(kuu.shape[0]))
+    kuu_inv = tri_solve(np.linalg.cholesky(kuu), np.eye(kuu.shape[0]))
     _, psi2 = psi_closed_form(state.latent_posterior, state.latent_kernel, ind.z_latent)
     kfu_x = hier_block_cov(state.hier_kernel, x, ind.z_input)
     phi = kron(np.sum(psi2, axis=0), kfu_x.T @ kfu_x)
@@ -459,16 +458,26 @@ def test_bound_tight_at_optimal_inducing_posterior():
         assert bound.data_fit - bound.kl_inducing <= exact + 1e-6
 
 
-def test_desk_shaped_step_stays_within_its_tape_budget():
-    # 10 outputs with 3 replicas of per-output inputs, m_r=8 and m_h=6: the
-    # closed forms (Grams, psi statistics, KL terms, each inducing Gram's
-    # inverse and log-determinant) are fused nodes, and 130 nodes per step
-    # leaves room for a few more without undoing any of them
-    dataset = data.generate_synthetic(data.SyntheticConfig(n_outputs=10, n_replicas=3), seed=0)
+def _step_tape_nodes(n_replicas, inducing_per_replica, inducing_latent):
+    """Nodes of one step's bound graph: 10 outputs with per-output inputs."""
+    config = data.SyntheticConfig(n_outputs=10, n_replicas=n_replicas)
+    dataset = data.generate_synthetic(config, seed=0)
     train, _ = data.split(dataset, data.SplitPlan(mode="random_fraction", fraction=0.5, seed=0))
-    config = training.ModelConfig(inducing_per_replica=8, inducing_latent=6)
-    template = training.initialize_state(train, config, seed=0)
+    model = training.ModelConfig(inducing_per_replica=inducing_per_replica, inducing_latent=inducing_latent)
+    template = training.initialize_state(train, model, seed=0)
     layout = ParamLayout(template)
     bound_data = read_data(template, *train.training_arrays())
     pieces, _ = objective.build_graph(layout.pack(template), layout, template, bound_data)
-    assert len(ad._topological_order(pieces.total)) <= 130
+    return len(ad._topological_order(pieces.total))
+
+
+def test_desk_shaped_step_stays_within_its_tape_budget():
+    # 10 outputs with 3 replicas of per-output inputs, m_r=8 and m_h=6: the
+    # closed forms (Grams, psi statistics, KL terms, each inducing Gram's
+    # inverse and log-determinant) are fused nodes, and the inducing inputs
+    # are one leaf
+    assert _step_tape_nodes(3, 8, 6) <= 120
+
+
+def test_step_tape_does_not_grow_with_replicas():
+    assert _step_tape_nodes(3, 6, 4) == _step_tape_nodes(12, 4, 10)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermogp.kron import CholeskyFactor, IndefiniteMatrixError, choose_jitter, cholesky_jitter
+from hiermogp.kron import IndefiniteMatrixError, choose_jitter, cholesky_jitter
 
 from .oracles import kron, kron_matvec, logdet, trace_kron, tri_solve, unvec, vec
 
@@ -100,21 +100,21 @@ def test_mixed_product_identity(na, nb, seed):
 
 
 def test_cholesky_identity_needs_no_jitter():
-    factor = cholesky_jitter(np.eye(3))
-    assert factor.jitter_used == 0.0
-    assert np.allclose(factor.lower, np.eye(3))
+    lower, jitter = cholesky_jitter(np.eye(3))
+    assert jitter == 0.0
+    assert np.allclose(lower, np.eye(3))
 
 
 def test_cholesky_hand_example():
-    factor = cholesky_jitter(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    assert factor.jitter_used == 0.0
-    assert np.allclose(factor.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
+    lower, jitter = cholesky_jitter(np.array([[4.0, 2.0], [2.0, 3.0]]))
+    assert jitter == 0.0
+    assert np.allclose(lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
 
 
 def test_cholesky_rank_deficient_gets_jitter():
-    factor = cholesky_jitter(np.ones((2, 2)))
-    assert factor.jitter_used > 0.0
-    rebuilt = factor.lower @ factor.lower.T - factor.jitter_used * np.eye(2)
+    lower, jitter = cholesky_jitter(np.ones((2, 2)))
+    assert jitter > 0.0
+    rebuilt = lower @ lower.T - jitter * np.eye(2)
     assert np.abs(rebuilt - np.ones((2, 2))).max() < 1e-8 * 2.0
 
 
@@ -135,13 +135,13 @@ def test_cholesky_keeps_the_factor_of_the_chosen_jitter():
     for name, a in cases.items():
         jitter = choose_jitter(a)
         expected = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]) if jitter > 0.0 else a)
-        factor = cholesky_jitter(a)
-        assert factor.jitter_used == jitter, name
-        assert np.array_equal(factor.lower, expected), name
-    assert cholesky_jitter(cases["positive definite"]).jitter_used == 0.0
-    assert cholesky_jitter(cases["near singular"]).jitter_used > 0.0
+        lower, jitter_used = cholesky_jitter(a)
+        assert jitter_used == jitter, name
+        assert np.array_equal(lower, expected), name
+    assert cholesky_jitter(cases["positive definite"])[1] == 0.0
+    assert cholesky_jitter(cases["near singular"])[1] > 0.0
     scale = np.mean(np.diag(cases["escalation"]))
-    assert cholesky_jitter(cases["escalation"]).jitter_used > 1e-6 * scale
+    assert cholesky_jitter(cases["escalation"])[1] > 1e-6 * scale
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,32 +149,31 @@ def test_cholesky_keeps_the_factor_of_the_chosen_jitter():
 def test_cholesky_reconstruction(n, seed):
     rng = np.random.default_rng(seed)
     a = random_spd(rng, n)
-    factor = cholesky_jitter(a)
-    rebuilt = factor.lower @ factor.lower.T - factor.jitter_used * np.eye(n)
+    lower, jitter = cholesky_jitter(a)
+    rebuilt = lower @ lower.T - jitter * np.eye(n)
     assert np.abs(rebuilt - a).max() < 1e-8 * (1.0 + np.abs(a).max())
-    assert np.all(np.diag(factor.lower) > 0.0)
+    assert np.all(np.diag(lower) > 0.0)
 
 
 def test_tri_solve_identity_factor():
     rhs = np.arange(6.0).reshape(3, 2)
-    factor = CholeskyFactor(lower=np.eye(3))
-    assert np.allclose(tri_solve(factor, rhs), rhs)
+    assert np.allclose(tri_solve(np.eye(3), rhs), rhs)
 
 
 def test_logdet_diagonal_case():
-    factor = cholesky_jitter(np.diag([4.0, 9.0]))
-    assert np.isclose(logdet(factor), np.log(36.0))
+    lower, _ = cholesky_jitter(np.diag([4.0, 9.0]))
+    assert np.isclose(logdet(lower), np.log(36.0))
 
 
 def test_tri_solve_matches_dense_inverse():
     rng = np.random.default_rng(7)
     a = random_spd(rng, 5)
     rhs = rng.standard_normal((5, 3))
-    factor = cholesky_jitter(a)
-    assert np.allclose(tri_solve(factor, rhs), np.linalg.inv(a) @ rhs, rtol=1e-10, atol=1e-10)
+    lower, _ = cholesky_jitter(a)
+    assert np.allclose(tri_solve(lower, rhs), np.linalg.inv(a) @ rhs, rtol=1e-10, atol=1e-10)
 
 
 def test_tri_solve_rejects_wrong_rows():
-    factor = cholesky_jitter(np.eye(3))
+    lower, _ = cholesky_jitter(np.eye(3))
     with pytest.raises(ValueError):
-        tri_solve(factor, np.zeros((4, 2)))
+        tri_solve(lower, np.zeros((4, 2)))

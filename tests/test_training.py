@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hiermogp.data import SyntheticConfig, generate_synthetic
+from hiermogp.latent import InducingState
 from hiermogp.objective import read_data
 from hiermogp.params import ParamLayout
 from hiermogp.training import (
@@ -19,6 +20,7 @@ from hiermogp.training import (
 
 from .helpers import (
     central_fd_grad,
+    random_chol,
     random_per_output_data,
     random_shared_data,
     random_state,
@@ -63,21 +65,45 @@ def test_span_lookup_and_mask():
         layout.mask_for(["no_such_span"])
 
 
-def test_mask_selects_exact_spans_at_twelve_replicas():
-    state = random_state(np.random.default_rng(3), n_replicas=12)
+def test_inducing_inputs_are_one_span_at_twelve_replicas():
+    # unequal replica blocks: sizes 1, 2, 3, 1, 2, 3, ...
+    rng = np.random.default_rng(3)
+    state = random_state(rng, n_replicas=12, input_dim=2)
+    sizes = [1 + r % 3 for r in range(12)]
+    m_x = sum(sizes)
+    state.inducing = InducingState(
+        z_input=[rng.uniform(size=(m, 2)) for m in sizes],
+        z_latent=state.inducing.z_latent,
+        mean=rng.standard_normal((m_x, state.inducing.m_h)),
+        cov_latent_chol=state.inducing.cov_latent_chol,
+        cov_input_chol=random_chol(rng, m_x),
+    )
     layout = ParamLayout(state)
+    theta = layout.pack(state)
 
-    def selected(names):
-        mask = layout.mask_for(names)
-        return [s.name for s in layout.spans if mask[s.start : s.stop].all()]
+    # the span sits where the per-replica spans were and holds their blocks in order
+    span = layout.span("inducing_inputs")
+    assert span.shape == (m_x, 2)
+    assert span.start == layout.span("latent_log_variance").stop
+    assert span.stop == layout.span("inducing_latents").start
+    assert np.array_equal(theta[span.start : span.stop], np.concatenate([b.ravel() for b in state.inducing.z_input]))
 
-    assert selected(["inducing_inputs_1"]) == ["inducing_inputs_1"]
-    assert selected(["inducing_inputs_11"]) == ["inducing_inputs_11"]
-    assert selected(["inducing_inputs"]) == [f"inducing_inputs_{r}" for r in range(12)]
-    assert layout.mask_for(["inducing_inputs_1"]).sum() == layout.span("inducing_inputs_1").size
-    for partial in ("inducing", "inducing_input", "log_noise", "log_noise_varianc", "inducing_inputs_12"):
+    # round trip: pack, unpack and pack again reproduce theta; blocks keep their sizes
+    rebuilt = layout.unpack(theta, state)
+    assert [b.shape for b in rebuilt.inducing.z_input] == [(m, 2) for m in sizes]
+    for got, want in zip(rebuilt.inducing.z_input, state.inducing.z_input):
+        assert np.array_equal(got, want)
+    repacked = layout.pack(rebuilt)
+    assert np.array_equal(repacked[span.start : span.stop], theta[span.start : span.stop])
+    assert np.allclose(repacked, theta, rtol=0, atol=1e-12)
+    random_theta = rng.standard_normal(layout.size)
+    unpacked = layout.unpack(random_theta, state)
+    assert np.array_equal(np.concatenate(unpacked.inducing.z_input).ravel(), random_theta[span.start : span.stop])
+
+    assert layout.mask_for(["inducing_inputs"]).sum() == m_x * 2
+    for name in ("inducing_inputs_1", "inducing_inputs_0", "inducing", "log_noise_varianc"):
         with pytest.raises(KeyError):
-            layout.mask_for([partial])
+            layout.mask_for([name])
 
 
 def test_gradient_zero_at_latent_prior():
