@@ -5,11 +5,10 @@ variational objective is assembled with: broadcasting arithmetic, ``exp``,
 ``log`` and constant powers, reshapes, transposes, sums, diagonal and
 strict-lower-triangle packing, and batched matmul. Every closed form with a
 known gradient is instead one fused node with a hand-written
-vector-Jacobian product, built with ``fused``: the inverse and
-log-determinant of a positive definite matrix (``spd_inverse``, here), the
-stationary Gram (``kernels.gram``), and the psi statistics and both KL terms
-(``latent``). The inverse rests on one numpy-only triangular inverse,
-``_tril_inverse``, which prediction uses too. ``grad`` runs no VJP into a
+vector-Jacobian product, built with ``fused``: the stationary Gram
+(``kernels.gram``), each inducing Gram's inverse and log-determinant
+(``kron.spd_inverse``), and the psi statistics and both KL terms
+(``latent``). The tape itself factors nothing. ``grad`` runs no VJP into a
 constant: a parentless node that is not a requested leaf. Values are float64
 throughout. The vector-Jacobian product of every primitive and fused node is
 checked against central finite differences in the test suite.
@@ -243,20 +242,6 @@ def matmul(a, b) -> Node:
     )
 
 
-def _tril_inverse(l: np.ndarray) -> np.ndarray:
-    """Inverse of the lower triangle of ``l``; the upper triangle is never read.
-
-    The solve runs on the triangle reversed in both axes, which is upper
-    triangular: partial pivoting finds nothing to swap and every elimination
-    multiplier is zero, so the LU factorisation is exact and the solve is
-    one substitution, in the row order of forward substitution on ``L`` as a
-    LAPACK triangular solve takes it. Solving against ``L`` itself pivots on
-    ill-conditioned factors and loses several times more accuracy. The
-    copy keeps the result contiguous, which matrix products need to be fast.
-    """
-    return np.linalg.solve(np.tril(l)[::-1, ::-1], np.eye(l.shape[0]))[::-1, ::-1].copy()
-
-
 # ---------------------------------------------------------------------------
 # fused nodes
 
@@ -304,33 +289,6 @@ def fused(values, args, backward):
 
     rest = tuple(Node(v, ((first, keep(k)),)) for k, v in enumerate(values[1:]))
     return (first, *rest) if several else first
-
-
-def spd_inverse(k, jitter: float = 0.0):
-    """``(A, log|K + jitter I|)`` with ``A = (K + jitter I)^-1``, as two nodes of
-    one closed form, for a symmetric positive definite ``K`` of which only
-    the lower triangle is read.
-
-    One Cholesky factor ``L`` gives both: ``A = L^-T L^-1`` and the
-    log-determinant ``2 sum(log diag L)``. The backward pass is
-    ``g_logdet A - A G A`` for the cotangents ``G`` of ``A`` and ``g_logdet``
-    of the log-determinant: the gradient of the matrix function, which on the
-    symmetric matrices the bound passes here is the gradient in ``K``."""
-    value = k.value if isinstance(k, Node) else np.asarray(k, float)
-    if jitter > 0.0:
-        value = value + jitter * np.eye(value.shape[0])
-    lower = np.linalg.cholesky(value)
-    half = _tril_inverse(lower)
-    inverse = half.T @ half
-    logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
-
-    def backward(g_inverse, g_logdet):
-        grad = inverse @ g_inverse @ inverse
-        grad *= -1.0
-        grad += g_logdet * inverse
-        return (grad,)
-
-    return fused((inverse, logdet), (k,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,11 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
     header = pred_lines[0].split(",") if pred_lines else []
     if header[:2] != ["output", "replica"] or header[-2:] != ["mean", "variance"]:
         raise ConfigError(f"{predictions_path}: expected output,replica,x_*,mean,variance columns")
+    if len(header) - 4 != truth.input_dim:
+        raise ConfigError(
+            f"{predictions_path} has {len(header) - 4} input columns, "
+            f"truth file {truth_path} has {truth.input_dim}"
+        )
     y_true, means, variances, outputs = [], [], [], []
     rows = []
     for line_no, line in enumerate(pred_lines[1:], start=2):

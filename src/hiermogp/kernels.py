@@ -19,7 +19,10 @@ distance sq = sum_k ((x1_k - x2_k) / l_k)^2 and r = sqrt(sq), the kernel is
 ``-1.5 v exp(-sqrt(3) r)``, finite at r = 0. ``eval_stationary`` serves the
 numpy callers (data generation, initialisation, prediction); ``gram`` is the
 same formula as one node of the ``autodiff`` tape for the bound, with its
-backward pass written by hand.
+backward pass written by hand. The hierarchical kernel has the same two
+forms: ``hier_cross_cov`` in numpy, one replica at a time, and
+``hier_gram`` on the tape, the bound's inducing Gram ``Kuu_x`` and its
+data/inducing cross covariance, masked by replica tags.
 """
 
 from __future__ import annotations
@@ -187,6 +190,20 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
         )
 
     return ad.fused(value, args, backward)
+
+
+def hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
+    """Hierarchical Gram of replica-tagged points on the tape, the form of
+    :func:`hier_cross_cov` the bound differentiates, batched over leading
+    axes: the shared kernel over every pair plus ``(tag_a == tag_b)`` times
+    the replica kernel. Each level is ``(family, variance, lengthscales)``
+    for :func:`gram`, and ``shared_params=None`` leaves the shared level out
+    (the flat ablation). Rows of ``xa`` tagged -1 are padding and come out
+    zero."""
+    within = gram(*replica_params, xa, xb) * (tags_a[..., :, None] == tags_b[..., None, :])
+    if shared_params is None:
+        return within
+    return gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
 
 
 def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:

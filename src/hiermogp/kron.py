@@ -1,10 +1,14 @@
-"""Cholesky factorisation with jitter escalation for the model's Gram matrices.
+"""Inducing Grams factored once: the jitter ladder, and the inverse and
+log-determinant the bound reads from the factor.
 
 Every inducing Gram in this package (``Kuu_h`` over latent coordinates,
 ``Kuu_x`` over replica-blocked inputs) is one factor of a Kronecker product,
-so only the factors are ever decomposed. A Gram that is numerically
-singular is factored with the smallest diagonal jitter from a fixed ladder,
-and the bound reports the jitter each Gram needed. The dense
+so only the factors are ever decomposed, and each once. ``cholesky_jitter``
+factors a Gram with the smallest diagonal jitter from a fixed ladder and
+returns the factor from the trial that succeeded, with the jitter the bound
+reports. ``spd_inverse`` builds the Gram's inverse and log-determinant from
+that factor as two nodes of the ``autodiff`` tape, and ``tril_inverse`` is
+the one numpy-only triangular inverse it and prediction share. The dense
 Kronecker helpers the tests check this structure with live in
 ``tests/oracles.py``.
 """
@@ -13,13 +17,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import fused
+
 
 class IndefiniteMatrixError(np.linalg.LinAlgError):
     """Matrix stayed non positive definite after jitter escalation."""
 
 
-def _factor_with_jitter(a: np.ndarray, base_jitter: float) -> tuple[np.ndarray, float]:
-    """``(lower factor of a + jitter * I, jitter)`` for the jitter :func:`choose_jitter` picks."""
+def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarray, float]:
+    """``(lower, j)``: the lower Cholesky factor of ``a + j * I`` for the
+    smallest ``j`` from ``{0} U {base * mean_diag * 10^k, k=0..6}`` that makes
+    it factorisable, from the trial that succeeded. Only the lower triangle
+    of ``a`` is read."""
+    a = np.asarray(a, float)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("cholesky_jitter requires a square matrix")
     try:
         return np.linalg.cholesky(a), 0.0
     except np.linalg.LinAlgError:
@@ -39,16 +51,39 @@ def _factor_with_jitter(a: np.ndarray, base_jitter: float) -> tuple[np.ndarray, 
     )
 
 
-def choose_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> float:
-    """Smallest jitter from ``{0} U {base * mean_diag * 10^k, k=0..6}`` that
-    makes ``a + jitter * I`` factorisable."""
-    return _factor_with_jitter(np.asarray(a, float), base_jitter)[1]
+def tril_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangle of ``l``; the upper triangle is never read.
+
+    The solve runs on the triangle reversed in both axes, which is upper
+    triangular: partial pivoting finds nothing to swap and every elimination
+    multiplier is zero, so the LU factorisation is exact and the solve is
+    one substitution, in the row order of forward substitution on ``L`` as a
+    LAPACK triangular solve takes it. Solving against ``L`` itself pivots on
+    ill-conditioned factors and loses several times more accuracy. The
+    copy keeps the result contiguous, which matrix products need to be fast.
+    """
+    return np.linalg.solve(np.tril(l)[::-1, ::-1], np.eye(l.shape[0]))[::-1, ::-1].copy()
 
 
-def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarray, float]:
-    """``(lower, j)``: the lower Cholesky factor of ``a + j * I`` for the
-    smallest workable jitter ``j``, from the trial that succeeded."""
-    a = np.asarray(a, float)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("cholesky_jitter requires a square matrix")
-    return _factor_with_jitter(a, base_jitter)
+def spd_inverse(k, lower: np.ndarray):
+    """``(A, log|K + j I|)`` with ``A = (K + j I)^-1``, as two nodes of one
+    closed form, from ``lower``, the factor of ``K + j I`` that
+    :func:`cholesky_jitter` returned for the value of ``K``.
+
+    ``A = L^-T L^-1`` and the log-determinant is ``2 sum(log diag L)``; no
+    factorisation runs here. The backward pass is ``g_logdet A - A G A`` for
+    the cotangents ``G`` of ``A`` and ``g_logdet`` of the log-determinant:
+    the gradient of the matrix function, which on the symmetric matrices the
+    bound passes here is the gradient in ``K``. The jitter is a constant of
+    the step, so it has no gradient."""
+    half = tril_inverse(lower)
+    inverse = half.T @ half
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
+
+    def backward(g_inverse, g_logdet):
+        grad = inverse @ g_inverse @ inverse
+        grad *= -1.0
+        grad += g_logdet * inverse
+        return (grad,)
+
+    return fused((inverse, logdet), (k,), backward)

@@ -4,14 +4,14 @@ Builds the bound as an autodiff graph over the flat unconstrained parameter
 vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
-(m_h * m_x)^2 is ever materialised. Every closed form is one fused tape node
-with a hand-written backward pass: the psi statistics and both KL terms
-come from ``latent``, each Gram is one ``kernels.gram`` node, and each
-inducing Gram's inverse and log-determinant is one ``autodiff.spd_inverse``
-node, factored with the jitter ``choose_jitter`` picks. The hierarchical
-Grams and the data-fit term are assembled here from generic tape
-operations. The inducing inputs are one leaf of replica-tagged points, as
-the data are, so a step's tape has the same nodes at any replica count.
+(m_h * m_x)^2 is ever materialised. This module only assembles the bound
+from pieces that live elsewhere: the psi statistics and both KL terms come
+from ``latent``, the Grams from ``kernels`` (``gram`` and ``hier_gram``),
+and each inducing Gram is factored once by the jitter ladder of ``kron``,
+whose factor gives its inverse and log-determinant (``kron.spd_inverse``).
+Only the data-fit term is built here from generic tape operations. The
+inducing inputs are one leaf of replica-tagged points, as the data are, so
+a step's tape has the same nodes at any replica count.
 The forward value backs the public bound evaluation; the backward pass
 supplies analytic gradients for training.
 
@@ -29,8 +29,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import common_inputs
-from .kernels import RBF, gram
-from .kron import choose_jitter
+from .kernels import RBF, gram, hier_gram
+from .kron import cholesky_jitter as choose_jitter  # the name perfbench/tracing.py wraps per step
+from .kron import spd_inverse
 from .latent import kl_inducing, kl_latent, psi_stats
 from .model import ElboBreakdown, ModelState
 from .params import ParamLayout
@@ -45,16 +46,6 @@ class GraphPieces:
     kl_latent: ad.Node
     total: ad.Node
     jitters: dict
-
-
-def _hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
-    """Hierarchical Gram of replica-tagged points: the shared kernel over every
-    pair plus ``(tag_a == tag_b)`` times the replica kernel. Rows of ``xa``
-    tagged -1 are padding and come out zero."""
-    within = gram(*replica_params, xa, xb) * (tags_a[..., :, None] == tags_b[..., None, :])
-    if shared_params is None:
-        return within
-    return gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
 
 
 @dataclass(frozen=True)
@@ -100,13 +91,6 @@ def read_data(template: ModelState, x, y) -> BoundData:
         tags[g, :n_g] = np.repeat(np.arange(n_replicas), [b.shape[0] for b in blocks])
     targets = targets.reshape(len(groups), -1, n_max)
     return BoundData(points, tags, targets, counts, np.sum(targets**2, axis=2).ravel())
-
-
-def _inverse_logdet(k: ad.Node, base_jitter: float):
-    """``(K^-1, log|K|, jitter)`` of an inducing Gram, with the smallest
-    jitter that factors it added to its diagonal."""
-    jitter = choose_jitter(k.value, base_jitter)
-    return (*ad.spd_inverse(k, jitter), jitter)
 
 
 def build_graph(
@@ -162,9 +146,11 @@ def build_graph(
     logdet_sx = 2.0 * ad.sum(leaves["cov_input_log_diag"])
 
     kuu_h = gram(RBF, vh, lsh, zh, zh)
-    kuu_x = _hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
-    a_h, logdet_kh, jitter_h = _inverse_logdet(kuu_h, base_jitter)
-    a_x, logdet_kx, jitter_x = _inverse_logdet(kuu_x, base_jitter)
+    kuu_x = hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
+    lower_h, jitter_h = choose_jitter(kuu_h.value, base_jitter)
+    lower_x, jitter_x = choose_jitter(kuu_x.value, base_jitter)
+    a_h, logdet_kh = spd_inverse(kuu_h, lower_h)
+    a_x, logdet_kx = spd_inverse(kuu_x, lower_x)
 
     kl_u = kl_inducing(m_mat, sigma_h, sigma_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx)
     kl_h = kl_latent(mu, log_s)
@@ -177,7 +163,7 @@ def build_graph(
     g_h = a_h @ sigma_h @ a_h
     g_x = a_x @ sigma_x @ a_x
     diag_amplitude = vf if flat else vf + vg  # self covariance of the input kernel
-    kfu = _hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (G, n, m_x)
+    kfu = hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (G, n, m_x)
     phi_x = ad.transpose(kfu, (0, 2, 1)) @ kfu  # (G, m_x, m_x)
     b = ad.reshape(ad.matmul(data.targets, kfu), (n_outputs, m_x))
 

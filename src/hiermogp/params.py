@@ -4,9 +4,11 @@ Every constrained quantity maps through a smooth bijection: variances,
 lengthscales and noise through ``log``, covariance factors through their
 lower triangle with a log diagonal. Locations and means pass through
 unchanged. The layout is an ordered list of named spans so gradients and
-diagnostics can always be attributed to a parameter group. The inducing
-inputs of every replica form one span, ``inducing_inputs``, of shape
-(m_x, v): the replica blocks stacked in order, as the bound reads them.
+diagnostics can always be attributed to a parameter group; their names,
+order and shapes come from the same map from state to unconstrained arrays
+that packing uses. The inducing inputs of every replica form one span,
+``inducing_inputs``, of shape (m_x, v): the replica blocks stacked in
+order, as the bound reads them.
 """
 
 from __future__ import annotations
@@ -32,42 +34,45 @@ class Span:
         return self.stop - self.start
 
 
+def _unconstrained(state: ModelState) -> dict[str, np.ndarray]:
+    """The state's unconstrained arrays by span name, in layout order: the
+    one map from state to vector, from which the spans take their names,
+    order and shapes."""
+    arrays: dict[str, np.ndarray] = {}
+    hk = state.hier_kernel
+    if hk.shared is not None:
+        arrays["log_shared_variance"] = np.log([hk.shared.variance])
+        arrays["log_shared_lengthscales"] = np.log(hk.shared.lengthscales)
+    arrays["log_replica_variance"] = np.log([hk.replica.variance])
+    arrays["log_replica_lengthscales"] = np.log(hk.replica.lengthscales)
+    arrays["log_latent_kernel_variance"] = np.log([state.latent_kernel.variance])
+    arrays["log_latent_kernel_lengthscales"] = np.log(state.latent_kernel.lengthscales)
+    arrays["latent_mean"] = state.latent_posterior.means
+    arrays["latent_log_variance"] = np.log(state.latent_posterior.variances)
+    arrays["inducing_inputs"] = np.concatenate(state.inducing.z_input, axis=0)
+    arrays["inducing_latents"] = state.inducing.z_latent
+    arrays["inducing_mean"] = state.inducing.mean
+    for side, chol in (("latent", state.inducing.cov_latent_chol), ("input", state.inducing.cov_input_chol)):
+        n = chol.shape[0]
+        rows, cols = np.tril_indices(n, k=-1)
+        arrays[f"cov_{side}_offdiag"] = chol[rows, cols]
+        arrays[f"cov_{side}_log_diag"] = np.log(np.diag(chol))
+    arrays["log_noise_variance"] = np.log(np.atleast_1d(state.noise_variance))
+    return arrays
+
+
 class ParamLayout:
     """Named spans of one flat vector, derived from a template state."""
 
     def __init__(self, template: ModelState):
         self._flat = template.is_flat
+        # at D=1 the span shape cannot tell tied noise from per-output noise
         self._per_output_noise = template.noise_variance.ndim == 1
-        shapes: list[tuple[str, tuple]] = []
-        hk = template.hier_kernel
-        v = hk.input_dim
-        q = template.latent_dim
-        d = template.n_outputs
-        ind = template.inducing
-        if not self._flat:
-            shapes.append(("log_shared_variance", (1,)))
-            shapes.append(("log_shared_lengthscales", (v,)))
-        shapes.append(("log_replica_variance", (1,)))
-        shapes.append(("log_replica_lengthscales", (v,)))
-        shapes.append(("log_latent_kernel_variance", (1,)))
-        shapes.append(("log_latent_kernel_lengthscales", (q,)))
-        shapes.append(("latent_mean", (d, q)))
-        shapes.append(("latent_log_variance", (d, q)))
-        shapes.append(("inducing_inputs", (ind.m_x, v)))
-        shapes.append(("inducing_latents", (ind.m_h, q)))
-        shapes.append(("inducing_mean", (ind.m_x, ind.m_h)))
-        shapes.append(("cov_latent_offdiag", (ind.m_h * (ind.m_h - 1) // 2,)))
-        shapes.append(("cov_latent_log_diag", (ind.m_h,)))
-        shapes.append(("cov_input_offdiag", (ind.m_x * (ind.m_x - 1) // 2,)))
-        shapes.append(("cov_input_log_diag", (ind.m_x,)))
-        shapes.append(("log_noise_variance", (d,) if self._per_output_noise else (1,)))
-
         spans = []
         offset = 0
-        for name, shape in shapes:
-            size = int(np.prod(shape, dtype=int))
-            spans.append(Span(name=name, shape=shape, start=offset, stop=offset + size))
-            offset += size
+        for name, array in _unconstrained(template).items():
+            spans.append(Span(name=name, shape=array.shape, start=offset, stop=offset + array.size))
+            offset += array.size
         self.spans: tuple[Span, ...] = tuple(spans)
         self.size = offset
         self._by_name = {s.name: s for s in self.spans}
@@ -105,27 +110,7 @@ class ParamLayout:
     # -- state <-> vector ---------------------------------------------------
 
     def pack(self, state: ModelState) -> np.ndarray:
-        arrays: dict[str, np.ndarray] = {}
-        hk = state.hier_kernel
-        if not self._flat:
-            arrays["log_shared_variance"] = np.log([hk.shared.variance])
-            arrays["log_shared_lengthscales"] = np.log(hk.shared.lengthscales)
-        arrays["log_replica_variance"] = np.log([hk.replica.variance])
-        arrays["log_replica_lengthscales"] = np.log(hk.replica.lengthscales)
-        arrays["log_latent_kernel_variance"] = np.log([state.latent_kernel.variance])
-        arrays["log_latent_kernel_lengthscales"] = np.log(state.latent_kernel.lengthscales)
-        arrays["latent_mean"] = state.latent_posterior.means
-        arrays["latent_log_variance"] = np.log(state.latent_posterior.variances)
-        arrays["inducing_inputs"] = np.concatenate(state.inducing.z_input, axis=0)
-        arrays["inducing_latents"] = state.inducing.z_latent
-        arrays["inducing_mean"] = state.inducing.mean
-        for side, chol in (("latent", state.inducing.cov_latent_chol), ("input", state.inducing.cov_input_chol)):
-            n = chol.shape[0]
-            rows, cols = np.tril_indices(n, k=-1)
-            arrays[f"cov_{side}_offdiag"] = chol[rows, cols]
-            arrays[f"cov_{side}_log_diag"] = np.log(np.diag(chol))
-        arrays["log_noise_variance"] = np.log(np.atleast_1d(state.noise_variance))
-        return self.join(arrays)
+        return self.join(_unconstrained(state))
 
     def unpack(self, theta: np.ndarray, template: ModelState) -> ModelState:
         arrays = self.split(np.asarray(theta, float))

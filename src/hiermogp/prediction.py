@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import _tril_inverse
 from .kernels import hier_block_cov, hier_cross_cov, latent_cov
-from .kron import cholesky_jitter
+from .kron import cholesky_jitter, tril_inverse
 from .model import ModelState
 
 log = logging.getLogger(__name__)
@@ -73,8 +72,8 @@ def _posterior(state: ModelState) -> _Posterior:
         ind = state.inducing
         kuu_x = hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)
         kuu_h = latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)
-        inv_x = _tril_inverse(cholesky_jitter(kuu_x)[0])
-        inv_h = _tril_inverse(cholesky_jitter(kuu_h)[0])
+        inv_x = tril_inverse(cholesky_jitter(kuu_x)[0])
+        inv_h = tril_inverse(cholesky_jitter(kuu_h)[0])
         post = _POSTERIORS[state] = _Posterior(
             inv_x=inv_x,
             inv_h=inv_h,

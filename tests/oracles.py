@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 from hiermogp import autodiff as ad
 from hiermogp import latent
 from hiermogp.kernels import eval_stationary, hier_block_cov, hier_cross_cov, latent_cov
-from hiermogp.kron import choose_jitter, cholesky_jitter
+from hiermogp.kron import cholesky_jitter
 from hiermogp.model import ElboBreakdown
 from hiermogp.prediction import PredictiveMoments
 
@@ -179,7 +179,7 @@ def _is_per_output(x):
 
 
 def _jittered(matrix, base_jitter=1e-6):
-    jitter = choose_jitter(matrix, base_jitter)
+    jitter = cholesky_jitter(matrix, base_jitter)[1]
     if jitter > 0.0:
         matrix = matrix + jitter * np.eye(matrix.shape[0])
     return matrix

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from hiermogp import autodiff as ad
-from hiermogp.kernels import RBF, StationaryKernel, eval_stationary
 
-from . import oracles
 from .helpers import check
 
 
@@ -84,47 +82,6 @@ def test_strict_lower_embed():
     check(lambda v: ad.sum(ad.strict_lower_embed(v, 3) ** 2 + 1.0), v)
     with pytest.raises(ValueError):
         ad.strict_lower_embed(ad.Node(np.zeros(2)), 3)
-
-
-def spd(n, seed=0):
-    b = np.random.default_rng(seed).standard_normal((n, n))
-    return b @ b.T + n * np.eye(n)
-
-
-@pytest.mark.parametrize("jitter", [0.0, 0.3])
-def test_spd_inverse_values_and_vjp(jitter):
-    a = spd(4, seed=1)
-    inverse, logdet = ad.spd_inverse(a, jitter)
-    shifted = a + jitter * np.eye(4)
-    assert np.allclose(inverse.value, np.linalg.inv(shifted), rtol=1e-12, atol=1e-14)
-    assert np.isclose(logdet.value, np.linalg.slogdet(shifted)[1], rtol=1e-13)
-    # only the lower triangle is read, so upper perturbations are inert
-    upper = np.triu(RNG.standard_normal((4, 4)), k=1)
-    assert np.array_equal(ad.spd_inverse(a + upper, jitter)[0].value, inverse.value)
-
-    def symmetric(a):
-        return 0.5 * (a + ad.transpose(a))
-
-    weights = RNG.standard_normal((4, 4))
-
-    def both(a):
-        inverse, logdet = ad.spd_inverse(symmetric(a), jitter)
-        return ad.sum(inverse * weights) + 1.7 * logdet
-
-    check(both, a, rtol=1e-5)
-    # each output alone: the other one's cotangent is zero
-    check(lambda a: ad.sum(ad.spd_inverse(symmetric(a), jitter)[0] * weights), a, rtol=1e-5)
-    check(lambda a: ad.spd_inverse(symmetric(a), jitter)[1], a, rtol=1e-5)
-
-
-def test_tril_inverse_matches_triangular_solve_on_ill_conditioned_factor():
-    x = np.linspace(0.0, 1.0, 8)[:, None]
-    gram = eval_stationary(StationaryKernel(RBF, 1.0, np.array([0.4])), x, x)
-    assert 1e6 < np.linalg.cond(gram) < 1e8
-    lower = np.linalg.cholesky(gram)
-    expected = oracles.tril_inverse(lower)
-    got = ad._tril_inverse(lower)
-    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_fused_backward_runs_once_per_pass():

@@ -3,6 +3,9 @@
 ``perfbench/run.py`` reaches the package through the module bindings its
 tracer wraps and through ``elbo.elbo_shared`` and ``elbo.elbo_per_output``,
 so a change that renames one of them or alters their signatures fails here.
+A binding that still exists but is no longer called would make its metric
+read 0 without any error, so the traced run checks that the bindings are
+called as often as the code calls them.
 """
 
 import json
@@ -25,3 +28,10 @@ def test_benchmark_runs_on_tiny_workload(trace):
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, result
+    if trace == "1":
+        metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+        # the bound factors each inducing Gram through objective.choose_jitter
+        assert metrics["kron.choose_jitter.ms_per_step"] > 0
+        # a fitted state's prediction factors Kuu_x and Kuu_h once each
+        assert metrics["kron.cholesky_jitter.calls_per_pass"] == 2
+        assert metrics["objective.tape_nodes_per_step"] == 120

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -416,6 +417,30 @@ def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, problem):
     code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"{pred}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "truth_header, truth_rows",
+    [
+        ("x_0", ["0,0,0.1,1.0", "0,0,0.2,2.0"]),
+        ("x_0,x_1", ["0,0,0.1,0.5,1.0", "0,0,0.2,0.5,2.0"]),
+    ],
+)
+def test_eval_rejects_predictions_with_another_input_dimension(tmp_path, capsys, truth_header, truth_rows):
+    # three input columns against a truth file with one or two
+    truth = tmp_path / "truth.csv"
+    truth.write_text(f"output,replica,{truth_header},y\n" + "\n".join(truth_rows) + "\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text(
+        "output,replica,x_0,x_1,x_2,mean,variance\n0,0,0.1,0.5,0.5,1.0,1.0\n0,0,0.2,0.5,0.5,2.0,1.0\n"
+    )
+    n_truth = truth_header.count(",") + 1
+    problem = f"{pred} has 3 input columns, truth file {truth} has {n_truth}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+        run_eval(pred, truth, tmp_path / "out")
+    code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert problem in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -481,3 +481,22 @@ def test_desk_shaped_step_stays_within_its_tape_budget():
 
 def test_step_tape_does_not_grow_with_replicas():
     assert _step_tape_nodes(3, 6, 4) == _step_tape_nodes(12, 4, 10)
+
+
+def test_bound_and_gradient_factor_each_inducing_gram_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    state = random_state(rng, n_outputs=3, n_replicas=2)
+    layout = ParamLayout(state)
+    bound_data = read_data(state, *random_per_output_data(rng, state))
+    calls = []
+    original = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _, _, jitters = objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
+    assert jitters == {"kuu_h": 0.0, "kuu_x": 0.0}
+    # one factor of Kuu_h and one of Kuu_x, each used for its inverse and log-determinant
+    assert sorted(calls) == [(2, 2), (4, 4)]

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermogp.kron import IndefiniteMatrixError, choose_jitter, cholesky_jitter
+from hiermogp import autodiff as ad
+from hiermogp.kernels import RBF, StationaryKernel, eval_stationary
+from hiermogp.kron import IndefiniteMatrixError, cholesky_jitter, spd_inverse, tril_inverse
 
+from . import oracles
+from .helpers import check
 from .oracles import kron, kron_matvec, logdet, trace_kron, tri_solve, unvec, vec
 
 
@@ -123,27 +127,6 @@ def test_cholesky_indefinite_raises():
         cholesky_jitter(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
-def test_cholesky_keeps_the_factor_of_the_chosen_jitter():
-    # the factor and jitter equal choosing the jitter first and factoring again
-    rng = np.random.default_rng(11)
-    b = rng.standard_normal((5, 2))
-    cases = {
-        "positive definite": random_spd(rng, 4),
-        "near singular": b @ b.T,
-        "escalation": np.diag([1.0, 1.0, -1e-5]),
-    }
-    for name, a in cases.items():
-        jitter = choose_jitter(a)
-        expected = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]) if jitter > 0.0 else a)
-        lower, jitter_used = cholesky_jitter(a)
-        assert jitter_used == jitter, name
-        assert np.array_equal(lower, expected), name
-    assert cholesky_jitter(cases["positive definite"])[1] == 0.0
-    assert cholesky_jitter(cases["near singular"])[1] > 0.0
-    scale = np.mean(np.diag(cases["escalation"]))
-    assert cholesky_jitter(cases["escalation"])[1] > 1e-6 * scale
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_cholesky_reconstruction(n, seed):
@@ -177,3 +160,69 @@ def test_tri_solve_rejects_wrong_rows():
     lower, _ = cholesky_jitter(np.eye(3))
     with pytest.raises(ValueError):
         tri_solve(lower, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_spd_inverse_values_and_vjp(jitter):
+    rng = np.random.default_rng(42)
+    a = random_spd(np.random.default_rng(1), 4)
+    shifted = a + jitter * np.eye(4)
+    inverse, logdet = spd_inverse(a, np.linalg.cholesky(shifted))
+    assert np.allclose(inverse.value, np.linalg.inv(shifted), rtol=1e-12, atol=1e-14)
+    assert np.isclose(logdet.value, np.linalg.slogdet(shifted)[1], rtol=1e-13)
+
+    def factored(a):
+        # the node and the factor of its value, as the bound passes them
+        symmetric = 0.5 * (a + ad.transpose(a))
+        return symmetric, np.linalg.cholesky(symmetric.value + jitter * np.eye(4))
+
+    weights = rng.standard_normal((4, 4))
+
+    def both(a):
+        inverse, logdet = spd_inverse(*factored(a))
+        return ad.sum(inverse * weights) + 1.7 * logdet
+
+    check(both, a, rtol=1e-5)
+    # each output alone: the other one's cotangent is zero
+    check(lambda a: ad.sum(spd_inverse(*factored(a))[0] * weights), a, rtol=1e-5)
+    check(lambda a: spd_inverse(*factored(a))[1], a, rtol=1e-5)
+
+
+@pytest.mark.parametrize("case", ["positive definite", "near singular", "escalation"])
+def test_ladder_and_inverse_read_only_the_lower_triangle(case):
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((5, 2))
+    a = {
+        "positive definite": random_spd(rng, 5),
+        "near singular": b @ b.T,
+        "escalation": np.diag([1.0, 1.0, 1.0, 1.0, -1e-5]),
+    }[case]
+    lower, jitter = cholesky_jitter(a)
+    if case == "positive definite":
+        assert jitter == 0.0
+    elif case == "near singular":
+        assert jitter > 0.0
+    else:  # past the first rung of the ladder
+        assert jitter > 1e-6 * np.mean(np.diag(a))
+    inverse, logdet = spd_inverse(a, lower)
+    shifted = a + jitter * np.eye(5)
+    expected = np.linalg.inv(shifted)
+    assert np.abs(inverse.value - expected).max() <= 1e-8 * np.abs(expected).max()
+    assert np.isclose(logdet.value, np.linalg.slogdet(shifted)[1], rtol=1e-10)
+    # upper perturbations of the Gram and of its factor are inert
+    upper = np.triu(rng.standard_normal((5, 5)), k=1)
+    lower_upset, jitter_upset = cholesky_jitter(a + upper)
+    assert jitter_upset == jitter
+    assert np.array_equal(lower_upset, lower)
+    assert np.array_equal(spd_inverse(a + upper, lower_upset)[0].value, inverse.value)
+    assert np.array_equal(tril_inverse(lower + upper), tril_inverse(lower))
+
+
+def test_tril_inverse_matches_triangular_solve_on_ill_conditioned_factor():
+    x = np.linspace(0.0, 1.0, 8)[:, None]
+    gram = eval_stationary(StationaryKernel(RBF, 1.0, np.array([0.4])), x, x)
+    assert 1e6 < np.linalg.cond(gram) < 1e8
+    lower = np.linalg.cholesky(gram)
+    expected = oracles.tril_inverse(lower)
+    got = tril_inverse(lower)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
