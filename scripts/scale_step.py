@@ -2,9 +2,15 @@
 """Cost of one bound-and-gradient step as the number of outputs grows.
 
 For each shape, samples a synthetic dataset on one common grid (10 points
-per replica), holds out half of every replica's points per output (so the
-training inputs differ per output), initialises a model as ``fit`` does,
-and times ``objective.evaluate_with_grad`` at the initial state. Prints one
+per replica), holds out half of every replica's points per output,
+initialises a model as ``fit`` does, and times
+``objective.evaluate_with_grad`` at the initial state. On the common grid
+the outputs' training points are drawn from 10 per replica, so the bound's
+Gram has that many rows whatever the number of outputs. The per-output shape
+gives every output inputs of its own, so every point is distinct and the
+Gram grows with the outputs; its targets are the common-grid draws, since
+the step's cost does not depend on their values and sampling distinct inputs
+jointly takes a Gram over all D * R * 10 points. Prints one
 line per shape: the median milliseconds per step over ``--steps`` steps,
 after one warm-up step, and the number of distinct tape nodes one step
 builds (its parameter and constant leaves included).
@@ -12,24 +18,51 @@ builds (its parameter and constant leaves included).
     OPENBLAS_NUM_THREADS=1 python3 scripts/scale_step.py [--steps 20]
 
 The shapes are D = 10, 200 and 1000 outputs with R = 3 replicas (6 inducing
-inputs per replica, 4 latent inducing points), and D = 200 with R = 12
-(4 inducing inputs per replica, 10 latent inducing points).
+inputs per replica, 4 latent inducing points) and D = 200 with R = 12
+(4 inducing inputs per replica, 10 latent inducing points), each on a
+common grid, and D = 1000 with R = 3 on per-output inputs.
 """
 
 import argparse
 import statistics
 import time
 
+import numpy as np
+
 from hiermogp import autodiff, data, objective, training
 from hiermogp.params import ParamLayout
 
-# (outputs, replicas, inducing inputs per replica, latent inducing points)
-SHAPES = ((10, 3, 6, 4), (200, 3, 6, 4), (1000, 3, 6, 4), (200, 12, 4, 10))
+# (outputs, replicas, inducing inputs per replica, latent inducing points, common grid)
+SHAPES = (
+    (10, 3, 6, 4, True),
+    (200, 3, 6, 4, True),
+    (1000, 3, 6, 4, True),
+    (200, 12, 4, 10, True),
+    (1000, 3, 6, 4, False),
+)
 
 
-def measure(n_outputs, n_replicas, m_r, m_h, steps, seed=0):
+def synthetic(n_outputs, n_replicas, share_inputs, seed):
     config = data.SyntheticConfig(n_outputs=n_outputs, n_replicas=n_replicas, share_inputs=True)
     dataset = data.generate_synthetic(config, seed)
+    if share_inputs:
+        return dataset
+    rng = np.random.default_rng(seed)
+    outputs = [
+        data.OutputRecord(
+            replicas=[
+                data.ReplicaBlock(np.sort(rng.uniform(size=b.inputs.shape), axis=0), b.targets)
+                for b in record.replicas
+            ],
+            name=record.name,
+        )
+        for record in dataset.outputs
+    ]
+    return data.HierarchicalDataset(outputs=outputs, metadata=dataset.metadata)
+
+
+def measure(n_outputs, n_replicas, m_r, m_h, share_inputs, steps, seed=0):
+    dataset = synthetic(n_outputs, n_replicas, share_inputs, seed)
     train, _ = data.split(dataset, data.SplitPlan(mode="random_fraction", fraction=0.5, seed=seed))
     model = training.ModelConfig(inducing_per_replica=m_r, inducing_latent=m_h)
     template = training.initialize_state(train, model, seed)
@@ -51,9 +84,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args()
-    for n_outputs, n_replicas, m_r, m_h in SHAPES:
-        ms, nodes = measure(n_outputs, n_replicas, m_r, m_h, args.steps)
-        print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h}  "
+    for n_outputs, n_replicas, m_r, m_h, share_inputs in SHAPES:
+        ms, nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
+        inputs = "common grid" if share_inputs else "per output "
+        print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h} {inputs}  "
               f"{ms:8.2f} ms/step  {nodes:4d} tape nodes", flush=True)
     return 0
 

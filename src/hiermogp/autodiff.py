@@ -1,17 +1,18 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A small tape of ``Node`` objects covering the generic operations the
-variational objective is assembled with: broadcasting arithmetic, ``exp``,
-``log`` and constant powers, reshapes, transposes, sums, diagonal and
+variational objective is assembled with: broadcasting arithmetic, ``exp``
+and constant powers, reshapes, transposes, sums, diagonal and
 strict-lower-triangle packing, and batched matmul. Every closed form with a
 known gradient is instead one fused node with a hand-written
 vector-Jacobian product, built with ``fused``: the stationary Gram
 (``kernels.gram``), each inducing Gram's inverse and log-determinant
-(``kron.spd_inverse``), and the psi statistics and both KL terms
-(``latent``). The tape itself factors nothing. ``grad`` runs no VJP into a
-constant: a parentless node that is not a requested leaf. Values are float64
-throughout. The vector-Jacobian product of every primitive and fused node is
-checked against central finite differences in the test suite.
+(``kron.spd_inverse``), the psi statistics and both KL terms (``latent``)
+and the data fit (``objective.data_fit``). The tape itself factors
+nothing. ``grad`` runs no VJP into a constant: a parentless node that is
+not a requested leaf. Values are float64 throughout. The vector-Jacobian
+product of every primitive and fused node is checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -149,11 +150,6 @@ def exp(a) -> Node:
     a = as_node(a)
     out = np.exp(a.value)
     return Node(out, ((a, lambda g: g * out),))
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    return Node(np.log(a.value), ((a, lambda g: g / a.value),))
 
 
 def power(a, exponent: float) -> Node:

@@ -92,21 +92,19 @@ _SYNTHETIC_SCALARS = {
     "share_inputs": bool,
 }
 _SYNTHETIC_KERNELS = ("shared_kernel", "replica_kernel", "latent_kernel")
-_MODEL_FIELDS = {
-    "latent_dim": int,
-    "inducing_per_replica": int,
-    "inducing_latent": int,
-    "shared_family": str,
-    "replica_family": str,
-    "regime": str,
-}
-_OPTIMIZER_FIELDS = {
-    "learning_rate": float,
-    "iterations": int,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-}
+
+
+def _config_fields(config_class, set_elsewhere) -> dict:
+    """The fields of a config dataclass a YAML section may set, each typed as
+    its default; ``set_elsewhere`` names the fields the CLI sets itself."""
+    fields = dataclasses.fields(config_class)
+    return {f.name: type(f.default) for f in fields if f.name not in set_elsewhere}
+
+
+# ``flat`` comes from the ablation, ``seed`` from the run seed and
+# ``trainable`` is the library's (every span is trained)
+_MODEL_FIELDS = _config_fields(ModelConfig, ("flat",))
+_OPTIMIZER_FIELDS = _config_fields(OptimizerConfig, ("seed", "trainable"))
 
 
 def _kernel_from_config(node, path, default: StationaryKernel) -> StationaryKernel:

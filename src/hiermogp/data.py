@@ -112,12 +112,8 @@ class HierarchicalDataset:
 
     def has_common_inputs(self) -> bool:
         """True when every output is observed on the same inputs, in order."""
-        return common_inputs([self.per_output_blocks(d) for d in range(self.n_outputs)])
-
-
-def common_inputs(x) -> bool:
-    """True when every output's list of input blocks equals the first's."""
-    return all(np.array_equal(a, b) for blocks in x[1:] for a, b in zip(x[0], blocks))
+        x = [self.per_output_blocks(d) for d in range(self.n_outputs)]
+        return all(np.array_equal(a, b) for blocks in x[1:] for a, b in zip(x[0], blocks))
 
 
 @dataclass

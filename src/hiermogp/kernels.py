@@ -22,7 +22,7 @@ same formula as one node of the ``autodiff`` tape for the bound, with its
 backward pass written by hand. The hierarchical kernel has the same two
 forms: ``hier_cross_cov`` in numpy, one replica at a time, and
 ``hier_gram`` on the tape, the bound's inducing Gram ``Kuu_x`` and its
-data/inducing cross covariance, masked by replica tags.
+cross covariance with the distinct training points, masked by replica tags.
 """
 
 from __future__ import annotations
@@ -194,16 +194,14 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
 
 def hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
     """Hierarchical Gram of replica-tagged points on the tape, the form of
-    :func:`hier_cross_cov` the bound differentiates, batched over leading
-    axes: the shared kernel over every pair plus ``(tag_a == tag_b)`` times
-    the replica kernel. Each level is ``(family, variance, lengthscales)``
-    for :func:`gram`, and ``shared_params=None`` leaves the shared level out
-    (the flat ablation). Rows of ``xa`` tagged -1 are padding and come out
-    zero."""
-    within = gram(*replica_params, xa, xb) * (tags_a[..., :, None] == tags_b[..., None, :])
+    :func:`hier_cross_cov` the bound differentiates: the shared kernel over
+    every pair plus ``(tag_a == tag_b)`` times the replica kernel. Each level
+    is ``(family, variance, lengthscales)`` for :func:`gram`, and
+    ``shared_params=None`` leaves the shared level out (the flat ablation)."""
+    within = gram(*replica_params, xa, xb) * (tags_a[:, None] == tags_b[None, :])
     if shared_params is None:
         return within
-    return gram(*shared_params, xa, xb) * (tags_a >= 0)[..., :, None] + within
+    return gram(*shared_params, xa, xb) + within
 
 
 def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:

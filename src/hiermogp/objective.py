@@ -4,22 +4,24 @@ Builds the bound as an autodiff graph over the flat unconstrained parameter
 vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
-(m_h * m_x)^2 is ever materialised. This module only assembles the bound
-from pieces that live elsewhere: the psi statistics and both KL terms come
-from ``latent``, the Grams from ``kernels`` (``gram`` and ``hier_gram``),
-and each inducing Gram is factored once by the jitter ladder of ``kron``,
-whose factor gives its inverse and log-determinant (``kron.spd_inverse``).
-Only the data-fit term is built here from generic tape operations. The
-inducing inputs are one leaf of replica-tagged points, as the data are, so
-a step's tape has the same nodes at any replica count.
+(m_h * m_x)^2 is ever materialised. The psi statistics and both KL terms
+come from ``latent``, the Grams from ``kernels`` (``gram`` and
+``hier_gram``), and each inducing Gram is factored once by the jitter ladder
+of ``kron``, whose factor gives its inverse and log-determinant
+(``kron.spd_inverse``). The data-fit term is the one closed form written
+here, as one fused node with a hand-written backward pass (``data_fit``).
+The inducing inputs are one leaf of replica-tagged points, as the data are,
+so a step's tape has the same nodes at any replica count.
 The forward value backs the public bound evaluation; the backward pass
 supplies analytic gradients for training.
 
 The data reach the bound once, through ``read_data``: per-output input
-blocks and targets become a frozen ``BoundData`` of padded point groups,
-which every evaluation reuses. The noise in the template state is one
-variance per output or one tied across outputs; the bound has no other
-notion of a data regime."""
+blocks and targets become a frozen ``BoundData`` of the distinct tagged
+points and one index into them per output, which every evaluation reuses,
+so the data/inducing Gram has one row per distinct point however many
+outputs observe it. The noise in the template state is one variance per
+output or one tied across outputs; the bound has no other notion of a data
+regime."""
 
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import common_inputs
 from .kernels import RBF, gram, hier_gram
 from .kron import cholesky_jitter as choose_jitter  # the name perfbench/tracing.py wraps per step
 from .kron import spd_inverse
@@ -50,19 +51,21 @@ class GraphPieces:
 
 @dataclass(frozen=True)
 class BoundData:
-    """Training data as the bound reads it, in G groups of padded,
-    replica-tagged input points: one group carrying every output when all
-    outputs have the same input blocks, one group per output otherwise.
-    Padding rows are tagged -1 and have zero targets."""
+    """Training data as the bound reads it: the N_u distinct replica-tagged
+    points, and per output an index into them with the targets laid out
+    along it. Indices are padded with N_u, which names a zero row appended
+    to every per-point array, and the padding's targets are zero. On a
+    common grid every output indexes every point."""
 
-    points: np.ndarray  # (G, n, v)
-    tags: np.ndarray  # (G, n)
-    targets: np.ndarray  # (G, D/G, n)
+    points: np.ndarray  # (N_u, v)
+    tags: np.ndarray  # (N_u,)
+    index: np.ndarray  # (D, n_max)
+    targets: np.ndarray  # (D, n_max)
     counts: np.ndarray  # (D,) points per output
     yy: np.ndarray  # (D,) y_d^T y_d
 
     def __post_init__(self):
-        for array in (self.points, self.tags, self.targets, self.counts, self.yy):
+        for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy):
             array.flags.writeable = False
 
 
@@ -74,23 +77,127 @@ def read_data(template: ModelState, x, y) -> BoundData:
     x = [[np.atleast_2d(np.asarray(b, float)) for b in blocks] for blocks in x]
     y = [np.asarray(y_d, float).ravel() for y_d in y]
     counts = np.array([sum(b.shape[0] for b in blocks) for blocks in x], float)
-    n_max = int(counts.max())
-    targets = np.zeros((n_outputs, n_max))
     for d, blocks in enumerate(x):
         if len(blocks) != n_replicas:
             raise ValueError(f"output {d}: expected {n_replicas} replica blocks")
         if y[d].size != counts[d]:
             raise ValueError(f"output {d}: {y[d].size} targets for {int(counts[d])} points")
-        targets[d, : y[d].size] = y[d]
-    groups = x[:1] if common_inputs(x) else x
-    points = np.zeros((len(groups), n_max, template.input_dim))
-    tags = np.full((len(groups), n_max), -1)
-    for g, blocks in enumerate(groups):
-        n_g = int(counts[g])
-        points[g, :n_g] = np.concatenate(blocks, axis=0)
-        tags[g, :n_g] = np.repeat(np.arange(n_replicas), [b.shape[0] for b in blocks])
-    targets = targets.reshape(len(groups), -1, n_max)
-    return BoundData(points, tags, targets, counts, np.sum(targets**2, axis=2).ravel())
+    # every observed point as a (tag, input) row, output by output; equal rows are one point
+    tagged = [np.column_stack([np.full(b.shape[0], r), b]) for blocks in x for r, b in enumerate(blocks)]
+    distinct, rows = np.unique(np.concatenate(tagged), axis=0, return_inverse=True)
+    rows = np.split(rows.ravel(), np.cumsum(counts[:-1]).astype(int))
+    n_max = int(counts.max(initial=0))
+    index = np.full((n_outputs, n_max), distinct.shape[0])
+    targets = np.zeros((n_outputs, n_max))
+    for d, (rows_d, y_d) in enumerate(zip(rows, y)):
+        index[d, : y_d.size] = rows_d
+        targets[d, : y_d.size] = y_d
+    points, tags = distinct[:, 1:].copy(), distinct[:, 0].astype(int)
+    return BoundData(points, tags, index, targets, counts, np.sum(targets**2, axis=1))
+
+
+def _sum_to_points(values: np.ndarray, index: np.ndarray, n_points: int) -> np.ndarray:
+    """(n_points, c): the (D, n_max, c) ``values`` summed onto the points
+    ``index`` names, with the padding's sum dropped."""
+    flat = index.ravel()
+    columns = values.reshape(flat.size, values.shape[-1])
+    return np.stack(
+        [np.bincount(flat, column, minlength=n_points + 1)[:n_points] for column in columns.T], axis=1
+    )
+
+
+def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise):
+    """The bound's expected log-likelihood of ``data``, summed over outputs,
+    as one node.
+
+    ``kfu`` is the (N_u, m_x) Gram between the distinct points of ``data`` and
+    the inducing inputs; ``psi1`` and ``psi2`` are the outputs' psi
+    statistics; ``a_x`` and ``a_h`` the inverse inducing Grams; ``mean`` the
+    (m_x, m_h) inducing mean; ``sigma_x`` and ``sigma_h`` the inducing
+    covariance factors; ``variance * amplitude`` the prior variance of one
+    point; and ``log_noise`` the log noise variance, per output (D,) or tied
+    (1,).
+
+    Output d reads the rows ``I_d`` of ``K = kfu``. With ``U = K A_x M``,
+    ``Q_d = A_h psi2_d A_h`` and ``G = A S A`` on either side, its statistics
+    are ``y_d^T U[I_d] A_h psi1_d``, ``tr(Q_d U[I_d]^T U[I_d])`` and the
+    traces ``tr(K[I_d]^T K[I_d] B) = sum_{i in I_d} (K B K^T)_ii`` for
+    ``B = A_x`` and ``G_x``. So every product over the inducing inputs runs
+    once per distinct point, and the per-output work is gathers and batched
+    products m_h wide. The gradient is exact where ``a_x`` and ``sigma_x``
+    are symmetric, as the bound's are."""
+    args = (kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise)
+    k, p1, p2, a_x, a_h, m, s_x, s_h, vh, amp, log_noise = (ad.as_node(a).value for a in args)
+    index, y, n = data.index, data.targets, data.counts
+    n_points = k.shape[0]
+    g_h = a_h @ s_h @ a_h
+    s_a = s_x @ a_x
+    k_a = k @ a_x
+    k_g, u = k_a @ s_a, k_a @ m  # K G_x and U
+
+    def per_output(per_point):  # (N_u,) -> (D,)
+        return np.append(per_point, 0.0)[index].sum(axis=1)
+
+    tr_a = per_output(np.einsum("ij,ij->i", k_a, k))
+    tr_g = per_output(np.einsum("ij,ij->i", k_g, k))
+    u_d = np.concatenate([u, np.zeros((1, u.shape[1]))])[index]  # (D, n_max, m_h)
+    yu = (y[:, None, :] @ u_d)[:, 0]
+    ah_p1 = p1 @ a_h.T
+    data_dot = np.sum(yu * ah_p1, axis=1)
+    p2_a = p2 @ a_h
+    q = a_h @ p2_a
+    uu = np.swapaxes(u_d, 1, 2) @ u_d
+    quad_m = np.sum(uu * q, axis=(1, 2))
+    th_a = np.sum(p2 * a_h, axis=(1, 2))
+    th_g = np.sum(p2 * g_h, axis=(1, 2))
+    sigma2 = np.exp(log_noise)
+    inner = data_dot - 0.5 * (data.yy + vh * amp * n - th_a * tr_a + quad_m + th_g * tr_g)
+    # the log of the variance itself: a variance that overflows leaves the bound non-finite
+    value = np.sum(-0.5 * n * (_LOG_2PI + np.log(sigma2)) + inner / sigma2)
+
+    def backward(g):
+        w = np.broadcast_to(g / sigma2, n.shape)  # the cotangent of each output's data_dot
+        half = 0.5 * w
+        d_uu = -half[:, None, None] * q
+        d_q = -half[:, None, None] * uu
+        d_th_a, d_th_g = half * tr_a, -half * tr_g
+        d_u_d = (w[:, None] * y)[:, :, None] * ah_p1[:, None, :] + u_d @ (d_uu + np.swapaxes(d_uu, 1, 2))
+        d_tr = np.stack([half * th_a, -half * th_g], axis=1)  # of each output's two traces
+        # each point collects the cotangents of the outputs indexing it
+        per_point = np.concatenate([np.broadcast_to(d_tr[:, None], (*index.shape, 2)), d_u_d], axis=2)
+        c_a, c_g, d_u = np.split(_sum_to_points(per_point, index, n_points), [1, 2], axis=1)
+        d_k = d_u @ (a_x @ m).T
+        d_k += (2.0 * c_a) * k_a
+        d_k += (2.0 * c_g) * k_g
+        d_gx = (c_g * k).T @ k
+        d_ax_m = k.T @ d_u
+        d_ax = (c_a * k).T @ k + d_gx @ s_a.T + (a_x @ s_x).T @ d_gx + d_ax_m @ m.T
+        d_ah_p1 = w[:, None] * yu
+        d_gh = np.tensordot(d_th_g, p2, axes=1)
+        d_ah = (
+            d_ah_p1.T @ p1
+            + np.sum(d_q @ np.swapaxes(p2_a, 1, 2) + np.swapaxes(a_h @ p2, 1, 2) @ d_q, axis=0)
+            + np.tensordot(d_th_a, p2, axes=1)
+            + d_gh @ (s_h @ a_h).T
+            + (a_h @ s_h).T @ d_gh
+        )
+        d_p2 = a_h.T @ d_q @ a_h.T + d_th_a[:, None, None] * a_h + d_th_g[:, None, None] * g_h
+        d_psi0 = -np.sum(half * n)
+        return (
+            d_k,
+            d_ah_p1 @ a_h,
+            d_p2,
+            d_ax,
+            d_ah,
+            a_x.T @ d_ax_m,
+            a_x.T @ d_gx @ a_x.T,
+            a_h.T @ d_gh @ a_h.T,
+            d_psi0 * amp,
+            d_psi0 * vh,
+            ad._unbroadcast(-0.5 * g * n - w * inner, log_noise.shape),
+        )
+
+    return ad.fused(value, args, backward)
 
 
 def build_graph(
@@ -106,7 +213,6 @@ def build_graph(
     arrays = layout.split(np.asarray(theta, float))
     leaves = {name: ad.Node(value) for name, value in arrays.items()}
     flat = template.is_flat
-    n_outputs = template.n_outputs
     n_replicas = template.n_replicas
     m_h = template.inducing.m_h
     m_x = template.inducing.m_x
@@ -155,38 +261,15 @@ def build_graph(
     kl_u = kl_inducing(m_mat, sigma_h, sigma_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx)
     kl_h = kl_latent(mu, log_s)
     psi1, psi2 = psi_stats(vh, lsh, mu, log_s, zh)
-
-    # data fit: one term per output, from the statistics Phi_x[d] = Kfu_d^T Kfu_d
-    # and b[d] = Kfu_d^T y_d; a group's Phi_x serves each output it carries
-    ax_m = a_x @ m_mat
-    w = ax_m @ a_h  # Kx^-1 M Kh^-1
-    g_h = a_h @ sigma_h @ a_h
-    g_x = a_x @ sigma_x @ a_x
-    diag_amplitude = vf if flat else vf + vg  # self covariance of the input kernel
-    kfu = hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (G, n, m_x)
-    phi_x = ad.transpose(kfu, (0, 2, 1)) @ kfu  # (G, m_x, m_x)
-    b = ad.reshape(ad.matmul(data.targets, kfu), (n_outputs, m_x))
-
-    def tr_x(a):  # (G,)
-        return ad.sum(phi_x * a, axis=(1, 2))
-
-    def tr_h(a):  # (D,)
-        return ad.sum(psi2 * a, axis=(1, 2))
-
-    data_dot = ad.sum((b @ w) * psi1, axis=1)
-    quad_m = ad.sum((ad.transpose(ax_m) @ phi_x @ ax_m) * (a_h @ psi2 @ a_h), axis=(1, 2))
-    quad_s = tr_h(g_h) * tr_x(g_x)
-    corr = tr_h(a_h) * tr_x(a_x)
-    psi0 = vh * diag_amplitude * data.counts
-    sigma2 = ad.exp(leaves["log_noise_variance"])  # (D,), or tied (1,)
-    data_fit = ad.sum(
-        -0.5 * data.counts * (_LOG_2PI + ad.log(sigma2))
-        + (data_dot - 0.5 * (data.yy + psi0 - corr + quad_m + quad_s)) / sigma2
+    amplitude = vf if flat else vf + vg  # self covariance of the input kernel
+    kfu = hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (N_u, m_x)
+    fit = data_fit(
+        data, kfu, psi1, psi2, a_x, a_h, m_mat, sigma_x, sigma_h, vh, amplitude, leaves["log_noise_variance"]
     )
 
-    total = data_fit - kl_u - kl_h
+    total = fit - kl_u - kl_h
     pieces = GraphPieces(
-        data_fit=data_fit,
+        data_fit=fit,
         kl_inducing=kl_u,
         kl_latent=kl_h,
         total=total,

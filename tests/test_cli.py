@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import re
@@ -19,8 +20,10 @@ from hiermogp.data import (
     save_csv,
     split,
 )
+from hiermogp.kernels import MATERN32, RBF
 from hiermogp.model import state_from_dict
 from hiermogp.prediction import predict_marginal
+from hiermogp.training import ModelConfig, OptimizerConfig
 
 from .helpers import run_child
 
@@ -82,6 +85,35 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
     config["optimizer"]["lerning_rate"] = 0.5
     assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
     assert "optimizer.lerning_rate: unknown field" in capsys.readouterr().err
+
+
+def test_config_accepts_every_model_and_optimizer_field(tmp_path, capsys):
+    # every field of both config dataclasses but those the CLI sets itself
+    # (flat from the ablation, seed from the run seed, trainable) is read
+    # from YAML with the type of its default
+    other = {MATERN32: RBF, RBF: MATERN32, "per_output": "shared"}
+    config = base_config(tmp_path / "run")
+    for section, config_class in (("model", ModelConfig), ("optimizer", OptimizerConfig)):
+        config[section] = {}
+        for field in dataclasses.fields(config_class):
+            if field.name in ("flat", "seed", "trainable"):
+                continue
+            default = field.default
+            if isinstance(default, str):
+                config[section][field.name] = other[default]
+            elif isinstance(default, int):
+                config[section][field.name] = default + 1
+            else:
+                config[section][field.name] = default / 2.0
+    loaded = load_config(write_config(tmp_path, config))
+    for section in ("model", "optimizer"):
+        for name, value in config[section].items():
+            assert getattr(getattr(loaded, section), name) == value, (section, name)
+    for section in ("model", "optimizer"):
+        bad = base_config(tmp_path / "run")
+        bad[section]["bogus"] = 1
+        assert main(["fit", "--config", str(write_config(tmp_path, bad))]) == 2
+        assert f"{section}.bogus: unknown field" in capsys.readouterr().err
 
 
 def test_generate_fit_predict_eval_chain(tmp_path):

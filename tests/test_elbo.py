@@ -10,7 +10,7 @@ from hiermogp.model import ElboBreakdown, ModelState
 from hiermogp.objective import read_data
 from hiermogp.params import ParamLayout
 
-from .helpers import random_per_output_data, random_shared_data, random_state
+from .helpers import check, random_chol, random_per_output_data, random_shared_data, random_state
 from .oracles import (
     SizeGuardError,
     _jittered,
@@ -86,29 +86,44 @@ def test_efficient_matches_naive_per_output():
 
 
 def test_regimes_coincide_on_identical_inputs_and_noise():
-    rng = np.random.default_rng(5)
-    state = random_state(rng, n_outputs=3, per_output_noise=False)
-    blocks, y = random_shared_data(rng, state, n_per_replica=3)
-    n_points = 3 * state.n_replicas
-    per_state = ModelState(
-        hier_kernel=state.hier_kernel,
-        latent_kernel=state.latent_kernel,
-        latent_posterior=state.latent_posterior,
-        inducing=state.inducing,
-        noise_variance=np.full(state.n_outputs, float(state.noise_variance)),
-    )
-    x_list = [blocks] * state.n_outputs
-    y_list = [y[d * n_points : (d + 1) * n_points] for d in range(state.n_outputs)]
-    a = elbo_shared(state, blocks, y)
-    b = elbo_per_output(per_state, x_list, y_list)
-    assert np.isclose(a.total, b.total, rtol=1e-8)
-    assert np.isclose(a.data_fit, b.data_fit, rtol=1e-8)
+    # on a common grid every output indexes every point; tying the noise is
+    # the only difference between the regimes, so the bound agrees and the
+    # tied noise's gradient is the sum of the per-output ones
+    for trial in range(6):
+        rng = np.random.default_rng(1000 + trial)
+        tied = random_state(rng, n_outputs=4, n_replicas=3, flat=(trial % 3 == 2), per_output_noise=False)
+        blocks, y = random_shared_data(rng, tied, n_per_replica=3)
+        x_list, y_list = [blocks] * tied.n_outputs, list(np.reshape(y, (tied.n_outputs, -1)))
+        per_output = ModelState(
+            hier_kernel=tied.hier_kernel,
+            latent_kernel=tied.latent_kernel,
+            latent_posterior=tied.latent_posterior,
+            inducing=tied.inducing,
+            noise_variance=np.full(tied.n_outputs, float(tied.noise_variance)),
+        )
+        data = read_data(tied, x_list, y_list)
+        assert data.points.shape[0] == 3 * tied.n_replicas
+        assert np.all(data.index == data.index[0]) and np.all(data.index < data.points.shape[0])
+        results = []
+        for state in (tied, per_output):
+            layout = ParamLayout(state)
+            breakdown, grad, _ = objective.evaluate_with_grad(layout.pack(state), layout, state, data)
+            results.append((breakdown, layout.split(grad)))
+        (a, grad_a), (b, grad_b) = results
+        for name in ("data_fit", "kl_inducing", "kl_latent", "total"):
+            assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0.0), (trial, name)
+        assert elbo_shared(tied, blocks, y).total == a.total
+        for name, value in grad_a.items():
+            other = grad_b[name]
+            if name == "log_noise_variance":
+                other = np.sum(other, keepdims=True)
+            assert np.allclose(value, other, rtol=1e-10, atol=1e-12 * np.abs(value).max()), (trial, name)
 
 
 def test_permuting_one_outputs_replica_block_leaves_the_bound_unchanged():
-    # on a common grid the data are read as one group carrying every output;
-    # reordering one output's points splits them into one group per output,
-    # which must give the same bound
+    # reordering one output's points within a replica block moves its index
+    # entries, not the distinct points the Gram is built over, and must give
+    # the same bound
     for trial in range(6):
         rng = np.random.default_rng(950 + trial)
         state = random_state(
@@ -123,8 +138,8 @@ def test_permuting_one_outputs_replica_block_leaves_the_bound_unchanged():
         x_perm[d][r] = blocks[r][order]
         y_perm = [y_d.copy() for y_d in y]
         y_perm[d][4 * r : 4 * r + 4] = y[d][4 * r : 4 * r + 4][order]
-        assert read_data(state, x, y).points.shape[0] == 1
-        assert read_data(state, x_perm, y_perm).points.shape[0] == state.n_outputs
+        assert read_data(state, x, y).points.shape[0] == 4 * state.n_replicas
+        assert read_data(state, x_perm, y_perm).points.shape[0] == 4 * state.n_replicas
         a, b = elbo_per_output(state, x, y), elbo_per_output(state, x_perm, y_perm)
         for name in ("data_fit", "kl_inducing", "kl_latent", "total"):
             assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0.0), (trial, name)
@@ -166,6 +181,144 @@ def test_permuting_outputs_leaves_bound_unchanged():
         b = elbo_per_output(permuted, [x[d] for d in perm], [y[d] for d in perm])
         for name in ("data_fit", "kl_latent", "total"):
             assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0.0), (trial, name)
+
+
+def _one_output(state, d):
+    """``state`` restricted to output ``d``: its latent posterior and noise."""
+    post = state.latent_posterior
+    return ModelState(
+        hier_kernel=state.hier_kernel,
+        latent_kernel=state.latent_kernel,
+        latent_posterior=LatentPosterior(means=post.means[d : d + 1], variances=post.variances[d : d + 1]),
+        inducing=state.inducing,
+        noise_variance=state.noise_variance[d : d + 1],
+    )
+
+
+def test_permuting_the_outputs_permutes_the_per_output_terms():
+    # the data fit is a sum of one term per output, each read from that
+    # output's index into the distinct points; reordering the outputs
+    # reorders the index rows and the terms, not the points
+    for trial in range(4):
+        rng = np.random.default_rng(980 + trial)
+        state = random_state(rng, n_outputs=4, n_replicas=2, flat=(trial % 2 == 1))
+        x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+        x[2][0] = x[0][0][:2]  # two outputs share points
+        y[2] = rng.standard_normal(sum(b.shape[0] for b in x[2]))
+        perm = rng.permutation(state.n_outputs)
+        x_perm, y_perm = [x[d] for d in perm], [y[d] for d in perm]
+        a, b = read_data(state, x, y), read_data(state, x_perm, y_perm)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.tags, b.tags)
+        assert np.array_equal(b.index, a.index[perm]) and np.array_equal(b.targets, a.targets[perm])
+        terms = [elbo_per_output(_one_output(state, d), x[d : d + 1], y[d : d + 1]).data_fit for d in range(4)]
+        post = state.latent_posterior
+        permuted = ModelState(
+            hier_kernel=state.hier_kernel,
+            latent_kernel=state.latent_kernel,
+            latent_posterior=LatentPosterior(means=post.means[perm], variances=post.variances[perm]),
+            inducing=state.inducing,
+            noise_variance=state.noise_variance[perm],
+        )
+        permuted_terms = [
+            elbo_per_output(_one_output(permuted, d), x_perm[d : d + 1], y_perm[d : d + 1]).data_fit for d in range(4)
+        ]
+        assert np.allclose(permuted_terms, np.asarray(terms)[perm], rtol=1e-12, atol=0.0), trial
+        for bound_state, xs, ys, parts in ((state, x, y, terms), (permuted, x_perm, y_perm, permuted_terms)):
+            total = elbo_per_output(bound_state, xs, ys).data_fit
+            assert np.isclose(total, np.sum(parts), rtol=1e-10, atol=0.0), trial
+
+
+def test_a_point_observed_by_two_outputs_is_one_gram_row():
+    for trial in range(4):
+        rng = np.random.default_rng(990 + trial)
+        state = random_state(rng, n_outputs=3, n_replicas=2, flat=(trial % 2 == 1))
+        x, y = random_per_output_data(rng, state, n_per_replica=3)
+        shared = x[0][1][1]
+        x[1][1] = np.vstack([x[1][1], shared])  # output 1 also observes a point of output 0
+        x[2][0] = np.vstack([x[2][0], shared])  # output 2 observes it in another replica
+        y[1] = np.append(y[1], 0.3)
+        y[2] = np.concatenate([y[2][:3], [-0.7], y[2][3:]])
+        data = read_data(state, x, y)
+        n_total = sum(b.shape[0] for blocks in x for b in blocks)
+        assert data.points.shape[0] == n_total - 1
+        row = data.index[0, 3 + 1]  # output 0, replica 1, second point
+        assert data.index[1, 6] == row and data.tags[row] == 1
+        assert data.index[2, 3] != row and data.tags[data.index[2, 3]] == 0
+        assert np.array_equal(data.points[data.index[2, 3]], data.points[row])
+        fast = elbo_per_output(state, x, y)
+        slow = elbo_naive_oracle(state, x, y)
+        for name in ("data_fit", "total"):
+            assert np.isclose(getattr(fast, name), getattr(slow, name), rtol=1e-8, atol=0.0), (trial, name)
+
+
+def test_an_output_with_no_points_contributes_only_its_n_d_zero_terms():
+    # an empty output adds nothing to the data fit, and the gradient in its
+    # noise and latent coordinates is that of its latent KL term alone
+    for trial in range(4):
+        rng = np.random.default_rng(1010 + trial)
+        state = random_state(rng, n_outputs=3, n_replicas=2, flat=(trial % 2 == 1))
+        x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+        empty = trial % 3
+        x[empty] = [np.zeros((0, state.input_dim)) for _ in range(state.n_replicas)]
+        y[empty] = np.zeros(0)
+        keep = [d for d in range(3) if d != empty]
+        post = state.latent_posterior
+        rest = ModelState(
+            hier_kernel=state.hier_kernel,
+            latent_kernel=state.latent_kernel,
+            latent_posterior=LatentPosterior(means=post.means[keep], variances=post.variances[keep]),
+            inducing=state.inducing,
+            noise_variance=state.noise_variance[keep],
+        )
+        full = elbo_per_output(state, x, y)
+        without = elbo_per_output(rest, [x[d] for d in keep], [y[d] for d in keep])
+        assert np.isclose(full.data_fit, without.data_fit, rtol=1e-12, atol=0.0), trial
+        assert np.isclose(full.kl_inducing, without.kl_inducing, rtol=1e-12, atol=0.0), trial
+        mu, s = post.means[empty], post.variances[empty]
+        kl_empty = 0.5 * np.sum(s + mu**2 - 1.0 - np.log(s))
+        assert np.isclose(full.kl_latent - without.kl_latent, kl_empty, rtol=1e-10, atol=1e-12), trial
+        layout = ParamLayout(state)
+        _, grad, _ = objective.evaluate_with_grad(layout.pack(state), layout, state, read_data(state, x, y))
+        grads = layout.split(grad)
+        assert grads["log_noise_variance"][empty] == 0.0
+        assert np.allclose(grads["latent_mean"][empty], -mu, rtol=1e-12, atol=1e-14)
+        assert np.allclose(grads["latent_log_variance"][empty], -0.5 * (s - 1.0), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("tied_noise", [False, True])
+def test_data_fit_node_matches_finite_differences(tied_noise):
+    # every argument of the fused data-fit node, on data with a point two
+    # outputs share, a point one output observes twice, a padded output and
+    # an empty one; the inverse Grams and covariance factors are symmetric,
+    # as the bound's are
+    rng = np.random.default_rng(1020)
+    state = random_state(rng, n_outputs=4, n_replicas=2, per_output_noise=not tied_noise)
+    x, y = random_per_output_data(rng, state, n_per_replica=3, ragged=True)
+    x[1][0] = np.vstack([x[1][0], x[0][0][:1], x[0][0][:1]])
+    y[1] = rng.standard_normal(sum(b.shape[0] for b in x[1]))
+    x[3] = [np.zeros((0, state.input_dim)) for _ in range(state.n_replicas)]
+    y[3] = np.zeros(0)
+    data = read_data(state, x, y)
+    n_points, m_x, m_h = data.points.shape[0], 4, 3
+
+    def spd(n):
+        lower = random_chol(rng, n)
+        return lower @ lower.T
+
+    arrays = (
+        rng.standard_normal((n_points, m_x)),  # kfu
+        rng.uniform(0.1, 1.0, size=(4, m_h)),  # psi1
+        np.stack([spd(m_h) for _ in range(4)]),  # psi2
+        spd(m_x),  # a_x
+        spd(m_h),  # a_h
+        rng.standard_normal((m_x, m_h)),  # mean
+        spd(m_x),  # sigma_x
+        spd(m_h),  # sigma_h
+        np.asarray(0.8),  # variance
+        np.asarray(1.3),  # amplitude
+        rng.uniform(-1.0, 0.0, size=1 if tied_noise else 4),  # log_noise
+    )
+    check(lambda *args: objective.data_fit(data, *args), *arrays)
 
 
 def test_permuting_replicas_leaves_bound_unchanged():
@@ -474,9 +627,9 @@ def _step_tape_nodes(n_replicas, inducing_per_replica, inducing_latent):
 def test_desk_shaped_step_stays_within_its_tape_budget():
     # 10 outputs with 3 replicas of per-output inputs, m_r=8 and m_h=6: the
     # closed forms (Grams, psi statistics, KL terms, each inducing Gram's
-    # inverse and log-determinant) are fused nodes, and the inducing inputs
-    # are one leaf
-    assert _step_tape_nodes(3, 8, 6) <= 120
+    # inverse and log-determinant, the data fit) are fused nodes, and the
+    # inducing inputs are one leaf
+    assert _step_tape_nodes(3, 8, 6) <= 70
 
 
 def test_step_tape_does_not_grow_with_replicas():

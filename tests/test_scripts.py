@@ -13,5 +13,5 @@ def test_scale_step_reports_one_tape_count_for_every_shape():
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.strip().splitlines()
     counts = [re.search(r"(\d+) tape nodes$", line) for line in lines]
-    assert len(lines) == 4 and all(counts), done.stdout
+    assert len(lines) == 5 and all(counts), done.stdout
     assert len({int(c.group(1)) for c in counts}) == 1, done.stdout
