@@ -13,7 +13,7 @@ the step's cost does not depend on their values and sampling distinct inputs
 jointly takes a Gram over all D * R * 10 points. Prints one
 line per shape: the median milliseconds per step over ``--steps`` steps,
 after one warm-up step, and the number of distinct tape nodes one step
-builds (its parameter and constant leaves included).
+builds (its one leaf, the parameter vector, included).
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/scale_step.py [--steps 20]
 

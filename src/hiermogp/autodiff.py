@@ -1,18 +1,17 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small tape of ``Node`` objects covering the generic operations the
-variational objective is assembled with: broadcasting arithmetic, ``exp``
-and constant powers, reshapes, transposes, sums, diagonal and
-strict-lower-triangle packing, and batched matmul. Every closed form with a
-known gradient is instead one fused node with a hand-written
-vector-Jacobian product, built with ``fused``: the stationary Gram
-(``kernels.gram``), each inducing Gram's inverse and log-determinant
-(``kron.spd_inverse``), the psi statistics and both KL terms (``latent``)
-and the data fit (``objective.data_fit``). The tape itself factors
-nothing. ``grad`` runs no VJP into a constant: a parentless node that is
-not a requested leaf. Values are float64 throughout. The vector-Jacobian
-product of every primitive and fused node is checked against central
-finite differences in the test suite.
+A tape of ``Node`` objects, each a value and the parents it was computed
+from, with one vector-Jacobian product per parent. Every node of the
+bound is a closed form with a hand-written backward pass, built with
+``fused``: the constrained parameters (``params.ParamLayout.constrain``),
+the stationary and hierarchical Grams (``kernels.gram`` and
+``kernels.hier_gram``), each inducing Gram's inverse and log-determinant
+(``kron.spd_inverse``), the psi statistics and both KL terms (``latent``),
+the data fit and the total (``objective``). The tape itself factors
+nothing and has no generic operations. ``grad`` runs the backward pass and
+runs no VJP into a constant: a parentless node that is not a requested
+leaf. Values are float64 throughout. Every fused node's backward pass is
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -24,56 +23,10 @@ class Node:
     """A value in the computation graph; leaves have no parents."""
 
     __slots__ = ("value", "parents")
-    # numpy operators defer to the reflected Node method (``ndarray * Node``)
-    __array_ufunc__ = None
 
     def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def as_node(x) -> Node:
@@ -91,151 +44,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return np.reshape(g, shape)
-
-
-# ---------------------------------------------------------------------------
-# elementwise primitives
-
-
-def add(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(
-        a.value + b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(g, b.value.shape)),
-        ),
-    )
-
-
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(
-        a.value - b.value,
-        (
-            (a, lambda g: _unbroadcast(g, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g, b.value.shape)),
-        ),
-    )
-
-
-def mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(
-        a.value * b.value,
-        (
-            (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-        ),
-    )
-
-
-def div(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(
-        a.value / b.value,
-        (
-            (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
-            (b, lambda g: _unbroadcast(-g * a.value / b.value**2, b.value.shape)),
-        ),
-    )
-
-
-def neg(a) -> Node:
-    a = as_node(a)
-    return Node(-a.value, ((a, lambda g: -g),))
-
-
-def exp(a) -> Node:
-    a = as_node(a)
-    out = np.exp(a.value)
-    return Node(out, ((a, lambda g: g * out),))
-
-
-def power(a, exponent: float) -> Node:
-    a = as_node(a)
-    if isinstance(exponent, Node):
-        raise TypeError("only constant exponents are supported")
-    out = a.value**exponent
-    return Node(out, ((a, lambda g: g * exponent * a.value ** (exponent - 1)),))
-
-
-# ---------------------------------------------------------------------------
-# shape and reduction primitives
-
-
-def reshape(a, shape) -> Node:
-    a = as_node(a)
-    old = a.value.shape
-    return Node(np.reshape(a.value, shape), ((a, lambda g: np.reshape(g, old)),))
-
-
-def transpose(a, axes=None) -> Node:
-    a = as_node(a)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = tuple(np.argsort(axes))
-    return Node(
-        np.transpose(a.value, axes),
-        ((a, lambda g: np.transpose(g, inverse)),),
-    )
-
-
-def sum(a, axis=None, keepdims=False) -> Node:  # noqa: A001 - mirrors numpy
-    a = as_node(a)
-    shape = a.value.shape
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, shape)
-        g_exp = g
-        if not keepdims:
-            axes = (axis,) if np.isscalar(axis) else tuple(axis)
-            for ax in sorted(ax % len(shape) for ax in axes):
-                g_exp = np.expand_dims(g_exp, ax)
-        return np.broadcast_to(g_exp, shape)
-
-    return Node(np.sum(a.value, axis=axis, keepdims=keepdims), ((a, vjp),))
-
-
-def diag_embed(a) -> Node:
-    """Vector to diagonal matrix."""
-    a = as_node(a)
-    return Node(np.diag(a.value), ((a, lambda g: np.diagonal(g).copy()),))
-
-
-def strict_lower_embed(v, n: int) -> Node:
-    """Pack a vector into the strictly lower triangle of an n x n matrix."""
-    v = as_node(v)
-    rows, cols = np.tril_indices(n, k=-1)
-    if v.value.shape != (rows.size,):
-        raise ValueError(f"expected {rows.size} entries for a strict lower {n}x{n} triangle")
-
-    def vjp(g):
-        return g[rows, cols]
-
-    out = np.zeros((n, n))
-    out[rows, cols] = v.value
-    return Node(out, ((v, vjp),))
-
-
-# ---------------------------------------------------------------------------
-# matrix primitives
-
-
-def matmul(a, b) -> Node:
-    """``a @ b`` on operands of at least two axes, broadcast over leading axes."""
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ValueError("matmul needs operands with at least two axes")
-    return Node(
-        a.value @ b.value,
-        (
-            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)),
-            (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ distance sq = sum_k ((x1_k - x2_k) / l_k)^2 and r = sqrt(sq), the kernel is
 ``v * exp(-sq / 2)`` (RBF) or ``v * ((1 + sqrt(3) r) * exp(-sqrt(3) r))``
 (Matern 3/2), and its derivative in sq is ``-k / 2`` or
 ``-1.5 v exp(-sqrt(3) r)``, finite at r = 0. ``eval_stationary`` serves the
-numpy callers (data generation, initialisation, prediction); ``gram`` is the
-same formula as one node of the ``autodiff`` tape for the bound, with its
-backward pass written by hand. The hierarchical kernel has the same two
-forms: ``hier_cross_cov`` in numpy, one replica at a time, and
-``hier_gram`` on the tape, the bound's inducing Gram ``Kuu_x`` and its
-cross covariance with the distinct training points, masked by replica tags.
+numpy callers (data generation, initialisation, prediction). The bound's
+Grams are fused nodes of the ``autodiff`` tape, built on one numpy value and
+hand-written backward pass of the same formula: ``gram`` for the latent
+inducing Gram, and ``hier_gram`` for the inducing Gram ``Kuu_x`` and its
+cross covariance with the distinct training points, both levels of the
+hierarchical kernel in one node, masked by replica tags. ``hier_cross_cov``
+is the hierarchical kernel in numpy, one replica at a time.
 """
 
 from __future__ import annotations
@@ -151,15 +152,16 @@ def eval_stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> n
     return unit
 
 
-def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
-    """The stationary Gram as one tape node, batched over leading axes:
-    point sets (..., n1, v) and (..., n2, v) give (..., n1, n2).
+def _values(args):
+    return [a.value if isinstance(a, ad.Node) else np.asarray(a, float) for a in args]
 
-    Gradients flow into whichever arguments are ``Node``s (the variance, the
-    lengthscales and the inducing inputs, never the data); the rest are
-    constants. The same node may be passed as both point sets."""
-    args = (variance, lengthscales, x1, x2)
-    v, ls, p1, p2 = (a.value if isinstance(a, ad.Node) else np.asarray(a, float) for a in args)
+
+def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1: bool, grad2: bool):
+    """The stationary Gram of point arrays (..., n1, v) and (..., n2, v) and
+    its backward pass: ``backward(g)`` gives the gradients in the variance,
+    the lengthscales and each point set, ``None`` for a point set whose flag
+    is off (the data get none and cost nothing)."""
+    v, ls = _values((variance, lengthscales))
     unit, decay = _profile(family, _scaled_sqdist(p1, p2, ls))
     value = v * unit
 
@@ -171,37 +173,73 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
             slope = g * decay
             slope *= -1.5 * v
         grad_ls = np.zeros(ls.shape)
-        # constant point sets (the data) get no gradient and cost nothing
-        grad1 = np.zeros(value.shape[:-1] + ls.shape) if isinstance(x1, ad.Node) else None
-        grad2 = np.zeros(value.shape[:-2] + p2.shape[-2:]) if isinstance(x2, ad.Node) else None
+        g1 = np.zeros(value.shape[:-1] + ls.shape) if grad1 else None
+        g2 = np.zeros(value.shape[:-2] + p2.shape[-2:]) if grad2 else None
         for k, scale in enumerate(ls):
             diff = _scaled_diff(p1, p2, k, scale)
             weighted = diff * slope
             grad_ls[k] = np.vdot(weighted, diff) * (-2.0 / scale)
-            if grad1 is not None:
-                grad1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
-            if grad2 is not None:
-                grad2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
+            if g1 is not None:
+                g1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
+            if g2 is not None:
+                g2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
         return (
             np.vdot(g, unit),
             grad_ls,
-            None if grad1 is None else ad._unbroadcast(grad1, p1.shape),
-            None if grad2 is None else ad._unbroadcast(grad2, p2.shape),
+            None if g1 is None else ad._unbroadcast(g1, p1.shape),
+            None if g2 is None else ad._unbroadcast(g2, p2.shape),
         )
 
-    return ad.fused(value, args, backward)
+    return value, backward
+
+
+def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
+    """The stationary Gram as one tape node, batched over leading axes:
+    point sets (..., n1, v) and (..., n2, v) give (..., n1, n2).
+
+    Gradients flow into whichever arguments are ``Node``s (the variance, the
+    lengthscales and the inducing inputs, never the data); the rest are
+    constants. The same node may be passed as both point sets."""
+    live = (isinstance(x1, ad.Node), isinstance(x2, ad.Node))
+    value, backward = _stationary_with_backward(family, variance, lengthscales, *_values((x1, x2)), *live)
+    return ad.fused(value, (variance, lengthscales, x1, x2), backward)
 
 
 def hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
-    """Hierarchical Gram of replica-tagged points on the tape, the form of
-    :func:`hier_cross_cov` the bound differentiates: the shared kernel over
-    every pair plus ``(tag_a == tag_b)`` times the replica kernel. Each level
-    is ``(family, variance, lengthscales)`` for :func:`gram`, and
-    ``shared_params=None`` leaves the shared level out (the flat ablation)."""
-    within = gram(*replica_params, xa, xb) * (tags_a[:, None] == tags_b[None, :])
-    if shared_params is None:
-        return within
-    return gram(*shared_params, xa, xb) + within
+    """Hierarchical Gram of replica-tagged points as one tape node, the form
+    of :func:`hier_cross_cov` the bound differentiates: the shared kernel
+    over every pair plus ``(tag_a == tag_b)`` times the replica kernel. Each
+    level is ``(family, variance, lengthscales)`` as :func:`gram` takes
+    them, and ``shared_params=None`` leaves the shared level out (the flat
+    ablation). The backward pass sends the cotangent to the shared level and
+    the masked cotangent to the replica level; gradients flow into the
+    ``Node`` arguments as in :func:`gram`."""
+    live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
+    points = _values((xa, xb))
+    mask = np.asarray(tags_a[:, None] == tags_b[None, :], float)
+    replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live)
+    value = replica * mask
+    # the second point set first: with one node as both, the tape sums its
+    # column gradient first (the shared_grid fit is chaotic in the last bit,
+    # and this order reproduces its recorded scores at seed 0)
+    args = (*replica_params[1:], xb, xa)
+    if shared_params is not None:
+        shared, shared_backward = _stationary_with_backward(*shared_params, *points, *live)
+        value = shared + value
+        args = (*shared_params[1:], *args)
+
+    def backward(g):
+        g_vf, g_lsf, g_a, g_b = replica_backward(g * mask)
+        if shared_params is None:
+            return g_vf, g_lsf, g_b, g_a
+        g_vg, g_lsg, s_a, s_b = shared_backward(g)
+        if live[0]:
+            g_a += s_a
+        if live[1]:
+            g_b += s_b
+        return g_vg, g_lsg, g_vf, g_lsf, g_b, g_a
+
+    return ad.fused(value, args, backward)
 
 
 def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:

@@ -4,16 +4,18 @@ Builds the bound as an autodiff graph over the flat unconstrained parameter
 vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
-(m_h * m_x)^2 is ever materialised. The psi statistics and both KL terms
-come from ``latent``, the Grams from ``kernels`` (``gram`` and
-``hier_gram``), and each inducing Gram is factored once by the jitter ladder
-of ``kron``, whose factor gives its inverse and log-determinant
-(``kron.spd_inverse``). The data-fit term is the one closed form written
-here, as one fused node with a hand-written backward pass (``data_fit``).
-The inducing inputs are one leaf of replica-tagged points, as the data are,
-so a step's tape has the same nodes at any replica count.
-The forward value backs the public bound evaluation; the backward pass
-supplies analytic gradients for training.
+(m_h * m_x)^2 is ever materialised. The graph has one leaf, the parameter
+vector, and fused nodes only, each a closed form with a hand-written
+backward pass: the constrained parameters (``params.ParamLayout.constrain``),
+the psi statistics and both KL terms (``latent``), the Grams (``kernels``:
+``gram`` and ``hier_gram``), each inducing Gram's inverse and
+log-determinant from the one factor the jitter ladder of ``kron`` finds
+(``kron.spd_inverse``), and the two closed forms written here, the data fit
+(``data_fit``) and the total. The inducing inputs are one span of
+replica-tagged points, as the data are, so a step's tape has the same nodes
+at any replica count and any output count. The forward value backs the
+public bound evaluation; the backward pass supplies analytic gradients for
+training, as one flat vector.
 
 The data reach the bound once, through ``read_data``: per-output input
 blocks and targets become a frozen ``BoundData`` of the distinct tagged
@@ -207,49 +209,23 @@ def build_graph(
     data: BoundData,
     base_jitter: float = 1e-6,
 ):
-    """Assemble the bound; returns the graph pieces and leaves in layout order."""
+    """Assemble the bound; returns the graph pieces and the one leaf, the
+    parameter vector, in a list."""
     if template.latent_kernel.family != RBF:
         raise ValueError("training requires an RBF kernel over latent coordinates")
-    arrays = layout.split(np.asarray(theta, float))
-    leaves = {name: ad.Node(value) for name, value in arrays.items()}
-    flat = template.is_flat
-    n_replicas = template.n_replicas
-    m_h = template.inducing.m_h
-    m_x = template.inducing.m_x
-
-    def scalar(name):
-        return ad.reshape(leaves[name], ())
-
+    theta_leaf = ad.Node(np.asarray(theta, float))
+    p = layout.constrain(theta_leaf)
+    hk = template.hier_kernel
     shared_params = None
-    vg = None
-    if not flat:
-        vg = ad.exp(scalar("log_shared_variance"))
-        shared_params = (
-            template.hier_kernel.shared.family,
-            vg,
-            ad.exp(leaves["log_shared_lengthscales"]),
-        )
-    vf = ad.exp(scalar("log_replica_variance"))
-    replica_params = (template.hier_kernel.replica.family, vf, ad.exp(leaves["log_replica_lengthscales"]))
-    vh = ad.exp(scalar("log_latent_kernel_variance"))
-    lsh = ad.exp(leaves["log_latent_kernel_lengthscales"])
-    mu = leaves["latent_mean"]
-    log_s = leaves["latent_log_variance"]
-    z = leaves["inducing_inputs"]  # (m_x, v): the replica blocks, stacked
-    z_tags = np.repeat(np.arange(n_replicas), [b.shape[0] for b in template.inducing.z_input])
-    zh = leaves["inducing_latents"]
-    m_mat = leaves["inducing_mean"]
-
-    def cov_factor(side: str, n: int) -> ad.Node:
-        strict = ad.strict_lower_embed(leaves[f"cov_{side}_offdiag"], n)
-        return strict + ad.diag_embed(ad.exp(leaves[f"cov_{side}_log_diag"]))
-
-    l_sig_h = cov_factor("latent", m_h)
-    l_sig_x = cov_factor("input", m_x)
-    sigma_h = l_sig_h @ ad.transpose(l_sig_h)
-    sigma_x = l_sig_x @ ad.transpose(l_sig_x)
-    logdet_sh = 2.0 * ad.sum(leaves["cov_latent_log_diag"])
-    logdet_sx = 2.0 * ad.sum(leaves["cov_input_log_diag"])
+    if not template.is_flat:
+        shared_params = (hk.shared.family, p["shared_variance"], p["shared_lengthscales"])
+    replica_params = (hk.replica.family, p["replica_variance"], p["replica_lengthscales"])
+    vh, lsh = p["latent_kernel_variance"], p["latent_kernel_lengthscales"]
+    mu, log_s = p["latent_mean"], p["latent_log_variance"]
+    z = p["inducing_inputs"]  # (m_x, v): the replica blocks, stacked
+    z_tags = np.repeat(np.arange(template.n_replicas), [b.shape[0] for b in template.inducing.z_input])
+    zh, m_mat = p["inducing_latents"], p["inducing_mean"]
+    sigma_h, sigma_x = p["cov_latent"], p["cov_input"]
 
     kuu_h = gram(RBF, vh, lsh, zh, zh)
     kuu_x = hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
@@ -258,16 +234,15 @@ def build_graph(
     a_h, logdet_kh = spd_inverse(kuu_h, lower_h)
     a_x, logdet_kx = spd_inverse(kuu_x, lower_x)
 
-    kl_u = kl_inducing(m_mat, sigma_h, sigma_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx)
+    kl_u = kl_inducing(
+        m_mat, sigma_h, sigma_x, p["logdet_cov_latent"], p["logdet_cov_input"], a_h, a_x, logdet_kh, logdet_kx
+    )
     kl_h = kl_latent(mu, log_s)
     psi1, psi2 = psi_stats(vh, lsh, mu, log_s, zh)
-    amplitude = vf if flat else vf + vg  # self covariance of the input kernel
     kfu = hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (N_u, m_x)
-    fit = data_fit(
-        data, kfu, psi1, psi2, a_x, a_h, m_mat, sigma_x, sigma_h, vh, amplitude, leaves["log_noise_variance"]
-    )
-
-    total = fit - kl_u - kl_h
+    amplitude, log_noise = p["input_self_variance"], p["log_noise_variance"]
+    fit = data_fit(data, kfu, psi1, psi2, a_x, a_h, m_mat, sigma_x, sigma_h, vh, amplitude, log_noise)
+    total = ad.fused(fit.value - kl_u.value - kl_h.value, (fit, kl_u, kl_h), lambda g: (g, -g, -g))
     pieces = GraphPieces(
         data_fit=fit,
         kl_inducing=kl_u,
@@ -275,8 +250,7 @@ def build_graph(
         total=total,
         jitters={"kuu_h": jitter_h, "kuu_x": jitter_x},
     )
-    ordered_leaves = [leaves[s.name] for s in layout.spans]
-    return pieces, ordered_leaves
+    return pieces, [theta_leaf]
 
 
 def _breakdown(pieces: GraphPieces) -> ElboBreakdown:
@@ -291,6 +265,5 @@ def evaluate(theta, layout, template, data, base_jitter=1e-6):
 
 def evaluate_with_grad(theta, layout, template, data, base_jitter=1e-6):
     pieces, leaves = build_graph(theta, layout, template, data, base_jitter)
-    grads = ad.grad(pieces.total, leaves)
-    flat_grad = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
+    (flat_grad,) = ad.grad(pieces.total, leaves)
     return _breakdown(pieces), flat_grad, pieces.jitters

@@ -6,9 +6,12 @@ lower triangle with a log diagonal. Locations and means pass through
 unchanged. The layout is an ordered list of named spans so gradients and
 diagnostics can always be attributed to a parameter group; their names,
 order and shapes come from the same map from state to unconstrained arrays
-that packing uses. The inducing inputs of every replica form one span,
-``inducing_inputs``, of shape (m_x, v): the replica blocks stacked in
-order, as the bound reads them.
+that packing uses (``_unconstrained``). The inverse map is written once too
+(``_constrained``): ``unpack`` builds a state from it, and ``constrain``
+makes it the bound's one parameter node, whose outputs are every quantity
+the bound reads of the vector. The inducing inputs of every replica form
+one span, ``inducing_inputs``, of shape (m_x, v): the replica blocks
+stacked in order, as the bound reads them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .kernels import HierarchicalKernel, StationaryKernel
 from .latent import InducingState, LatentPosterior
 from .model import ModelState
@@ -59,6 +63,44 @@ def _unconstrained(state: ModelState) -> dict[str, np.ndarray]:
         arrays[f"cov_{side}_log_diag"] = np.log(np.diag(chol))
     arrays["log_noise_variance"] = np.log(np.atleast_1d(state.noise_variance))
     return arrays
+
+
+_KERNELS = ("shared", "replica", "latent_kernel")
+_SIDES = ("latent", "input")
+# spans the bound reads unconstrained
+_PASSED = (
+    "latent_mean",
+    "latent_log_variance",
+    "inducing_inputs",
+    "inducing_latents",
+    "inducing_mean",
+    "log_noise_variance",
+)
+
+
+def _constrained(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The constrained arrays of unconstrained ``arrays`` by name, the inverse
+    of :func:`_unconstrained`: each kernel's variance (0-d) and
+    lengthscales, the latent means and variances, the inducing inputs,
+    latents and mean, both covariance factors and the noise variance."""
+    out = {}
+    for kernel in _KERNELS:
+        if f"log_{kernel}_variance" in arrays:
+            out[f"{kernel}_variance"] = np.exp(arrays[f"log_{kernel}_variance"].reshape(()))
+            out[f"{kernel}_lengthscales"] = np.exp(arrays[f"log_{kernel}_lengthscales"])
+    out["latent_mean"] = arrays["latent_mean"]
+    out["latent_variance"] = np.exp(arrays["latent_log_variance"])
+    for name in ("inducing_inputs", "inducing_latents", "inducing_mean"):
+        out[name] = arrays[name]
+    for side in _SIDES:
+        log_diag = arrays[f"cov_{side}_log_diag"]
+        n = log_diag.size
+        chol = np.zeros((n, n))
+        chol[np.tril_indices(n, k=-1)] = arrays[f"cov_{side}_offdiag"]
+        chol[np.diag_indices(n)] = np.exp(log_diag)
+        out[f"cov_{side}_chol"] = chol
+    out["noise_variance"] = np.exp(arrays["log_noise_variance"])
+    return out
 
 
 class ParamLayout:
@@ -113,53 +155,80 @@ class ParamLayout:
         return self.join(_unconstrained(state))
 
     def unpack(self, theta: np.ndarray, template: ModelState) -> ModelState:
-        arrays = self.split(np.asarray(theta, float))
+        c = _constrained(self.split(np.asarray(theta, float)))
+
+        def kernel(name: str, family: str) -> StationaryKernel:
+            variance = float(c[f"{name}_variance"])
+            return StationaryKernel(family=family, variance=variance, lengthscales=c[f"{name}_lengthscales"])
+
         hk = template.hier_kernel
-        shared = None
-        if not self._flat:
-            shared = StationaryKernel(
-                family=hk.shared.family,
-                variance=float(np.exp(arrays["log_shared_variance"][0])),
-                lengthscales=np.exp(arrays["log_shared_lengthscales"]),
-            )
-        replica = StationaryKernel(
-            family=hk.replica.family,
-            variance=float(np.exp(arrays["log_replica_variance"][0])),
-            lengthscales=np.exp(arrays["log_replica_lengthscales"]),
-        )
-        latent_kernel = StationaryKernel(
-            family=template.latent_kernel.family,
-            variance=float(np.exp(arrays["log_latent_kernel_variance"][0])),
-            lengthscales=np.exp(arrays["log_latent_kernel_lengthscales"]),
-        )
-        posterior = LatentPosterior(
-            means=arrays["latent_mean"].copy(),
-            variances=np.exp(arrays["latent_log_variance"]),
-        )
-
-        def build_chol(side: str, n: int) -> np.ndarray:
-            chol = np.zeros((n, n))
-            rows, cols = np.tril_indices(n, k=-1)
-            chol[rows, cols] = arrays[f"cov_{side}_offdiag"]
-            chol[np.diag_indices(n)] = np.exp(arrays[f"cov_{side}_log_diag"])
-            return chol
-
-        ind = template.inducing
-        ends = np.cumsum([b.shape[0] for b in ind.z_input])[:-1]
+        ends = np.cumsum([b.shape[0] for b in template.inducing.z_input])[:-1]
         inducing = InducingState(
-            z_input=[b.copy() for b in np.split(arrays["inducing_inputs"], ends)],
-            z_latent=arrays["inducing_latents"].copy(),
-            mean=arrays["inducing_mean"].copy(),
-            cov_latent_chol=build_chol("latent", ind.m_h),
-            cov_input_chol=build_chol("input", ind.m_x),
+            z_input=[b.copy() for b in np.split(c["inducing_inputs"], ends)],
+            z_latent=c["inducing_latents"].copy(),
+            mean=c["inducing_mean"].copy(),
+            cov_latent_chol=c["cov_latent_chol"],
+            cov_input_chol=c["cov_input_chol"],
         )
-        noise = np.exp(arrays["log_noise_variance"])
+        noise = c["noise_variance"]
         if not self._per_output_noise:
             noise = np.asarray(noise[0])
         return ModelState(
-            hier_kernel=HierarchicalKernel(shared=shared, replica=replica),
-            latent_kernel=latent_kernel,
-            latent_posterior=posterior,
+            hier_kernel=HierarchicalKernel(
+                shared=None if self._flat else kernel("shared", hk.shared.family),
+                replica=kernel("replica", hk.replica.family),
+            ),
+            latent_kernel=kernel("latent_kernel", template.latent_kernel.family),
+            latent_posterior=LatentPosterior(means=c["latent_mean"].copy(), variances=c["latent_variance"]),
             inducing=inducing,
             noise_variance=noise,
         )
+
+    def constrain(self, theta: ad.Node) -> dict[str, ad.Node]:
+        """Every quantity the bound reads of the vector ``theta``, by name, as
+        the outputs of one tape node: each kernel's variance (0-d) and
+        lengthscales; the spans of ``_PASSED`` unchanged; the inducing
+        covariances ``cov_latent`` and ``cov_input`` (``L L^T`` of each
+        factor) with their log-determinants ``logdet_cov_latent`` and
+        ``logdet_cov_input``; and ``input_self_variance``, the input kernel's
+        variance at zero distance. The backward pass returns the flat
+        gradient: through ``S = L L^T`` the factor gets ``(G + G^T) L``, whose
+        diagonal is chained through the exp and gets twice the
+        log-determinant's cotangent."""
+        arrays = self.split(theta.value)
+        c = _constrained(arrays)
+        kernels = [k for k in _KERNELS if f"{k}_variance" in c]
+        values = {}
+        for kernel in kernels:
+            for quantity in ("variance", "lengthscales"):
+                values[f"{kernel}_{quantity}"] = c[f"{kernel}_{quantity}"]
+        for name in _PASSED:
+            values[name] = arrays[name]
+        for side in _SIDES:
+            chol = c[f"cov_{side}_chol"]
+            values[f"cov_{side}"] = chol @ chol.T
+            values[f"logdet_cov_{side}"] = 2.0 * np.sum(arrays[f"cov_{side}_log_diag"])
+        values["input_self_variance"] = c["replica_variance"]
+        if not self._flat:
+            values["input_self_variance"] = values["input_self_variance"] + c["shared_variance"]
+        names = tuple(values)
+
+        def backward(*cotangents):
+            g = dict(zip(names, cotangents))
+            grads = {name: g[name] for name in _PASSED}
+            for kernel in kernels:
+                g_variance = g[f"{kernel}_variance"]
+                if kernel != "latent_kernel":
+                    g_variance = g_variance + g["input_self_variance"]
+                grads[f"log_{kernel}_variance"] = g_variance * c[f"{kernel}_variance"]
+                lengthscales = f"{kernel}_lengthscales"
+                grads[f"log_{lengthscales}"] = g[lengthscales] * c[lengthscales]
+            for side in _SIDES:
+                chol, g_cov = c[f"cov_{side}_chol"], g[f"cov_{side}"]
+                g_chol = g_cov @ chol + g_cov.T @ chol
+                grads[f"cov_{side}_offdiag"] = g_chol[np.tril_indices(chol.shape[0], k=-1)]
+                g_logdet = g[f"logdet_cov_{side}"]
+                grads[f"cov_{side}_log_diag"] = np.diagonal(g_chol) * np.diagonal(chol) + 2.0 * g_logdet
+            return (self.join(grads),)
+
+        return dict(zip(names, ad.fused(tuple(values.values()), (theta,), backward)))

@@ -1,6 +1,7 @@
 """Builders for random tiny model states and datasets used across tests,
-finite-difference oracles for tape gradients and the bound's gradient, and
-a runner for child Python processes."""
+finite-difference oracles for tape gradients and the bound's gradient, the
+fused nodes those oracles contract and transform tape outputs with, and a
+runner for child Python processes."""
 
 import os
 import pathlib
@@ -129,6 +130,27 @@ def fd_grad(fun, x, step=1e-6):
         minus[i] -= step
         g.ravel()[i] = (fun(plus.reshape(x.shape)) - fun(minus.reshape(x.shape))) / (2 * step)
     return g
+
+
+def contract(*terms):
+    """``sum_k <w_k, x_k>`` over ``(x_k, w_k)`` pairs as one fused node: the
+    scalar a finite-difference check reads a node's outputs through. A
+    weight may be a scalar or an array broadcast to its node's shape."""
+    nodes = tuple(x for x, _ in terms)
+    weights = [np.broadcast_to(np.asarray(w, float), x.value.shape) for x, w in terms]
+    value = sum(np.vdot(w, x.value) for x, w in zip(nodes, weights))
+    return ad.fused(value, nodes, lambda g: tuple(g * w for w in weights))
+
+
+def exp(x):
+    """Elementwise ``exp`` of a node as one fused node."""
+    value = np.exp(x.value)
+    return ad.fused(value, (x,), lambda g: (g * value,))
+
+
+def symmetrised(x):
+    """``(x + x^T) / 2`` of a square node as one fused node."""
+    return ad.fused(0.5 * (x.value + x.value.T), (x,), lambda g: (0.5 * (g + g.T),))
 
 
 def check(build, *arrays, step=1e-6, rtol=1e-6, atol=1e-8):

@@ -34,4 +34,4 @@ def test_benchmark_runs_on_tiny_workload(trace):
         assert metrics["kron.choose_jitter.ms_per_step"] > 0
         # a fitted state's prediction factors Kuu_x and Kuu_h once each
         assert metrics["kron.cholesky_jitter.calls_per_pass"] == 2
-        assert metrics["objective.tape_nodes_per_step"] == 66
+        assert metrics["objective.tape_nodes_per_step"] == 31

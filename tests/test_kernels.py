@@ -13,11 +13,12 @@ from hiermogp.kernels import (
     gram,
     hier_block_cov,
     hier_cross_cov,
+    hier_gram,
     latent_cov,
     validate_replica_blocks,
 )
 from hiermogp.kron import cholesky_jitter
-from .helpers import check
+from .helpers import check, contract, exp
 from .oracles import full_cov
 
 
@@ -220,14 +221,14 @@ def test_hyperparameter_gradients_match_finite_differences(family):
 
     lv_node = ad.Node(np.asarray(log_v))
     lls_node = ad.Node(log_ls)
-    gram_node = gram(family, ad.exp(lv_node), ad.exp(lls_node), x1, x2)
+    gram_node = gram(family, exp(lv_node), exp(lls_node), x1, x2)
     assert np.allclose(gram_node.value, numpy_gram(log_v, log_ls), rtol=1e-12, atol=1e-12)
     step = 1e-6
     for i in range(4):
         for j in range(3):
             onehot = np.zeros((4, 3))
             onehot[i, j] = 1.0
-            entry = ad.sum(gram_node * onehot)
+            entry = contract((gram_node, onehot))
             dv, dls = ad.grad(entry, [lv_node, lls_node])
             fd_v = (numpy_gram(log_v + step, log_ls)[i, j] - numpy_gram(log_v - step, log_ls)[i, j]) / (2 * step)
             assert np.isclose(dv, fd_v, rtol=1e-5, atol=1e-8)
@@ -244,7 +245,7 @@ def test_hyperparameter_gradients_match_finite_differences(family):
     weights = rng.standard_normal((3, 4, 5))
 
     def batched(lv, lls, a, b):
-        return ad.sum(gram(family, ad.exp(lv), ad.exp(lls), a, b) * weights)
+        return contract((gram(family, exp(lv), exp(lls), a, b), weights))
 
     check(batched, np.asarray(log_v), log_ls, batch, points, rtol=1e-5)
     node = gram(family, 1.3, [0.7, 1.4], batch, ad.Node(points))
@@ -258,6 +259,47 @@ def test_hyperparameter_gradients_match_finite_differences(family):
     weights_zz = rng.standard_normal((6, 6))
 
     def square(lv, lls, z):
-        return ad.sum(gram(family, ad.exp(lv), ad.exp(lls), z, z) * weights_zz)
+        return contract((gram(family, exp(lv), exp(lls), z, z), weights_zz))
 
     check(square, np.asarray(log_v), log_ls, z, rtol=1e-5)
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN32])
+@pytest.mark.parametrize("flat", [False, True])
+def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
+    # the inducing Gram (one node as both point sets, with a coincident pair
+    # in one replica, where Matern's sqrt has no derivative) and the cross
+    # covariance of constant data with it, against hier_cross_cov
+    rng = np.random.default_rng(9)
+    z = rng.uniform(size=(5, 2))
+    z[2] = z[0]
+    z_tags = np.array([0, 0, 0, 1, 1])
+    x = rng.uniform(size=(6, 2))
+    x_tags = np.array([1, 0, 1, 1, 0, 0])
+    logs = [np.asarray(np.log(0.4)), np.log([0.8, 1.3]), np.asarray(np.log(1.2)), np.log([0.6, 0.9])]
+    spec = HierarchicalKernel(
+        shared=None if flat else StationaryKernel(family, 0.4, [0.8, 1.3]),
+        replica=StationaryKernel(family, 1.2, [0.6, 0.9]),
+    )
+
+    def levels(lvg, llsg, lvf, llsf):
+        shared = None if flat else (family, exp(lvg), exp(llsg))
+        return shared, (family, exp(lvf), exp(llsf))
+
+    blocks = [z[:3], z[3:]]
+    kuu = hier_gram(*levels(*map(ad.Node, logs)), ad.Node(z), z_tags, ad.Node(z), z_tags)
+    kfu = hier_gram(*levels(*map(ad.Node, logs)), x, x_tags, ad.Node(z), z_tags)
+    assert np.allclose(kuu.value, hier_cross_cov(spec, z, z_tags, blocks), rtol=1e-14, atol=1e-15)
+    assert np.allclose(kfu.value, hier_cross_cov(spec, x, x_tags, blocks), rtol=1e-14, atol=1e-15)
+    assert len(kfu.parents) == 5 - 2 * flat  # the data are a constant
+
+    w_uu, w_fu = rng.standard_normal((5, 5)), rng.standard_normal((6, 5))
+
+    def inducing(lvg, llsg, lvf, llsf, z):
+        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), z, z_tags, z, z_tags), w_uu))
+
+    def cross(lvg, llsg, lvf, llsf, z):
+        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), x, x_tags, z, z_tags), w_fu))
+
+    check(inducing, *logs, z, rtol=1e-5)
+    check(cross, *logs, z, rtol=1e-5)

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermogp import autodiff as ad
 from hiermogp.kernels import RBF, StationaryKernel, eval_stationary
 from hiermogp.kron import IndefiniteMatrixError, cholesky_jitter, spd_inverse, tril_inverse
 
 from . import oracles
-from .helpers import check
+from .helpers import check, contract, symmetrised
 from .oracles import kron, kron_matvec, logdet, trace_kron, tri_solve, unvec, vec
 
 
@@ -173,18 +172,18 @@ def test_spd_inverse_values_and_vjp(jitter):
 
     def factored(a):
         # the node and the factor of its value, as the bound passes them
-        symmetric = 0.5 * (a + ad.transpose(a))
+        symmetric = symmetrised(a)
         return symmetric, np.linalg.cholesky(symmetric.value + jitter * np.eye(4))
 
     weights = rng.standard_normal((4, 4))
 
     def both(a):
         inverse, logdet = spd_inverse(*factored(a))
-        return ad.sum(inverse * weights) + 1.7 * logdet
+        return contract((inverse, weights), (logdet, 1.7))
 
     check(both, a, rtol=1e-5)
     # each output alone: the other one's cotangent is zero
-    check(lambda a: ad.sum(spd_inverse(*factored(a))[0] * weights), a, rtol=1e-5)
+    check(lambda a: contract((spd_inverse(*factored(a))[0], weights)), a, rtol=1e-5)
     check(lambda a: spd_inverse(*factored(a))[1], a, rtol=1e-5)
 
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hiermogp import autodiff as ad
 from hiermogp.data import SyntheticConfig, generate_synthetic
-from hiermogp.latent import InducingState
+from hiermogp.latent import InducingState, kl_latent
 from hiermogp.objective import read_data
 from hiermogp.params import ParamLayout
 from hiermogp.training import (
@@ -20,6 +21,8 @@ from hiermogp.training import (
 
 from .helpers import (
     central_fd_grad,
+    check,
+    contract,
     random_chol,
     random_per_output_data,
     random_shared_data,
@@ -50,6 +53,41 @@ def test_pack_unpack_identity_on_random_vectors(seed):
     theta = rng.standard_normal(layout.size)
     rebuilt = layout.pack(layout.unpack(theta, state))
     assert np.allclose(rebuilt, theta, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("per_output_noise", [True, False])
+def test_parameter_node_matches_unpack_and_finite_differences(flat, per_output_noise):
+    rng = np.random.default_rng(4)
+    state = random_state(rng, n_outputs=3, input_dim=2, flat=flat, per_output_noise=per_output_noise)
+    layout = ParamLayout(state)
+    theta = layout.pack(state) + 0.1 * rng.standard_normal(layout.size)
+    p = {name: node.value for name, node in layout.constrain(ad.Node(theta)).items()}
+    rebuilt = layout.unpack(theta, state)
+    hk = rebuilt.hier_kernel
+    kernels = {"replica": hk.replica, "latent_kernel": rebuilt.latent_kernel}
+    if not flat:
+        kernels["shared"] = hk.shared
+    for name, kernel in kernels.items():
+        assert p[f"{name}_variance"] == kernel.variance
+        assert np.array_equal(p[f"{name}_lengthscales"], kernel.lengthscales)
+    assert ("shared_variance" in p) != flat
+    assert p["input_self_variance"] == hk.diag_value
+    for side in ("latent", "input"):
+        chol = getattr(rebuilt.inducing, f"cov_{side}_chol")
+        assert np.array_equal(p[f"cov_{side}"], chol @ chol.T)
+        assert np.isclose(p[f"logdet_cov_{side}"], 2.0 * np.sum(np.log(np.diag(chol))), rtol=1e-14, atol=0.0)
+    assert np.allclose(np.exp(p["log_noise_variance"]), rebuilt.noise_variance, rtol=1e-15, atol=0.0)
+
+    weights = {name: rng.standard_normal(np.shape(value)) for name, value in p.items()}
+
+    def contracted(theta):
+        return contract(*[(node, weights[name]) for name, node in layout.constrain(theta).items()])
+
+    check(contracted, theta)
+    leaf = ad.Node(theta)
+    (g,) = ad.grad(contracted(leaf), [leaf])
+    assert all(np.all(g[s.start : s.stop] != 0.0) for s in layout.spans)  # every span is reached
 
 
 def test_span_lookup_and_mask():
@@ -107,28 +145,18 @@ def test_inducing_inputs_are_one_span_at_twelve_replicas():
 
 
 def test_gradient_zero_at_latent_prior():
-    # kl_latent is minimised at mean zero, unit variance; with data terms
-    # blocked out, those spans should carry zero gradient
+    # the latent KL is smallest at the prior (mean zero, unit variance): its
+    # gradient in the means and log variances is zero there and not elsewhere
     rng = np.random.default_rng(2)
-    state = random_state(rng)
-    state.latent_posterior.means[:] = 0.0
-    state.latent_posterior.variances[:] = 1.0
-    x, y = random_per_output_data(rng, state)
-    layout = ParamLayout(state)
-    theta = layout.pack(state)
-    _, grad, _ = grad_elbo(theta, layout, state, read_data(state, x, y))
-    # the latent spans also feed the data fit; isolate the kl part by
-    # comparing against a state with data influence removed (zero targets
-    # and zero inducing mean keeps the psi terms, so use the kl directly)
-    from hiermogp import autodiff as ad
-
-    mean_node = ad.Node(np.zeros_like(state.latent_posterior.means))
-    logvar_node = ad.Node(np.zeros_like(state.latent_posterior.variances))
-    s = ad.exp(logvar_node)
-    kl = 0.5 * ad.sum(s + mean_node * mean_node - 1.0 - logvar_node)
-    g_mean, g_logvar = ad.grad(kl, [mean_node, logvar_node])
-    assert np.allclose(g_mean, 0.0)
-    assert np.allclose(g_logvar, 0.0)
+    at_prior = [ad.Node(np.zeros((3, 2))), ad.Node(np.zeros((3, 2)))]
+    for g in ad.grad(kl_latent(*at_prior), at_prior):
+        assert np.array_equal(g, np.zeros((3, 2)))
+    mu, log_s = rng.standard_normal((3, 2)), rng.uniform(-1.0, 1.0, size=(3, 2))
+    away = [ad.Node(mu), ad.Node(log_s)]
+    g_mu, g_log_s = ad.grad(kl_latent(*away), away)
+    assert np.all(g_mu != 0.0) and np.all(g_log_s != 0.0)
+    assert np.allclose(g_mu, mu, rtol=1e-15, atol=0.0)
+    assert np.allclose(g_log_s, 0.5 * (np.exp(log_s) - 1.0), rtol=1e-15, atol=0.0)
 
 
 def fd_check(state, x, y, rtol=1e-4, step=1e-5):
