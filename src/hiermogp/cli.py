@@ -2,9 +2,13 @@
 
 Runs are declared in a YAML config (grammar documented in the README) and
 produce CSV/JSON artifacts plus a manifest sufficient to reproduce the run.
-Every random choice flows from the run seed, so repeating a command with the
-same config and seed reproduces its prediction and metrics files byte for
-byte.
+``fit`` and ``experiment`` share one per-repeat step (``_fit_repeat``) that
+builds, splits and saves the data, fits, and saves the model and its bound
+trace; every table and JSON file goes through ``data.write_table`` and
+``data.write_json``. Every random choice flows from the run seed, so repeating
+a command with the same config and seed reproduces its prediction and metrics
+files byte for byte. A malformed config, data file or model file exits 2 with
+a message that names it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from .data import (
     load_csv,
     save_csv,
     split,
+    standardization_maps,
     unstandardize_dataset,
+    write_json,
+    write_table,
 )
 from .kernels import MATERN32, RBF, StationaryKernel
 from .metrics import evaluate
@@ -42,10 +49,6 @@ from .training import FitResult, ModelConfig, OptimizerConfig, fit
 
 class ConfigError(ValueError):
     """A config field is missing or malformed; the message carries its path."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +214,6 @@ class RunConfig:
                 raise ConfigError(f"split.mode: unknown mode {mode!r}")
         self.raw = raw
 
-    def resolved(self) -> dict:
-        return self.raw
-
 
 def load_config(path) -> RunConfig:
     with open(path) as handle:
@@ -223,12 +223,6 @@ def load_config(path) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # pipeline pieces
-
-
-def _dataset_for_repeat(config: RunConfig, seed: int) -> HierarchicalDataset:
-    if config.csv_source is not None:
-        return load_csv(config.csv_source["path"], standardize=config.csv_source["standardize"])
-    return generate_synthetic(config.synthetic, seed=seed)
 
 
 def _plan_for_repeat(config: RunConfig, dataset: HierarchicalDataset, seed: int) -> SplitPlan | None:
@@ -243,25 +237,6 @@ def _plan_for_repeat(config: RunConfig, dataset: HierarchicalDataset, seed: int)
     return SplitPlan(mode="missing_replica", missing=[(int(d), int(r)) for d, r in missing], seed=seed)
 
 
-def _split(dataset: HierarchicalDataset, plan: SplitPlan):
-    """``data.split``, whose only errors are ``split.missing`` pairs the dataset cannot hold."""
-    try:
-        return split(dataset, plan)
-    except ValueError as err:
-        raise ConfigError(f"split.missing: {err}") from None
-
-
-def _model_config(config: RunConfig, ablation: str | None) -> ModelConfig:
-    return dataclasses.replace(config.model, flat=(ablation == "flat"))
-
-
-def _save_model(state: ModelState, path, extras: dict | None = None) -> None:
-    payload = state.to_dict()
-    if extras:
-        payload.update(extras)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _model_extras(train: HierarchicalDataset) -> dict:
     """What a saved model keeps of its training data: the replica count and,
     for standardised data, the constants that map predictions back."""
@@ -271,23 +246,62 @@ def _model_extras(train: HierarchicalDataset) -> dict:
     return extras
 
 
+_MODEL_EXTRAS = ("n_replicas", "standardization")  # the keys _model_extras writes
+
+
 def _load_model(path) -> tuple[ModelState, dict]:
-    payload = json.loads(pathlib.Path(path).read_text())
-    return state_from_dict(payload), payload
+    """A saved model and the payload it was read from; a malformed file is a
+    ``ConfigError`` whose message starts with its path."""
+    try:
+        payload = json.loads(pathlib.Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        unknown = payload.keys() - {"format", *_MODEL_EXTRAS, *(f.name for f in dataclasses.fields(ModelState))}
+        if unknown:
+            raise ValueError(f"{min(unknown)}: unknown field")
+        return state_from_dict(payload), payload
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
-def _write_trace(trace: np.ndarray, path) -> None:
-    lines = ["iteration,elbo"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(trace)]
-    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+def _fit_repeat(config: RunConfig, out_dir: pathlib.Path, seed: int, ablation: str | None, tag: str):
+    """One repeat of ``fit`` and ``experiment``: build the dataset, split it as
+    planned and save both parts in original units, fit, then save the model
+    with its extras and the bound trace. File names end in ``tag``. Returns the
+    fit, the held-out part in original units (None without a split) and the
+    model's standardisation constants."""
+    if config.csv_source is not None:
+        dataset = load_csv(config.csv_source["path"], standardize=config.csv_source["standardize"])
+    else:
+        dataset = generate_synthetic(config.synthetic, seed=seed)
+    plan = _plan_for_repeat(config, dataset, seed)
+    train, test = dataset, None
+    if plan is not None:
+        try:
+            train, test = split(dataset, plan)
+        except ValueError as err:  # split's only error: split.missing pairs the dataset cannot hold
+            raise ConfigError(f"split.missing: {err}") from None
+        save_csv(unstandardize_dataset(train), out_dir / f"train{tag}.csv")
+        test = unstandardize_dataset(test)
+        save_csv(test, out_dir / f"test{tag}.csv")
+    if config.model.regime == "shared" and not train.has_common_inputs():
+        raise ConfigError(
+            "model.regime: 'shared' needs every output of the training data on one common input grid"
+        )
+    model = dataclasses.replace(config.model, flat=(ablation == "flat"))
+    result = fit(train, model, dataclasses.replace(config.optimizer, seed=seed))
+    extras = _model_extras(train)
+    write_json(out_dir / f"model{tag}.json", {**result.state.to_dict(), **extras})
+    trace_path = out_dir / (f"trace{tag}.csv" if tag else "elbo_trace.csv")
+    write_table(trace_path, ["iteration", "elbo"], enumerate(result.trace))
+    return result, test, extras.get("standardization")
 
 
-def _original_moments(moments, standardization: dict | None):
-    """Predictive mean and variance in the units of the data before standardisation."""
-    if standardization is None:
-        return moments.mean, moments.variance
-    y_std = standardization["y_std"]
-    return moments.mean * y_std + standardization["y_mean"], moments.variance * y_std**2
+def _fit_record(result: FitResult) -> dict:
+    return {
+        "final_elbo": float(result.trace[result.best_index]),
+        "jitter_events": result.diagnostics["jitter_events"],
+    }
 
 
 def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, standardization: dict | None):
@@ -295,6 +309,8 @@ def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, 
     row-aligned with the CSV serialisation order (output-major, then replica).
     Each output is predicted in one call over its replica-tagged points, mapped
     into model units with the saved standardisation constants."""
+    to_model, to_original = standardization_maps(standardization)
+    y_scale = 1.0 if standardization is None else standardization["y_std"] ** 2
     rows = []
     for d in range(points.n_outputs):
         blocks = points.per_output_blocks(d)
@@ -302,24 +318,19 @@ def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, 
         if tags.size == 0:
             continue
         raw_inputs = np.concatenate(blocks, axis=0)
-        inputs = raw_inputs
-        if standardization is not None:
-            inputs = (raw_inputs - np.asarray(standardization["x_mean"])) / np.asarray(standardization["x_std"])
-        moments = predict_marginal(state, inputs, tags, d, seed=seed)
-        mean, variance = _original_moments(moments, standardization)
         targets = points.per_output_targets(d)
+        inputs, _ = to_model(raw_inputs, targets)
+        moments = predict_marginal(state, inputs, tags, d, seed=seed)
+        _, mean = to_original(inputs, moments.mean)
+        variance = moments.variance * y_scale
         for i, r in enumerate(tags.tolist()):
             rows.append((d, r, raw_inputs[i], mean[i], variance[i], targets[i]))
     return rows
 
 
-def _write_predictions(rows, input_dim: int, path) -> None:
+def _write_predictions(path, rows, input_dim: int) -> None:
     header = ["output", "replica"] + [f"x_{i}" for i in range(input_dim)] + ["mean", "variance"]
-    lines = [",".join(header)]
-    for d, r, x, mean, variance, _ in rows:
-        cells = [str(d), str(r)] + [_fmt(v) for v in x] + [_fmt(mean), _fmt(variance)]
-        lines.append(",".join(cells))
-    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, header, ((d, r, *x, mean, variance) for d, r, x, mean, variance, _ in rows))
 
 
 def _metrics_from_rows(rows) -> dict:
@@ -328,10 +339,6 @@ def _metrics_from_rows(rows) -> dict:
     variance = np.array([row[4] for row in rows])
     outputs = np.array([row[0] for row in rows])
     return evaluate(y_true, mean, variance, outputs).to_dict()
-
-
-def _write_json(payload: dict, path) -> None:
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -349,41 +356,21 @@ def cmd_generate(config: RunConfig, out_dir: pathlib.Path) -> pathlib.Path:
     return path
 
 
-def _fit_once(config: RunConfig, dataset: HierarchicalDataset, seed: int, ablation: str | None) -> FitResult:
-    if config.model.regime == "shared" and not dataset.has_common_inputs():
-        raise ConfigError(
-            "model.regime: 'shared' needs every output of the training data on one common input grid"
-        )
-    opt = dataclasses.replace(config.optimizer, seed=seed)
-    return fit(dataset, _model_config(config, ablation), opt)
-
-
 def cmd_fit(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = None) -> pathlib.Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    dataset = _dataset_for_repeat(config, config.seed)
-    plan = _plan_for_repeat(config, dataset, config.seed)
-    if plan is not None:
-        train, test = _split(dataset, plan)
-        save_csv(unstandardize_dataset(train), out_dir / "train.csv")
-        save_csv(unstandardize_dataset(test), out_dir / "test.csv")
-    else:
-        train = dataset
-    result = _fit_once(config, train, config.seed, ablation)
-    model_path = out_dir / "model.json"
-    _save_model(result.state, model_path, _model_extras(train))
-    _write_trace(result.trace, out_dir / "elbo_trace.csv")
+    result, _, _ = _fit_repeat(config, out_dir, config.seed, ablation, tag="")
     manifest = {
         "command": "fit",
-        "config": config.resolved(),
+        "config": config.raw,
         "seed": config.seed,
         "ablation": ablation,
         "version": __version__,
-        "final_elbo": float(result.trace[result.best_index]),
-        "jitter_events": result.diagnostics["jitter_events"],
+        **_fit_record(result),
         "wall_clock_seconds": time.time() - started,
     }
-    _write_json(manifest, out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", manifest)
+    model_path = out_dir / "model.json"
     print(f"wrote {model_path} (best bound {result.trace[result.best_index]:.4f})")
     return model_path
 
@@ -432,7 +419,7 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
             outputs=[OutputRecord(replicas=[unobserved] * state.n_replicas) for _ in range(state.n_outputs)]
         )
     rows = _predict_dataset(state, points, seed, payload.get("standardization"))
-    _write_predictions(rows, input_dim, out_path)
+    _write_predictions(out_path, rows, input_dim)
     print(f"wrote {out_path} ({len(rows)} predictions)")
     return pathlib.Path(out_path)
 
@@ -482,12 +469,9 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
         variances.append(values[-1])
     report = evaluate(np.array(y_true), np.array(means), np.array(variances), np.array(outputs))
     payload = report.to_dict()
-    _write_json(payload, out_dir / "metrics.json")
-    lines = ["output,nmse,nlpd"]
-    lines.append(f"pooled,{_fmt(report.nmse)},{_fmt(report.nlpd)}")
-    for d, a, b in report.per_output:
-        lines.append(f"{d},{_fmt(a)},{_fmt(b)}")
-    (out_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
+    write_json(out_dir / "metrics.json", payload)
+    pooled = ("pooled", report.nmse, report.nlpd)
+    write_table(out_dir / "metrics.csv", ["output", "nmse", "nlpd"], [pooled, *report.per_output])
     print(f"nmse={report.nmse:.6f} nlpd={report.nlpd:.6f} over {report.n_test} test points")
     return payload
 
@@ -502,30 +486,14 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
     per_repeat = []
     for rep in range(config.repeats):
         seed = config.seed + rep
-        dataset = _dataset_for_repeat(config, seed)
-        plan = _plan_for_repeat(config, dataset, seed)
-        train, test = _split(dataset, plan)
-        save_csv(unstandardize_dataset(train), out_dir / f"train_rep{rep}.csv")
-        test_original = unstandardize_dataset(test)
-        save_csv(test_original, out_dir / f"test_rep{rep}.csv")
-        result = _fit_once(config, train, seed, ablation)
-        extras = _model_extras(train)
-        _save_model(result.state, out_dir / f"model_rep{rep}.json", extras)
-        _write_trace(result.trace, out_dir / f"trace_rep{rep}.csv")
-        rows = _predict_dataset(result.state, test_original, seed, extras.get("standardization"))
-        _write_predictions(rows, dataset.input_dim, out_dir / f"predictions_rep{rep}.csv")
+        result, test, standardization = _fit_repeat(config, out_dir, seed, ablation, tag=f"_rep{rep}")
+        rows = _predict_dataset(result.state, test, seed, standardization)
+        _write_predictions(out_dir / f"predictions_rep{rep}.csv", rows, result.state.input_dim)
         metrics = _metrics_from_rows(rows)
-        _write_json(metrics, out_dir / f"metrics_rep{rep}.json")
+        write_json(out_dir / f"metrics_rep{rep}.json", metrics)
         nmse_values.append(metrics["nmse"])
         nlpd_values.append(metrics["nlpd"])
-        per_repeat.append(
-            {
-                "seed": seed,
-                "final_elbo": float(result.trace[result.best_index]),
-                "jitter_events": result.diagnostics["jitter_events"],
-                "n_test": metrics["n_test"],
-            }
-        )
+        per_repeat.append({"seed": seed, **_fit_record(result), "n_test": metrics["n_test"]})
         print(f"repeat {rep}: nmse={metrics['nmse']:.6f} nlpd={metrics['nlpd']:.6f}")
     summary = {
         "ablation": ablation,
@@ -537,17 +505,17 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         "nmse_values": nmse_values,
         "nlpd_values": nlpd_values,
     }
-    _write_json(summary, out_dir / "summary.json")
+    write_json(out_dir / "summary.json", summary)
     manifest = {
         "command": "experiment",
-        "config": config.resolved(),
+        "config": config.raw,
         "seeds": [config.seed + rep for rep in range(config.repeats)],
         "ablation": ablation,
         "version": __version__,
         "per_repeat": per_repeat,
         "wall_clock_seconds": time.time() - started,
     }
-    _write_json(manifest, out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", manifest)
     print(
         f"summary: nmse {summary['nmse_mean']:.6f} +/- {summary['nmse_sd']:.6f}, "
         f"nlpd {summary['nlpd_mean']:.6f} +/- {summary['nlpd_sd']:.6f}"

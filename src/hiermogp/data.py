@@ -8,6 +8,11 @@ The CSV schema is one observation per row with header
 ``output,replica,x_0[,x_1,...],y``; output and replica are integer indices
 from zero. A JSON sidecar (``<path>.meta.json``) carries metadata such as
 standardisation constants and generator settings.
+
+Every table the package writes goes through ``write_table`` (floats with 17
+significant digits, which read back exactly) and every JSON file through
+``write_json``. ``standardization_maps`` is the one place the standardisation
+constants are applied, in either direction.
 """
 
 from __future__ import annotations
@@ -292,27 +297,38 @@ def split(dataset: HierarchicalDataset, plan: SplitPlan):
     )
 
 
-def _format_value(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(value) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row of cells. Floats
+    keep 17 significant digits, so they read back exactly; integers and
+    strings are written as they print."""
+    lines = [",".join(header)] + [",".join(_cell(value) for value in row) for row in rows]
+    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON artifact: indented by two spaces, keys sorted."""
+    pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_csv(dataset: HierarchicalDataset, path) -> None:
     """Write the dataset plus a JSON metadata sidecar."""
     path = pathlib.Path(path)
-    v = dataset.input_dim
-    header = ["output", "replica"] + [f"x_{i}" for i in range(v)] + ["y"]
-    lines = [",".join(header)]
-    for d, record in enumerate(dataset.outputs):
-        for r, block in enumerate(record.replicas):
-            for i in range(block.n_points):
-                cells = [str(d), str(r)]
-                cells += [_format_value(val) for val in block.inputs[i]]
-                cells.append(_format_value(block.targets[i]))
-                lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    header = ["output", "replica"] + [f"x_{i}" for i in range(dataset.input_dim)] + ["y"]
+    rows = (
+        (d, r, *block.inputs[i], block.targets[i])
+        for d, record in enumerate(dataset.outputs)
+        for r, block in enumerate(record.replicas)
+        for i in range(block.n_points)
+    )
+    write_table(path, header, rows)
     if dataset.metadata:
-        sidecar = path.with_name(path.name + ".meta.json")
-        sidecar.write_text(json.dumps(dataset.metadata, indent=2, sort_keys=True) + "\n")
+        write_json(path.with_name(path.name + ".meta.json"), dataset.metadata)
 
 
 class CsvSchemaError(ValueError):
@@ -384,35 +400,47 @@ def load_csv(path, standardize: bool = False, targets_optional: bool = False) ->
     return dataset
 
 
+def standardization_maps(constants: dict | None):
+    """``(to_model, to_original)``: the maps of ``(inputs, targets)`` into and
+    out of the standardised units that ``constants`` describe (identities
+    without constants)."""
+    if constants is None:
+        return (lambda x, y: (x, y),) * 2
+    x_mean, x_std = np.asarray(constants["x_mean"]), np.asarray(constants["x_std"])
+    y_mean, y_std = constants["y_mean"], constants["y_std"]
+    return (
+        lambda x, y: ((x - x_mean) / x_std, (y - y_mean) / y_std),
+        lambda x, y: (x * x_std + x_mean, y * y_std + y_mean),
+    )
+
+
+def _map_blocks(dataset: HierarchicalDataset, to_units, metadata: dict) -> HierarchicalDataset:
+    outputs = [
+        OutputRecord(
+            replicas=[ReplicaBlock(*to_units(b.inputs, b.targets)) if b.n_points else b for b in record.replicas],
+            name=record.name,
+        )
+        for record in dataset.outputs
+    ]
+    return HierarchicalDataset(outputs=outputs, metadata=metadata)
+
+
 def standardize_dataset(dataset: HierarchicalDataset) -> HierarchicalDataset:
     """Rescale inputs and targets to zero mean and unit variance."""
     all_x = np.concatenate(
         [b.inputs for o in dataset.outputs for b in o.replicas if b.n_points > 0], axis=0
     )
     all_y = np.concatenate([b.targets for o in dataset.outputs for b in o.replicas])
-    x_mean = all_x.mean(axis=0)
     x_std = all_x.std(axis=0)
     x_std[x_std == 0.0] = 1.0
-    y_mean = float(all_y.mean())
-    y_std = float(all_y.std()) or 1.0
-    outputs = []
-    for record in dataset.outputs:
-        replicas = [
-            ReplicaBlock(
-                inputs=(b.inputs - x_mean) / x_std if b.n_points else b.inputs,
-                targets=(b.targets - y_mean) / y_std,
-            )
-            for b in record.replicas
-        ]
-        outputs.append(OutputRecord(replicas=replicas, name=record.name))
-    metadata = dict(dataset.metadata)
-    metadata["standardization"] = {
-        "x_mean": x_mean.tolist(),
+    constants = {
+        "x_mean": all_x.mean(axis=0).tolist(),
         "x_std": x_std.tolist(),
-        "y_mean": y_mean,
-        "y_std": y_std,
+        "y_mean": float(all_y.mean()),
+        "y_std": float(all_y.std()) or 1.0,
     }
-    return HierarchicalDataset(outputs=outputs, metadata=metadata)
+    to_model, _ = standardization_maps(constants)
+    return _map_blocks(dataset, to_model, {**dataset.metadata, "standardization": constants})
 
 
 def unstandardize_dataset(dataset: HierarchicalDataset) -> HierarchicalDataset:
@@ -420,19 +448,6 @@ def unstandardize_dataset(dataset: HierarchicalDataset) -> HierarchicalDataset:
     constants = dataset.metadata.get("standardization")
     if constants is None:
         return dataset
-    x_mean, x_std = np.asarray(constants["x_mean"]), np.asarray(constants["x_std"])
-    outputs = [
-        OutputRecord(
-            replicas=[
-                ReplicaBlock(
-                    inputs=b.inputs * x_std + x_mean if b.n_points else b.inputs,
-                    targets=b.targets * constants["y_std"] + constants["y_mean"],
-                )
-                for b in record.replicas
-            ],
-            name=record.name,
-        )
-        for record in dataset.outputs
-    ]
+    _, to_original = standardization_maps(constants)
     metadata = {k: v for k, v in dataset.metadata.items() if k != "standardization"}
-    return HierarchicalDataset(outputs=outputs, metadata=metadata)
+    return _map_blocks(dataset, to_original, metadata)

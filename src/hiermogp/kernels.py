@@ -51,6 +51,7 @@ class StationaryKernel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        object.__setattr__(self, "variance", float(self.variance))
         object.__setattr__(self, "lengthscales", np.atleast_1d(np.asarray(self.lengthscales, float)))
         if not 0.0 < self.variance < np.inf:
             raise ValueError("kernel variance must be positive and finite")

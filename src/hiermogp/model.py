@@ -1,13 +1,15 @@
-"""Model state: every free quantity of the hierarchical latent-output GP."""
+"""Model state: every free quantity of the hierarchical latent-output GP, saved field by field."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .kernels import HierarchicalKernel, StationaryKernel
+from .kernels import HierarchicalKernel, StationaryKernel, validate_replica_blocks
 from .latent import InducingState, LatentPosterior
+
+FORMAT = "hiermogp-model-v1"
 
 
 @dataclass(eq=False)
@@ -33,8 +35,6 @@ class ModelState:
             raise ValueError("latent kernel dimension disagrees with the posterior")
         if self.inducing.z_latent.shape[1] != self.latent_posterior.latent_dim:
             raise ValueError("latent inducing points live in the wrong dimension")
-        from .kernels import validate_replica_blocks
-
         validate_replica_blocks(self.inducing.z_input, self.hier_kernel.input_dim)
         if self.noise_variance.ndim not in (0, 1):
             raise ValueError("noise_variance must be a scalar or a vector")
@@ -67,71 +67,39 @@ class ModelState:
         return float(self.noise_variance[output])
 
     def to_dict(self) -> dict:
-        """JSON-ready representation; round-trips through :func:`state_from_dict`."""
+        """JSON-ready form: the format tag and every field, arrays as nested lists."""
+        return {"format": FORMAT, **_plain(self)}
 
-        def kernel_dict(k):
-            if k is None:
-                return None
-            return {
-                "family": k.family,
-                "variance": float(k.variance),
-                "lengthscales": k.lengthscales.tolist(),
-            }
 
-        return {
-            "format": "hiermogp-model-v1",
-            "hier_kernel": {
-                "shared": kernel_dict(self.hier_kernel.shared),
-                "replica": kernel_dict(self.hier_kernel.replica),
-            },
-            "latent_kernel": kernel_dict(self.latent_kernel),
-            "latent_posterior": {
-                "means": self.latent_posterior.means.tolist(),
-                "variances": self.latent_posterior.variances.tolist(),
-            },
-            "inducing": {
-                "z_input": [b.tolist() for b in self.inducing.z_input],
-                "z_latent": self.inducing.z_latent.tolist(),
-                "mean": self.inducing.mean.tolist(),
-                "cov_latent_chol": self.inducing.cov_latent_chol.tolist(),
-                "cov_input_chol": self.inducing.cov_input_chol.tolist(),
-            },
-            "noise_variance": self.noise_variance.tolist(),
-        }
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def state_from_dict(payload: dict) -> ModelState:
-    if payload.get("format") != "hiermogp-model-v1":
+    """The state :meth:`ModelState.to_dict` wrote; other top-level keys are the
+    caller's. A wrong tag, or a missing or malformed field, raises ``ValueError``."""
+    if payload.get("format") != FORMAT:
         raise ValueError(f"unrecognised model format {payload.get('format')!r}")
-
-    def kernel_from(d):
-        if d is None:
-            return None
-        return StationaryKernel(
-            family=d["family"],
-            variance=d["variance"],
-            lengthscales=np.asarray(d["lengthscales"], float),
-        )
-
-    return ModelState(
-        hier_kernel=HierarchicalKernel(
-            shared=kernel_from(payload["hier_kernel"]["shared"]),
-            replica=kernel_from(payload["hier_kernel"]["replica"]),
-        ),
-        latent_kernel=kernel_from(payload["latent_kernel"]),
-        latent_posterior=LatentPosterior(
-            means=np.asarray(payload["latent_posterior"]["means"], float),
-            variances=np.asarray(payload["latent_posterior"]["variances"], float),
-        ),
-        inducing=InducingState(
-            z_input=[np.asarray(b, float) for b in payload["inducing"]["z_input"]],
-            z_latent=np.asarray(payload["inducing"]["z_latent"], float),
-            mean=np.asarray(payload["inducing"]["mean"], float),
-            cov_latent_chol=np.asarray(payload["inducing"]["cov_latent_chol"], float),
-            cov_input_chol=np.asarray(payload["inducing"]["cov_input_chol"], float),
-        ),
-        noise_variance=np.asarray(payload["noise_variance"], float),
-    )
+    build = {  # the flat ablation saves its shared kernel as null
+        "hier_kernel": lambda d: HierarchicalKernel(**{level: k and StationaryKernel(**k) for level, k in d.items()}),
+        "latent_kernel": lambda d: StationaryKernel(**d),
+        "latent_posterior": lambda d: LatentPosterior(**d),
+        "inducing": lambda d: InducingState(**d),
+        "noise_variance": lambda v: np.asarray(v, float),
+    }
+    parts = {}
+    for name, make in build.items():
+        if name not in payload:
+            raise ValueError(f"{name}: missing field")
+        try:
+            parts[name] = make(payload[name])
+        except (AttributeError, TypeError, ValueError) as err:
+            raise ValueError(f"{name}: {err}") from None
+    return ModelState(**parts)
 
 
 @dataclass(frozen=True)

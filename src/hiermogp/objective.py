@@ -202,13 +202,7 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     return ad.fused(value, args, backward)
 
 
-def build_graph(
-    theta: np.ndarray,
-    layout: ParamLayout,
-    template: ModelState,
-    data: BoundData,
-    base_jitter: float = 1e-6,
-):
+def build_graph(theta: np.ndarray, layout: ParamLayout, template: ModelState, data: BoundData):
     """Assemble the bound; returns the graph pieces and the one leaf, the
     parameter vector, in a list."""
     if template.latent_kernel.family != RBF:
@@ -229,8 +223,8 @@ def build_graph(
 
     kuu_h = gram(RBF, vh, lsh, zh, zh)
     kuu_x = hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
-    lower_h, jitter_h = choose_jitter(kuu_h.value, base_jitter)
-    lower_x, jitter_x = choose_jitter(kuu_x.value, base_jitter)
+    lower_h, jitter_h = choose_jitter(kuu_h.value)
+    lower_x, jitter_x = choose_jitter(kuu_x.value)
     a_h, logdet_kh = spd_inverse(kuu_h, lower_h)
     a_x, logdet_kx = spd_inverse(kuu_x, lower_x)
 
@@ -258,12 +252,12 @@ def _breakdown(pieces: GraphPieces) -> ElboBreakdown:
     return ElboBreakdown(*(float(v.value) for v in values))
 
 
-def evaluate(theta, layout, template, data, base_jitter=1e-6):
-    pieces, _ = build_graph(theta, layout, template, data, base_jitter)
+def evaluate(theta, layout, template, data):
+    pieces, _ = build_graph(theta, layout, template, data)
     return _breakdown(pieces), pieces.jitters
 
 
-def evaluate_with_grad(theta, layout, template, data, base_jitter=1e-6):
-    pieces, leaves = build_graph(theta, layout, template, data, base_jitter)
+def evaluate_with_grad(theta, layout, template, data):
+    pieces, leaves = build_graph(theta, layout, template, data)
     (flat_grad,) = ad.grad(pieces.total, leaves)
     return _breakdown(pieces), flat_grad, pieces.jitters

@@ -25,7 +25,7 @@ from hiermogp.model import state_from_dict
 from hiermogp.prediction import predict_marginal
 from hiermogp.training import ModelConfig, OptimizerConfig
 
-from .helpers import run_child
+from .helpers import random_state, run_child
 
 
 def base_config(out_dir, iterations=40, repeats=2, seed=0):
@@ -170,6 +170,10 @@ def test_eval_on_perfect_predictions(tmp_path):
     )
     payload = run_eval(pred, truth, tmp_path / "out")
     assert payload["nmse"] == 0.0
+    nlpd = "0.91893853320467267"  # log(2 pi) / 2 to 17 significant digits
+    assert (tmp_path / "out" / "metrics.csv").read_text() == (
+        f"output,nmse,nlpd\npooled,0,{nlpd}\n0,0,{nlpd}\n1,0,{nlpd}\n"
+    )
 
 
 def test_grid_prediction(tmp_path):
@@ -238,6 +242,41 @@ def test_malformed_data_file_exits_2_with_its_line(tmp_path, capsys, command):
         argv = ["eval", "--predictions", str(pred), "--truth", str(data), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert f"{data}:3: non-numeric field" in capsys.readouterr().err
+
+
+def _edit(change):
+    """A model-file edit that applies ``change`` to the parsed payload."""
+
+    def apply(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_edit(lambda p: p.pop("latent_kernel")), "latent_kernel: missing field"),
+        (_edit(lambda p: p.update(noise_variance=[-0.1, 0.1, 0.1])), "noise variances must be strictly positive"),
+        (lambda text: text[: len(text) // 2], "Expecting"),
+        (_edit(lambda p: p.update(notes="x")), "notes: unknown field"),
+        (_edit(lambda p: p["latent_kernel"].update(period=1.0)), "latent_kernel: StationaryKernel.__init__() got an"),
+        (_edit(lambda p: p.update(format="hiermogp-model-v0")), "unrecognised model format 'hiermogp-model-v0'"),
+    ],
+    ids=["missing_field", "negative_noise", "truncated_json", "unknown_field", "unknown_kernel_field", "wrong_format"],
+)
+def test_malformed_model_file_exits_2_with_its_path(tmp_path, capsys, edit, problem):
+    state = random_state(np.random.default_rng(0), n_outputs=3)
+    model = tmp_path / "model.json"
+    model.write_text(edit(json.dumps({**state.to_dict(), "n_replicas": state.n_replicas})))
+    out = tmp_path / "grid.csv"
+    assert main(["predict", "--model", str(model), "--grid", "3,0,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {model}: ")
+    assert problem in err
+    assert not out.exists()
 
 
 def test_experiment_keeps_standardization_constants(tmp_path):

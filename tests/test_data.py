@@ -154,6 +154,13 @@ def test_csv_parse_shape(tmp_path):
     dataset = load_csv(path)
     assert dataset.n_outputs == 2
     assert dataset.n_replicas == 3
+    # written back: floats with 17 significant digits, index cells as integers
+    save_csv(dataset, tmp_path / "back.csv")
+    assert (tmp_path / "back.csv").read_text() == (
+        "output,replica,x_0,y\n"
+        "0,0,0.10000000000000001,1\n0,1,0.20000000000000001,2\n0,2,0.29999999999999999,3\n"
+        "1,0,0.40000000000000002,4\n1,1,0.5,5\n1,2,0.59999999999999998,6\n"
+    )
 
 
 def test_gene_protocol_shape_accepted(tmp_path):
