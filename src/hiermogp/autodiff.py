@@ -50,6 +50,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # fused nodes
 
 
+# what a later output of a fused node hands the first in place of a
+# cotangent: the tape adds nothing for it, and gives the first output zeros
+# only if nothing else reaches it
+_KEPT = object()
+
+
 def fused(values, args, backward):
     """Nodes for the outputs of one closed form with a hand-written backward pass.
 
@@ -64,7 +70,8 @@ def fused(values, args, backward):
     With several outputs, the first is the node the arguments hang from and
     each later one hangs from the first: the tape then reaches the first
     only after every later output's cotangent is known. A later output
-    passes the first a zero and keeps its own cotangent for ``backward``.
+    keeps its own cotangent for ``backward`` and passes the first nothing
+    (``_KEPT``).
     """
     several = isinstance(values, tuple)
     values = values if several else (values,)
@@ -80,14 +87,19 @@ def fused(values, args, backward):
 
     def vjp(i):
         shape = args[i].value.shape
-        return lambda g: np.reshape(gradients(g)[i], shape)
+
+        def reshaped(g):
+            gradient = gradients(g)[i]
+            return gradient if np.shape(gradient) == shape else np.reshape(gradient, shape)
+
+        return reshaped
 
     first = Node(values[0], tuple((a, vjp(i)) for i, a in enumerate(args) if isinstance(a, Node)))
 
     def keep(k):
         def vjp(g):
             later[k] = g
-            return np.zeros(first.value.shape)
+            return _KEPT
 
         return vjp
 
@@ -131,10 +143,16 @@ def grad(output: Node, leaves) -> list[np.ndarray]:
         g = grads.get(id(node))
         if g is None:
             continue
+        if g is _KEPT:  # reached only by later outputs of its fused node
+            g = np.zeros(node.value.shape)
         for parent, vjp in node.parents:
             if not parent.parents and id(parent) not in wanted:
                 continue  # a constant: its gradient would be thrown away
             contribution = vjp(g)
             seen = grads.get(id(parent))
-            grads[id(parent)] = contribution if seen is None else seen + contribution
-    return [grads.get(id(leaf), np.zeros_like(leaf.value)) for leaf in leaves]
+            if seen is None or seen is _KEPT:
+                grads[id(parent)] = contribution
+            elif contribution is not _KEPT:
+                grads[id(parent)] = seen + contribution
+    found = [grads.get(id(leaf), _KEPT) for leaf in leaves]
+    return [np.zeros_like(leaf.value) if g is _KEPT else g for leaf, g in zip(leaves, found)]

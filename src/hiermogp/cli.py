@@ -249,9 +249,36 @@ def _model_extras(train: HierarchicalDataset) -> dict:
 _MODEL_EXTRAS = ("n_replicas", "standardization")  # the keys _model_extras writes
 
 
+def _check_extras(state: ModelState, payload: dict) -> None:
+    """Raise ``ValueError`` unless the extras of a saved model fit its state:
+    ``n_replicas`` is the inducing blocks' replica count, and
+    ``standardization`` holds the four constants, finite, with positive
+    stds and input constants of the model's input dimension."""
+    n_replicas = payload.get("n_replicas", state.n_replicas)
+    if isinstance(n_replicas, bool) or n_replicas != state.n_replicas:
+        raise ValueError(f"n_replicas: {n_replicas!r}, but the inducing inputs cover {state.n_replicas} replicas")
+    constants = payload.get("standardization")
+    if constants is None:
+        return
+    shapes = {"x_mean": (state.input_dim,), "x_std": (state.input_dim,), "y_mean": (), "y_std": ()}
+    if not isinstance(constants, dict) or constants.keys() != shapes.keys():
+        raise ValueError(f"standardization: expected exactly the keys {', '.join(shapes)}")
+    for key, shape in shapes.items():
+        try:
+            value = np.asarray(constants[key], float)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or value.shape != shape or not np.all(np.isfinite(value)):
+            expected = f"{shape[0]} finite numbers" if shape else "a finite number"
+            raise ValueError(f"standardization.{key}: expected {expected}")
+        if key.endswith("_std") and not np.all(value > 0.0):
+            raise ValueError(f"standardization.{key}: must be positive")
+
+
 def _load_model(path) -> tuple[ModelState, dict]:
-    """A saved model and the payload it was read from; a malformed file is a
-    ``ConfigError`` whose message starts with its path."""
+    """A saved model and the payload it was read from; a malformed file,
+    extras included, is a ``ConfigError`` whose message starts with its
+    path."""
     try:
         payload = json.loads(pathlib.Path(path).read_text())
         if not isinstance(payload, dict):
@@ -259,7 +286,9 @@ def _load_model(path) -> tuple[ModelState, dict]:
         unknown = payload.keys() - {"format", *_MODEL_EXTRAS, *(f.name for f in dataclasses.fields(ModelState))}
         if unknown:
             raise ValueError(f"{min(unknown)}: unknown field")
-        return state_from_dict(payload), payload
+        state = state_from_dict(payload)
+        _check_extras(state, payload)
+        return state, payload
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
 

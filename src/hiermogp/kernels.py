@@ -22,13 +22,17 @@ Grams are fused nodes of the ``autodiff`` tape, built on one numpy value and
 hand-written backward pass of the same formula: ``gram`` for the latent
 inducing Gram, and ``hier_gram`` for the inducing Gram ``Kuu_x`` and its
 cross covariance with the distinct training points, both levels of the
-hierarchical kernel in one node, masked by replica tags. ``hier_cross_cov``
-is the hierarchical kernel in numpy, one replica at a time.
+hierarchical kernel in one node. Its replica level is block-diagonal once
+points are grouped by replica, so it is evaluated on the same-replica pairs
+only, as one batch of padded blocks that ``replica_pairs`` lays out once per
+fit (``ReplicaPairs``). ``hier_cross_cov`` is the hierarchical kernel in
+numpy, one replica tag at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,35 +161,118 @@ def _values(args):
     return [a.value if isinstance(a, ad.Node) else np.asarray(a, float) for a in args]
 
 
-def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1: bool, grad2: bool):
+@dataclass(frozen=True)
+class ReplicaPairs:
+    """The same-replica pairs of two replica-tagged point sets ``a`` and
+    ``b``, laid out for a batched Gram: one block per replica that both sets
+    observe, with the set's rows of that replica padded to a common count.
+    Built once per fit by :func:`replica_pairs`; the replica level of
+    :func:`hier_gram` is evaluated on these blocks only."""
+
+    rows_a: np.ndarray  # (R', n_pad) rows of ``a`` per block, padded with a real row
+    rows_b: np.ndarray  # (R', m_pad)
+    blocks: np.ndarray  # flat positions of the real pairs in the (R', n_pad, m_pad) block array
+    gram: np.ndarray  # and their flat positions in the (N_a, N_b) Gram, in the same order
+    shape: tuple  # (N_a, N_b)
+
+    def __post_init__(self):
+        for array in (self.rows_a, self.rows_b, self.blocks, self.gram):
+            array.flags.writeable = False
+
+    def gather(self, dense: np.ndarray) -> np.ndarray:
+        """The block array of a Gram-shaped array: its real pairs, zero padding."""
+        out = np.zeros(self.rows_a.shape + self.rows_b.shape[1:])
+        out.reshape(-1)[self.blocks] = np.take(dense, self.gram)
+        return out
+
+    def spreader(self):
+        """A function that writes the real pairs of a block array at their
+        Gram positions in one zeroed (N_a, N_b) array and returns it. Every
+        call writes the same positions, so the array is reused and the rest
+        of it stays zero."""
+        out = np.zeros(self.shape)
+        flat = out.reshape(-1)
+
+        def spread(blocks):
+            flat[self.gram] = np.take(blocks, self.blocks)
+            return out
+
+        return spread
+
+
+def replica_pairs(tags_a, tags_b, n_replicas: int) -> ReplicaPairs:
+    """The :class:`ReplicaPairs` of points tagged ``tags_a`` and ``tags_b``."""
+    tags_a, tags_b = np.asarray(tags_a, int), np.asarray(tags_b, int)
+    rows = [(np.flatnonzero(tags_a == r), np.flatnonzero(tags_b == r)) for r in range(n_replicas)]
+    rows = [(ra, rb) for ra, rb in rows if ra.size and rb.size]
+    n_pad = max((ra.size for ra, _ in rows), default=0)
+    m_pad = max((rb.size for _, rb in rows), default=0)
+
+    def padded(index, width):
+        return np.concatenate([index, np.full(width - index.size, index[0])])
+
+    blocks, gram = [], []
+    for r, (ra, rb) in enumerate(rows):
+        i, j = np.arange(ra.size)[:, None], np.arange(rb.size)[None, :]
+        blocks.append(((r * n_pad + i) * m_pad + j).ravel())
+        gram.append((ra[:, None] * tags_b.size + rb[None, :]).ravel())
+    return ReplicaPairs(
+        rows_a=np.array([padded(ra, n_pad) for ra, _ in rows], int).reshape(len(rows), n_pad),
+        rows_b=np.array([padded(rb, m_pad) for _, rb in rows], int).reshape(len(rows), m_pad),
+        blocks=np.concatenate([np.zeros(0, int), *blocks]),
+        gram=np.concatenate([np.zeros(0, int), *gram]),
+        shape=(tags_a.size, tags_b.size),
+    )
+
+
+def _same(array):
+    return array
+
+
+def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1: bool, grad2: bool, pairs=None):
     """The stationary Gram of point arrays (..., n1, v) and (..., n2, v) and
     its backward pass: ``backward(g)`` gives the gradients in the variance,
     the lengthscales and each point set, ``None`` for a point set whose flag
-    is off (the data get none and cost nothing)."""
+    is off (the data get none and cost nothing).
+
+    With ``pairs``, the :class:`ReplicaPairs` of two (N_a, v) and (N_b, v)
+    point sets, the value is the block array of their same-replica pairs
+    only, and ``backward`` takes the (N_a, N_b) cotangent. Its sums run on
+    arrays laid out as that Gram, each block entry at its Gram position and
+    zeros elsewhere, so every sum adds the same nonzero terms in the same
+    order as the dense Gram times the same-replica mask, bit for bit."""
     v, ls = _values((variance, lengthscales))
-    unit, decay = _profile(family, _scaled_sqdist(p1, p2, ls))
+    q1, q2 = (p1, p2) if pairs is None else (p1[pairs.rows_a], p2[pairs.rows_b])
+    unit, decay = _profile(family, _scaled_sqdist(q1, q2, ls))
     value = v * unit
 
     def backward(g):
+        g_dense = g
+        if pairs is None:
+            shape, spread, spread_diff = value.shape, _same, _same
+        else:
+            shape, spread, spread_diff = pairs.shape, pairs.spreader(), pairs.spreader()
+            g = pairs.gather(g_dense)
         if decay is None:  # RBF: d(value)/d(sq) = -value / 2
             slope = g * value
             slope *= -0.5
         else:  # Matern 3/2: d(value)/d(sq) = -1.5 v exp(-sqrt(3) r)
             slope = g * decay
             slope *= -1.5 * v
+        g_v = np.vdot(g_dense, spread(unit))
         grad_ls = np.zeros(ls.shape)
-        g1 = np.zeros(value.shape[:-1] + ls.shape) if grad1 else None
-        g2 = np.zeros(value.shape[:-2] + p2.shape[-2:]) if grad2 else None
+        g1 = np.zeros(shape[:-1] + ls.shape) if grad1 else None
+        g2 = np.zeros(shape[:-2] + p2.shape[-2:]) if grad2 else None
         for k, scale in enumerate(ls):
-            diff = _scaled_diff(p1, p2, k, scale)
-            weighted = diff * slope
-            grad_ls[k] = np.vdot(weighted, diff) * (-2.0 / scale)
+            diff = _scaled_diff(q1, q2, k, scale)
+            weighted = spread(diff * slope)
+            grad_ls[k] = np.vdot(weighted, spread_diff(diff)) * (-2.0 / scale)
             if g1 is not None:
                 g1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
             if g2 is not None:
                 g2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
         return (
-            np.vdot(g, unit),
+            g_v,
             grad_ls,
             None if g1 is None else ad._unbroadcast(g1, p1.shape),
             None if g2 is None else ad._unbroadcast(g2, p2.shape),
@@ -206,31 +293,35 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
     return ad.fused(value, (variance, lengthscales, x1, x2), backward)
 
 
-def hier_gram(shared_params, replica_params, xa, tags_a, xb, tags_b) -> ad.Node:
+def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.Node:
     """Hierarchical Gram of replica-tagged points as one tape node, the form
     of :func:`hier_cross_cov` the bound differentiates: the shared kernel
-    over every pair plus ``(tag_a == tag_b)`` times the replica kernel. Each
-    level is ``(family, variance, lengthscales)`` as :func:`gram` takes
-    them, and ``shared_params=None`` leaves the shared level out (the flat
-    ablation). The backward pass sends the cotangent to the shared level and
-    the masked cotangent to the replica level; gradients flow into the
-    ``Node`` arguments as in :func:`gram`."""
+    over every pair plus the replica kernel over the same-replica pairs that
+    ``pairs`` lays out. Each level is ``(family, variance, lengthscales)`` as
+    :func:`gram` takes them, and ``shared_params=None`` leaves the shared
+    level out (the flat ablation). The replica level is evaluated on the
+    same-replica blocks in one batch and added at their Gram positions to a
+    copy of the shared level (the RBF backward pass reads that level's
+    value), or written into zeros; value and gradients equal the dense
+    replica Gram times the ``(tag_a == tag_b)`` mask bit for bit. Gradients
+    flow into the ``Node`` arguments as in :func:`gram`."""
     live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
     points = _values((xa, xb))
-    mask = np.asarray(tags_a[:, None] == tags_b[None, :], float)
-    replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live)
-    value = replica * mask
+    replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live, pairs)
     # the second point set first: with one node as both, the tape sums its
     # column gradient first (the shared_grid fit is chaotic in the last bit,
     # and this order reproduces its recorded scores at seed 0)
     args = (*replica_params[1:], xb, xa)
-    if shared_params is not None:
+    if shared_params is None:
+        value = pairs.spreader()(replica)
+    else:
         shared, shared_backward = _stationary_with_backward(*shared_params, *points, *live)
-        value = shared + value
+        value = shared.copy()
+        value.reshape(-1)[pairs.gram] += np.take(replica, pairs.blocks)
         args = (*shared_params[1:], *args)
 
     def backward(g):
-        g_vf, g_lsf, g_a, g_b = replica_backward(g * mask)
+        g_vf, g_lsf, g_a, g_b = replica_backward(g)
         if shared_params is None:
             return g_vf, g_lsf, g_b, g_a
         g_vg, g_lsg, s_a, s_b = shared_backward(g)
@@ -274,16 +365,17 @@ def hier_cross_cov(spec: HierarchicalKernel, points: np.ndarray, replica_tags, b
         bad = tags[(tags < 0) | (tags >= len(b))][0]
         raise ValueError(f"unknown replica tag {bad}; dataset has {len(b)} replicas")
     b = [np.atleast_2d(np.asarray(blk, float)) for blk in b]
-    n_cols = sum(blk.shape[0] for blk in b)
-    out = np.zeros((points.shape[0], n_cols))
+    starts = list(accumulate((blk.shape[0] for blk in b), initial=0))
+    out = np.zeros((points.shape[0], starts[-1]))
     if spec.shared is not None:
         out += eval_stationary(spec.shared, points, np.concatenate(b, axis=0))
-    c0 = 0
-    for r, br in enumerate(b):
-        rows = np.flatnonzero(tags == r)
-        if rows.size and br.shape[0]:
-            out[rows, c0 : c0 + br.shape[0]] += eval_stationary(spec.replica, points[rows], br)
-        c0 += br.shape[0]
+    # the tags present (a prediction block carries one); not np.unique, whose
+    # first call imports numpy.ma, 15-25 ms of a process's set-up
+    present = np.flatnonzero(np.bincount(tags, minlength=len(b)))
+    for r in present:
+        if b[r].shape[0]:
+            rows = np.flatnonzero(tags == r) if present.size > 1 else slice(None)
+            out[rows, starts[r] : starts[r + 1]] += eval_stationary(spec.replica, points[rows], b[r])
     return out
 
 

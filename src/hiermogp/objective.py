@@ -21,9 +21,11 @@ The data reach the bound once, through ``read_data``: per-output input
 blocks and targets become a frozen ``BoundData`` of the distinct tagged
 points and one index into them per output, which every evaluation reuses,
 so the data/inducing Gram has one row per distinct point however many
-outputs observe it. The noise in the template state is one variance per
-output or one tied across outputs; the bound has no other notion of a data
-regime."""
+outputs observe it. It also holds the same-replica pairs of that Gram and
+of the inducing Gram (``kernels.ReplicaPairs``), laid out once for the
+template's inducing blocks, on which the replica level is evaluated. The
+noise in the template state is one variance per output or one tied across
+outputs; the bound has no other notion of a data regime."""
 
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .kernels import RBF, gram, hier_gram
+from .kernels import RBF, ReplicaPairs, gram, hier_gram, replica_pairs
 from .kron import cholesky_jitter as choose_jitter  # the name perfbench/tracing.py wraps per step
 from .kron import spd_inverse
 from .latent import kl_inducing, kl_latent, psi_stats
@@ -57,7 +59,9 @@ class BoundData:
     points, and per output an index into them with the targets laid out
     along it. Indices are padded with N_u, which names a zero row appended
     to every per-point array, and the padding's targets are zero. On a
-    common grid every output indexes every point."""
+    common grid every output indexes every point. ``kfu_pairs`` and
+    ``kuu_pairs`` lay out the same-replica pairs of the data/inducing Gram
+    and of the inducing Gram, for the template's inducing blocks."""
 
     points: np.ndarray  # (N_u, v)
     tags: np.ndarray  # (N_u,)
@@ -65,6 +69,8 @@ class BoundData:
     targets: np.ndarray  # (D, n_max)
     counts: np.ndarray  # (D,) points per output
     yy: np.ndarray  # (D,) y_d^T y_d
+    kfu_pairs: ReplicaPairs  # points x inducing inputs
+    kuu_pairs: ReplicaPairs  # inducing inputs x inducing inputs
 
     def __post_init__(self):
         for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy):
@@ -72,7 +78,8 @@ class BoundData:
 
 
 def read_data(template: ModelState, x, y) -> BoundData:
-    """Read per-output data, D lists of R input blocks and D target vectors."""
+    """Read per-output data, D lists of R input blocks and D target vectors,
+    for the bound of states with ``template``'s shape and inducing blocks."""
     n_outputs, n_replicas = template.n_outputs, template.n_replicas
     if len(x) != n_outputs or len(y) != n_outputs:
         raise ValueError(f"per-output data must have {n_outputs} entries")
@@ -95,7 +102,17 @@ def read_data(template: ModelState, x, y) -> BoundData:
         index[d, : y_d.size] = rows_d
         targets[d, : y_d.size] = y_d
     points, tags = distinct[:, 1:].copy(), distinct[:, 0].astype(int)
-    return BoundData(points, tags, index, targets, counts, np.sum(targets**2, axis=1))
+    z_tags = np.repeat(np.arange(n_replicas), [b.shape[0] for b in template.inducing.z_input])
+    return BoundData(
+        points,
+        tags,
+        index,
+        targets,
+        counts,
+        np.sum(targets**2, axis=1),
+        kfu_pairs=replica_pairs(tags, z_tags, n_replicas),
+        kuu_pairs=replica_pairs(z_tags, z_tags, n_replicas),
+    )
 
 
 def _sum_to_points(values: np.ndarray, index: np.ndarray, n_points: int) -> np.ndarray:
@@ -217,12 +234,11 @@ def build_graph(theta: np.ndarray, layout: ParamLayout, template: ModelState, da
     vh, lsh = p["latent_kernel_variance"], p["latent_kernel_lengthscales"]
     mu, log_s = p["latent_mean"], p["latent_log_variance"]
     z = p["inducing_inputs"]  # (m_x, v): the replica blocks, stacked
-    z_tags = np.repeat(np.arange(template.n_replicas), [b.shape[0] for b in template.inducing.z_input])
     zh, m_mat = p["inducing_latents"], p["inducing_mean"]
     sigma_h, sigma_x = p["cov_latent"], p["cov_input"]
 
     kuu_h = gram(RBF, vh, lsh, zh, zh)
-    kuu_x = hier_gram(shared_params, replica_params, z, z_tags, z, z_tags)
+    kuu_x = hier_gram(shared_params, replica_params, z, z, data.kuu_pairs)
     lower_h, jitter_h = choose_jitter(kuu_h.value)
     lower_x, jitter_x = choose_jitter(kuu_x.value)
     a_h, logdet_kh = spd_inverse(kuu_h, lower_h)
@@ -233,7 +249,7 @@ def build_graph(theta: np.ndarray, layout: ParamLayout, template: ModelState, da
     )
     kl_h = kl_latent(mu, log_s)
     psi1, psi2 = psi_stats(vh, lsh, mu, log_s, zh)
-    kfu = hier_gram(shared_params, replica_params, data.points, data.tags, z, z_tags)  # (N_u, m_x)
+    kfu = hier_gram(shared_params, replica_params, data.points, z, data.kfu_pairs)  # (N_u, m_x)
     amplitude, log_noise = p["input_self_variance"], p["log_noise_variance"]
     fit = data_fit(data, kfu, psi1, psi2, a_x, a_h, m_mat, sigma_x, sigma_h, vh, amplitude, log_noise)
     total = ad.fused(fit.value - kl_u.value - kl_h.value, (fit, kl_u, kl_h), lambda g: (g, -g, -g))

@@ -78,11 +78,19 @@ _PASSED = (
 )
 
 
-def _constrained(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def _triangles(state: ModelState) -> dict[str, tuple]:
+    """Per covariance side, the indices of its factor's strict lower triangle
+    and of its diagonal."""
+    sides = zip(_SIDES, (state.inducing.cov_latent_chol, state.inducing.cov_input_chol))
+    return {side: (np.tril_indices(chol.shape[0], k=-1), np.diag_indices(chol.shape[0])) for side, chol in sides}
+
+
+def _constrained(arrays: dict[str, np.ndarray], triangles: dict[str, tuple]) -> dict[str, np.ndarray]:
     """The constrained arrays of unconstrained ``arrays`` by name, the inverse
     of :func:`_unconstrained`: each kernel's variance (0-d) and
     lengthscales, the latent means and variances, the inducing inputs,
-    latents and mean, both covariance factors and the noise variance."""
+    latents and mean, both covariance factors and the noise variance.
+    ``triangles`` are the factors' indices, from :func:`_triangles`."""
     out = {}
     for kernel in _KERNELS:
         if f"log_{kernel}_variance" in arrays:
@@ -94,10 +102,10 @@ def _constrained(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         out[name] = arrays[name]
     for side in _SIDES:
         log_diag = arrays[f"cov_{side}_log_diag"]
-        n = log_diag.size
-        chol = np.zeros((n, n))
-        chol[np.tril_indices(n, k=-1)] = arrays[f"cov_{side}_offdiag"]
-        chol[np.diag_indices(n)] = np.exp(log_diag)
+        lower, diagonal = triangles[side]
+        chol = np.zeros((log_diag.size, log_diag.size))
+        chol[lower] = arrays[f"cov_{side}_offdiag"]
+        chol[diagonal] = np.exp(log_diag)
         out[f"cov_{side}_chol"] = chol
     out["noise_variance"] = np.exp(arrays["log_noise_variance"])
     return out
@@ -118,6 +126,7 @@ class ParamLayout:
         self.spans: tuple[Span, ...] = tuple(spans)
         self.size = offset
         self._by_name = {s.name: s for s in self.spans}
+        self._triangles = _triangles(template)
 
     def span(self, name: str) -> Span:
         return self._by_name[name]
@@ -155,7 +164,7 @@ class ParamLayout:
         return self.join(_unconstrained(state))
 
     def unpack(self, theta: np.ndarray, template: ModelState) -> ModelState:
-        c = _constrained(self.split(np.asarray(theta, float)))
+        c = _constrained(self.split(np.asarray(theta, float)), self._triangles)
 
         def kernel(name: str, family: str) -> StationaryKernel:
             variance = float(c[f"{name}_variance"])
@@ -196,7 +205,7 @@ class ParamLayout:
         diagonal is chained through the exp and gets twice the
         log-determinant's cotangent."""
         arrays = self.split(theta.value)
-        c = _constrained(arrays)
+        c = _constrained(arrays, self._triangles)
         kernels = [k for k in _KERNELS if f"{k}_variance" in c]
         values = {}
         for kernel in kernels:
@@ -226,7 +235,7 @@ class ParamLayout:
             for side in _SIDES:
                 chol, g_cov = c[f"cov_{side}_chol"], g[f"cov_{side}"]
                 g_chol = g_cov @ chol + g_cov.T @ chol
-                grads[f"cov_{side}_offdiag"] = g_chol[np.tril_indices(chol.shape[0], k=-1)]
+                grads[f"cov_{side}_offdiag"] = g_chol[self._triangles[side][0]]
                 g_logdet = g[f"logdet_cov_{side}"]
                 grads[f"cov_{side}_log_diag"] = np.diagonal(g_chol) * np.diagonal(chol) + 2.0 * g_logdet
             return (self.join(grads),)

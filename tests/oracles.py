@@ -2,16 +2,17 @@
 
 Dense Kronecker algebra, LAPACK triangular solves (scipy, which only the
 tests use), the closed forms of ``latent`` evaluated on constant arrays,
-Monte Carlo psi statistics, the naive dense bound, the exact marginal
-likelihood at fixed latent coordinates, the optimal dense inducing posterior
-and the per-draw predictive moments. The package itself uses none of them.
+Monte Carlo psi statistics, the masked dense hierarchical Gram node, the
+naive dense bound, the exact marginal likelihood at fixed latent
+coordinates, the optimal dense inducing posterior and the per-draw
+predictive moments. The package itself uses none of them.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from hiermogp import autodiff as ad
-from hiermogp import latent
+from hiermogp import kernels, latent
 from hiermogp.kernels import eval_stationary, hier_block_cov, hier_cross_cov, latent_cov
 from hiermogp.kron import cholesky_jitter
 from hiermogp.model import ElboBreakdown
@@ -112,6 +113,37 @@ def tape_value(fn, *args):
     if isinstance(out, tuple):
         return tuple(node.value for node in out)
     return out.value
+
+
+def hier_gram_masked(shared_params, replica_params, xa, tags_a, xb, tags_b):
+    """``kernels.hier_gram`` in its dense form, as one tape node: the replica
+    kernel over every pair of points, times the ``(tag_a == tag_b)`` mask,
+    plus the shared kernel; the backward pass sends the masked cotangent to
+    the replica level. ``hier_gram`` evaluates the replica level on the
+    same-replica pairs only and must equal this node bit for bit."""
+    live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
+    points = kernels._values((xa, xb))
+    mask = np.asarray(tags_a[:, None] == tags_b[None, :], float)
+    replica, replica_backward = kernels._stationary_with_backward(*replica_params, *points, *live)
+    value = replica * mask
+    args = (*replica_params[1:], xb, xa)
+    if shared_params is not None:
+        shared, shared_backward = kernels._stationary_with_backward(*shared_params, *points, *live)
+        value = shared + value
+        args = (*shared_params[1:], *args)
+
+    def backward(g):
+        g_vf, g_lsf, g_a, g_b = replica_backward(g * mask)
+        if shared_params is None:
+            return g_vf, g_lsf, g_b, g_a
+        g_vg, g_lsg, s_a, s_b = shared_backward(g)
+        if live[0]:
+            g_a += s_a
+        if live[1]:
+            g_b += s_b
+        return g_vg, g_lsg, g_vf, g_lsf, g_b, g_a
+
+    return ad.fused(value, args, backward)
 
 
 def psi_closed_form(posterior, kernel, z_latent):

@@ -36,6 +36,10 @@ def test_fused_backward_runs_once_per_pass():
     # a later pass that reaches only the first output hands the second a zero
     ad.grad(contract((first, 1.0)), [a])
     assert len(calls) == 2 and calls[1][1] == 0.0
+    # and one that reaches only the second output hands the first zeros
+    (ga,) = ad.grad(contract((second, 10.0)), [a])
+    assert len(calls) == 3 and np.array_equal(calls[2][0], np.zeros(3)) and calls[2][1] == 10.0
+    assert np.isclose(ga, 20.0)
 
 
 def test_grad_skips_vjps_into_constants():

@@ -255,6 +255,13 @@ def _edit(change):
     return apply
 
 
+def _standardized(**changes):
+    """A model-file edit that adds standardisation constants of a
+    one-dimensional model, with ``changes`` applied (``None`` drops a key)."""
+    constants = {"x_mean": [0.5], "x_std": [2.0], "y_mean": 0.1, "y_std": 1.5, **changes}
+    return _edit(lambda p: p.update(standardization={k: v for k, v in constants.items() if v is not None}))
+
+
 @pytest.mark.parametrize(
     "edit, problem",
     [
@@ -264,11 +271,29 @@ def _edit(change):
         (_edit(lambda p: p.update(notes="x")), "notes: unknown field"),
         (_edit(lambda p: p["latent_kernel"].update(period=1.0)), "latent_kernel: StationaryKernel.__init__() got an"),
         (_edit(lambda p: p.update(format="hiermogp-model-v0")), "unrecognised model format 'hiermogp-model-v0'"),
+        (_standardized(y_std=None), "standardization: expected exactly the keys"),
+        (_standardized(x_mean=[0.0, 0.0, 0.0]), "standardization.x_mean: expected 1 finite numbers"),
+        (_standardized(y_std=0.0), "standardization.y_std: must be positive"),
+        (_standardized(x_std=[np.nan]), "standardization.x_std: expected 1 finite numbers"),
+        (_edit(lambda p: p.update(n_replicas=7)), "n_replicas: 7, but the inducing inputs cover 2 replicas"),
     ],
-    ids=["missing_field", "negative_noise", "truncated_json", "unknown_field", "unknown_kernel_field", "wrong_format"],
+    ids=[
+        "missing_field",
+        "negative_noise",
+        "truncated_json",
+        "unknown_field",
+        "unknown_kernel_field",
+        "wrong_format",
+        "standardization_without_y_std",
+        "standardization_of_wrong_dimension",
+        "standardization_zero_std",
+        "standardization_non_finite",
+        "wrong_replica_count",
+    ],
 )
 def test_malformed_model_file_exits_2_with_its_path(tmp_path, capsys, edit, problem):
     state = random_state(np.random.default_rng(0), n_outputs=3)
+    assert (state.input_dim, state.n_replicas) == (1, 2)
     model = tmp_path / "model.json"
     model.write_text(edit(json.dumps({**state.to_dict(), "n_replicas": state.n_replicas})))
     out = tmp_path / "grid.csv"

@@ -15,11 +15,12 @@ from hiermogp.kernels import (
     hier_cross_cov,
     hier_gram,
     latent_cov,
+    replica_pairs,
     validate_replica_blocks,
 )
 from hiermogp.kron import cholesky_jitter
 from .helpers import check, contract, exp
-from .oracles import full_cov
+from .oracles import full_cov, hier_gram_masked
 
 
 def rbf(variance=1.0, lengthscales=1.0):
@@ -269,7 +270,8 @@ def test_hyperparameter_gradients_match_finite_differences(family):
 def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
     # the inducing Gram (one node as both point sets, with a coincident pair
     # in one replica, where Matern's sqrt has no derivative) and the cross
-    # covariance of constant data with it, against hier_cross_cov
+    # covariance of constant data with it, against hier_cross_cov and,
+    # bit for bit, against the masked dense node
     rng = np.random.default_rng(9)
     z = rng.uniform(size=(5, 2))
     z[2] = z[0]
@@ -287,8 +289,9 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
         return shared, (family, exp(lvf), exp(llsf))
 
     blocks = [z[:3], z[3:]]
-    kuu = hier_gram(*levels(*map(ad.Node, logs)), ad.Node(z), z_tags, ad.Node(z), z_tags)
-    kfu = hier_gram(*levels(*map(ad.Node, logs)), x, x_tags, ad.Node(z), z_tags)
+    kuu_pairs, kfu_pairs = replica_pairs(z_tags, z_tags, 2), replica_pairs(x_tags, z_tags, 2)
+    kuu = hier_gram(*levels(*map(ad.Node, logs)), ad.Node(z), ad.Node(z), kuu_pairs)
+    kfu = hier_gram(*levels(*map(ad.Node, logs)), x, ad.Node(z), kfu_pairs)
     assert np.allclose(kuu.value, hier_cross_cov(spec, z, z_tags, blocks), rtol=1e-14, atol=1e-15)
     assert np.allclose(kfu.value, hier_cross_cov(spec, x, x_tags, blocks), rtol=1e-14, atol=1e-15)
     assert len(kfu.parents) == 5 - 2 * flat  # the data are a constant
@@ -296,10 +299,35 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
     w_uu, w_fu = rng.standard_normal((5, 5)), rng.standard_normal((6, 5))
 
     def inducing(lvg, llsg, lvf, llsf, z):
-        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), z, z_tags, z, z_tags), w_uu))
+        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), z, z, kuu_pairs), w_uu))
 
     def cross(lvg, llsg, lvf, llsf, z):
-        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), x, x_tags, z, z_tags), w_fu))
+        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), x, z, kfu_pairs), w_fu))
 
     check(inducing, *logs, z, rtol=1e-5)
     check(cross, *logs, z, rtol=1e-5)
+
+    # bit for bit against the masked dense node, here and with a replica
+    # that has no data points and inducing blocks of unequal sizes
+    z3 = rng.uniform(size=(6, 2))
+    z3[4] = z3[3]
+    z3_tags = np.array([0, 1, 1, 2, 2, 2])
+    x3_tags = np.array([2, 0, 2, 2, 0, 2])
+    for za, za_tags, xa, xa_tags, n_replicas in ((z, z_tags, x, x_tags, 2), (z3, z3_tags, x, x3_tags, 3)):
+        for a, a_tags in ((None, za_tags), (xa, xa_tags)):  # the inducing Gram, then the cross covariance
+            weights = rng.standard_normal((a_tags.size, za_tags.size))
+            pairs = replica_pairs(a_tags, za_tags, n_replicas)
+            nodes = []
+            for masked in (False, True):
+                leaves = [ad.Node(v) for v in (*logs, za)]
+                zn = leaves[-1]
+                an = zn if a is None else a
+                if masked:
+                    node = hier_gram_masked(*levels(*leaves[:4]), an, a_tags, zn, za_tags)
+                else:
+                    node = hier_gram(*levels(*leaves[:4]), an, zn, pairs)
+                nodes.append((node.value, ad.grad(contract((node, weights)), leaves)))
+            (value, grads), (value_ref, grads_ref) = nodes
+            assert np.array_equal(value, value_ref)
+            for k, (g, g_ref) in enumerate(zip(grads, grads_ref)):
+                assert np.array_equal(g, g_ref), k
