@@ -1,17 +1,17 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A tape of ``Node`` objects, each a value and the parents it was computed
-from, with one vector-Jacobian product per parent. Every node of the
-bound is a closed form with a hand-written backward pass, built with
-``fused``: the constrained parameters (``params.ParamLayout.constrain``),
-the stationary and hierarchical Grams (``kernels.gram`` and
-``kernels.hier_gram``), each inducing Gram's inverse and log-determinant
-(``kron.spd_inverse``), the psi statistics and both KL terms (``latent``),
-the data fit and the total (``objective``). The tape itself factors
-nothing and has no generic operations. ``grad`` runs the backward pass and
-runs no VJP into a constant: a parentless node that is not a requested
-leaf. Values are float64 throughout. Every fused node's backward pass is
-checked against central finite differences in the test suite.
+from. Every node of the bound is an output of a closed form with a
+hand-written backward pass, built with ``fused``: the constrained parameters
+(``params.ParamLayout.constrain``), the stationary and hierarchical Grams
+(``kernels.gram`` and ``kernels.hier_gram``), each inducing Gram's inverse
+and log-determinant (``kron.spd_inverse``), the psi statistics and both KL
+terms (``latent``), the data fit and the total (``objective``). The tape
+itself factors nothing and has no generic operations: ``grad`` calls each
+closed form's backward pass once, with every output's cotangent, and adds
+the gradients it returns into the arguments. Values are float64 throughout.
+Every fused node's backward pass is checked against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -20,40 +20,25 @@ import numpy as np
 
 
 class Node:
-    """A value in the computation graph; leaves have no parents."""
+    """A value in the computation graph; leaves have no parents.
 
-    __slots__ = ("value", "parents")
+    The first output of a closed form holds its ``backward`` pass and the
+    ``outputs`` of the form, and its parents are ``(argument, position)``
+    pairs; each later output has the first as its one parent, paired with
+    the later output's position among the outputs."""
 
-    def __init__(self, value, parents=()):
+    __slots__ = ("value", "parents", "backward", "outputs")
+
+    def __init__(self, value, parents=(), backward=None, outputs=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
+        self.backward = backward
+        self.outputs = outputs
 
 
-def as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return np.reshape(g, shape)
-
-
-# ---------------------------------------------------------------------------
-# fused nodes
-
-
-# what a later output of a fused node hands the first in place of a
-# cotangent: the tape adds nothing for it, and gives the first output zeros
-# only if nothing else reaches it
-_KEPT = object()
+def values(args) -> list[np.ndarray]:
+    """The values of ``args``: a ``Node``'s value, or the argument as a float array."""
+    return [a.value if isinstance(a, Node) else np.asarray(a, float) for a in args]
 
 
 def fused(values, args, backward):
@@ -63,47 +48,18 @@ def fused(values, args, backward):
     inputs: ``Node``s, which receive gradients, or constants, which do not.
     ``backward(*cotangents)`` takes one cotangent per output (zeros for an
     output the root does not reach) and returns one gradient per argument,
-    any value for a constant. It runs once per backward pass, whichever of
-    the arguments are ``Node``s: the tape hands each of them the same
-    cotangent, and the result is kept for it.
+    in the argument's shape, or any value for a constant. It runs once per
+    backward pass.
 
-    With several outputs, the first is the node the arguments hang from and
-    each later one hangs from the first: the tape then reaches the first
-    only after every later output's cotangent is known. A later output
-    keeps its own cotangent for ``backward`` and passes the first nothing
-    (``_KEPT``).
+    With several outputs, the first holds ``backward`` and each later one
+    hangs from the first, so the tape reaches the first only after every
+    later output's cotangent is known.
     """
     several = isinstance(values, tuple)
     values = values if several else (values,)
-    later = [None] * (len(values) - 1)  # cotangents of the later outputs
-    memo = []
-
-    def gradients(g):
-        if not (memo and memo[0] is g):
-            cotangents = [np.zeros(np.shape(v)) if c is None else c for c, v in zip(later, values[1:])]
-            later[:] = [None] * len(later)
-            memo[:] = [g, backward(g, *cotangents)]
-        return memo[1]
-
-    def vjp(i):
-        shape = args[i].value.shape
-
-        def reshaped(g):
-            gradient = gradients(g)[i]
-            return gradient if np.shape(gradient) == shape else np.reshape(gradient, shape)
-
-        return reshaped
-
-    first = Node(values[0], tuple((a, vjp(i)) for i, a in enumerate(args) if isinstance(a, Node)))
-
-    def keep(k):
-        def vjp(g):
-            later[k] = g
-            return _KEPT
-
-        return vjp
-
-    rest = tuple(Node(v, ((first, keep(k)),)) for k, v in enumerate(values[1:]))
+    parents = tuple((a, i) for i, a in enumerate(args) if isinstance(a, Node))
+    first = Node(values[0], parents, backward, values)
+    rest = tuple(Node(v, ((first, k),)) for k, v in enumerate(values[1:], 1))
     return (first, *rest) if several else first
 
 
@@ -132,27 +88,28 @@ def _topological_order(root: Node) -> list[Node]:
 
 def grad(output: Node, leaves) -> list[np.ndarray]:
     """Gradients of a scalar output with respect to each leaf node; a leaf
-    the output does not depend on gets zeros."""
+    the output does not depend on gets zeros.
+
+    Each node's cotangent is the sum of its consumers' gradients, in the
+    order the nodes are reached. A later output files its cotangent under
+    its first output, whose backward pass receives it; it is never added to
+    the first output's own cotangent."""
     if output.value.size != 1:
         raise ValueError("grad requires a scalar output")
-    order = _topological_order(output)
-    leaves = list(leaves)
-    wanted = {id(leaf) for leaf in leaves}
     grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.value)}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None:
+    later: dict[int, dict[int, np.ndarray]] = {}  # by first output: the later outputs' cotangents
+    for node in reversed(_topological_order(output)):
+        if node.backward is None:
+            if node.parents:  # a later output
+                ((first, k),) = node.parents
+                later.setdefault(id(first), {})[k] = grads[id(node)]
             continue
-        if g is _KEPT:  # reached only by later outputs of its fused node
-            g = np.zeros(node.value.shape)
-        for parent, vjp in node.parents:
-            if not parent.parents and id(parent) not in wanted:
-                continue  # a constant: its gradient would be thrown away
-            contribution = vjp(g)
+        kept = later.get(id(node), {})
+        cotangents = [grads.get(id(node)), *(kept.get(k) for k in range(1, len(node.outputs)))]
+        gradients = node.backward(
+            *(np.zeros(np.shape(v)) if c is None else c for c, v in zip(cotangents, node.outputs))
+        )
+        for parent, i in node.parents:
             seen = grads.get(id(parent))
-            if seen is None or seen is _KEPT:
-                grads[id(parent)] = contribution
-            elif contribution is not _KEPT:
-                grads[id(parent)] = seen + contribution
-    found = [grads.get(id(leaf), _KEPT) for leaf in leaves]
-    return [np.zeros_like(leaf.value) if g is _KEPT else g for leaf, g in zip(leaves, found)]
+            grads[id(parent)] = gradients[i] if seen is None else seen + gradients[i]
+    return [grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.value) for leaf in leaves]

@@ -85,15 +85,6 @@ def _present(node: dict, path: str, kinds: dict) -> dict:
     return {key: _take(node, path, key, kind) for key, kind in kinds.items() if key in node}
 
 
-_SYNTHETIC_SCALARS = {
-    "n_outputs": int,
-    "n_replicas": int,
-    "points_per_replica": int,
-    "input_dim": int,
-    "latent_dim": int,
-    "noise_variance": float,
-    "share_inputs": bool,
-}
 _SYNTHETIC_KERNELS = ("shared_kernel", "replica_kernel", "latent_kernel")
 
 
@@ -107,6 +98,7 @@ def _config_fields(config_class, set_elsewhere) -> dict:
 # ``flat`` comes from the ablation, ``seed`` from the run seed and
 # ``trainable`` is the library's (every span is trained)
 _MODEL_FIELDS = _config_fields(ModelConfig, ("flat",))
+_SYNTHETIC_SCALARS = _config_fields(SyntheticConfig, _SYNTHETIC_KERNELS)  # the kernels are sections
 _OPTIMIZER_FIELDS = _config_fields(OptimizerConfig, ("seed", "trainable"))
 
 
@@ -474,7 +466,12 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
         try:
             if len(cells) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-            rows.append((int(cells[0]), int(cells[1]), [float(c) for c in cells[2:]]))
+            values = [float(c) for c in cells[2:]]
+            if not np.all(np.isfinite(values)):
+                raise ValueError("non-finite value")
+            if values[-1] <= 0.0:
+                raise ValueError(f"predictive variance {values[-1]:g} is not positive")
+            rows.append((int(cells[0]), int(cells[1]), values))
         except ValueError as err:
             raise ConfigError(f"{predictions_path}:{line_no}: {err}") from None
     truth_rows = []

@@ -157,10 +157,6 @@ def eval_stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> n
     return unit
 
 
-def _values(args):
-    return [a.value if isinstance(a, ad.Node) else np.asarray(a, float) for a in args]
-
-
 @dataclass(frozen=True)
 class ReplicaPairs:
     """The same-replica pairs of two replica-tagged point sets ``a`` and
@@ -233,7 +229,9 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     """The stationary Gram of point arrays (..., n1, v) and (..., n2, v) and
     its backward pass: ``backward(g)`` gives the gradients in the variance,
     the lengthscales and each point set, ``None`` for a point set whose flag
-    is off (the data get none and cost nothing).
+    is off (the data get none and cost nothing). A point set's gradient has
+    the Gram's leading axes, not summed over any axis the set was broadcast
+    along.
 
     With ``pairs``, the :class:`ReplicaPairs` of two (N_a, v) and (N_b, v)
     point sets, the value is the block array of their same-replica pairs
@@ -241,7 +239,7 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     arrays laid out as that Gram, each block entry at its Gram position and
     zeros elsewhere, so every sum adds the same nonzero terms in the same
     order as the dense Gram times the same-replica mask, bit for bit."""
-    v, ls = _values((variance, lengthscales))
+    v, ls = ad.values((variance, lengthscales))
     q1, q2 = (p1, p2) if pairs is None else (p1[pairs.rows_a], p2[pairs.rows_b])
     unit, decay = _profile(family, _scaled_sqdist(q1, q2, ls))
     value = v * unit
@@ -271,25 +269,21 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
                 g1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
             if g2 is not None:
                 g2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
-        return (
-            g_v,
-            grad_ls,
-            None if g1 is None else ad._unbroadcast(g1, p1.shape),
-            None if g2 is None else ad._unbroadcast(g2, p2.shape),
-        )
+        return g_v, grad_ls, g1, g2
 
     return value, backward
 
 
 def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
-    """The stationary Gram as one tape node, batched over leading axes:
-    point sets (..., n1, v) and (..., n2, v) give (..., n1, n2).
+    """The stationary Gram of point sets (n1, v) and (n2, v) as one tape node.
 
     Gradients flow into whichever arguments are ``Node``s (the variance, the
     lengthscales and the inducing inputs, never the data); the rest are
-    constants. The same node may be passed as both point sets."""
+    constants. The same node may be passed as both point sets. Batched point
+    sets (..., n, v) give the batched value (..., n1, n2), but their
+    gradients are not summed over broadcast axes."""
     live = (isinstance(x1, ad.Node), isinstance(x2, ad.Node))
-    value, backward = _stationary_with_backward(family, variance, lengthscales, *_values((x1, x2)), *live)
+    value, backward = _stationary_with_backward(family, variance, lengthscales, *ad.values((x1, x2)), *live)
     return ad.fused(value, (variance, lengthscales, x1, x2), backward)
 
 
@@ -306,7 +300,7 @@ def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.
     replica Gram times the ``(tag_a == tag_b)`` mask bit for bit. Gradients
     flow into the ``Node`` arguments as in :func:`gram`."""
     live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
-    points = _values((xa, xb))
+    points = ad.values((xa, xb))
     replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live, pairs)
     # the second point set first: with one node as both, the tape sums its
     # column gradient first (the shared_grid fit is chaotic in the last bit,

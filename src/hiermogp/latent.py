@@ -121,7 +121,7 @@ def psi_stats(variance, lengthscales, mu, log_s, zh):
     below.
     """
     args = (variance, lengthscales, mu, log_s, zh)
-    v, ls, mu, log_s, zh = (ad.as_node(x).value for x in args)
+    v, ls, mu, log_s, zh = ad.values(args)
     s = np.exp(log_s)
     l2 = ls * ls
     ratio = s / l2
@@ -187,7 +187,7 @@ def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, 
     inverse prior Grams A = K^-1 with the log determinants of K.
     """
     args = (mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, logdet_kh, logdet_kx)
-    m, s_h, s_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx = (ad.as_node(x).value for x in args)
+    m, s_h, s_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx = ad.values(args)
     m_x, m_h = m.shape
     ax_m = a_x @ m
     quad_mean = np.trace(m.T @ ax_m @ a_h)
@@ -222,7 +222,7 @@ def kl_latent(mu, log_s):
     """KL divergence of the diagonal latent posterior from its standard normal
     prior, as one node."""
     args = (mu, log_s)
-    mu, log_s = (ad.as_node(x).value for x in args)
+    mu, log_s = ad.values(args)
     s = np.exp(log_s)
     value = 0.5 * np.sum(s + mu * mu - 1.0 - log_s)
     return ad.fused(value, args, lambda g: (g * mu, 0.5 * g * (s - 1.0)))

@@ -79,12 +79,14 @@ def evaluate(y_true, mean, variance, output_index) -> EvalReport:
         n_test=int(y_true.size),
         per_output=[],
     )
-    for d in np.unique(output_index):
+    # the outputs present, ascending; not np.unique, whose first 1-D call in a
+    # process imports numpy.ma (11-18 ms)
+    for d in sorted(set(output_index.tolist())):
         sel = output_index == d
         try:
             d_nmse = nmse(y_true[sel], mean[sel])
         except ValueError:
             d_nmse = float("nan")
         d_nlpd = nlpd(y_true[sel], mean[sel], variance[sel])
-        report.per_output.append((int(d), d_nmse, d_nlpd))
+        report.per_output.append((d, d_nmse, d_nlpd))
     return report

@@ -11,7 +11,10 @@ the psi statistics and both KL terms (``latent``), the Grams (``kernels``:
 ``gram`` and ``hier_gram``), each inducing Gram's inverse and
 log-determinant from the one factor the jitter ladder of ``kron`` finds
 (``kron.spd_inverse``), and the two closed forms written here, the data fit
-(``data_fit``) and the total. The inducing inputs are one span of
+(``data_fit``) and the total. ``autodiff.grad`` calls each closed form's
+backward pass once per gradient, with the cotangents of all its outputs,
+and each returns its arguments' gradients in their shapes (the tied noise's
+is summed over outputs). The inducing inputs are one span of
 replica-tagged points, as the data are, so a step's tape has the same nodes
 at any replica count and any output count. The forward value backs the
 public bound evaluation; the backward pass supplies analytic gradients for
@@ -146,7 +149,7 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     products m_h wide. The gradient is exact where ``a_x`` and ``sigma_x``
     are symmetric, as the bound's are."""
     args = (kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise)
-    k, p1, p2, a_x, a_h, m, s_x, s_h, vh, amp, log_noise = (ad.as_node(a).value for a in args)
+    k, p1, p2, a_x, a_h, m, s_x, s_h, vh, amp, log_noise = ad.values(args)
     index, y, n = data.index, data.targets, data.counts
     n_points = k.shape[0]
     g_h = a_h @ s_h @ a_h
@@ -202,6 +205,9 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
         )
         d_p2 = a_h.T @ d_q @ a_h.T + d_th_a[:, None, None] * a_h + d_th_g[:, None, None] * g_h
         d_psi0 = -np.sum(half * n)
+        d_noise = -0.5 * g * n - w * inner
+        if log_noise.shape != d_noise.shape:  # tied across outputs
+            d_noise = d_noise.sum(keepdims=True)
         return (
             d_k,
             d_ah_p1 @ a_h,
@@ -213,7 +219,7 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
             a_h.T @ d_gh @ a_h.T,
             d_psi0 * amp,
             d_psi0 * vh,
-            ad._unbroadcast(-0.5 * g * n - w * inner, log_noise.shape),
+            d_noise,
         )
 
     return ad.fused(value, args, backward)

@@ -122,7 +122,7 @@ def hier_gram_masked(shared_params, replica_params, xa, tags_a, xb, tags_b):
     the replica level. ``hier_gram`` evaluates the replica level on the
     same-replica pairs only and must equal this node bit for bit."""
     live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
-    points = kernels._values((xa, xb))
+    points = ad.values((xa, xb))
     mask = np.asarray(tags_a[:, None] == tags_b[None, :], float)
     replica, replica_backward = kernels._stationary_with_backward(*replica_params, *points, *live)
     value = replica * mask

@@ -88,27 +88,36 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
 
 
 def test_config_accepts_every_model_and_optimizer_field(tmp_path, capsys):
-    # every field of both config dataclasses but those the CLI sets itself
-    # (flat from the ablation, seed from the run seed, trainable) is read
-    # from YAML with the type of its default
+    # every field of the model, optimizer and synthetic-dataset config
+    # dataclasses but those the CLI sets itself (flat from the ablation, seed
+    # from the run seed, trainable) and the dataset's kernels (sections of
+    # their own) is read from YAML with the type of its default
     other = {MATERN32: RBF, RBF: MATERN32, "per_output": "shared"}
     config = base_config(tmp_path / "run")
-    for section, config_class in (("model", ModelConfig), ("optimizer", OptimizerConfig)):
-        config[section] = {}
+    sections = {
+        "model": (config, ModelConfig),
+        "optimizer": (config, OptimizerConfig),
+        "synthetic": (config["dataset"], SyntheticConfig),
+    }
+    for section, (parent, config_class) in sections.items():
+        parent[section] = {}
         for field in dataclasses.fields(config_class):
-            if field.name in ("flat", "seed", "trainable"):
-                continue
             default = field.default
+            if field.name in ("flat", "seed", "trainable") or default is None:
+                continue
             if isinstance(default, str):
-                config[section][field.name] = other[default]
+                parent[section][field.name] = other[default]
+            elif isinstance(default, bool):
+                parent[section][field.name] = not default
             elif isinstance(default, int):
-                config[section][field.name] = default + 1
+                parent[section][field.name] = default + 1
             else:
-                config[section][field.name] = default / 2.0
+                parent[section][field.name] = default / 2.0
     loaded = load_config(write_config(tmp_path, config))
-    for section in ("model", "optimizer"):
-        for name, value in config[section].items():
+    for section, (parent, _) in sections.items():
+        for name, value in parent[section].items():
             assert getattr(getattr(loaded, section), name) == value, (section, name)
+    assert len(config["dataset"]["synthetic"]) == 7
     for section in ("model", "optimizer"):
         bad = base_config(tmp_path / "run")
         bad[section]["bogus"] = 1
@@ -501,7 +510,15 @@ def test_split_missing_the_dataset_cannot_hold_is_a_config_error(tmp_path, capsy
 
 @pytest.mark.parametrize(
     "row, problem",
-    [("0x,0,0.2,2.0,1.0", "invalid literal"), ("0,0,0.2,2.0", "expected 5 fields, got 4")],
+    [
+        ("0x,0,0.2,2.0,1.0", "invalid literal"),
+        ("0,0,0.2,2.0", "expected 5 fields, got 4"),
+        ("0,0,0.2,nan,1.0", "non-finite value"),
+        ("0,0,0.2,inf,1.0", "non-finite value"),
+        ("0,0,0.2,2.0,inf", "non-finite value"),
+        ("0,0,0.2,2.0,0", "predictive variance 0 is not positive"),
+        ("0,0,0.2,2.0,-1", "predictive variance -1 is not positive"),
+    ],
 )
 def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, problem):
     truth = tmp_path / "truth.csv"

@@ -611,16 +611,21 @@ def test_bound_tight_at_optimal_inducing_posterior():
         assert bound.data_fit - bound.kl_inducing <= exact + 1e-6
 
 
-def _step_tape_nodes(n_replicas, inducing_per_replica, inducing_latent):
-    """Nodes of one step's bound graph: 10 outputs with per-output inputs."""
-    config = data.SyntheticConfig(n_outputs=10, n_replicas=n_replicas)
+def _initial_step(n_outputs, n_replicas, inducing_per_replica, inducing_latent, points_per_replica=10, flat=False):
+    """``(theta, layout, template, bound_data)`` of a fit's first step on
+    synthetic data with per-output inputs."""
+    config = data.SyntheticConfig(n_outputs=n_outputs, n_replicas=n_replicas, points_per_replica=points_per_replica)
     dataset = data.generate_synthetic(config, seed=0)
     train, _ = data.split(dataset, data.SplitPlan(mode="random_fraction", fraction=0.5, seed=0))
-    model = training.ModelConfig(inducing_per_replica=inducing_per_replica, inducing_latent=inducing_latent)
+    model = training.ModelConfig(inducing_per_replica=inducing_per_replica, inducing_latent=inducing_latent, flat=flat)
     template = training.initialize_state(train, model, seed=0)
     layout = ParamLayout(template)
-    bound_data = read_data(template, *train.training_arrays())
-    pieces, _ = objective.build_graph(layout.pack(template), layout, template, bound_data)
+    return layout.pack(template), layout, template, read_data(template, *train.training_arrays())
+
+
+def _step_tape_nodes(n_replicas, inducing_per_replica, inducing_latent):
+    """Nodes of one step's bound graph: 10 outputs with per-output inputs."""
+    pieces, _ = objective.build_graph(*_initial_step(10, n_replicas, inducing_per_replica, inducing_latent))
     return len(ad._topological_order(pieces.total))
 
 
@@ -634,6 +639,42 @@ def test_desk_shaped_step_stays_within_its_tape_budget():
 
 def test_step_tape_does_not_grow_with_replicas():
     assert _step_tape_nodes(3, 6, 4) == _step_tape_nodes(12, 4, 10)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_gradient_runs_each_closed_form_backward_once(monkeypatch, flat):
+    # the benchmark's tiny shape: 3 outputs, 2 replicas of 8 points, 3 inducing
+    # inputs per replica and 2 inducing latents
+    step = _initial_step(3, 2, 3, 2, points_per_replica=8, flat=flat)
+    calls = {}
+    build_graph = objective.build_graph
+
+    def counted(node):
+        backward = node.backward
+
+        def wrapped(*cotangents):
+            calls[id(node)] += 1
+            gradients = backward(*cotangents)
+            for parent, i in node.parents:  # one gradient per argument, in its shape
+                assert np.shape(gradients[i]) == parent.value.shape
+            return gradients
+
+        return wrapped
+
+    def wrapping_build_graph(*args):
+        pieces, leaves = build_graph(*args)
+        for node in ad._topological_order(pieces.total):
+            if node.backward is not None:
+                calls[id(node)] = 0
+                node.backward = counted(node)
+        return pieces, leaves
+
+    monkeypatch.setattr(objective, "build_graph", wrapping_build_graph)
+    objective.evaluate_with_grad(*step)
+    # the constrained parameters, both inducing Grams and their inverses, the
+    # psi statistics, both KL terms, the data/inducing Gram, the data fit and the total
+    assert len(calls) == 11
+    assert set(calls.values()) == {1}
 
 
 def test_bound_and_gradient_factor_each_inducing_gram_once(monkeypatch):
