@@ -2,13 +2,17 @@
 
 Runs are declared in a YAML config (grammar documented in the README) and
 produce CSV/JSON artifacts plus a manifest sufficient to reproduce the run.
+The ``model``, ``optimizer`` and ``split`` sections parse straight into
+``ModelConfig``, ``OptimizerConfig`` and ``SplitPlan`` (``_section``).
 ``fit`` and ``experiment`` share one per-repeat step (``_fit_repeat``) that
 builds, splits and saves the data, fits, and saves the model and its bound
-trace; every table and JSON file goes through ``data.write_table`` and
-``data.write_json``. Every random choice flows from the run seed, so repeating
-a command with the same config and seed reproduces its prediction and metrics
-files byte for byte. A malformed config, data file or model file exits 2 with
-a message that names it.
+trace, and one manifest writer; ``experiment`` and ``eval`` score through
+``_score``. Tables are laid out by ``data.table_columns``, and every table and
+JSON file goes through ``data.write_table`` and ``data.write_json``. Every
+random choice flows from the run seed, so repeating a command with the same
+config and seed reproduces its prediction and metrics files byte for byte. A
+malformed config, data file or model file exits 2 with a message that names
+it.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from .data import (
     save_csv,
     split,
     standardization_maps,
+    table_columns,
     unstandardize_dataset,
     write_json,
     write_table,
 )
 from .kernels import MATERN32, RBF, StationaryKernel
-from .metrics import evaluate
+from .metrics import EvalReport, evaluate
 from .model import ModelState, state_from_dict
 from .prediction import predict_marginal
 from .training import FitResult, ModelConfig, OptimizerConfig, fit
@@ -79,10 +84,19 @@ def _take(node: dict, path: str, key: str, kind, default="__required__"):
     return value
 
 
-def _present(node: dict, path: str, kinds: dict) -> dict:
-    """The fields of ``node`` named in ``kinds``, type-checked. Absent fields
-    are left out, so their defaults live only in the config dataclasses."""
-    return {key: _take(node, path, key, kind) for key, kind in kinds.items() if key in node}
+def _section(node, path: str, cls, kinds: dict):
+    """A config section parsed straight into the dataclass ``cls``. The
+    section may set the fields named in ``kinds``, each type-checked, and
+    must set those without a default; the others keep the class's defaults,
+    which live nowhere else. The class's own checks become ``ConfigError``s
+    under ``path``."""
+    node = _expect_mapping(node, path, kinds)
+    required = {f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING}
+    fields = {key: _take(node, path, key, kind) for key, kind in kinds.items() if key in node or key in required}
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 _SYNTHETIC_KERNELS = ("shared_kernel", "replica_kernel", "latent_kernel")
@@ -100,6 +114,7 @@ def _config_fields(config_class, set_elsewhere) -> dict:
 _MODEL_FIELDS = _config_fields(ModelConfig, ("flat",))
 _SYNTHETIC_SCALARS = _config_fields(SyntheticConfig, _SYNTHETIC_KERNELS)  # the kernels are sections
 _OPTIMIZER_FIELDS = _config_fields(OptimizerConfig, ("seed", "trainable"))
+_SPLIT_FIELDS = {"mode": str, "fraction": float, "missing": object}  # SplitPlan checks ``missing``
 
 
 def _kernel_from_config(node, path, default: StationaryKernel) -> StationaryKernel:
@@ -152,58 +167,20 @@ class RunConfig:
         elif "synthetic" in dataset:
             path = "dataset.synthetic"
             syn = _expect_mapping(dataset["synthetic"], path, (*_SYNTHETIC_SCALARS, *_SYNTHETIC_KERNELS))
-            scalars = _present(syn, path, _SYNTHETIC_SCALARS)
-            try:
-                # the default kernels, at the configured dimensions
-                defaults = SyntheticConfig(**{k: scalars[k] for k in ("input_dim", "latent_dim") if k in scalars})
-                kernels = {
-                    name: _kernel_from_config(syn.get(name), f"{path}.{name}", getattr(defaults, name))
-                    for name in _SYNTHETIC_KERNELS
-                }
-                self.synthetic = SyntheticConfig(**scalars, **kernels)
-            except ConfigError:
-                raise
-            except ValueError as err:
-                raise ConfigError(f"{path}: {err}") from None
+            # the scalars, with the default kernels at the configured dimensions
+            scalars = {key: value for key, value in syn.items() if key in _SYNTHETIC_SCALARS}
+            base = _section(scalars, path, SyntheticConfig, _SYNTHETIC_SCALARS)
+            kernels = {
+                name: _kernel_from_config(syn.get(name), f"{path}.{name}", getattr(base, name))
+                for name in _SYNTHETIC_KERNELS
+            }
+            self.synthetic = dataclasses.replace(base, **kernels)
         else:
             raise ConfigError("dataset: needs a 'synthetic' or 'csv' section")
 
-        model = _expect_mapping(raw.get("model", {}), "model", _MODEL_FIELDS)
-        model = _present(model, "model", _MODEL_FIELDS)  # outside the try: its errors name the field
-        try:
-            self.model = ModelConfig(**model)
-        except ValueError as err:
-            raise ConfigError(f"model: {err}") from None
-
-        opt = _expect_mapping(raw.get("optimizer", {}), "optimizer", _OPTIMIZER_FIELDS)
-        opt = _present(opt, "optimizer", _OPTIMIZER_FIELDS)
-        try:
-            self.optimizer = OptimizerConfig(**opt)
-        except ValueError as err:
-            raise ConfigError(f"optimizer: {err}") from None
-
-        self.split_spec = None
-        if "split" in raw:
-            sp = _expect_mapping(raw["split"], "split", ("mode", "fraction", "missing"))
-            mode = _take(sp, "split", "mode", str)
-            if mode == "random_fraction":
-                fraction = _take(sp, "split", "fraction", float, SplitPlan.fraction)
-                try:
-                    SplitPlan(mode=mode, fraction=fraction)
-                except ValueError as err:
-                    raise ConfigError(f"split: {err}") from None
-                self.split_spec = {"mode": mode, "fraction": fraction}
-            elif mode == "missing_replica":
-                missing = sp.get("missing", "random")
-                if missing != "random":
-                    if not isinstance(missing, list) or not all(
-                        isinstance(p, list) and len(p) == 2 and all(type(i) is int for i in p)
-                        for p in missing
-                    ):
-                        raise ConfigError("split.missing: expected 'random' or a list of [output, replica] pairs")
-                self.split_spec = {"mode": mode, "missing": missing}
-            else:
-                raise ConfigError(f"split.mode: unknown mode {mode!r}")
+        self.model = _section(raw.get("model", {}), "model", ModelConfig, _MODEL_FIELDS)
+        self.optimizer = _section(raw.get("optimizer", {}), "optimizer", OptimizerConfig, _OPTIMIZER_FIELDS)
+        self.split = _section(raw["split"], "split", SplitPlan, _SPLIT_FIELDS) if "split" in raw else None
         self.raw = raw
 
 
@@ -215,18 +192,6 @@ def load_config(path) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # pipeline pieces
-
-
-def _plan_for_repeat(config: RunConfig, dataset: HierarchicalDataset, seed: int) -> SplitPlan | None:
-    if config.split_spec is None:
-        return None
-    if config.split_spec["mode"] == "random_fraction":
-        return SplitPlan(mode="random_fraction", fraction=config.split_spec["fraction"], seed=seed)
-    missing = config.split_spec["missing"]
-    if missing == "random":
-        rng = np.random.default_rng(seed)
-        missing = [[d, int(rng.integers(dataset.n_replicas))] for d in range(dataset.n_outputs)]
-    return SplitPlan(mode="missing_replica", missing=[(int(d), int(r)) for d, r in missing], seed=seed)
 
 
 def _model_extras(train: HierarchicalDataset) -> dict:
@@ -295,20 +260,15 @@ def _fit_repeat(config: RunConfig, out_dir: pathlib.Path, seed: int, ablation: s
         dataset = load_csv(config.csv_source["path"], standardize=config.csv_source["standardize"])
     else:
         dataset = generate_synthetic(config.synthetic, seed=seed)
-    plan = _plan_for_repeat(config, dataset, seed)
     train, test = dataset, None
-    if plan is not None:
+    if config.split is not None:
         try:
-            train, test = split(dataset, plan)
-        except ValueError as err:  # split's only error: split.missing pairs the dataset cannot hold
-            raise ConfigError(f"split.missing: {err}") from None
+            train, test = split(dataset, dataclasses.replace(config.split, seed=seed))
+        except ValueError as err:  # the plan field at fault leads split's message
+            raise ConfigError(f"split.{err}") from None
         save_csv(unstandardize_dataset(train), out_dir / f"train{tag}.csv")
         test = unstandardize_dataset(test)
         save_csv(test, out_dir / f"test{tag}.csv")
-    if config.model.regime == "shared" and not train.has_common_inputs():
-        raise ConfigError(
-            "model.regime: 'shared' needs every output of the training data on one common input grid"
-        )
     model = dataclasses.replace(config.model, flat=(ablation == "flat"))
     result = fit(train, model, dataclasses.replace(config.optimizer, seed=seed))
     extras = _model_extras(train)
@@ -326,40 +286,46 @@ def _fit_record(result: FitResult) -> dict:
 
 
 def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, standardization: dict | None):
-    """Marginal predictions at every point of a dataset in original units,
-    row-aligned with the CSV serialisation order (output-major, then replica).
+    """Marginal predictions at every point of a dataset in original units: the
+    dataset's table columns, then the predictive mean and variance per row.
     Each output is predicted in one call over its replica-tagged points, mapped
     into model units with the saved standardisation constants."""
+    columns = table_columns(points)
+    outputs, replicas, raw_inputs, targets = columns
     to_model, to_original = standardization_maps(standardization)
+    inputs, _ = to_model(raw_inputs, targets)
+    mean, variance = np.empty(outputs.size), np.empty(outputs.size)
+    for d in sorted(set(outputs.tolist())):
+        rows = outputs == d
+        moments = predict_marginal(state, inputs[rows], replicas[rows], d, seed=seed)
+        mean[rows], variance[rows] = moments.mean, moments.variance
+    _, mean = to_original(inputs, mean)
     y_scale = 1.0 if standardization is None else standardization["y_std"] ** 2
-    rows = []
-    for d in range(points.n_outputs):
-        blocks = points.per_output_blocks(d)
-        tags = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
-        if tags.size == 0:
-            continue
-        raw_inputs = np.concatenate(blocks, axis=0)
-        targets = points.per_output_targets(d)
-        inputs, _ = to_model(raw_inputs, targets)
-        moments = predict_marginal(state, inputs, tags, d, seed=seed)
-        _, mean = to_original(inputs, moments.mean)
-        variance = moments.variance * y_scale
-        for i, r in enumerate(tags.tolist()):
-            rows.append((d, r, raw_inputs[i], mean[i], variance[i], targets[i]))
-    return rows
+    return columns, mean, variance * y_scale
 
 
-def _write_predictions(path, rows, input_dim: int) -> None:
-    header = ["output", "replica"] + [f"x_{i}" for i in range(input_dim)] + ["mean", "variance"]
-    write_table(path, header, ((d, r, *x, mean, variance) for d, r, x, mean, variance, _ in rows))
+def _write_predictions(path, columns, mean, variance) -> None:
+    outputs, replicas, inputs, _ = columns
+    header = ["output", "replica"] + [f"x_{i}" for i in range(inputs.shape[1])] + ["mean", "variance"]
+    write_table(path, header, zip(outputs.tolist(), replicas.tolist(), *inputs.T, mean, variance))
 
 
-def _metrics_from_rows(rows) -> dict:
-    y_true = np.array([row[5] for row in rows])
-    mean = np.array([row[3] for row in rows])
-    variance = np.array([row[4] for row in rows])
-    outputs = np.array([row[0] for row in rows])
-    return evaluate(y_true, mean, variance, outputs).to_dict()
+def _score(columns, mean, variance, source) -> EvalReport:
+    """Pooled and per-output scores of predictions against the targets of
+    ``columns``; held-out data that cannot be scored (fewer than two points,
+    constant targets) is a ``ConfigError`` that names ``source``."""
+    outputs, _, _, targets = columns
+    try:
+        return evaluate(targets, mean, variance, outputs)
+    except ValueError as err:
+        raise ConfigError(f"{source}: {err}") from None
+
+
+def _write_manifest(out_dir: pathlib.Path, command: str, config: RunConfig, ablation, started: float, record: dict):
+    """``manifest.json`` of ``fit`` and ``experiment``: the command, its config,
+    the package version, ``record`` and the wall time since ``started``."""
+    manifest = {"command": command, "config": config.raw, "ablation": ablation, "version": __version__, **record}
+    write_json(out_dir / "manifest.json", {**manifest, "wall_clock_seconds": time.time() - started})
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +347,7 @@ def cmd_fit(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = Non
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     result, _, _ = _fit_repeat(config, out_dir, config.seed, ablation, tag="")
-    manifest = {
-        "command": "fit",
-        "config": config.raw,
-        "seed": config.seed,
-        "ablation": ablation,
-        "version": __version__,
-        **_fit_record(result),
-        "wall_clock_seconds": time.time() - started,
-    }
-    write_json(out_dir / "manifest.json", manifest)
+    _write_manifest(out_dir, "fit", config, ablation, started, {"seed": config.seed, **_fit_record(result)})
     model_path = out_dir / "model.json"
     print(f"wrote {model_path} (best bound {result.trace[result.best_index]:.4f})")
     return model_path
@@ -439,9 +396,9 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
         points = HierarchicalDataset(
             outputs=[OutputRecord(replicas=[unobserved] * state.n_replicas) for _ in range(state.n_outputs)]
         )
-    rows = _predict_dataset(state, points, seed, payload.get("standardization"))
-    _write_predictions(out_path, rows, input_dim)
-    print(f"wrote {out_path} ({len(rows)} predictions)")
+    columns, mean, variance = _predict_dataset(state, points, seed, payload.get("standardization"))
+    _write_predictions(out_path, columns, mean, variance)
+    print(f"wrote {out_path} ({mean.size} predictions)")
     return pathlib.Path(out_path)
 
 
@@ -457,7 +414,6 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
             f"{predictions_path} has {len(header) - 4} input columns, "
             f"truth file {truth_path} has {truth.input_dim}"
         )
-    y_true, means, variances, outputs = [], [], [], []
     rows = []
     for line_no, line in enumerate(pred_lines[1:], start=2):
         if not line.strip():
@@ -471,29 +427,19 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
                 raise ValueError("non-finite value")
             if values[-1] <= 0.0:
                 raise ValueError(f"predictive variance {values[-1]:g} is not positive")
-            rows.append((int(cells[0]), int(cells[1]), values))
+            rows.append([int(cells[0]), int(cells[1]), *values])
         except ValueError as err:
             raise ConfigError(f"{predictions_path}:{line_no}: {err}") from None
-    truth_rows = []
-    for d in range(truth.n_outputs):
-        for r in range(truth.n_replicas):
-            block = truth.block(d, r)
-            for i in range(block.n_points):
-                truth_rows.append((d, r, block.inputs[i], block.targets[i]))
-    if len(rows) != len(truth_rows):
-        raise ConfigError(
-            f"prediction rows ({len(rows)}) and truth rows ({len(truth_rows)}) disagree"
-        )
-    for (pred_d, pred_r, values), (d, r, x, y) in zip(rows, truth_rows):
-        if pred_d != d or pred_r != r:
-            raise ConfigError("prediction and truth files are not row-aligned")
-        if not np.allclose(values[:-2], x, atol=1e-9):
-            raise ConfigError("prediction and truth files disagree on input locations")
-        outputs.append(d)
-        y_true.append(y)
-        means.append(values[-2])
-        variances.append(values[-1])
-    report = evaluate(np.array(y_true), np.array(means), np.array(variances), np.array(outputs))
+    columns = table_columns(truth)
+    outputs, replicas, inputs, _ = columns
+    if len(rows) != outputs.size:
+        raise ConfigError(f"prediction rows ({len(rows)}) and truth rows ({outputs.size}) disagree")
+    predicted = np.array(rows, float)
+    if not (np.array_equal(predicted[:, 0], outputs) and np.array_equal(predicted[:, 1], replicas)):
+        raise ConfigError("prediction and truth files are not row-aligned")
+    if not np.allclose(predicted[:, 2:-2], inputs, atol=1e-9):
+        raise ConfigError("prediction and truth files disagree on input locations")
+    report = _score(columns, predicted[:, -2], predicted[:, -1], truth_path)
     payload = report.to_dict()
     write_json(out_dir / "metrics.json", payload)
     pooled = ("pooled", report.nmse, report.nlpd)
@@ -504,7 +450,7 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
 
 def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = None) -> dict:
     """The full loop: data, split, fit, predict and score, repeated over seeds."""
-    if config.split_spec is None:
+    if config.split is None:
         raise ConfigError("split: experiments need a split section")
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -513,9 +459,9 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
     for rep in range(config.repeats):
         seed = config.seed + rep
         result, test, standardization = _fit_repeat(config, out_dir, seed, ablation, tag=f"_rep{rep}")
-        rows = _predict_dataset(result.state, test, seed, standardization)
-        _write_predictions(out_dir / f"predictions_rep{rep}.csv", rows, result.state.input_dim)
-        metrics = _metrics_from_rows(rows)
+        columns, mean, variance = _predict_dataset(result.state, test, seed, standardization)
+        _write_predictions(out_dir / f"predictions_rep{rep}.csv", columns, mean, variance)
+        metrics = _score(columns, mean, variance, out_dir / f"test_rep{rep}.csv").to_dict()
         write_json(out_dir / f"metrics_rep{rep}.json", metrics)
         nmse_values.append(metrics["nmse"])
         nlpd_values.append(metrics["nlpd"])
@@ -532,16 +478,8 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         "nlpd_values": nlpd_values,
     }
     write_json(out_dir / "summary.json", summary)
-    manifest = {
-        "command": "experiment",
-        "config": config.raw,
-        "seeds": [config.seed + rep for rep in range(config.repeats)],
-        "ablation": ablation,
-        "version": __version__,
-        "per_repeat": per_repeat,
-        "wall_clock_seconds": time.time() - started,
-    }
-    write_json(out_dir / "manifest.json", manifest)
+    seeds = [config.seed + rep for rep in range(config.repeats)]
+    _write_manifest(out_dir, "experiment", config, ablation, started, {"seeds": seeds, "per_repeat": per_repeat})
     print(
         f"summary: nmse {summary['nmse_mean']:.6f} +/- {summary['nmse_sd']:.6f}, "
         f"nlpd {summary['nlpd_mean']:.6f} +/- {summary['nlpd_sd']:.6f}"

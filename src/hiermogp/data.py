@@ -224,12 +224,13 @@ class SplitPlan:
 
     ``random_fraction`` keeps the given fraction of each replica for
     training; ``missing_replica`` moves whole (output, replica) blocks into
-    the test set.
+    the test set: the ``missing`` pairs, or with ``"random"`` one replica per
+    output, drawn from ``seed`` in output order.
     """
 
     mode: str
     fraction: float = 0.5
-    missing: list = field(default_factory=list)
+    missing: list | str = "random"
     seed: int = 0
 
     def __post_init__(self):
@@ -237,64 +238,60 @@ class SplitPlan:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if self.mode == "random_fraction" and not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must lie strictly between 0 and 1")
-        if self.mode == "missing_replica" and not self.missing:
-            raise ValueError("missing_replica mode needs at least one (output, replica) pair")
+        if self.mode == "missing_replica" and self.missing != "random":
+            is_index = lambda i: isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            if not isinstance(self.missing, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(is_index, p)) for p in self.missing
+            ):
+                raise ValueError("missing: expected 'random' or a list of [output, replica] pairs")
+            if not self.missing:
+                raise ValueError("missing_replica mode needs at least one (output, replica) pair")
 
 
 def split(dataset: HierarchicalDataset, plan: SplitPlan):
-    """Disjoint, exhaustive train/test partition according to the plan."""
-    v = dataset.input_dim
-    empty = lambda: ReplicaBlock(inputs=np.zeros((0, v)), targets=np.zeros(0))
-    train_outputs = []
-    test_outputs = []
+    """Disjoint, exhaustive train/test partition according to the plan. Each
+    error message starts with the plan field at fault."""
+    rng = np.random.default_rng(plan.seed)
+    pairs = set()
     if plan.mode == "missing_replica":
-        pairs = {(int(d), int(r)) for d, r in plan.missing}
+        missing = plan.missing
+        if missing == "random":
+            missing = [(d, int(rng.integers(dataset.n_replicas))) for d in range(dataset.n_outputs)]
+        pairs = {(int(d), int(r)) for d, r in missing}
         for d, r in pairs:
             if not (0 <= d < dataset.n_outputs and 0 <= r < dataset.n_replicas):
                 raise ValueError(
-                    f"pair [{d}, {r}] is outside the dataset "
+                    f"missing: pair [{d}, {r}] is outside the dataset "
                     f"({dataset.n_outputs} outputs, {dataset.n_replicas} replicas)"
                 )
-        observed = {
-            d: dataset.n_replicas - sum(1 for dd, _ in pairs if dd == d)
-            for d in range(dataset.n_outputs)
-        }
-        if any(count < 1 for count in observed.values()):
-            raise ValueError("every output must keep at least one observed replica")
-        for d, record in enumerate(dataset.outputs):
-            train_reps, test_reps = [], []
-            for r, block in enumerate(record.replicas):
-                if (d, r) in pairs:
-                    train_reps.append(empty())
-                    test_reps.append(ReplicaBlock(block.inputs.copy(), block.targets.copy()))
-                else:
-                    train_reps.append(ReplicaBlock(block.inputs.copy(), block.targets.copy()))
-                    test_reps.append(empty())
-            train_outputs.append(OutputRecord(replicas=train_reps, name=record.name))
-            test_outputs.append(OutputRecord(replicas=test_reps, name=record.name))
-    else:
-        rng = np.random.default_rng(plan.seed)
-        for d, record in enumerate(dataset.outputs):
-            train_reps, test_reps = [], []
-            for r, block in enumerate(record.replicas):
-                n = block.n_points
-                if n == 0:
-                    train_reps.append(empty())
-                    test_reps.append(empty())
-                    continue
+        if any(sum(1 for dd, _ in pairs if dd == d) == dataset.n_replicas for d in range(dataset.n_outputs)):
+            raise ValueError("missing: every output must keep at least one observed replica")
+    train_outputs, test_outputs = [], []
+    for d, record in enumerate(dataset.outputs):
+        train_reps, test_reps = [], []
+        for r, block in enumerate(record.replicas):
+            n = block.n_points
+            if plan.mode == "missing_replica" or n == 0:
+                rows = np.arange(n)
+                train_idx, test_idx = (rows[:0], rows) if (d, r) in pairs else (rows, rows[:0])
+            else:
                 n_train = max(1, int(round(plan.fraction * n)))
                 perm = rng.permutation(n)
-                train_idx = np.sort(perm[:n_train])
-                test_idx = np.sort(perm[n_train:])
-                train_reps.append(ReplicaBlock(block.inputs[train_idx], block.targets[train_idx]))
-                test_reps.append(ReplicaBlock(block.inputs[test_idx], block.targets[test_idx]))
-            train_outputs.append(OutputRecord(replicas=train_reps, name=record.name))
-            test_outputs.append(OutputRecord(replicas=test_reps, name=record.name))
+                train_idx, test_idx = np.sort(perm[:n_train]), np.sort(perm[n_train:])
+            train_reps.append(ReplicaBlock(block.inputs[train_idx], block.targets[train_idx]))
+            test_reps.append(ReplicaBlock(block.inputs[test_idx], block.targets[test_idx]))
+        train_outputs.append(OutputRecord(replicas=train_reps, name=record.name))
+        test_outputs.append(OutputRecord(replicas=test_reps, name=record.name))
     meta = dict(dataset.metadata)
-    return (
-        HierarchicalDataset(outputs=train_outputs, metadata=meta),
-        HierarchicalDataset(outputs=test_outputs, metadata=meta),
-    )
+    train = HierarchicalDataset(outputs=train_outputs, metadata=meta)
+    test = HierarchicalDataset(outputs=test_outputs, metadata=meta)
+    if test.n_points == 0:
+        raise ValueError(
+            "missing: the held-out blocks have no observations"
+            if plan.mode == "missing_replica"
+            else f"fraction: {plan.fraction:g} holds out no point of any replica"
+        )
+    return train, test
 
 
 def _cell(value) -> str:
@@ -316,17 +313,28 @@ def write_json(path, payload) -> None:
     pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def table_columns(dataset: HierarchicalDataset):
+    """The dataset as the columns of its table, in row order (output, then
+    replica, then point): output and replica indices, inputs (n, v) and
+    targets."""
+    blocks = [(d, r, b) for d, o in enumerate(dataset.outputs) for r, b in enumerate(o.replicas) if b.n_points]
+    if not blocks:
+        raise ValueError("dataset has no observations")
+    counts = [b.n_points for *_, b in blocks]
+    return (
+        np.repeat([d for d, _, _ in blocks], counts),
+        np.repeat([r for _, r, _ in blocks], counts),
+        np.concatenate([b.inputs for *_, b in blocks]),
+        np.concatenate([b.targets for *_, b in blocks]),
+    )
+
+
 def save_csv(dataset: HierarchicalDataset, path) -> None:
     """Write the dataset plus a JSON metadata sidecar."""
     path = pathlib.Path(path)
-    header = ["output", "replica"] + [f"x_{i}" for i in range(dataset.input_dim)] + ["y"]
-    rows = (
-        (d, r, *block.inputs[i], block.targets[i])
-        for d, record in enumerate(dataset.outputs)
-        for r, block in enumerate(record.replicas)
-        for i in range(block.n_points)
-    )
-    write_table(path, header, rows)
+    outputs, replicas, inputs, targets = table_columns(dataset)
+    header = ["output", "replica"] + [f"x_{i}" for i in range(inputs.shape[1])] + ["y"]
+    write_table(path, header, zip(outputs.tolist(), replicas.tolist(), *inputs.T, targets))
     if dataset.metadata:
         write_json(path.with_name(path.name + ".meta.json"), dataset.metadata)
 

@@ -36,7 +36,7 @@ class ModelConfig:
     shared_family: str = MATERN32
     replica_family: str = MATERN32
     flat: bool = False  # force zero cross-replica coupling (ablation)
-    regime: str = "per_output"  # one noise per output; "shared" ties it (common grid only)
+    regime: str = "per_output"  # one noise per output; "shared" ties it across outputs
 
     def __post_init__(self):
         for name in ("latent_dim", "inducing_per_replica", "inducing_latent"):
@@ -243,8 +243,6 @@ def fit(
     the best state so far (``None`` before the first finite bound) and the
     trace so far in its ``diagnostics``, under ``best_state`` and ``trace``.
     """
-    if model_config.regime == "shared" and not dataset.has_common_inputs():
-        raise ValueError("shared regime requires every output on one common input grid")
     template = initial_state or initialize_state(
         dataset, model_config, optimizer_config.seed, init_strategy
     )

@@ -20,6 +20,7 @@ from hiermogp.data import (
     save_csv,
     split,
 )
+from hiermogp.elbo import elbo_per_output
 from hiermogp.kernels import MATERN32, RBF
 from hiermogp.model import state_from_dict
 from hiermogp.prediction import predict_marginal
@@ -556,24 +557,77 @@ def test_eval_rejects_predictions_with_another_input_dimension(tmp_path, capsys,
     assert problem in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, share_inputs, split_spec",
-    [
-        ("fit", False, None),
-        ("experiment", True, {"mode": "missing_replica", "missing": [[0, 1]]}),
-    ],
-)
-def test_shared_regime_without_a_common_grid_is_a_config_error(tmp_path, capsys, command, share_inputs, split_spec):
-    config = base_config(tmp_path / "run", iterations=2, repeats=1)
-    config["dataset"]["synthetic"]["share_inputs"] = share_inputs
+def test_shared_regime_on_per_output_inputs_runs_and_its_bound_recomputes(tmp_path):
+    # one bound ties the noise across outputs on any inputs
+    config = base_config(tmp_path / "run", iterations=20, repeats=1)
     config["model"]["regime"] = "shared"
-    if split_spec is None:
-        del config["split"]
-    else:
-        config["split"] = split_spec
+    assert main(["experiment", "--config", str(write_config(tmp_path, config))]) == 0
+    train = load_csv(tmp_path / "run" / "train_rep0.csv")
+    assert not train.has_common_inputs()
+    state = state_from_dict(json.loads((tmp_path / "run" / "model_rep0.json").read_text()))
+    assert state.noise_variance.ndim == 0
+    best = json.loads((tmp_path / "run" / "manifest.json").read_text())["per_repeat"][0]["final_elbo"]
+    assert np.isclose(elbo_per_output(state, *train.training_arrays()).total, best, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["fit", "experiment"])
+def test_split_that_holds_out_nothing_is_a_config_error(tmp_path, capsys, command):
+    # 0.99 of an 8-point replica rounds to all 8 points
+    config = base_config(tmp_path / "run", iterations=2, repeats=1)
+    config["split"]["fraction"] = 0.99
     assert main([command, "--config", str(write_config(tmp_path, config))]) == 2
-    assert "config error: model.regime: 'shared' needs every output" in capsys.readouterr().err
-    assert not list((tmp_path / "run").glob("model*.json"))
+    assert "config error: split.fraction: 0.99 holds out no point of any replica" in capsys.readouterr().err
+    assert not list((tmp_path / "run").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "truth_rows, problem",
+    [
+        (["0,0,0.1,1.0"], "nmse needs at least two test points"),
+        (["0,0,0.1,1.0", "0,0,0.2,1.0"], "nmse is undefined for constant test targets"),
+    ],
+    ids=["one_row", "constant_targets"],
+)
+def test_eval_of_unscorable_truth_is_a_config_error(tmp_path, capsys, truth_rows, problem):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("output,replica,x_0,y\n" + "\n".join(truth_rows) + "\n")
+    pred = tmp_path / "pred.csv"
+    pred_rows = [row.rsplit(",", 1)[0] + ",1.5,1.0" for row in truth_rows]
+    pred.write_text("output,replica,x_0,mean,variance\n" + "\n".join(pred_rows) + "\n")
+    code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {truth}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.json").exists()
+
+
+def test_experiment_with_an_unscorable_test_split_is_a_config_error(tmp_path, capsys):
+    # half of output 0's two points and none of output 1's single point are held out
+    data = tmp_path / "data.csv"
+    data.write_text("output,replica,x_0,y\n0,0,0.1,1.0\n0,0,0.6,2.0\n1,0,0.3,0.5\n")
+    config = base_config(tmp_path / "run", iterations=2, repeats=1)
+    config["dataset"] = {"csv": {"path": str(data)}}
+    assert main(["experiment", "--config", str(write_config(tmp_path, config))]) == 2
+    test_split = tmp_path / "run" / "test_rep0.csv"
+    assert f"config error: {test_split}: nmse needs at least two test points" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics_rep0.json").exists()
+
+
+@pytest.mark.parametrize("variant", ["random_fraction", "missing_replica", "standardized_csv"])
+def test_eval_of_an_experiment_repeat_writes_its_metrics_file(tmp_path, variant):
+    # experiment and eval score through one path, so their metrics files agree byte for byte
+    config = base_config(tmp_path / "run", iterations=10, repeats=1)
+    if variant == "missing_replica":
+        config["dataset"]["synthetic"]["n_replicas"] = 3
+        config["split"] = {"mode": "missing_replica", "missing": "random"}
+    elif variant == "standardized_csv":
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(write_config(tmp_path, config)), "--out", str(gen)]) == 0
+        config["dataset"] = {"csv": {"path": str(gen / "dataset.csv"), "standardize": True}}
+    assert main(["experiment", "--config", str(write_config(tmp_path, config))]) == 0
+    run = tmp_path / "run"
+    argv = ["--predictions", str(run / "predictions_rep0.csv"), "--truth", str(run / "test_rep0.csv")]
+    assert main(["eval", *argv, "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "metrics.json").read_bytes() == (run / "metrics_rep0.json").read_bytes()
 
 
 def _count_predict_calls(monkeypatch):

@@ -272,6 +272,37 @@ def test_split_missing_replica_guards():
         split(dataset, SplitPlan(mode="missing_replica", missing=[(5, 0)]))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_split_missing_random_draws_one_replica_per_output_from_the_seed(seed):
+    # one draw per output, in output order, from the plan's seed
+    dataset = generate_synthetic(SyntheticConfig(n_outputs=6, n_replicas=4, points_per_replica=3), seed=2)
+    train, test = split(dataset, SplitPlan(mode="missing_replica", missing="random", seed=seed))
+    rng = np.random.default_rng(seed)
+    expected = [(d, int(rng.integers(4))) for d in range(6)]
+    held_out = [(d, r) for d in range(6) for r in range(4) if test.block(d, r).n_points]
+    assert held_out == expected
+    assert all(train.block(d, r).n_points == 0 for d, r in expected)
+    assert train.n_points + test.n_points == dataset.n_points
+
+
+@pytest.mark.parametrize("missing", [[(0,)], [(0, 1.5)], "some", [(0, True)], 3])
+def test_split_plan_rejects_malformed_missing(missing):
+    with pytest.raises(ValueError, match="^missing: expected 'random' or a list of"):
+        SplitPlan(mode="missing_replica", missing=missing)
+
+
+def test_split_that_holds_out_nothing_names_the_plan_field():
+    dataset = generate_synthetic(SyntheticConfig(n_outputs=2, n_replicas=2, points_per_replica=8), seed=3)
+    with pytest.raises(ValueError, match="^fraction: 0.99 holds out no point"):
+        split(dataset, SplitPlan(mode="random_fraction", fraction=0.99))
+    # replica 1 of output 0 has no observations, so holding it out holds out nothing
+    block = dataset.block(0, 0)
+    empty = ReplicaBlock(np.zeros((0, 1)), np.zeros(0))
+    ragged = HierarchicalDataset(outputs=[OutputRecord([block, empty]), OutputRecord([block, block])])
+    with pytest.raises(ValueError, match="^missing: the held-out blocks have no observations"):
+        split(ragged, SplitPlan(mode="missing_replica", missing=[(0, 1)]))
+
+
 def test_split_plan_validation():
     with pytest.raises(ValueError):
         SplitPlan(mode="bogus")

@@ -316,11 +316,16 @@ def test_noise_only_best_sequence_is_monotone():
     assert np.isclose(best_sequence[-1], result.trace[result.best_index])
 
 
-def test_fit_shared_regime_requires_common_grid():
+def test_fit_shared_regime_ties_the_noise_on_per_output_inputs():
     dataset = tiny_dataset(seed=9)
-    model_config = ModelConfig(regime="shared", inducing_per_replica=2)
-    with pytest.raises(ValueError, match="common input grid"):
-        fit(dataset, model_config, OptimizerConfig(iterations=1))
+    assert not dataset.has_common_inputs()
+    model_config = ModelConfig(regime="shared", inducing_per_replica=2, inducing_latent=2)
+    result = fit(dataset, model_config, OptimizerConfig(iterations=30, seed=0))
+    from hiermogp.elbo import elbo_per_output
+
+    assert result.state.noise_variance.ndim == 0
+    value = elbo_per_output(result.state, *dataset.training_arrays()).total
+    assert np.isclose(value, result.trace[result.best_index], rtol=1e-9)
 
 
 def test_fit_shared_regime_runs_on_common_grid():
