@@ -12,8 +12,11 @@ Gram grows with the outputs; its targets are the common-grid draws, since
 the step's cost does not depend on their values and sampling distinct inputs
 jointly takes a Gram over all D * R * 10 points. Prints one
 line per shape: the median milliseconds per step over ``--steps`` steps,
-after one warm-up step, and the number of distinct tape nodes one step
-builds (its one leaf, the parameter vector, included).
+after one warm-up step; the user and system CPU milliseconds per step over
+those steps (``os.times``, this process only, counted in clock ticks of
+typically 10 ms), where system time shows the kernel mapping and trimming
+heap memory; and the number of distinct tape nodes one step builds (its one
+leaf, the parameter vector, included).
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/scale_step.py [--steps 20]
 
@@ -24,6 +27,7 @@ common grid, and D = 1000 with R = 3 on per-output inputs.
 """
 
 import argparse
+import os
 import statistics
 import time
 
@@ -73,11 +77,14 @@ def measure(n_outputs, n_replicas, m_r, m_h, share_inputs, steps, seed=0):
     nodes = len(autodiff._topological_order(objective.build_graph(theta, layout, template, bound_data)[0].total))
     objective.evaluate_with_grad(theta, layout, template, bound_data)  # warm-up
     times = []
+    cpu_start = os.times()
     for _ in range(steps):
         start = time.perf_counter()
         objective.evaluate_with_grad(theta, layout, template, bound_data)
         times.append(1e3 * (time.perf_counter() - start))
-    return statistics.median(times), nodes
+    cpu_end = os.times()
+    user, system = (1e3 * (b - a) / steps for a, b in zip(cpu_start[:2], cpu_end[:2]))
+    return statistics.median(times), user, system, nodes
 
 
 def main() -> int:
@@ -85,10 +92,10 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args()
     for n_outputs, n_replicas, m_r, m_h, share_inputs in SHAPES:
-        ms, nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
+        ms, user, system, nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
         inputs = "common grid" if share_inputs else "per output "
-        print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h} {inputs}  "
-              f"{ms:8.2f} ms/step  {nodes:4d} tape nodes", flush=True)
+        print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h} {inputs}  {ms:8.2f} ms/step  "
+              f"user {user:7.2f}  sys {system:6.2f} ms/step  {nodes:4d} tape nodes", flush=True)
     return 0
 
 

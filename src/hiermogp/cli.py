@@ -9,10 +9,10 @@ builds, splits and saves the data, fits, and saves the model and its bound
 trace, and one manifest writer; ``experiment`` and ``eval`` score through
 ``_score``. Tables are laid out by ``data.table_columns``, and every table and
 JSON file goes through ``data.write_table`` and ``data.write_json``. Every
-random choice flows from the run seed, so repeating a command with the same
-config and seed reproduces its prediction and metrics files byte for byte. A
-malformed config, data file or model file exits 2 with a message that names
-it.
+random choice (synthetic data, split, initial state) flows from the run seed,
+and prediction draws nothing, so repeating a command with the same config and
+seed reproduces its prediction and metrics files byte for byte. A malformed
+config, data file or model file exits 2 with a message that names it.
 """
 
 from __future__ import annotations
@@ -244,6 +244,8 @@ def _load_model(path) -> tuple[ModelState, dict]:
         if unknown:
             raise ValueError(f"{min(unknown)}: unknown field")
         state = state_from_dict(payload)
+        if state.latent_kernel.family != RBF:  # the bound and prediction need its psi statistics
+            raise ValueError(f"latent_kernel: family {state.latent_kernel.family!r}, expected {RBF!r}")
         _check_extras(state, payload)
         return state, payload
     except ValueError as err:
@@ -285,7 +287,7 @@ def _fit_record(result: FitResult) -> dict:
     }
 
 
-def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, standardization: dict | None):
+def _predict_dataset(state: ModelState, points: HierarchicalDataset, standardization: dict | None):
     """Marginal predictions at every point of a dataset in original units: the
     dataset's table columns, then the predictive mean and variance per row.
     Each output is predicted in one call over its replica-tagged points, mapped
@@ -297,7 +299,7 @@ def _predict_dataset(state: ModelState, points: HierarchicalDataset, seed: int, 
     mean, variance = np.empty(outputs.size), np.empty(outputs.size)
     for d in sorted(set(outputs.tolist())):
         rows = outputs == d
-        moments = predict_marginal(state, inputs[rows], replicas[rows], d, seed=seed)
+        moments = predict_marginal(state, inputs[rows], replicas[rows], d)
         mean[rows], variance[rows] = moments.mean, moments.variance
     _, mean = to_original(inputs, mean)
     y_scale = 1.0 if standardization is None else standardization["y_std"] ** 2
@@ -369,7 +371,7 @@ def _parse_grid(spec: str):
     return np.linspace(low, high, count)[:, None]
 
 
-def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 0) -> pathlib.Path:
+def run_predict(model_path, out_path, at_path=None, grid_spec=None) -> pathlib.Path:
     grid = _parse_grid(grid_spec) if at_path is None else None
     state, payload = _load_model(model_path)
     input_dim = state.input_dim
@@ -396,7 +398,7 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None, seed: int = 
         points = HierarchicalDataset(
             outputs=[OutputRecord(replicas=[unobserved] * state.n_replicas) for _ in range(state.n_outputs)]
         )
-    columns, mean, variance = _predict_dataset(state, points, seed, payload.get("standardization"))
+    columns, mean, variance = _predict_dataset(state, points, payload.get("standardization"))
     _write_predictions(out_path, columns, mean, variance)
     print(f"wrote {out_path} ({mean.size} predictions)")
     return pathlib.Path(out_path)
@@ -414,7 +416,7 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
             f"{predictions_path} has {len(header) - 4} input columns, "
             f"truth file {truth_path} has {truth.input_dim}"
         )
-    rows = []
+    rows, line_nos = [], []
     for line_no, line in enumerate(pred_lines[1:], start=2):
         if not line.strip():
             continue
@@ -428,17 +430,27 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
             if values[-1] <= 0.0:
                 raise ValueError(f"predictive variance {values[-1]:g} is not positive")
             rows.append([int(cells[0]), int(cells[1]), *values])
+            line_nos.append(line_no)
         except ValueError as err:
             raise ConfigError(f"{predictions_path}:{line_no}: {err}") from None
     columns = table_columns(truth)
     outputs, replicas, inputs, _ = columns
     if len(rows) != outputs.size:
-        raise ConfigError(f"prediction rows ({len(rows)}) and truth rows ({outputs.size}) disagree")
+        raise ConfigError(
+            f"{predictions_path} has {len(rows)} prediction rows, truth file {truth_path} has {outputs.size}"
+        )
     predicted = np.array(rows, float)
-    if not (np.array_equal(predicted[:, 0], outputs) and np.array_equal(predicted[:, 1], replicas)):
-        raise ConfigError("prediction and truth files are not row-aligned")
-    if not np.allclose(predicted[:, 2:-2], inputs, atol=1e-9):
-        raise ConfigError("prediction and truth files disagree on input locations")
+    got_labels, labels = predicted[:, :2].astype(int), np.column_stack([outputs, replicas])
+    for name, got, want, bad in (
+        ("output, replica", got_labels, labels, np.any(got_labels != labels, axis=1)),
+        ("inputs", predicted[:, 2:-2], inputs, ~np.all(np.isclose(predicted[:, 2:-2], inputs, atol=1e-9), axis=1)),
+    ):
+        if bad.any():  # name the first misaligned row
+            i = int(np.argmax(bad))
+            raise ConfigError(
+                f"{predictions_path}:{line_nos[i]}: {name} {got[i].tolist()}, but truth file {truth_path} "
+                f"has {want[i].tolist()} there (rows go by output, replica, then point)"
+            )
     report = _score(columns, predicted[:, -2], predicted[:, -1], truth_path)
     payload = report.to_dict()
     write_json(out_dir / "metrics.json", payload)
@@ -459,7 +471,7 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
     for rep in range(config.repeats):
         seed = config.seed + rep
         result, test, standardization = _fit_repeat(config, out_dir, seed, ablation, tag=f"_rep{rep}")
-        columns, mean, variance = _predict_dataset(result.state, test, seed, standardization)
+        columns, mean, variance = _predict_dataset(result.state, test, standardization)
         _write_predictions(out_dir / f"predictions_rep{rep}.csv", columns, mean, variance)
         metrics = _score(columns, mean, variance, out_dir / f"test_rep{rep}.csv").to_dict()
         write_json(out_dir / f"metrics_rep{rep}.json", metrics)
@@ -514,7 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, help="CSV of points (output,replica,x_*[,y])")
     p.add_argument("--grid", default=None, help="'count,low,high' grid for every output and replica")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=0)
     p = sub.add_parser("eval", help="score predictions against a truth CSV")
     p.add_argument("--predictions", required=True)
     p.add_argument("--truth", required=True)
@@ -531,7 +542,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             if (args.at is None) == (args.grid is None):
                 raise ConfigError("predict needs exactly one of --at or --grid")
-            run_predict(args.model, args.out, at_path=args.at, grid_spec=args.grid, seed=args.seed)
+            run_predict(args.model, args.out, at_path=args.at, grid_spec=args.grid)
             return 0
         if args.command == "eval":
             run_eval(args.predictions, args.truth, pathlib.Path(args.out))

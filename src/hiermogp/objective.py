@@ -32,7 +32,7 @@ outputs; the bound has no other notion of a data regime."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,10 +74,22 @@ class BoundData:
     yy: np.ndarray  # (D,) y_d^T y_d
     kfu_pairs: ReplicaPairs  # points x inducing inputs
     kuu_pairs: ReplicaPairs  # inducing inputs x inducing inputs
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy):
             array.flags.writeable = False
+
+    def sum_to_points(self, values: np.ndarray) -> np.ndarray:
+        """(N_u, c): the (D, n_max, c) ``values`` summed onto the points the
+        index names, with the padding's sum dropped, in one ``bincount``. Bin
+        ``point * c + column`` adds its terms in flat order, as a per-column
+        sum would. The bins are built once per ``c``: a fresh array of that
+        size every step costs more than the sum it serves."""
+        n, c = self.points.shape[0], values.shape[-1]
+        if c not in self._bins:
+            self._bins[c] = (self.index.ravel()[:, None] * c + np.arange(c)).ravel()
+        return np.bincount(self._bins[c], values.ravel(), minlength=(n + 1) * c).reshape(n + 1, c)[:n]
 
 
 def read_data(template: ModelState, x, y) -> BoundData:
@@ -118,16 +130,6 @@ def read_data(template: ModelState, x, y) -> BoundData:
     )
 
 
-def _sum_to_points(values: np.ndarray, index: np.ndarray, n_points: int) -> np.ndarray:
-    """(n_points, c): the (D, n_max, c) ``values`` summed onto the points
-    ``index`` names, with the padding's sum dropped."""
-    flat = index.ravel()
-    columns = values.reshape(flat.size, values.shape[-1])
-    return np.stack(
-        [np.bincount(flat, column, minlength=n_points + 1)[:n_points] for column in columns.T], axis=1
-    )
-
-
 def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise):
     """The bound's expected log-likelihood of ``data``, summed over outputs,
     as one node.
@@ -151,7 +153,6 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     args = (kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise)
     k, p1, p2, a_x, a_h, m, s_x, s_h, vh, amp, log_noise = ad.values(args)
     index, y, n = data.index, data.targets, data.counts
-    n_points = k.shape[0]
     g_h = a_h @ s_h @ a_h
     s_a = s_x @ a_x
     k_a = k @ a_x
@@ -187,7 +188,7 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
         d_tr = np.stack([half * th_a, -half * th_g], axis=1)  # of each output's two traces
         # each point collects the cotangents of the outputs indexing it
         per_point = np.concatenate([np.broadcast_to(d_tr[:, None], (*index.shape, 2)), d_u_d], axis=2)
-        c_a, c_g, d_u = np.split(_sum_to_points(per_point, index, n_points), [1, 2], axis=1)
+        c_a, c_g, d_u = np.split(data.sum_to_points(per_point), [1, 2], axis=1)
         d_k = d_u @ (a_x @ m).T
         d_k += (2.0 * c_a) * k_a
         d_k += (2.0 * c_g) * k_g

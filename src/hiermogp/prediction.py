@@ -1,31 +1,35 @@
 """Predictive distributions, including for entirely missing replicas.
 
 Conditioned on fixed latent coordinates, the predictive moments are exact
-Gaussian algebra through the inducing posterior. Marginalising the latent
-posterior is intractable, so the mixture moments are estimated by seeded
-Monte Carlo over the latent coordinate of the requested output. The tests
-hold the estimate to a per-draw oracle and its mean to the closed form
-through the expected latent kernel row psi1 (``tests/oracles.py``).
+Gaussian algebra through the inducing posterior. Marginalising an output's
+diagonal Gaussian latent posterior is exact too: the conditional mean and
+variance are linear in the latent kernel row ``k_s = k(h, Z_h)`` and in
+``k_s k_s^T``, so the mixture's mean and variance need only their
+expectations, the psi statistics psi1 and psi2 of the RBF latent kernel
+(Titsias & Lawrence 2010; LVMOGP, Dai, Alvarez & Lawrence 2017), which the
+bound computes with ``latent.psi_stats``. The tests hold these moments to
+Gauss-Hermite quadrature, to per-draw Monte Carlo and to the mean through
+psi1 (``tests/oracles.py``).
 
 A fitted state's inducing Grams are factored and their Cholesky factors
-inverted once, on its first prediction, and an output's latent draws are
-reduced once per (output, draws, seed) to four sample statistics. A block
-then costs its cross covariance against the inducing inputs plus GEMMs with
-the cached inverses, O(n m_x^2) in all. The cache is keyed on the state's
-identity, so a ``ModelState`` must not be changed in place once it has been
-predicted from.
+inverted once, on its first prediction, in the same pass as every output's
+latent moments. A block then costs its cross covariance against the inducing
+inputs plus GEMMs with the cached inverses, O(n m_x^2) in all. The cache is
+keyed on the state's identity, so a ``ModelState`` must not be changed in
+place once it has been predicted from.
 """
 
 from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import hier_block_cov, hier_cross_cov, latent_cov
+from .kernels import RBF, hier_block_cov, hier_cross_cov, latent_cov
 from .kron import cholesky_jitter, tril_inverse
+from .latent import psi_stats
 from .model import ModelState
 
 log = logging.getLogger(__name__)
@@ -41,17 +45,18 @@ class PredictiveMoments:
 
 @dataclass(frozen=True)
 class _LatentMoments:
-    """Sample statistics of an output's latent kernel rows ``k_s`` over its draws."""
+    """Moments of the latent kernel rows ``k_s`` under latent distributions,
+    one row each: every output's posterior, or a single latent point."""
 
-    row_mean: np.ndarray  # (m_h,) mean of the k_s
-    row_cov: np.ndarray  # (m_h, m_h) covariance of the k_s, ddof=0
-    nystrom: float  # mean of k_s Kh^-1 k_s
-    smoothed: float  # mean of k_s Kh^-1 S_h Kh^-1 k_s
+    row_mean: np.ndarray  # (d, m_h): psi1 = E[k_s]
+    row_cov: np.ndarray  # (d, m_h, m_h): psi2 - psi1 psi1^T
+    nystrom: np.ndarray  # (d,): E[k_s Kh^-1 k_s] = tr(Kh^-1 psi2)
+    smoothed: np.ndarray  # (d,): E[k_s Kh^-1 S_h Kh^-1 k_s] = tr(Kh^-1 S_h Kh^-1 psi2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Posterior:
-    """What prediction needs from one fitted state, factored once; holds no
+    """What prediction needs from one fitted state, computed once; holds no
     reference to the state, which keys it weakly. With ``S = C C^T``,
     ``smooth = (L^-1 C)^T`` maps ``L^-1 k`` to a root of ``k K^-1 S K^-1 k``."""
 
@@ -60,7 +65,7 @@ class _Posterior:
     smooth_x: np.ndarray
     smooth_h: np.ndarray
     w: np.ndarray  # (m_x, m_h): Kx^-1 M Kh^-1
-    outputs: dict = field(default_factory=dict)  # (output, mc_samples, seed) -> _LatentMoments
+    outputs: _LatentMoments  # under the outputs' latent posteriors
 
 
 _POSTERIORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -69,48 +74,36 @@ _POSTERIORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _posterior(state: ModelState) -> _Posterior:
     post = _POSTERIORS.get(state)
     if post is None:
-        ind = state.inducing
+        kernel, latents, ind = state.latent_kernel, state.latent_posterior, state.inducing
+        if kernel.family != RBF:
+            raise ValueError(f"prediction needs an {RBF!r} latent kernel, got {kernel.family!r}")
         kuu_x = hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)
-        kuu_h = latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent)
+        kuu_h = latent_cov(kernel, ind.z_latent, ind.z_latent)
         inv_x = tril_inverse(cholesky_jitter(kuu_x)[0])
         inv_h = tril_inverse(cholesky_jitter(kuu_h)[0])
+        smooth_h = (inv_h @ ind.cov_latent_chol).T
+        psi = psi_stats(kernel.variance, kernel.lengthscales, latents.means, np.log(latents.variances), ind.z_latent)
         post = _POSTERIORS[state] = _Posterior(
             inv_x=inv_x,
             inv_h=inv_h,
             smooth_x=(inv_x @ ind.cov_input_chol).T,
-            smooth_h=(inv_h @ ind.cov_latent_chol).T,
+            smooth_h=smooth_h,
             w=inv_x.T @ (inv_x @ ind.mean @ inv_h.T) @ inv_h,
+            outputs=_latent_moments(inv_h, smooth_h, *(node.value for node in psi)),
         )
     return post
 
 
-def _latent_moments(post: _Posterior, state: ModelState, latents: np.ndarray) -> _LatentMoments:
-    rows = latent_cov(state.latent_kernel, latents, state.inducing.z_latent)  # (s, m_h)
-    half = post.inv_h @ rows.T
-    smooth = post.smooth_h @ half
-    row_mean = rows.mean(axis=0)
-    centred = rows - row_mean
+def _latent_moments(inv_h, smooth_h, psi1: np.ndarray, psi2: np.ndarray) -> _LatentMoments:
+    """The moments from psi1 (d, m_h) and psi2 (d, m_h, m_h); each trace
+    ``tr(A psi2 A^T)`` is summed as ``(A psi2) * A``."""
+    root = smooth_h @ inv_h  # C^T Kh^-1
     return _LatentMoments(
-        row_mean=row_mean,
-        row_cov=centred.T @ centred / rows.shape[0],
-        nystrom=float(np.mean(np.sum(half * half, axis=0))),
-        smoothed=float(np.mean(np.sum(smooth * smooth, axis=0))),
+        row_mean=psi1,
+        row_cov=psi2 - psi1[:, :, None] * psi1[:, None, :],
+        nystrom=np.sum((inv_h @ psi2) * inv_h, axis=(1, 2)),
+        smoothed=np.sum((root @ psi2) * root, axis=(1, 2)),
     )
-
-
-def _output_moments(post: _Posterior, state: ModelState, output: int, mc_samples: int, seed):
-    """Latent moments of ``mc_samples`` seeded draws of the output's coordinate,
-    kept for reuse unless the seed is not an int (unseeded or a generator)."""
-    key = (int(output), int(mc_samples), int(seed)) if isinstance(seed, (int, np.integer)) else None
-    if key is None or key not in post.outputs:
-        rng = np.random.default_rng(seed)
-        mu = state.latent_posterior.means[output]
-        std = np.sqrt(state.latent_posterior.variances[output])
-        moments = _latent_moments(post, state, mu + std * rng.standard_normal((mc_samples, mu.shape[0])))
-        if key is None:
-            return moments
-        post.outputs[key] = moments
-    return post.outputs[key]
 
 
 def _input_terms(post: _Posterior, state: ModelState, xstar: np.ndarray, replica_tags):
@@ -120,16 +113,17 @@ def _input_terms(post: _Posterior, state: ModelState, xstar: np.ndarray, replica
     return cross @ post.w, half, post.smooth_x @ half
 
 
-def _block_moments(post, state, xstar, replica_tags, moments: _LatentMoments):
-    """Mixture mean and variance: mean conditional variance plus variance of conditional means."""
+def _block_moments(post, state, xstar, replica_tags, moments: _LatentMoments, d: int):
+    """Mixture mean and variance under row ``d`` of ``moments``: mean
+    conditional variance plus variance of conditional means."""
     base, half, smooth = _input_terms(post, state, xstar, replica_tags)
     variance = (
         state.latent_kernel.variance * state.hier_kernel.diag_value
-        - moments.nystrom * np.sum(half * half, axis=0)
-        + moments.smoothed * np.sum(smooth * smooth, axis=0)
-        + np.sum((base @ moments.row_cov) * base, axis=1)
+        - moments.nystrom[d] * np.sum(half * half, axis=0)
+        + moments.smoothed[d] * np.sum(smooth * smooth, axis=0)
+        + np.sum((base @ moments.row_cov[d]) * base, axis=1)
     )
-    return base @ moments.row_mean, _clip_variance(variance)
+    return base @ moments.row_mean[d], _clip_variance(variance)
 
 
 def _clip_variance(variance: np.ndarray) -> np.ndarray:
@@ -164,10 +158,11 @@ def predict_conditional(
     xstar = np.atleast_2d(np.asarray(xstar, float))
     latent_point = np.asarray(latent_point, float).reshape(1, -1)
     post = _posterior(state)
-    moments = _latent_moments(post, state, latent_point)
+    row = latent_cov(state.latent_kernel, latent_point, state.inducing.z_latent)  # psi1 of a point mass
+    moments = _latent_moments(post.inv_h, post.smooth_h, row, row[:, :, None] * row[:, None, :])
     noise = state.noise_for(output) if include_noise else 0.0
     if not full_cov:
-        mean, variance = _block_moments(post, state, xstar, replica_tags, moments)
+        mean, variance = _block_moments(post, state, xstar, replica_tags, moments, 0)
         return PredictiveMoments(mean=mean, variance=variance + noise)
     base, half, smooth = _input_terms(post, state, xstar, replica_tags)
     # prior covariance of the tagged points; the columns come grouped by
@@ -178,10 +173,10 @@ def predict_conditional(
     kxx = hier_cross_cov(state.hier_kernel, xstar, tags, blocks)[:, rank]
     cov = (
         state.latent_kernel.variance * kxx
-        - moments.nystrom * (half.T @ half)
-        + moments.smoothed * (smooth.T @ smooth)
+        - moments.nystrom[0] * (half.T @ half)
+        + moments.smoothed[0] * (smooth.T @ smooth)
     )
-    return PredictiveMoments(mean=base @ moments.row_mean, variance=cov + noise * np.eye(cov.shape[0]))
+    return PredictiveMoments(mean=base @ row[0], variance=cov + noise * np.eye(cov.shape[0]))
 
 
 def predict_marginal(
@@ -189,24 +184,22 @@ def predict_marginal(
     xstar: np.ndarray,
     replica_tags,
     output: int,
-    mc_samples: int = 2000,
-    seed: int = 0,
     include_noise: bool = True,
+    *,
+    seed=None,
 ) -> PredictiveMoments:
-    """Moments of the latent-posterior mixture for one output.
+    """Exact moments of the latent-posterior mixture for one output.
 
-    The mean averages the conditional mean over draws of the output's latent
-    coordinate; the variance adds the spread of the conditional means to the
-    average conditional variance.
+    The mean is the conditional mean at the expected latent kernel row psi1;
+    the variance adds the spread of the conditional means to the average
+    conditional variance, both through psi2. ``seed`` is accepted and
+    ignored: nothing is sampled.
     """
     if not 0 <= output < state.n_outputs:
         raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     xstar = np.atleast_2d(np.asarray(xstar, float))
     post = _posterior(state)
-    moments = _output_moments(post, state, output, mc_samples, seed)
-    mean, variance = _block_moments(post, state, xstar, replica_tags, moments)
+    mean, variance = _block_moments(post, state, xstar, replica_tags, post.outputs, output)
     if include_noise:
         variance = variance + state.noise_for(output)
     return PredictiveMoments(mean=mean, variance=variance)
@@ -217,17 +210,18 @@ def predict_missing_replica(
     output: int,
     replica: int,
     grid: np.ndarray,
-    mc_samples: int = 2000,
-    seed: int = 0,
     include_noise: bool = True,
+    *,
+    seed=None,
 ) -> PredictiveMoments:
     """Predict an output over a replica it was never observed in.
 
     Information reaches the block through the shared-level kernel and the
     inducing variables, which pool every output's view of that replica.
+    ``seed`` is ignored, as in :func:`predict_marginal`.
     """
     grid = np.atleast_2d(np.asarray(grid, float))
     if not 0 <= replica < state.n_replicas:
         raise ValueError(f"replica {replica} outside 0..{state.n_replicas - 1}")
     tags = np.full(grid.shape[0], replica, dtype=int)
-    return predict_marginal(state, grid, tags, output, mc_samples, seed, include_noise)
+    return predict_marginal(state, grid, tags, output, include_noise)

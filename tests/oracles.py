@@ -4,8 +4,9 @@ Dense Kronecker algebra, LAPACK triangular solves (scipy, which only the
 tests use), the closed forms of ``latent`` evaluated on constant arrays,
 Monte Carlo psi statistics, the masked dense hierarchical Gram node, the
 naive dense bound, the exact marginal likelihood at fixed latent
-coordinates, the optimal dense inducing posterior and the per-draw
-predictive moments. The package itself uses none of them.
+coordinates, the optimal dense inducing posterior, and the latent-mixture
+predictive moments by per-draw Monte Carlo and by Gauss-Hermite quadrature.
+The package itself uses none of them.
 """
 
 import numpy as np
@@ -395,15 +396,10 @@ def mean_base(state, xstar, replica_tags):
     return hier_cross_cov(state.hier_kernel, xstar, replica_tags, ind.z_input) @ w
 
 
-def predict_marginal_per_draw(
-    state, xstar, replica_tags, output, mc_samples=2000, seed=0, include_noise=True
-):
-    """Mixture moments from the conditional moments of every latent draw.
-
-    Builds the (n, mc_samples) conditional means and variances and reduces
-    them: mean of the means, mean of the variances plus variance of the means.
-    Uses the same draws as ``prediction.predict_marginal``.
-    """
+def conditional_moments_at(state, xstar, replica_tags, latents):
+    """(n, s) conditional means and variances of the latent function at the
+    points ``xstar`` for each of the s latent coordinates ``latents``, by
+    triangular solves against the inducing Grams."""
     xstar = np.atleast_2d(np.asarray(xstar, float))
     ind = state.inducing
     lower_x, _ = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
@@ -414,26 +410,58 @@ def predict_marginal_per_draw(
     nystrom_x = np.sum(b * cross, axis=1)
     smoothed_x = np.sum((b @ ind.cov_input) * b, axis=1)
 
-    rng = np.random.default_rng(seed)
-    mu = state.latent_posterior.means[output]
-    std = np.sqrt(state.latent_posterior.variances[output])
-    draws = mu + std * rng.standard_normal((mc_samples, mu.shape[0]))
-    rows = latent_cov(state.latent_kernel, draws, ind.z_latent)  # (s, m_h)
+    rows = latent_cov(state.latent_kernel, np.atleast_2d(latents), ind.z_latent)  # (s, m_h)
     half_h = solve_triangular(lower_h, rows.T, lower=True)
     rows_inv = solve_triangular(lower_h, half_h, lower=True, trans="T").T  # rows Kh^-1
     nystrom_h = np.sum(rows_inv * rows, axis=1)
     smoothed_h = np.sum((rows_inv @ ind.cov_latent) * rows_inv, axis=1)
 
-    means = mean_base(state, xstar, replica_tags) @ rows.T  # (n, s)
-    cond_var = (
+    means = mean_base(state, xstar, replica_tags) @ rows.T
+    variances = (
         state.latent_kernel.variance * state.hier_kernel.diag_value
         - nystrom_x[:, None] * nystrom_h[None, :]
         + smoothed_x[:, None] * smoothed_h[None, :]
     )
-    variance = np.maximum(cond_var.mean(axis=1) + means.var(axis=1), 0.0)
+    return means, variances
+
+
+def latent_draws(state, output, samples, seed):
+    """``samples`` seeded draws of the output's latent coordinate."""
+    mu = state.latent_posterior.means[output]
+    std = np.sqrt(state.latent_posterior.variances[output])
+    return mu + std * np.random.default_rng(seed).standard_normal((samples, mu.shape[0]))
+
+
+def mixture_moments(state, output, means, variances, weights, include_noise=True):
+    """Moments of the mixture of the (n, s) conditional moments under ``weights``
+    (s,): mean of the means, mean of the variances plus variance of the means."""
+    mean = means @ weights
+    variance = np.maximum(variances @ weights + (means - mean[:, None]) ** 2 @ weights, 0.0)
     if include_noise:
         variance = variance + state.noise_for(output)
-    return PredictiveMoments(mean=means.mean(axis=1), variance=variance)
+    return PredictiveMoments(mean=mean, variance=variance)
+
+
+def predict_marginal_per_draw(state, xstar, replica_tags, output, mc_samples=2000, seed=0, include_noise=True):
+    """Mixture moments from the conditional moments of ``mc_samples`` seeded
+    latent draws, each weighted equally."""
+    means, variances = conditional_moments_at(state, xstar, replica_tags, latent_draws(state, output, mc_samples, seed))
+    return mixture_moments(state, output, means, variances, np.full(mc_samples, 1.0 / mc_samples), include_noise)
+
+
+def predict_marginal_quadrature(state, xstar, replica_tags, output, nodes=80, include_noise=True):
+    """Mixture moments by tensor-product Gauss-Hermite quadrature over the
+    output's diagonal Gaussian latent posterior, ``nodes`` per dimension: with
+    rule nodes t and weights w, the points are ``mu + sqrt(2 s) t`` and the
+    weights ``w / sqrt(pi)``, multiplied over dimensions."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    q = state.latent_dim
+    grid = np.stack(np.meshgrid(*[t] * q, indexing="ij"), axis=-1).reshape(-1, q)
+    weights = np.prod(np.stack(np.meshgrid(*[w] * q, indexing="ij"), axis=-1).reshape(-1, q), axis=1)
+    mu = state.latent_posterior.means[output]
+    scale = np.sqrt(2.0 * state.latent_posterior.variances[output])
+    means, variances = conditional_moments_at(state, xstar, replica_tags, mu + scale * grid)
+    return mixture_moments(state, output, means, variances, weights / np.pi ** (q / 2), include_noise)
 
 
 def predict_marginal_mean_closed_form(state, xstar, replica_tags, output):

@@ -286,6 +286,7 @@ def _standardized(**changes):
         (_standardized(y_std=0.0), "standardization.y_std: must be positive"),
         (_standardized(x_std=[np.nan]), "standardization.x_std: expected 1 finite numbers"),
         (_edit(lambda p: p.update(n_replicas=7)), "n_replicas: 7, but the inducing inputs cover 2 replicas"),
+        (_edit(lambda p: p["latent_kernel"].update(family="matern32")), "latent_kernel: family 'matern32', expected"),
     ],
     ids=[
         "missing_field",
@@ -299,6 +300,7 @@ def _standardized(**changes):
         "standardization_zero_std",
         "standardization_non_finite",
         "wrong_replica_count",
+        "latent_kernel_without_psi_statistics",
     ],
 )
 def test_malformed_model_file_exits_2_with_its_path(tmp_path, capsys, edit, problem):
@@ -557,6 +559,31 @@ def test_eval_rejects_predictions_with_another_input_dimension(tmp_path, capsys,
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pred_rows, problem",
+    [
+        (["0,0,0.1,1.0,1.0"], "{pred} has 1 prediction rows, truth file {truth} has 2"),
+        (
+            ["0,0,0.1,1.0,1.0", "", "0,0,0.2,2.0,1.0"],
+            "{pred}:4: output, replica [0, 0], but truth file {truth} has [0, 1] there",
+        ),
+        (
+            ["0,0,0.1,1.0,1.0", "0,1,0.25,2.0,1.0"],
+            "{pred}:3: inputs [0.25], but truth file {truth} has [0.2] there",
+        ),
+    ],
+    ids=["row_count", "row_alignment", "input_location"],
+)
+def test_eval_alignment_errors_name_both_files(tmp_path, capsys, pred_rows, problem):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("output,replica,x_0,y\n0,0,0.1,1.0\n0,1,0.2,2.0\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("output,replica,x_0,mean,variance\n" + "\n".join(pred_rows) + "\n")
+    code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {problem.format(pred=pred, truth=truth)}" in capsys.readouterr().err
+
+
 def test_shared_regime_on_per_output_inputs_runs_and_its_bound_recomputes(tmp_path):
     # one bound ties the noise across outputs on any inputs
     config = base_config(tmp_path / "run", iterations=20, repeats=1)
@@ -643,14 +670,14 @@ def _count_predict_calls(monkeypatch):
     return outputs
 
 
-def _assert_rows_match_per_block_calls(model_path, points, predictions_path, seed=0):
+def _assert_rows_match_per_block_calls(model_path, points, predictions_path):
     state = state_from_dict(json.loads(model_path.read_text()))
     expected = []
     for d in range(points.n_outputs):
         for r in range(points.n_replicas):
             block = points.block(d, r)
             if block.n_points:
-                moments = predict_marginal(state, block.inputs, np.full(block.n_points, r), d, seed=seed)
+                moments = predict_marginal(state, block.inputs, np.full(block.n_points, r), d)
                 expected += zip(moments.mean, moments.variance)
     rows = np.loadtxt(predictions_path, delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape[0] == len(expected)

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,10 +18,13 @@ from hiermogp.training import ModelConfig, OptimizerConfig, fit
 
 from .helpers import random_state
 from .oracles import (
-    mean_base,
+    conditional_moments_at,
+    latent_draws,
+    mixture_moments,
     optimal_inducing_dense,
     predict_marginal_mean_closed_form,
     predict_marginal_per_draw,
+    predict_marginal_quadrature,
     tri_solve,
     unvec,
 )
@@ -118,59 +121,71 @@ def test_marginal_delta_limit_matches_conditional():
     xstar = rng.uniform(size=(5, 1))
     tags = rng.integers(0, state.n_replicas, size=5)
     for d in range(2):
-        marg = predict_marginal(state, xstar, tags, d, mc_samples=64, seed=0, include_noise=False)
+        marg = predict_marginal(state, xstar, tags, d, include_noise=False)
         cond = predict_conditional(state, xstar, tags, state.latent_posterior.means[d])
-        assert np.allclose(marg.mean, cond.mean, atol=1e-6)
-        assert np.allclose(marg.variance, cond.variance, atol=1e-6)
+        assert np.allclose(marg.mean, cond.mean, rtol=0.0, atol=1e-8)
+        assert np.allclose(marg.variance, cond.variance, rtol=0.0, atol=1e-8)
 
 
 def test_marginal_variance_obeys_total_variance_law():
+    # the conditional path at Gauss-Hermite nodes of the latent posterior,
+    # mixed: mean of the conditional variances plus variance of the means
     rng = np.random.default_rng(4)
     state = random_state(rng, n_outputs=2, latent_var_scale=2.0)
     xstar = rng.uniform(size=(4, 1))
     tags = rng.integers(0, state.n_replicas, size=4)
-    seed, samples = 7, 200
-    marg = predict_marginal(state, xstar, tags, 0, mc_samples=samples, seed=seed, include_noise=False)
-    # replay the same latent draws through the conditional path
+    marg = predict_marginal(state, xstar, tags, 0, include_noise=False)
+    t, w = np.polynomial.hermite.hermgauss(80)
     mu = state.latent_posterior.means[0]
-    std = np.sqrt(state.latent_posterior.variances[0])
-    draws = mu + std * np.random.default_rng(seed).standard_normal((samples, mu.shape[0]))
-    cond_means = np.stack(
-        [predict_conditional(state, xstar, tags, h).mean for h in draws], axis=1
-    )
-    cond_vars = np.stack(
-        [predict_conditional(state, xstar, tags, h).variance for h in draws], axis=1
-    )
-    assert np.allclose(marg.mean, cond_means.mean(axis=1), atol=1e-9)
-    assert np.allclose(
-        marg.variance, cond_vars.mean(axis=1) + cond_means.var(axis=1), atol=1e-9
-    )
-    assert np.all(marg.variance >= cond_vars.mean(axis=1) - 1e-12)
+    scale = np.sqrt(2.0 * state.latent_posterior.variances[0])
+    conditionals = [predict_conditional(state, xstar, tags, mu + scale * np.array([a, b])) for a in t for b in t]
+    cond_means = np.stack([c.mean for c in conditionals], axis=1)
+    cond_vars = np.stack([c.variance for c in conditionals], axis=1)
+    weights = np.outer(w, w).ravel() / np.pi
+    mixed = mixture_moments(state, 0, cond_means, cond_vars, weights, include_noise=False)
+    assert np.allclose(marg.mean, mixed.mean, rtol=1e-9, atol=1e-12)
+    assert np.allclose(marg.variance, mixed.variance, rtol=1e-9, atol=1e-12)
+    assert np.all(marg.variance >= cond_vars @ weights - 1e-12)
 
 
-def test_marginal_mean_closed_form_within_monte_carlo_error():
+def test_marginal_mean_equals_closed_form():
     rng = np.random.default_rng(5)
     state = random_state(rng, n_outputs=3, latent_var_scale=1.5)
     xstar = rng.uniform(size=(6, 1))
     tags = rng.integers(0, state.n_replicas, size=6)
-    samples, seed = 100_000, 11
-    closed = predict_marginal_mean_closed_form(state, xstar, tags, 1)
-    marg = predict_marginal(state, xstar, tags, 1, mc_samples=samples, seed=seed)
-    # standard error of the Monte Carlo mean, from the conditional-mean spread
-    mu = state.latent_posterior.means[1]
-    std = np.sqrt(state.latent_posterior.variances[1])
-    draws = mu + std * np.random.default_rng(seed).standard_normal((samples, mu.shape[0]))
-    from hiermogp.kernels import latent_cov
-
-    rows = latent_cov(state.latent_kernel, draws, state.inducing.z_latent)
-    per_sample = mean_base(state, xstar, tags) @ rows.T
-    se = per_sample.std(axis=1, ddof=1) / np.sqrt(samples)
-    assert np.all(np.abs(closed - marg.mean) <= 3.0 * se + 1e-12)
+    for d in range(state.n_outputs):
+        closed = predict_marginal_mean_closed_form(state, xstar, tags, d)
+        assert np.allclose(predict_marginal(state, xstar, tags, d).mean, closed, rtol=1e-12, atol=0.0)
 
 
 def assert_matches_oracle(got, want):
-    assert np.allclose(got.mean, want.mean, rtol=1e-8, atol=1e-12)
-    assert np.allclose(got.variance, want.variance, rtol=1e-8, atol=1e-12)
+    assert np.allclose(got.mean, want.mean, rtol=1e-9, atol=1e-12)
+    assert np.allclose(got.variance, want.variance, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_marginal_matches_quadrature_oracle(flat):
+    rng = np.random.default_rng(40 + flat)
+    state = random_state(rng, n_outputs=3, n_replicas=3, flat=flat, latent_var_scale=2.0)
+    xstar = rng.uniform(-0.5, 1.5, size=(7, 1))
+    tags = rng.integers(0, state.n_replicas, size=7)
+    for d in range(state.n_outputs):
+        for include_noise in (False, True):
+            assert_matches_oracle(
+                predict_marginal(state, xstar, tags, d, include_noise=include_noise),
+                predict_marginal_quadrature(state, xstar, tags, d, include_noise=include_noise),
+            )
+
+
+def assert_within_monte_carlo_error(got, state, xstar, tags, d, samples, seed):
+    """``got`` within four standard errors of the per-draw oracle's moments
+    over ``samples`` seeded draws; the errors come from the same draws."""
+    want = predict_marginal_per_draw(state, xstar, tags, d, mc_samples=samples, seed=seed, include_noise=False)
+    means, variances = conditional_moments_at(state, xstar, tags, latent_draws(state, d, samples, seed))
+    se_mean = means.std(axis=1, ddof=1) / np.sqrt(samples)
+    se_variance = (variances + (means - want.mean[:, None]) ** 2).std(axis=1, ddof=1) / np.sqrt(samples)
+    assert np.all(np.abs(got.mean - want.mean) <= 4.0 * se_mean)
+    assert np.all(np.abs(got.variance - want.variance) <= 4.0 * se_variance)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -179,14 +194,9 @@ def test_marginal_matches_per_draw_oracle(flat):
     state = random_state(rng, n_outputs=3, n_replicas=3, flat=flat, latent_var_scale=2.0)
     xstar = rng.uniform(-0.5, 1.5, size=(7, 1))
     tags = rng.integers(0, state.n_replicas, size=7)
-    # one state throughout, so every (output, draws, seed) reuses or adds to its cache
     for d in range(state.n_outputs):
-        for samples, seed, include_noise in itertools.product((1, 2, 7, 500), (0, 5), (False, True)):
-            kwargs = dict(mc_samples=samples, seed=seed, include_noise=include_noise)
-            assert_matches_oracle(
-                predict_marginal(state, xstar, tags, d, **kwargs),
-                predict_marginal_per_draw(state, xstar, tags, d, **kwargs),
-            )
+        got = predict_marginal(state, xstar, tags, d, include_noise=False)
+        assert_within_monte_carlo_error(got, state, xstar, tags, d, samples=200_000, seed=d)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -196,12 +206,12 @@ def test_missing_replica_matches_per_draw_oracle(flat):
     grid = np.linspace(0.0, 1.0, 6)[:, None]
     for d in range(state.n_outputs):
         for r in range(state.n_replicas):
-            for include_noise in (False, True):
-                got = predict_missing_replica(state, d, r, grid, mc_samples=300, seed=3, include_noise=include_noise)
-                want = predict_marginal_per_draw(
-                    state, grid, np.full(6, r), d, mc_samples=300, seed=3, include_noise=include_noise
-                )
-                assert_matches_oracle(got, want)
+            tags = np.full(6, r)
+            latent = predict_missing_replica(state, d, r, grid, include_noise=False)
+            assert_within_monte_carlo_error(latent, state, grid, tags, d, samples=20_000, seed=3)
+            noisy = predict_missing_replica(state, d, r, grid)
+            assert_matches_oracle(noisy, predict_marginal_quadrature(state, grid, tags, d))
+            assert np.allclose(noisy.variance - latent.variance, state.noise_for(d), rtol=1e-12)
 
 
 def test_full_covariance_diagonal_matches_marginal_variances():
@@ -230,42 +240,42 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_each_state_factors_once_and_each_output_draws_once(monkeypatch):
+def test_each_state_factors_and_computes_its_moments_once(monkeypatch):
     rng = np.random.default_rng(45)
     state = random_state(rng, n_outputs=3, n_replicas=2)
     factored = count_calls(monkeypatch, "cholesky_jitter")
     latent_rows = count_calls(monkeypatch, "latent_cov")
+    psi = count_calls(monkeypatch, "psi_stats")
     for d in range(state.n_outputs):
         for r in range(state.n_replicas):
             xstar = rng.uniform(size=(4, 1))
-            predict_marginal(state, xstar, np.full(4, r), d, mc_samples=50)
-            predict_missing_replica(state, d, r, xstar, mc_samples=50)
-    # one latent Gram plus one set of draws per output
-    assert len(latent_rows) == 1 + state.n_outputs
+            predict_marginal(state, xstar, np.full(4, r), d)
+            predict_missing_replica(state, d, r, xstar)
+    # the latent Gram and every output's psi statistics, each in one call
+    assert (len(factored), len(latent_rows), len(psi)) == (2, 1, 1)
+    # a latent point's kernel row, then nothing more is computed for the state
     predict_conditional(state, xstar, [0] * 4, state.latent_posterior.means[0], full_cov=True)
-    assert len(factored) == 2
+    assert (len(factored), len(latent_rows), len(psi)) == (2, 2, 1)
 
     # an equal state that is a different object is factored again
-    twin = ModelState(
-        hier_kernel=state.hier_kernel,
-        latent_kernel=state.latent_kernel,
-        latent_posterior=state.latent_posterior,
-        inducing=state.inducing,
-        noise_variance=state.noise_variance,
-    )
-    a = predict_marginal(twin, xstar, [1] * 4, 0, mc_samples=50)
-    b = predict_marginal(state, xstar, [1] * 4, 0, mc_samples=50)
-    assert len(factored) == 4
+    twin = dataclasses.replace(state)
+    a = predict_marginal(twin, xstar, [1] * 4, 0)
+    b = predict_marginal(state, xstar, [1] * 4, 0)
+    assert (len(factored), len(psi)) == (4, 2)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.variance, b.variance)
 
 
-def test_unseeded_draws_are_not_reused():
+def test_prediction_rejects_a_latent_kernel_without_psi_statistics():
     rng = np.random.default_rng(46)
-    state = random_state(rng, n_outputs=2, latent_var_scale=2.0)
-    xstar = rng.uniform(size=(3, 1))
-    a = predict_marginal(state, xstar, [0, 1, 0], 0, mc_samples=20, seed=None)
-    b = predict_marginal(state, xstar, [0, 1, 0], 0, mc_samples=20, seed=None)
-    assert not np.array_equal(a.mean, b.mean)
+    state = random_state(rng)
+    matern = dataclasses.replace(state, latent_kernel=dataclasses.replace(state.latent_kernel, family=MATERN32))
+    for predict in (
+        lambda: predict_marginal(matern, np.zeros((1, 1)), [0], 0),
+        lambda: predict_missing_replica(matern, 0, 0, np.zeros((1, 1))),
+        lambda: predict_conditional(matern, np.zeros((1, 1)), [0], state.latent_posterior.means[0]),
+    ):
+        with pytest.raises(ValueError, match="'matern32'"):
+            predict()
 
 
 def test_invalid_output_and_replica_raise():
@@ -279,16 +289,6 @@ def test_invalid_output_and_replica_raise():
         predict_conditional(state, np.zeros((1, 1)), [7], state.latent_posterior.means[0])
 
 
-def test_marginal_rejects_fewer_than_one_draw():
-    rng = np.random.default_rng(6)
-    state = random_state(rng)
-    for samples in (0, -3):
-        with pytest.raises(ValueError, match="mc_samples"):
-            predict_marginal(state, np.zeros((1, 1)), [0], output=0, mc_samples=samples)
-        with pytest.raises(ValueError, match="mc_samples"):
-            predict_missing_replica(state, 0, 0, np.zeros((1, 1)), mc_samples=samples)
-
-
 def test_variance_never_negative():
     rng = np.random.default_rng(7)
     for trial in range(5):
@@ -296,7 +296,7 @@ def test_variance_never_negative():
         xstar = rng.uniform(-0.5, 1.5, size=(8, 1))
         tags = rng.integers(0, state.n_replicas, size=8)
         for d in range(state.n_outputs):
-            m = predict_marginal(state, xstar, tags, d, mc_samples=100, seed=trial, include_noise=False)
+            m = predict_marginal(state, xstar, tags, d, include_noise=False)
             assert np.all(m.variance >= 0.0)
 
 
@@ -323,7 +323,7 @@ def test_missing_replica_self_consistency():
     for d in range(4):
         r = d % 3
         block = test.block(d, r)
-        moments = predict_missing_replica(result.state, d, r, block.inputs, seed=0)
+        moments = predict_missing_replica(result.state, d, r, block.inputs)
         y_true.append(block.targets)
         y_pred.append(moments.mean)
     score = nmse(np.concatenate(y_true), np.concatenate(y_pred))
@@ -385,8 +385,6 @@ def test_adding_data_never_increases_variance():
 
 
 def test_conditional_noise_needs_a_valid_output():
-    import dataclasses
-
     state = random_state(np.random.default_rng(31), n_outputs=2, per_output_noise=True)
     xstar, tags, h = np.zeros((2, 1)), [0, 1], state.latent_posterior.means[0]
     for output in (-1, 2, 5):
