@@ -15,8 +15,12 @@ line per shape: the median milliseconds per step over ``--steps`` steps,
 after one warm-up step; the user and system CPU milliseconds per step over
 those steps (``os.times``, this process only, counted in clock ticks of
 typically 10 ms), where system time shows the kernel mapping and trimming
-heap memory; and the number of distinct tape nodes one step builds (its one
-leaf, the parameter vector, included).
+heap memory; the median microseconds per predicted block, over as many
+``prediction.predict_missing_replica`` calls at the initial state on one
+10-point block (output 0's inputs in replica 0, predicted as a missing
+replica), after the state's first prediction has factored and cached what
+every block shares; and the number of distinct tape nodes one step builds
+(its one leaf, the parameter vector, included).
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/scale_step.py [--steps 20]
 
@@ -33,7 +37,7 @@ import time
 
 import numpy as np
 
-from hiermogp import autodiff, data, objective, training
+from hiermogp import autodiff, data, objective, prediction, training
 from hiermogp.params import ParamLayout
 
 # (outputs, replicas, inducing inputs per replica, latent inducing points, common grid)
@@ -84,7 +88,19 @@ def measure(n_outputs, n_replicas, m_r, m_h, share_inputs, steps, seed=0):
         times.append(1e3 * (time.perf_counter() - start))
     cpu_end = os.times()
     user, system = (1e3 * (b - a) / steps for a, b in zip(cpu_start[:2], cpu_end[:2]))
-    return statistics.median(times), user, system, nodes
+    block_us = predict_block_us(template, dataset.block(0, 0).inputs, steps)
+    return statistics.median(times), user, system, block_us, nodes
+
+
+def predict_block_us(state, grid, calls):
+    """Median microseconds of a missing-replica prediction of ``grid``, after a first call."""
+    prediction.predict_missing_replica(state, 0, 0, grid)
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        prediction.predict_missing_replica(state, 0, 0, grid)
+        times.append(1e6 * (time.perf_counter() - start))
+    return statistics.median(times)
 
 
 def main() -> int:
@@ -92,10 +108,11 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args()
     for n_outputs, n_replicas, m_r, m_h, share_inputs in SHAPES:
-        ms, user, system, nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
+        ms, user, system, block_us, nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
         inputs = "common grid" if share_inputs else "per output "
         print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h} {inputs}  {ms:8.2f} ms/step  "
-              f"user {user:7.2f}  sys {system:6.2f} ms/step  {nodes:4d} tape nodes", flush=True)
+              f"user {user:7.2f}  sys {system:6.2f} ms/step  {block_us:7.1f} us/block  {nodes:4d} tape nodes",
+              flush=True)
     return 0
 
 

@@ -468,12 +468,19 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
     started = time.time()
     nmse_values, nlpd_values = [], []
     per_repeat = []
-    for rep in range(config.repeats):
-        seed = config.seed + rep
-        result, test, standardization = _fit_repeat(config, out_dir, seed, ablation, tag=f"_rep{rep}")
-        columns, mean, variance = _predict_dataset(result.state, test, standardization)
-        _write_predictions(out_dir / f"predictions_rep{rep}.csv", columns, mean, variance)
-        metrics = _score(columns, mean, variance, out_dir / f"test_rep{rep}.csv").to_dict()
+    seeds = [config.seed + rep for rep in range(config.repeats)]
+    for rep, seed in enumerate(seeds):
+        try:
+            result, test, standardization = _fit_repeat(config, out_dir, seed, ablation, tag=f"_rep{rep}")
+            columns, mean, variance = _predict_dataset(result.state, test, standardization)
+            _write_predictions(out_dir / f"predictions_rep{rep}.csv", columns, mean, variance)
+            metrics = _score(columns, mean, variance, out_dir / f"test_rep{rep}.csv").to_dict()
+        except Exception as err:
+            # the repeat's files so far stay explained by a manifest
+            failed = {"repeat": rep, "seed": seed, "error": f"{type(err).__name__}: {err}"}
+            record = {"seeds": seeds, "per_repeat": per_repeat, "failed": failed}
+            _write_manifest(out_dir, "experiment", config, ablation, started, record)
+            raise
         write_json(out_dir / f"metrics_rep{rep}.json", metrics)
         nmse_values.append(metrics["nmse"])
         nlpd_values.append(metrics["nlpd"])
@@ -490,7 +497,6 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         "nlpd_values": nlpd_values,
     }
     write_json(out_dir / "summary.json", summary)
-    seeds = [config.seed + rep for rep in range(config.repeats)]
     _write_manifest(out_dir, "experiment", config, ablation, started, {"seeds": seeds, "per_repeat": per_repeat})
     print(
         f"summary: nmse {summary['nmse_mean']:.6f} +/- {summary['nmse_sd']:.6f}, "

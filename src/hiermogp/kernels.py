@@ -26,7 +26,10 @@ hierarchical kernel in one node. Its replica level is block-diagonal once
 points are grouped by replica, so it is evaluated on the same-replica pairs
 only, as one batch of padded blocks that ``replica_pairs`` lays out once per
 fit (``ReplicaPairs``). ``hier_cross_cov`` is the hierarchical kernel in
-numpy, one replica tag at a time.
+numpy, between tagged points and a replica layout: the inducing inputs
+stacked once, with each replica's column range (``stack_blocks``), which
+prediction builds once per fitted state and ``hier_block_cov`` builds per
+call for data generation, initialisation and the inducing Gram.
 """
 
 from __future__ import annotations
@@ -148,10 +151,19 @@ def eval_stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> n
     """Gram matrix of a stationary kernel between two point sets."""
     x1 = np.atleast_2d(np.asarray(x1, float))
     x2 = np.atleast_2d(np.asarray(x2, float))
+    _check_dims(spec, x1, x2)
+    return _stationary(spec, x1, x2)
+
+
+def _check_dims(spec, x1: np.ndarray, x2: np.ndarray) -> None:
     if x1.shape[1] != spec.input_dim or x2.shape[1] != spec.input_dim:
         raise ValueError(
             f"points have dimension {x1.shape[1]}/{x2.shape[1]}, kernel expects {spec.input_dim}"
         )
+
+
+def _stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """:func:`eval_stationary` on float point arrays already checked."""
     unit, _ = _profile(spec.family, _scaled_sqdist(x1, x2, spec.lengthscales))
     unit *= spec.variance
     return unit
@@ -328,48 +340,67 @@ def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.
     return ad.fused(value, args, backward)
 
 
+def stack_blocks(blocks, input_dim=None) -> tuple[np.ndarray, tuple]:
+    """The replica layout of a list of (n_r, v) blocks: the blocks stacked in
+    order as one (sum n_r, v) array, and the offsets ``starts``, block r
+    being rows ``starts[r]:starts[r + 1]``. Checks the blocks as
+    :func:`validate_replica_blocks` does."""
+    validate_replica_blocks(blocks, input_dim)
+    blocks = [np.atleast_2d(np.asarray(blk, float)) for blk in blocks]
+    return np.concatenate(blocks, axis=0), tuple(accumulate((blk.shape[0] for blk in blocks), initial=0))
+
+
 def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:
     """Replica-blocked covariance between two lists of replica input blocks.
 
     Block (r, r') is ``shared(A_r, B_r')`` off the diagonal and
     ``(shared + replica)(A_r, B_r)`` on it. Serves the data Gram, the
-    inducing Gram and the data/inducing cross covariance alike: the rows of
-    ``a``, tagged with their replica, through :func:`hier_cross_cov`.
+    inducing Gram and the data/inducing cross covariance alike: both lists
+    stacked once, the rows of ``a`` tagged with their replica, through
+    :func:`hier_cross_cov`.
     """
     if len(a) != len(b):
         raise ValueError(f"replica count mismatch: {len(a)} vs {len(b)}")
-    v = validate_replica_blocks(a, spec.input_dim)
-    validate_replica_blocks(b, v)
-    a = [np.atleast_2d(np.asarray(blk, float)) for blk in a]
-    tags = np.repeat(np.arange(len(a)), [blk.shape[0] for blk in a])
-    return hier_cross_cov(spec, np.concatenate(a, axis=0), tags, b)
+    points, rows = stack_blocks(a, spec.input_dim)
+    columns, starts = stack_blocks(b, points.shape[1])
+    tags = np.repeat(np.arange(len(a)), np.diff(rows))
+    return hier_cross_cov(spec, points, tags, columns, starts)
 
 
-def hier_cross_cov(spec: HierarchicalKernel, points: np.ndarray, replica_tags, b) -> np.ndarray:
-    """Covariance between individually tagged points and replica blocks.
+def hier_cross_cov(
+    spec: HierarchicalKernel, points: np.ndarray, replica_tags, columns: np.ndarray, starts
+) -> np.ndarray:
+    """Covariance between individually tagged points and stacked replica blocks.
 
-    Each row of ``points`` carries a replica tag; columns follow the blocks
-    of ``b``. Same-tag columns get the replica-level kernel added.
+    Each row of ``points`` carries a replica tag; ``columns`` and ``starts``
+    are a :func:`stack_blocks` layout, block r at columns
+    ``starts[r]:starts[r + 1]``. The shared level is evaluated over every
+    column as the output; the replica level is added on each present tag's
+    columns, as one column slice when every row has the same tag.
     """
     points = np.atleast_2d(np.asarray(points, float))
     tags = np.asarray(replica_tags, int)
+    n_replicas = len(starts) - 1
     if tags.shape != (points.shape[0],):
         raise ValueError("one replica tag per point is required")
-    if tags.size and (tags.min() < 0 or tags.max() >= len(b)):
-        bad = tags[(tags < 0) | (tags >= len(b))][0]
-        raise ValueError(f"unknown replica tag {bad}; dataset has {len(b)} replicas")
-    b = [np.atleast_2d(np.asarray(blk, float)) for blk in b]
-    starts = list(accumulate((blk.shape[0] for blk in b), initial=0))
-    out = np.zeros((points.shape[0], starts[-1]))
-    if spec.shared is not None:
-        out += eval_stationary(spec.shared, points, np.concatenate(b, axis=0))
-    # the tags present (a prediction block carries one); not np.unique, whose
-    # first call imports numpy.ma, 15-25 ms of a process's set-up
-    present = np.flatnonzero(np.bincount(tags, minlength=len(b)))
-    for r in present:
-        if b[r].shape[0]:
-            rows = np.flatnonzero(tags == r) if present.size > 1 else slice(None)
-            out[rows, starts[r] : starts[r + 1]] += eval_stationary(spec.replica, points[rows], b[r])
+    lo, hi = (tags.min(), tags.max()) if tags.size else (0, -1)
+    if lo < 0 or hi >= n_replicas:
+        bad = tags[(tags < 0) | (tags >= n_replicas)][0]
+        raise ValueError(f"unknown replica tag {bad}; dataset has {n_replicas} replicas")
+    _check_dims(spec, points, columns)
+    if spec.shared is None:
+        out = np.zeros((points.shape[0], columns.shape[0]))
+    else:
+        out = _stationary(spec.shared, points, columns)
+    if lo == hi:
+        block = slice(starts[lo], starts[lo + 1])
+        out[:, block] += _stationary(spec.replica, points, columns[block])
+    elif lo < hi:
+        # the tags present; not np.unique, whose first call imports numpy.ma,
+        # 15-25 ms of a process's set-up
+        for r in np.flatnonzero(np.bincount(tags, minlength=n_replicas)):
+            rows, block = np.flatnonzero(tags == r), slice(starts[r], starts[r + 1])
+            out[rows, block] += _stationary(spec.replica, points[rows], columns[block])
     return out
 
 

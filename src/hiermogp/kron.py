@@ -54,15 +54,18 @@ def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarra
 def tril_inverse(l: np.ndarray) -> np.ndarray:
     """Inverse of the lower triangle of ``l``; the upper triangle is never read.
 
-    The solve runs on the triangle reversed in both axes, which is upper
-    triangular: partial pivoting finds nothing to swap and every elimination
-    multiplier is zero, so the LU factorisation is exact and the solve is
-    one substitution, in the row order of forward substitution on ``L`` as a
-    LAPACK triangular solve takes it. Solving against ``L`` itself pivots on
-    ill-conditioned factors and loses several times more accuracy. The
-    copy keeps the result contiguous, which matrix products need to be fast.
+    The inverse is taken of the triangle reversed in both axes, which is
+    upper triangular. ``np.linalg.inv`` is LAPACK's ``gesv`` against the
+    identity, as ``np.linalg.solve(u, np.eye(m))`` is, without building the
+    identity in Python: partial pivoting finds nothing to swap and every
+    elimination multiplier is zero, so the LU factorisation is exact and the
+    solve is one substitution, in the row order of forward substitution on
+    ``L`` as a LAPACK triangular solve takes it. Solving against ``L`` itself
+    pivots on ill-conditioned factors and loses several times more accuracy.
+    The copy keeps the result contiguous, which matrix products need to be
+    fast.
     """
-    return np.linalg.solve(np.tril(l)[::-1, ::-1], np.eye(l.shape[0]))[::-1, ::-1].copy()
+    return np.linalg.inv(np.tril(l)[::-1, ::-1])[::-1, ::-1].copy()
 
 
 def spd_inverse(k, lower: np.ndarray):

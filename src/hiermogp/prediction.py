@@ -13,10 +13,13 @@ psi1 (``tests/oracles.py``).
 
 A fitted state's inducing Grams are factored and their Cholesky factors
 inverted once, on its first prediction, in the same pass as every output's
-latent moments. A block then costs its cross covariance against the inducing
-inputs plus GEMMs with the cached inverses, O(n m_x^2) in all. The cache is
-keyed on the state's identity, so a ``ModelState`` must not be changed in
-place once it has been predicted from.
+latent moments; the inducing inputs are stacked once there too, with each
+replica's column range, the layout ``hier_cross_cov`` takes. A block then
+costs its cross covariance against that layout (the shared level over every
+column, the replica level on the block's tag's column range) plus GEMMs with
+the cached inverses, O(n m_x^2) in all. The cache is keyed on the state's
+identity, so a ``ModelState`` must not be changed in place once it has been
+predicted from.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import RBF, hier_block_cov, hier_cross_cov, latent_cov
+from .kernels import RBF, hier_block_cov, hier_cross_cov, latent_cov, stack_blocks
 from .kron import cholesky_jitter, tril_inverse
 from .latent import psi_stats
 from .model import ModelState
@@ -60,6 +63,9 @@ class _Posterior:
     reference to the state, which keys it weakly. With ``S = C C^T``,
     ``smooth = (L^-1 C)^T`` maps ``L^-1 k`` to a root of ``k K^-1 S K^-1 k``."""
 
+    z_input: np.ndarray  # (m_x, v) inducing inputs stacked by replica;
+    z_starts: tuple  # replica r at rows z_starts[r]:z_starts[r + 1]
+    prior: float  # prior variance of any point: Kh(h, h) times the hierarchical diagonal
     inv_x: np.ndarray  # inverses L^-1 of the Cholesky factors of Kuu_x and Kuu_h
     inv_h: np.ndarray
     smooth_x: np.ndarray
@@ -83,7 +89,11 @@ def _posterior(state: ModelState) -> _Posterior:
         inv_h = tril_inverse(cholesky_jitter(kuu_h)[0])
         smooth_h = (inv_h @ ind.cov_latent_chol).T
         psi = psi_stats(kernel.variance, kernel.lengthscales, latents.means, np.log(latents.variances), ind.z_latent)
+        z_input, z_starts = stack_blocks(ind.z_input)
         post = _POSTERIORS[state] = _Posterior(
+            z_input=z_input,
+            z_starts=z_starts,
+            prior=kernel.variance * state.hier_kernel.diag_value,
             inv_x=inv_x,
             inv_h=inv_h,
             smooth_x=(inv_x @ ind.cov_input_chol).T,
@@ -106,23 +116,30 @@ def _latent_moments(inv_h, smooth_h, psi1: np.ndarray, psi2: np.ndarray) -> _Lat
     )
 
 
-def _input_terms(post: _Posterior, state: ModelState, xstar: np.ndarray, replica_tags):
+def _input_terms(post: _Posterior, hier_kernel, xstar: np.ndarray, replica_tags):
     """Per-block operators: ``cross Kx^-1 M Kh^-1``, ``Lx^-1 cross^T`` and its smoothing root."""
-    cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, state.inducing.z_input)
+    cross = hier_cross_cov(hier_kernel, xstar, replica_tags, post.z_input, post.z_starts)
     half = post.inv_x @ cross.T
     return cross @ post.w, half, post.smooth_x @ half
 
 
-def _block_moments(post, state, xstar, replica_tags, moments: _LatentMoments, d: int):
+def _block_moments(post, hier_kernel, xstar, replica_tags, moments: _LatentMoments, d: int):
     """Mixture mean and variance under row ``d`` of ``moments``: mean
-    conditional variance plus variance of conditional means."""
-    base, half, smooth = _input_terms(post, state, xstar, replica_tags)
-    variance = (
-        state.latent_kernel.variance * state.hier_kernel.diag_value
-        - moments.nystrom[d] * np.sum(half * half, axis=0)
-        + moments.smoothed[d] * np.sum(smooth * smooth, axis=0)
-        + np.sum((base @ moments.row_cov[d]) * base, axis=1)
-    )
+    conditional variance plus variance of conditional means,
+    ``prior - nystrom_d |half|^2 + smoothed_d |smooth|^2 + diag(base C_d base^T)``,
+    summed in place in that order."""
+    base, half, smooth = _input_terms(post, hier_kernel, xstar, replica_tags)
+    half *= half
+    variance = half.sum(axis=0)
+    variance *= -moments.nystrom[d]
+    variance += post.prior
+    smooth *= smooth
+    spread = smooth.sum(axis=0)
+    spread *= moments.smoothed[d]
+    variance += spread
+    mixed = base @ moments.row_cov[d]
+    mixed *= base
+    variance += mixed.sum(axis=1)
     return base @ moments.row_mean[d], _clip_variance(variance)
 
 
@@ -162,15 +179,15 @@ def predict_conditional(
     moments = _latent_moments(post.inv_h, post.smooth_h, row, row[:, :, None] * row[:, None, :])
     noise = state.noise_for(output) if include_noise else 0.0
     if not full_cov:
-        mean, variance = _block_moments(post, state, xstar, replica_tags, moments, 0)
+        mean, variance = _block_moments(post, state.hier_kernel, xstar, replica_tags, moments, 0)
         return PredictiveMoments(mean=mean, variance=variance + noise)
-    base, half, smooth = _input_terms(post, state, xstar, replica_tags)
+    base, half, smooth = _input_terms(post, state.hier_kernel, xstar, replica_tags)
     # prior covariance of the tagged points; the columns come grouped by
     # replica, and column rank[i] is point i
     tags = np.asarray(replica_tags, int)
     blocks = [xstar[tags == r] for r in range(state.n_replicas)]
     rank = np.argsort(np.argsort(tags, kind="stable"))
-    kxx = hier_cross_cov(state.hier_kernel, xstar, tags, blocks)[:, rank]
+    kxx = hier_cross_cov(state.hier_kernel, xstar, tags, *stack_blocks(blocks))[:, rank]
     cov = (
         state.latent_kernel.variance * kxx
         - moments.nystrom[0] * (half.T @ half)
@@ -197,11 +214,10 @@ def predict_marginal(
     """
     if not 0 <= output < state.n_outputs:
         raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
-    xstar = np.atleast_2d(np.asarray(xstar, float))
     post = _posterior(state)
-    mean, variance = _block_moments(post, state, xstar, replica_tags, post.outputs, output)
+    mean, variance = _block_moments(post, state.hier_kernel, xstar, replica_tags, post.outputs, output)
     if include_noise:
-        variance = variance + state.noise_for(output)
+        variance += state.noise_for(output)
     return PredictiveMoments(mean=mean, variance=variance)
 
 

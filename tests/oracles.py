@@ -2,10 +2,11 @@
 
 Dense Kronecker algebra, LAPACK triangular solves (scipy, which only the
 tests use), the closed forms of ``latent`` evaluated on constant arrays,
-Monte Carlo psi statistics, the masked dense hierarchical Gram node, the
-naive dense bound, the exact marginal likelihood at fixed latent
-coordinates, the optimal dense inducing posterior, and the latent-mixture
-predictive moments by per-draw Monte Carlo and by Gauss-Hermite quadrature.
+Monte Carlo psi statistics, the masked dense hierarchical Gram node and
+cross covariance, the naive dense bound, the exact marginal likelihood at
+fixed latent coordinates, the optimal dense inducing posterior, and the
+latent-mixture predictive moments by per-draw Monte Carlo and by
+Gauss-Hermite quadrature.
 The package itself uses none of them.
 """
 
@@ -14,7 +15,7 @@ from scipy.linalg import solve_triangular
 
 from hiermogp import autodiff as ad
 from hiermogp import kernels, latent
-from hiermogp.kernels import eval_stationary, hier_block_cov, hier_cross_cov, latent_cov
+from hiermogp.kernels import eval_stationary, hier_block_cov, latent_cov
 from hiermogp.kron import cholesky_jitter
 from hiermogp.model import ElboBreakdown
 from hiermogp.prediction import PredictiveMoments
@@ -145,6 +146,17 @@ def hier_gram_masked(shared_params, replica_params, xa, tags_a, xb, tags_b):
         return g_vg, g_lsg, g_vf, g_lsf, g_b, g_a
 
     return ad.fused(value, args, backward)
+
+
+def hier_cross_dense(spec, points, tags, blocks):
+    """The hierarchical cross covariance between tagged points and replica
+    blocks as a dense composition: the shared kernel over every column plus
+    the replica kernel over all columns, kept where the tags agree."""
+    columns = np.concatenate(blocks, axis=0)
+    column_tags = np.repeat(np.arange(len(blocks)), [blk.shape[0] for blk in blocks])
+    same = np.asarray(tags)[:, None] == column_tags[None, :]
+    replica = np.where(same, eval_stationary(spec.replica, points, columns), 0.0)
+    return replica if spec.shared is None else eval_stationary(spec.shared, points, columns) + replica
 
 
 def psi_closed_form(posterior, kernel, z_latent):
@@ -393,7 +405,7 @@ def mean_base(state, xstar, replica_tags):
     w = solve_triangular(
         lower_x, solve_triangular(lower_x, ind.mean, lower=True), lower=True, trans="T"
     ) @ kh_inv
-    return hier_cross_cov(state.hier_kernel, xstar, replica_tags, ind.z_input) @ w
+    return hier_cross_dense(state.hier_kernel, xstar, replica_tags, ind.z_input) @ w
 
 
 def conditional_moments_at(state, xstar, replica_tags, latents):
@@ -404,7 +416,7 @@ def conditional_moments_at(state, xstar, replica_tags, latents):
     ind = state.inducing
     lower_x, _ = cholesky_jitter(hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input))
     lower_h, _ = cholesky_jitter(latent_cov(state.latent_kernel, ind.z_latent, ind.z_latent))
-    cross = hier_cross_cov(state.hier_kernel, xstar, replica_tags, ind.z_input)
+    cross = hier_cross_dense(state.hier_kernel, xstar, replica_tags, ind.z_input)
     half = solve_triangular(lower_x, cross.T, lower=True)
     b = solve_triangular(lower_x, half, lower=True, trans="T").T  # cross Kx^-1
     nystrom_x = np.sum(b * cross, axis=1)

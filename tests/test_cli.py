@@ -635,8 +635,14 @@ def test_experiment_with_an_unscorable_test_split_is_a_config_error(tmp_path, ca
     config["dataset"] = {"csv": {"path": str(data)}}
     assert main(["experiment", "--config", str(write_config(tmp_path, config))]) == 2
     test_split = tmp_path / "run" / "test_rep0.csv"
-    assert f"config error: {test_split}: nmse needs at least two test points" in capsys.readouterr().err
+    error = f"{test_split}: nmse needs at least two test points"
+    assert f"config error: {error}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "metrics_rep0.json").exists()
+    # the repeat's files stay, explained by a manifest that names the failure
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["command"] == "experiment" and manifest["per_repeat"] == []
+    assert manifest["failed"] == {"repeat": 0, "seed": config["seed"], "error": f"ConfigError: {error}"}
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("variant", ["random_fraction", "missing_replica", "standardized_csv"])

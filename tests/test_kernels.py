@@ -16,11 +16,12 @@ from hiermogp.kernels import (
     hier_gram,
     latent_cov,
     replica_pairs,
+    stack_blocks,
     validate_replica_blocks,
 )
 from hiermogp.kron import cholesky_jitter
 from .helpers import check, contract, exp
-from .oracles import full_cov, hier_gram_masked
+from .oracles import full_cov, hier_cross_dense, hier_gram_masked
 
 
 def rbf(variance=1.0, lengthscales=1.0):
@@ -125,11 +126,52 @@ def test_flat_kernel_has_zero_cross_replica_blocks():
 
 def test_cross_cov_tags_route_replica_kernel():
     hk = HierarchicalKernel(shared=rbf(0.1), replica=rbf(1.0))
-    z = [np.zeros((1, 1)), np.zeros((1, 1))]
-    got = hier_cross_cov(hk, np.zeros((2, 1)), [0, 1], z)
+    z = stack_blocks([np.zeros((1, 1)), np.zeros((1, 1))])
+    got = hier_cross_cov(hk, np.zeros((2, 1)), [0, 1], *z)
     assert np.allclose(got, [[1.1, 0.1], [0.1, 1.1]])
-    with pytest.raises(ValueError):
-        hier_cross_cov(hk, np.zeros((1, 1)), [2], z)
+
+
+@pytest.mark.parametrize("tags", [[2], [0, 2], [-1], [1, -1, 0]])
+def test_cross_cov_names_an_unknown_or_negative_tag(tags):
+    hk = HierarchicalKernel(shared=rbf(0.1), replica=rbf(1.0))
+    z = stack_blocks([np.zeros((1, 1)), np.zeros((1, 1))])
+    bad = next(t for t in tags if not 0 <= t < 2)
+    with pytest.raises(ValueError, match=f"unknown replica tag {bad}; dataset has 2 replicas"):
+        hier_cross_cov(hk, np.zeros((len(tags), 1)), tags, *z)
+
+
+def test_stack_blocks_lays_out_blocks_with_their_offsets():
+    blocks = [np.ones((2, 3)), np.zeros((0, 3)), 2.0 * np.ones((1, 3))]
+    points, starts = stack_blocks(blocks)
+    assert starts == (0, 2, 2, 3)
+    assert np.array_equal(points, np.concatenate(blocks, axis=0))
+    with pytest.raises(ValueError, match="expected 2"):
+        stack_blocks(blocks, input_dim=2)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize(
+    "case", ["mixed tags", "single tag", "empty replica block", "tag of the empty block", "no points"]
+)
+def test_cross_cov_on_stacked_layout_equals_dense_composition(case, flat):
+    # bit for bit: the shared kernel over every column plus the replica
+    # kernel on the same-tag columns, through a tag mask
+    rng = np.random.default_rng(12)
+    hk = HierarchicalKernel(shared=None if flat else matern(0.3, [0.7, 1.1]), replica=rbf(0.9, [0.5, 0.8]))
+    sizes = [3, 0, 4, 2] if "empty" in case else [3, 1, 4, 2]
+    blocks = [rng.uniform(size=(m, 2)) for m in sizes]
+    n = 0 if case == "no points" else 7
+    tags = {
+        "mixed tags": rng.permutation([0, 0, 1, 2, 2, 3, 3]),
+        "single tag": np.full(n, 2),
+        "empty replica block": np.array([0, 1, 1, 2, 3, 3, 0]),
+        "tag of the empty block": np.full(n, 1),
+        "no points": np.zeros(0, int),
+    }[case]
+    points = rng.uniform(size=(n, 2))
+    got = hier_cross_cov(hk, points, tags, *stack_blocks(blocks))
+    assert got.shape == (n, sum(sizes))
+    assert np.array_equal(got, hier_cross_dense(hk, points, tags, blocks))
 
 
 def test_cross_cov_consistent_with_block_cov():
@@ -139,7 +181,7 @@ def test_cross_cov_consistent_with_block_cov():
     b = [rng.uniform(size=(2, 1)), rng.uniform(size=(2, 1))]
     tags = np.concatenate([np.full(2, 0), np.full(3, 1)])
     points = np.concatenate(a, axis=0)
-    assert np.allclose(hier_cross_cov(hk, points, tags, b), hier_block_cov(hk, a, b))
+    assert np.array_equal(hier_cross_cov(hk, points, tags, *stack_blocks(b)), hier_block_cov(hk, a, b))
 
 
 def test_latent_cov_single_point():
@@ -288,8 +330,9 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
     kuu_pairs, kfu_pairs = replica_pairs(z_tags, z_tags, 2), replica_pairs(x_tags, z_tags, 2)
     kuu = hier_gram(*levels(*map(ad.Node, logs)), ad.Node(z), ad.Node(z), kuu_pairs)
     kfu = hier_gram(*levels(*map(ad.Node, logs)), x, ad.Node(z), kfu_pairs)
-    assert np.allclose(kuu.value, hier_cross_cov(spec, z, z_tags, blocks), rtol=1e-14, atol=1e-15)
-    assert np.allclose(kfu.value, hier_cross_cov(spec, x, x_tags, blocks), rtol=1e-14, atol=1e-15)
+    layout = stack_blocks(blocks)
+    assert np.allclose(kuu.value, hier_cross_cov(spec, z, z_tags, *layout), rtol=1e-14, atol=1e-15)
+    assert np.allclose(kfu.value, hier_cross_cov(spec, x, x_tags, *layout), rtol=1e-14, atol=1e-15)
     assert len(kfu.parents) == 5 - 2 * flat  # the data are a constant
 
     w_uu, w_fu = rng.standard_normal((5, 5)), rng.standard_normal((6, 5))

@@ -19,6 +19,7 @@ from hiermogp.training import ModelConfig, OptimizerConfig, fit
 from .helpers import random_state
 from .oracles import (
     conditional_moments_at,
+    hier_cross_dense,
     latent_draws,
     mixture_moments,
     optimal_inducing_dense,
@@ -103,10 +104,10 @@ def test_zero_posterior_reduction():
     tags = np.array([0, 1])
     moments = predict_conditional(state, xstar, tags, state.latent_posterior.means[0])
     assert np.allclose(moments.mean, 0.0)
-    from hiermogp.kernels import hier_cross_cov, hier_block_cov
+    from hiermogp.kernels import hier_block_cov
     from hiermogp.kron import cholesky_jitter
 
-    cross = hier_cross_cov(state.hier_kernel, xstar, tags, state.inducing.z_input)
+    cross = hier_cross_dense(state.hier_kernel, xstar, tags, state.inducing.z_input)
     kuu_x = hier_block_cov(state.hier_kernel, state.inducing.z_input, state.inducing.z_input)
     nystrom = np.sum(cross * tri_solve(cholesky_jitter(kuu_x)[0], cross.T).T, axis=1)
     prior_h = state.latent_kernel.variance
@@ -212,6 +213,28 @@ def test_missing_replica_matches_per_draw_oracle(flat):
             noisy = predict_missing_replica(state, d, r, grid)
             assert_matches_oracle(noisy, predict_marginal_quadrature(state, grid, tags, d))
             assert np.allclose(noisy.variance - latent.variance, state.noise_for(d), rtol=1e-12)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_mixed_tag_block_predicts_as_its_per_tag_blocks(flat):
+    # row for row and bit for bit: a block's tags only route the replica
+    # level of each row's cross covariance. Each per-tag block keeps all the
+    # rows, since BLAS products of other row counts may round differently;
+    # across block sizes the rows agree to rounding
+    rng = np.random.default_rng(43)
+    state = random_state(rng, n_outputs=2, n_replicas=3, m_per_replica=8, flat=flat)
+    xstar = rng.uniform(size=(9, 1))
+    tags = rng.permutation([0, 0, 0, 1, 1, 2, 2, 2, 2])
+    for d in range(state.n_outputs):
+        mixed = predict_marginal(state, xstar, tags, d)
+        for r in range(state.n_replicas):
+            rows = tags == r
+            alone = predict_marginal(state, xstar, np.full(9, r), d)
+            assert np.array_equal(mixed.mean[rows], alone.mean[rows])
+            assert np.array_equal(mixed.variance[rows], alone.variance[rows])
+            apart = predict_marginal(state, xstar[rows], tags[rows], d)
+            assert np.allclose(mixed.mean[rows], apart.mean, rtol=1e-9, atol=0.0)
+            assert np.allclose(mixed.variance[rows], apart.variance, rtol=1e-9, atol=0.0)
 
 
 def test_full_covariance_diagonal_matches_marginal_variances():
