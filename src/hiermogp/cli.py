@@ -7,19 +7,21 @@ The ``model``, ``optimizer`` and ``split`` sections parse straight into
 ``fit`` and ``experiment`` share one per-repeat step (``_fit_repeat``) that
 builds, splits and saves the data, fits, and saves the model and its bound
 trace, and one manifest writer; ``experiment`` and ``eval`` score through
-``_score``. Tables are laid out by ``data.table_columns``, and every table and
-JSON file goes through ``data.write_table`` and ``data.write_json``. Every
+``_score``. The command parses no file text itself: the YAML config goes
+through ``load_config``, every other file through the one reader and writer
+of its format in ``data`` (``read_table``/``write_columns`` for datasets,
+points and predictions, ``read_json``/``write_json`` for JSON files). Every
 random choice (synthetic data, split, initial state) flows from the run seed,
 and prediction draws nothing, so repeating a command with the same config and
 seed reproduces its prediction and metrics files byte for byte. A malformed
-config, data file or model file exits 2 with a message that names it.
+config, data file or model file exits 2 with a message that names it; a
+file that cannot be read at all exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import pathlib
 import sys
 import time
@@ -37,11 +39,14 @@ from .data import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    read_json,
+    read_table,
     save_csv,
     split,
     standardization_maps,
     table_columns,
     unstandardize_dataset,
+    write_columns,
     write_json,
     write_table,
 )
@@ -185,8 +190,16 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as handle:
-        raw = yaml.safe_load(handle)
+    """The run config in the YAML file ``path``; a file that is not YAML is a
+    ``ConfigError`` naming it and, where the parser has one, the line."""
+    try:
+        raw = yaml.safe_load(pathlib.Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a UTF-8 text file") from None
+    except yaml.MarkedYAMLError as err:
+        raise ConfigError(f"{path}:{err.problem_mark.line + 1}: {err.problem}") from None
+    except yaml.YAMLError as err:  # a character YAML does not allow
+        raise ConfigError(f"{path}: {str(err).splitlines()[0]}") from None
     return RunConfig(raw if raw is not None else {})
 
 
@@ -237,9 +250,10 @@ def _load_model(path) -> tuple[ModelState, dict]:
     extras included, is a ``ConfigError`` whose message starts with its
     path."""
     try:
-        payload = json.loads(pathlib.Path(path).read_text())
-        if not isinstance(payload, dict):
-            raise ValueError("expected a JSON object")
+        payload = read_json(path)
+    except CsvSchemaError as err:  # its message starts with the path
+        raise ConfigError(str(err)) from None
+    try:
         unknown = payload.keys() - {"format", *_MODEL_EXTRAS, *(f.name for f in dataclasses.fields(ModelState))}
         if unknown:
             raise ValueError(f"{min(unknown)}: unknown field")
@@ -306,10 +320,7 @@ def _predict_dataset(state: ModelState, points: HierarchicalDataset, standardiza
     return columns, mean, variance * y_scale
 
 
-def _write_predictions(path, columns, mean, variance) -> None:
-    outputs, replicas, inputs, _ = columns
-    header = ["output", "replica"] + [f"x_{i}" for i in range(inputs.shape[1])] + ["mean", "variance"]
-    write_table(path, header, zip(outputs.tolist(), replicas.tolist(), *inputs.T, mean, variance))
+_PREDICTION_TAIL = ("mean", "variance")  # the tail columns of a predictions table
 
 
 def _score(columns, mean, variance, source) -> EvalReport:
@@ -399,7 +410,7 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None) -> pathlib.P
             outputs=[OutputRecord(replicas=[unobserved] * state.n_replicas) for _ in range(state.n_outputs)]
         )
     columns, mean, variance = _predict_dataset(state, points, payload.get("standardization"))
-    _write_predictions(out_path, columns, mean, variance)
+    write_columns(out_path, (*columns[:3], mean, variance), _PREDICTION_TAIL)
     print(f"wrote {out_path} ({mean.size} predictions)")
     return pathlib.Path(out_path)
 
@@ -407,43 +418,25 @@ def run_predict(model_path, out_path, at_path=None, grid_spec=None) -> pathlib.P
 def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     truth = load_csv(truth_path)
-    pred_lines = pathlib.Path(predictions_path).read_text().splitlines()
-    header = pred_lines[0].split(",") if pred_lines else []
-    if header[:2] != ["output", "replica"] or header[-2:] != ["mean", "variance"]:
-        raise ConfigError(f"{predictions_path}: expected output,replica,x_*,mean,variance columns")
-    if len(header) - 4 != truth.input_dim:
+    outputs, replicas, inputs, moments, line_nos = read_table(predictions_path, _PREDICTION_TAIL)
+    mean, variance = moments.T
+    if inputs.shape[1] != truth.input_dim:
         raise ConfigError(
-            f"{predictions_path} has {len(header) - 4} input columns, "
-            f"truth file {truth_path} has {truth.input_dim}"
+            f"{predictions_path} has {inputs.shape[1]} input columns, truth file {truth_path} has {truth.input_dim}"
         )
-    rows, line_nos = [], []
-    for line_no, line in enumerate(pred_lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        try:
-            if len(cells) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-            values = [float(c) for c in cells[2:]]
-            if not np.all(np.isfinite(values)):
-                raise ValueError("non-finite value")
-            if values[-1] <= 0.0:
-                raise ValueError(f"predictive variance {values[-1]:g} is not positive")
-            rows.append([int(cells[0]), int(cells[1]), *values])
-            line_nos.append(line_no)
-        except ValueError as err:
-            raise ConfigError(f"{predictions_path}:{line_no}: {err}") from None
+    if np.any(variance <= 0.0):
+        i = int(np.argmax(variance <= 0.0))
+        raise ConfigError(f"{predictions_path}:{line_nos[i]}: predictive variance {variance[i]:g} is not positive")
     columns = table_columns(truth)
-    outputs, replicas, inputs, _ = columns
-    if len(rows) != outputs.size:
+    truth_outputs, truth_replicas, truth_inputs, _ = columns
+    if outputs.size != truth_outputs.size:
         raise ConfigError(
-            f"{predictions_path} has {len(rows)} prediction rows, truth file {truth_path} has {outputs.size}"
+            f"{predictions_path} has {outputs.size} prediction rows, truth file {truth_path} has {truth_outputs.size}"
         )
-    predicted = np.array(rows, float)
-    got_labels, labels = predicted[:, :2].astype(int), np.column_stack([outputs, replicas])
+    got_labels, labels = np.column_stack([outputs, replicas]), np.column_stack([truth_outputs, truth_replicas])
     for name, got, want, bad in (
         ("output, replica", got_labels, labels, np.any(got_labels != labels, axis=1)),
-        ("inputs", predicted[:, 2:-2], inputs, ~np.all(np.isclose(predicted[:, 2:-2], inputs, atol=1e-9), axis=1)),
+        ("inputs", inputs, truth_inputs, ~np.all(np.isclose(inputs, truth_inputs, atol=1e-9), axis=1)),
     ):
         if bad.any():  # name the first misaligned row
             i = int(np.argmax(bad))
@@ -451,7 +444,7 @@ def run_eval(predictions_path, truth_path, out_dir: pathlib.Path) -> dict:
                 f"{predictions_path}:{line_nos[i]}: {name} {got[i].tolist()}, but truth file {truth_path} "
                 f"has {want[i].tolist()} there (rows go by output, replica, then point)"
             )
-    report = _score(columns, predicted[:, -2], predicted[:, -1], truth_path)
+    report = _score(columns, mean, variance, truth_path)
     payload = report.to_dict()
     write_json(out_dir / "metrics.json", payload)
     pooled = ("pooled", report.nmse, report.nlpd)
@@ -473,7 +466,7 @@ def run_experiment(config: RunConfig, out_dir: pathlib.Path, ablation: str | Non
         try:
             result, test, standardization = _fit_repeat(config, out_dir, seed, ablation, tag=f"_rep{rep}")
             columns, mean, variance = _predict_dataset(result.state, test, standardization)
-            _write_predictions(out_dir / f"predictions_rep{rep}.csv", columns, mean, variance)
+            write_columns(out_dir / f"predictions_rep{rep}.csv", (*columns[:3], mean, variance), _PREDICTION_TAIL)
             metrics = _score(columns, mean, variance, out_dir / f"test_rep{rep}.csv").to_dict()
         except Exception as err:
             # the repeat's files so far stay explained by a manifest
@@ -572,6 +565,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as err:
         print(f"missing file: {err}", file=sys.stderr)
+        return 3
+    except OSError as err:  # a directory, or a file without permission; the message names its path
+        print(f"file error: {err}", file=sys.stderr)
         return 3
 
 

@@ -4,15 +4,17 @@ A dataset is a grid of (output, replica) blocks, each holding the observed
 inputs and targets for that replica of that output. Blocks may be empty,
 which is how an entirely missing replica is represented.
 
-The CSV schema is one observation per row with header
-``output,replica,x_0[,x_1,...],y``; output and replica are integer indices
-from zero. A JSON sidecar (``<path>.meta.json``) carries metadata such as
-standardisation constants and generator settings.
+Datasets, points files and predictions share one table layout, one point per
+row under the header ``output,replica,x_0[,x_1,...]`` and tail columns (``y``,
+or ``mean,variance``); output and replica are integer indices from zero. A
+JSON sidecar (``<path>.meta.json``) carries a dataset's metadata.
 
-Every table the package writes goes through ``write_table`` (floats with 17
-significant digits, which read back exactly) and every JSON file through
-``write_json``. ``standardization_maps`` is the one place the standardisation
-constants are applied, in either direction.
+Each format has one writer and one reader, its inverse: ``write_columns`` and
+``read_table`` for that layout, ``write_json`` and ``read_json`` for JSON.
+Every table goes through ``write_table`` (floats with 17 significant digits,
+which read back exactly); a file off its format is a ``CsvSchemaError`` that
+starts with its path. ``standardization_maps`` is the one place the
+standardisation constants are applied, in either direction.
 """
 
 from __future__ import annotations
@@ -329,18 +331,88 @@ def table_columns(dataset: HierarchicalDataset):
     )
 
 
+def write_columns(path, columns, tail) -> None:
+    """Write a table of the one layout, ``output,replica,x_0[,x_1,...]`` then
+    the ``tail`` columns: ``columns`` holds the output and replica indices, the
+    inputs (n, v) and one column per name of ``tail``."""
+    outputs, replicas, inputs, *values = columns
+    header = ["output", "replica"] + [f"x_{i}" for i in range(inputs.shape[1])] + list(tail)
+    write_table(path, header, zip(outputs.tolist(), replicas.tolist(), *inputs.T, *values))
+
+
 def save_csv(dataset: HierarchicalDataset, path) -> None:
     """Write the dataset plus a JSON metadata sidecar."""
     path = pathlib.Path(path)
-    outputs, replicas, inputs, targets = table_columns(dataset)
-    header = ["output", "replica"] + [f"x_{i}" for i in range(inputs.shape[1])] + ["y"]
-    write_table(path, header, zip(outputs.tolist(), replicas.tolist(), *inputs.T, targets))
+    write_columns(path, table_columns(dataset), ("y",))
     if dataset.metadata:
         write_json(path.with_name(path.name + ".meta.json"), dataset.metadata)
 
 
 class CsvSchemaError(ValueError):
-    """A data file does not follow the documented schema."""
+    """A data file (a table or a JSON file) does not follow its format; the
+    message starts with the file's path."""
+
+
+def _read_text(path) -> str:
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CsvSchemaError(f"{path}: not a UTF-8 text file") from None
+
+
+def read_json(path) -> dict:
+    """The JSON object in ``path``; anything else is a ``CsvSchemaError``
+    whose message starts with the path."""
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as err:
+        raise CsvSchemaError(f"{path}: {err}") from None
+    if not isinstance(payload, dict):
+        raise CsvSchemaError(f"{path}: expected a JSON object")
+    return payload
+
+
+def read_table(path, tail, optional=False):
+    """Read a table of the one layout that ``write_columns`` writes; with
+    ``optional`` the ``tail`` columns may be left out, and then read NaN.
+    Returns its columns in file order: output and replica indices, inputs
+    (n, v), the tail (n, len(tail)) and each row's line number. Blank lines
+    are skipped; anything else off the layout is a ``CsvSchemaError``
+    ``<path>:<line>: <problem>``."""
+    lines = _read_text(path).splitlines()
+    if not lines:
+        raise CsvSchemaError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0].split(",")]
+    has_tail = header[len(header) - len(tail) :] == list(tail)
+    if header[:2] != ["output", "replica"] or not (has_tail or optional):
+        tail_spec = ("[,{}]" if optional else ",{}").format(",".join(tail))
+        raise CsvSchemaError(f"{path}:1: header must be output,replica,x_0[,...]{tail_spec}")
+    v = len(header) - 2 - (len(tail) if has_tail else 0)
+    if v < 1 or header[2 : 2 + v] != [f"x_{i}" for i in range(v)]:
+        raise CsvSchemaError(f"{path}:1: input columns must be x_0, x_1, ...")
+    labels, values = [], []  # (output, replica, line number) and the floats of each row
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise CsvSchemaError(f"{path}:{line_no}: expected {len(header)} fields, got {len(cells)}")
+        try:
+            index = (int(cells[0]), int(cells[1]))
+            row = [float(c) for c in cells[2:]]
+        except ValueError as err:
+            raise CsvSchemaError(f"{path}:{line_no}: non-numeric field ({err})") from None
+        if not np.all(np.isfinite(row)):
+            raise CsvSchemaError(f"{path}:{line_no}: non-finite value")
+        if min(index) < 0:
+            raise CsvSchemaError(f"{path}:{line_no}: output and replica indices must be >= 0")
+        labels.append((*index, line_no))
+        values.append(row)
+    if not labels:
+        raise CsvSchemaError(f"{path}: no observations")
+    (outputs, replicas, line_nos), values = np.array(labels).T, np.array(values)
+    tail_values = values[:, v:] if has_tail else np.full((len(values), len(tail)), np.nan)
+    return outputs, replicas, values[:, :v], tail_values, line_nos
 
 
 def load_csv(path, standardize: bool = False, targets_optional: bool = False) -> HierarchicalDataset:
@@ -349,60 +421,15 @@ def load_csv(path, standardize: bool = False, targets_optional: bool = False) ->
     ``targets_optional`` the ``y`` column may be left out, and the targets
     then read NaN."""
     path = pathlib.Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise CsvSchemaError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    has_y = header[-1] == "y"
-    if header[:2] != ["output", "replica"] or not (has_y or targets_optional):
-        y_spec = "[,y]" if targets_optional else ",y"
-        raise CsvSchemaError(f"{path}:1: header must be output,replica,x_0[,...]{y_spec}")
-    x_cols = header[2:-1] if has_y else header[2:]
-    if x_cols != [f"x_{i}" for i in range(len(x_cols))] or not x_cols:
-        raise CsvSchemaError(f"{path}:1: input columns must be x_0, x_1, ...")
-    v = len(x_cols)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise CsvSchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
-        try:
-            d = int(cells[0])
-            r = int(cells[1])
-            xs = [float(c) for c in cells[2 : 2 + v]]
-            y = float(cells[-1]) if has_y else np.nan
-        except ValueError as err:
-            raise CsvSchemaError(f"{path}:{lineno}: non-numeric field ({err})") from None
-        if not np.all(np.isfinite(xs)) or (has_y and not np.isfinite(y)):
-            raise CsvSchemaError(f"{path}:{lineno}: non-finite value")
-        if d < 0 or r < 0:
-            raise CsvSchemaError(f"{path}:{lineno}: output and replica indices must be >= 0")
-        rows.append((d, r, xs, y))
-    if not rows:
-        raise CsvSchemaError(f"{path}: no observations")
-    n_outputs = max(row[0] for row in rows) + 1
-    n_replicas = max(row[1] for row in rows) + 1
-    grid = [[([], []) for _ in range(n_replicas)] for _ in range(n_outputs)]
-    for d, r, xs, y in rows:
-        grid[d][r][0].append(xs)
-        grid[d][r][1].append(y)
-    outputs = []
-    for d in range(n_outputs):
-        replicas = []
-        for r in range(n_replicas):
-            xs, ys = grid[d][r]
-            if xs:
-                replicas.append(ReplicaBlock(inputs=np.asarray(xs), targets=np.asarray(ys)))
-            else:
-                replicas.append(ReplicaBlock(inputs=np.zeros((0, v)), targets=np.zeros(0)))
-        outputs.append(OutputRecord(replicas=replicas, name=f"output_{d}"))
-    metadata = {}
+    outputs, replicas, inputs, targets, _ = read_table(path, ("y",), optional=targets_optional)
+    n_outputs, n_replicas = outputs.max() + 1, replicas.max() + 1
+    block_of = outputs * n_replicas + replicas  # blocks go by output, then replica
+    ends = np.cumsum(np.bincount(block_of, minlength=n_outputs * n_replicas))
+    rows = np.split(np.argsort(block_of, kind="stable"), ends[:-1])  # each block's rows in file order
+    blocks = [ReplicaBlock(inputs[r], targets[r, 0]) for r in rows]
+    records = [OutputRecord(blocks[d * n_replicas : (d + 1) * n_replicas], f"output_{d}") for d in range(n_outputs)]
     sidecar = path.with_name(path.name + ".meta.json")
-    if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
-    dataset = HierarchicalDataset(outputs=outputs, metadata=metadata)
+    dataset = HierarchicalDataset(records, read_json(sidecar) if sidecar.exists() else {})
     if standardize:
         dataset = standardize_dataset(dataset)
     return dataset

@@ -10,6 +10,7 @@ import yaml
 from hiermogp import cli
 from hiermogp.cli import ConfigError, RunConfig, load_config, main, run_experiment, run_eval
 from hiermogp.data import (
+    CsvSchemaError,
     HierarchicalDataset,
     OutputRecord,
     ReplicaBlock,
@@ -252,6 +253,119 @@ def test_malformed_data_file_exits_2_with_its_line(tmp_path, capsys, command):
         argv = ["eval", "--predictions", str(pred), "--truth", str(data), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert f"{data}:3: non-numeric field" in capsys.readouterr().err
+
+
+_GOOD_TABLES = {  # two aligned rows of each table, with its header
+    "truth": ("output,replica,x_0,y", ["0,0,0.1,1.0", "0,0,0.2,2.0"]),
+    "predictions": ("output,replica,x_0,mean,variance", ["0,0,0.1,1.0,1.0", "0,0,0.2,2.0,1.0"]),
+}
+
+
+@pytest.mark.parametrize("table", ["truth", "predictions"])
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{header}\n{good}\n0x,0,0.2,{tail}\n", ":3: non-numeric field (invalid literal for int() with base 10: '0x')"),
+        ("{header}\n{good}\n0,0,oops,{tail}\n", ":3: non-numeric field (could not convert string to float: 'oops')"),
+        ("{header}\n{good}\n0,0,0.2\n", ":3: expected {width} fields, got 3"),
+        ("{header}\n{good}\n0,0,nan,{tail}\n", ":3: non-finite value"),
+        ("{header}\n{good}\n0,0,0.2,inf{rest}\n", ":3: non-finite value"),
+        ("{header}\n{good}\n0,-1,0.2,{tail}\n", ":3: output and replica indices must be >= 0"),
+        ("{header}\n\n", ": no observations"),
+        ("", ": empty file"),
+        ("output,replica,x_1,{names}\n{good}\n", ":1: input columns must be x_0, x_1, ..."),
+    ],
+    ids=["index", "input", "fields", "nan_input", "inf_tail", "negative_index", "no_rows", "empty", "input_names"],
+)
+def test_malformed_table_is_the_same_data_error_as_truth_or_as_predictions(tmp_path, capsys, table, text, problem):
+    # a dataset and a predictions table go through one reader and its checks
+    paths = {name: tmp_path / f"{name}.csv" for name in _GOOD_TABLES}
+    for name, (header, rows) in _GOOD_TABLES.items():
+        paths[name].write_text("\n".join([header, *rows]) + "\n")
+    header, rows = _GOOD_TABLES[table]
+    tail = rows[1].split(",")[3:]
+    fields = {"header": header, "good": rows[0], "tail": ",".join(tail), "rest": "".join("," + c for c in tail[1:])}
+    paths[table].write_text(text.format(**fields, names=",".join(header.split(",")[3:])))
+    argv = ["eval", "--predictions", str(paths["predictions"]), "--truth", str(paths["truth"]), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    width = len(header.split(","))
+    assert capsys.readouterr().err == f"data error: {paths[table]}{problem.format(width=width)}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "experiment"])
+def test_malformed_yaml_config_exits_2_with_its_line(tmp_path, capsys, command):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: [1,\n")
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {config}:2: expected the node content, but found '<stream end>'\n"
+
+
+@pytest.mark.parametrize("with_split", [True, False], ids=["split", "no_split"])
+@pytest.mark.parametrize(
+    "sidecar_text, problem",
+    [("{bad", "Expecting property name enclosed in double quotes"), ("[1, 2]", "expected a JSON object")],
+    ids=["bad_json", "not_an_object"],
+)
+def test_malformed_sidecar_exits_2_with_its_path(tmp_path, capsys, sidecar_text, problem, with_split):
+    data = tmp_path / "data.csv"
+    save_csv(generate_synthetic(SyntheticConfig(n_outputs=2, n_replicas=2, points_per_replica=4), seed=0), data)
+    sidecar = tmp_path / "data.csv.meta.json"
+    sidecar.write_text(sidecar_text)
+    config = base_config(tmp_path / "run", iterations=2)
+    config["dataset"] = {"csv": {"path": str(data)}}
+    if not with_split:
+        del config["split"]
+    assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {sidecar}: {problem}")
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
+_UNREADABLE = [  # command, the flag whose file is bad, how it is bad, exit code, message
+    ("fit", "--config", "directory", 3, "file error: [Errno 21] Is a directory: '{bad}'"),
+    ("eval", "--predictions", "directory", 3, "file error: [Errno 21] Is a directory: '{bad}'"),
+    ("eval", "--truth", "directory", 3, "file error: [Errno 21] Is a directory: '{bad}'"),
+    ("predict", "--model", "directory", 3, "file error: [Errno 21] Is a directory: '{bad}'"),
+    ("predict", "--at", "directory", 3, "file error: [Errno 21] Is a directory: '{bad}'"),
+    ("eval", "--predictions", "missing", 3, "missing file: [Errno 2] No such file or directory: '{bad}'"),
+    ("eval", "--predictions", "binary", 2, "data error: {bad}: not a UTF-8 text file"),
+    ("eval", "--truth", "binary", 2, "data error: {bad}: not a UTF-8 text file"),
+    ("predict", "--at", "binary", 2, "data error: {bad}: not a UTF-8 text file"),
+    ("predict", "--model", "binary", 2, "config error: {bad}: not a UTF-8 text file"),
+    ("fit", "--config", "binary", 2, "config error: {bad}: not a UTF-8 text file"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind, code, message",
+    _UNREADABLE,
+    ids=[f"{command}{flag}-{kind}" for command, flag, kind, *_ in _UNREADABLE],
+)
+def test_unreadable_file_exits_with_its_path(tmp_path, capsys, command, flag, kind, code, message):
+    state = random_state(np.random.default_rng(0), n_outputs=3)
+    files = {
+        "--config": write_config(tmp_path, base_config(tmp_path / "run", iterations=2)),
+        "--predictions": tmp_path / "pred.csv",
+        "--truth": tmp_path / "truth.csv",
+        "--model": tmp_path / "model.json",
+        "--at": tmp_path / "points.csv",
+    }
+    files["--predictions"].write_text("output,replica,x_0,mean,variance\n0,0,0.1,1.0,1.0\n")
+    files["--truth"].write_text("output,replica,x_0,y\n0,0,0.1,1.0\n")
+    files["--model"].write_text(json.dumps({**state.to_dict(), "n_replicas": state.n_replicas}))
+    files["--at"].write_text("output,replica,x_0\n0,0,0.1\n")
+    bad = files[flag] = tmp_path / f"bad_{kind}"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "binary":
+        bad.write_bytes(b"\x80seed: \xff\n")
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--config", files["--config"], "--out", out],
+        "eval": ["eval", "--predictions", files["--predictions"], "--truth", files["--truth"], "--out", out],
+        "predict": ["predict", "--model", files["--model"], "--at", files["--at"], "--out", out],
+    }[command]
+    assert main([str(arg) for arg in argv]) == code
+    assert capsys.readouterr().err.startswith(message.format(bad=bad))
 
 
 def _edit(change):
@@ -514,7 +628,7 @@ def test_split_missing_the_dataset_cannot_hold_is_a_config_error(tmp_path, capsy
 @pytest.mark.parametrize(
     "row, problem",
     [
-        ("0x,0,0.2,2.0,1.0", "invalid literal"),
+        ("0x,0,0.2,2.0,1.0", "non-numeric field"),
         ("0,0,0.2,2.0", "expected 5 fields, got 4"),
         ("0,0,0.2,nan,1.0", "non-finite value"),
         ("0,0,0.2,inf,1.0", "non-finite value"),
@@ -524,15 +638,18 @@ def test_split_missing_the_dataset_cannot_hold_is_a_config_error(tmp_path, capsy
     ],
 )
 def test_eval_rejects_malformed_prediction_rows(tmp_path, capsys, row, problem):
+    # the table's schema is checked as every table's is (a data error); a
+    # positive variance is eval's own check (a config error)
+    error, prefix = (ConfigError, "config") if problem.startswith("predictive variance") else (CsvSchemaError, "data")
     truth = tmp_path / "truth.csv"
     truth.write_text("output,replica,x_0,y\n0,0,0.1,1.0\n0,0,0.2,2.0\n")
     pred = tmp_path / "pred.csv"
     pred.write_text(f"output,replica,x_0,mean,variance\n0,0,0.1,1.0,1.0\n{row}\n")
-    with pytest.raises(ConfigError, match=rf"^{pred}:3: {problem}"):
+    with pytest.raises(error, match=f"^{re.escape(f'{pred}:3: {problem}')}"):
         run_eval(pred, truth, tmp_path / "out")
     code = main(["eval", "--predictions", str(pred), "--truth", str(truth), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f"{pred}:3: " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"{prefix} error: {pred}:3: ")
 
 
 @pytest.mark.parametrize(

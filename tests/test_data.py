@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hiermogp.data import (
     CsvSchemaError,
@@ -12,9 +15,11 @@ from hiermogp.data import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    read_table,
     save_csv,
     split,
     standardize_dataset,
+    write_columns,
 )
 from hiermogp.kernels import MATERN32, StationaryKernel, eval_stationary
 
@@ -179,6 +184,46 @@ def test_gene_protocol_shape_accepted(tmp_path):
     assert dataset.n_outputs == 4
     assert dataset.n_replicas == 8
     assert all(b.n_points <= 10 for o in dataset.outputs for b in o.replicas)
+
+
+# every finite float, and the extremes: the smallest subnormal, a larger one,
+# the largest float and a negative zero
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -1e-310, 1.7976931348623157e308, -0.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    v=st.integers(1, 3),
+    tail=st.sampled_from([("y",), ("mean", "variance")]),
+)
+def test_read_table_returns_what_write_columns_wrote_bit_for_bit(tmp_path_factory, data, n, v, tail):
+    indices = data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 10**6)))
+    inputs = data.draw(arrays(np.float64, (n, v), elements=_CELLS))
+    values = data.draw(arrays(np.float64, (n, len(tail)), elements=_CELLS))
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    write_columns(path, (indices[:, 0], indices[:, 1], inputs, *values.T), tail)
+    outputs, replicas, got_inputs, got_values, line_nos = read_table(path, tail)
+    assert outputs.tolist() == indices[:, 0].tolist() and replicas.tolist() == indices[:, 1].tolist()
+    assert got_inputs.shape == inputs.shape and got_inputs.tobytes() == inputs.tobytes()
+    assert got_values.shape == values.shape and got_values.tobytes() == values.tobytes()
+    assert line_nos.tolist() == list(range(2, n + 2))
+
+
+def test_load_csv_groups_rows_into_blocks_in_file_order(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("output,replica,x_0,y\n1,0,0.3,3\n0,1,0.2,2\n\n1,0,0.1,1\n0,1,0.4,4\n0,0,0.5,5\n")
+    dataset = load_csv(path)
+    assert (dataset.n_outputs, dataset.n_replicas) == (2, 2)
+    assert dataset.block(1, 0).inputs.tolist() == [[0.3], [0.1]]
+    assert dataset.block(1, 0).targets.tolist() == [3.0, 1.0]
+    assert dataset.block(0, 1).inputs.tolist() == [[0.2], [0.4]]
+    assert dataset.block(0, 0).targets.tolist() == [5.0]
+    assert dataset.block(1, 1).inputs.shape == (0, 1) and dataset.block(1, 1).targets.shape == (0,)
 
 
 def test_csv_schema_errors(tmp_path):

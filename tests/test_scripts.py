@@ -1,5 +1,7 @@
 """The scripts under ``scripts/`` run end to end on their smallest settings."""
 
+import json
+import math
 import re
 from pathlib import Path
 
@@ -17,3 +19,13 @@ def test_scale_step_reports_one_tape_count_for_every_shape():
     assert len({int(c.group(1)) for c in counts}) == 1, done.stdout
     blocks = [re.search(r"([\d.]+) us/block ", line) for line in lines]
     assert all(blocks) and all(float(b.group(1)) > 0.0 for b in blocks), done.stdout
+
+
+def test_gene_style_study_runs_from_its_csv(tmp_path):
+    # save_csv, load_csv with standardisation, experiment and its sidecars
+    done = run_child(str(SCRIPTS / "run_gene_style.py"), "--repeats", "2", "--iterations", "3", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert (tmp_path / "gene_style.csv.meta.json").exists()
+    summary = json.loads((tmp_path / "experiment" / "summary.json").read_text())
+    assert summary["repeats"] == 2 and len(summary["nmse_values"]) == 2
+    assert all(math.isfinite(summary[key]) for key in ("nmse_mean", "nmse_sd", "nlpd_mean", "nlpd_sd"))
