@@ -57,10 +57,11 @@ def fused(values, args, backward):
     """
     several = isinstance(values, tuple)
     values = values if several else (values,)
-    parents = tuple((a, i) for i, a in enumerate(args) if isinstance(a, Node))
+    parents = tuple([(a, i) for i, a in enumerate(args) if isinstance(a, Node)])
     first = Node(values[0], parents, backward, values)
-    rest = tuple(Node(v, ((first, k),)) for k, v in enumerate(values[1:], 1))
-    return (first, *rest) if several else first
+    if not several:
+        return first
+    return (first, *[Node(v, ((first, k),)) for k, v in enumerate(values[1:], 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +69,21 @@ def fused(values, args, backward):
 
 
 def _topological_order(root: Node) -> list[Node]:
+    # nodes are keyed by themselves: a Node has no __eq__, so it hashes by identity
     order: list[Node] = []
-    visited: set[int] = set()
+    visited: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent, _ in node.parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -91,25 +93,29 @@ def grad(output: Node, leaves) -> list[np.ndarray]:
     the output does not depend on gets zeros.
 
     Each node's cotangent is the sum of its consumers' gradients, in the
-    order the nodes are reached. A later output files its cotangent under
-    its first output, whose backward pass receives it; it is never added to
-    the first output's own cotangent."""
+    order the nodes are reached. A later output files its cotangent in its
+    first output's list of cotangents, one entry per output, whose backward
+    pass receives it; it is never added to the first output's own
+    cotangent."""
     if output.value.size != 1:
         raise ValueError("grad requires a scalar output")
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.value)}
-    later: dict[int, dict[int, np.ndarray]] = {}  # by first output: the later outputs' cotangents
+    grads: dict[Node, np.ndarray] = {output: np.ones_like(output.value)}
+    later: dict[Node, list] = {}  # by first output: every output's cotangent, None where unreached
     for node in reversed(_topological_order(output)):
         if node.backward is None:
             if node.parents:  # a later output
                 ((first, k),) = node.parents
-                later.setdefault(id(first), {})[k] = grads[id(node)]
+                kept = later.get(first)
+                if kept is None:
+                    kept = later[first] = [None] * len(first.outputs)
+                kept[k] = grads[node]
             continue
-        kept = later.get(id(node), {})
-        cotangents = [grads.get(id(node)), *(kept.get(k) for k in range(1, len(node.outputs)))]
+        cotangents = later.get(node) or [None] * len(node.outputs)
+        cotangents[0] = grads.get(node)
         gradients = node.backward(
-            *(np.zeros(np.shape(v)) if c is None else c for c, v in zip(cotangents, node.outputs))
+            *[np.zeros(np.shape(v)) if c is None else c for c, v in zip(cotangents, node.outputs)]
         )
         for parent, i in node.parents:
-            seen = grads.get(id(parent))
-            grads[id(parent)] = gradients[i] if seen is None else seen + gradients[i]
-    return [grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.value) for leaf in leaves]
+            seen = grads.get(parent)
+            grads[parent] = gradients[i] if seen is None else seen + gradients[i]
+    return [grads[leaf] if leaf in grads else np.zeros_like(leaf.value) for leaf in leaves]

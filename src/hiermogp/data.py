@@ -354,8 +354,9 @@ class CsvSchemaError(ValueError):
 
 
 def _read_text(path) -> str:
+    # utf-8-sig drops the byte-order mark that spreadsheets write before "CSV UTF-8"
     try:
-        return pathlib.Path(path).read_text(encoding="utf-8")
+        return pathlib.Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise CsvSchemaError(f"{path}: not a UTF-8 text file") from None
 

@@ -34,7 +34,7 @@ call for data generation, initialisation and the inducing Gram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -132,6 +132,17 @@ def _scaled_sqdist(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray) -> 
     return sq
 
 
+def _scaled_sqdist_keeping_diffs(x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray):
+    """:func:`_scaled_sqdist` and each input dimension's scaled difference,
+    kept for a backward pass. The squares go to new arrays, which gives the
+    same bits as squaring in place."""
+    diffs = [_scaled_diff(x1, x2, k, lengthscales[k]) for k in range(len(lengthscales))]
+    sq = diffs[0] * diffs[0]
+    for diff in diffs[1:]:
+        sq += diff * diff
+    return sq, diffs
+
+
 def _profile(family: str, sq: np.ndarray):
     """Overwrite ``sq`` with the unit-variance kernel and return it, with the
     ``exp(-sqrt(3) r)`` factor of Matern's derivative (``None`` for RBF)."""
@@ -175,13 +186,16 @@ class ReplicaPairs:
     ``b``, laid out for a batched Gram: one block per replica that both sets
     observe, with the set's rows of that replica padded to a common count.
     Built once per fit by :func:`replica_pairs`; the replica level of
-    :func:`hier_gram` is evaluated on these blocks only."""
+    :func:`hier_gram` is evaluated on these blocks only. It also keeps the
+    two (N_a, N_b) buffers that backward pass spreads its sums through
+    (:meth:`spreader`), so it is per-fit scratch as well as layout."""
 
     rows_a: np.ndarray  # (R', n_pad) rows of ``a`` per block, padded with a real row
     rows_b: np.ndarray  # (R', m_pad)
     blocks: np.ndarray  # flat positions of the real pairs in the (R', n_pad, m_pad) block array
     gram: np.ndarray  # and their flat positions in the (N_a, N_b) Gram, in the same order
     shape: tuple  # (N_a, N_b)
+    _buffers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for array in (self.rows_a, self.rows_b, self.blocks, self.gram):
@@ -190,19 +204,32 @@ class ReplicaPairs:
     def gather(self, dense: np.ndarray) -> np.ndarray:
         """The block array of a Gram-shaped array: its real pairs, zero padding."""
         out = np.zeros(self.rows_a.shape + self.rows_b.shape[1:])
-        out.reshape(-1)[self.blocks] = np.take(dense, self.gram)
+        out.reshape(-1)[self.blocks] = dense.take(self.gram)
         return out
 
-    def spreader(self):
+    def spreader(self, slot: int | None = None):
         """A function that writes the real pairs of a block array at their
         Gram positions in one zeroed (N_a, N_b) array and returns it. Every
-        call writes the same positions, so the array is reused and the rest
-        of it stays zero."""
-        out = np.zeros(self.shape)
+        call writes the same positions, so the rest of the array stays zero
+        and the array is reused by every call.
+
+        Without ``slot`` the array is new, as a node's value must be. With
+        ``slot``, 0 or 1, it is this instance's buffer of that number,
+        allocated on first use and kept for the fit, as the backward pass of
+        :func:`hier_gram` uses it every step. What a buffer holds lasts until
+        the next spread into the same slot, so it must never outlive the
+        computation that reads it, and one instance must not be used by two
+        threads at once."""
+        if slot is None:
+            out = np.zeros(self.shape)
+        else:
+            while len(self._buffers) <= slot:
+                self._buffers.append(np.zeros(self.shape))
+            out = self._buffers[slot]
         flat = out.reshape(-1)
 
         def spread(blocks):
-            flat[self.gram] = np.take(blocks, self.blocks)
+            flat[self.gram] = blocks.take(self.blocks)
             return out
 
         return spread
@@ -253,7 +280,8 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     order as the dense Gram times the same-replica mask, bit for bit."""
     v, ls = ad.values((variance, lengthscales))
     q1, q2 = (p1, p2) if pairs is None else (p1[pairs.rows_a], p2[pairs.rows_b])
-    unit, decay = _profile(family, _scaled_sqdist(q1, q2, ls))
+    sq, diffs = _scaled_sqdist_keeping_diffs(q1, q2, ls)
+    unit, decay = _profile(family, sq)
     value = v * unit
 
     def backward(g):
@@ -261,7 +289,7 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
         if pairs is None:
             shape, spread, spread_diff = value.shape, _same, _same
         else:
-            shape, spread, spread_diff = pairs.shape, pairs.spreader(), pairs.spreader()
+            shape, spread, spread_diff = pairs.shape, pairs.spreader(0), pairs.spreader(1)
             g = pairs.gather(g_dense)
         if decay is None:  # RBF: d(value)/d(sq) = -value / 2
             slope = g * value
@@ -273,14 +301,13 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
         grad_ls = np.zeros(ls.shape)
         g1 = np.zeros(shape[:-1] + ls.shape) if grad1 else None
         g2 = np.zeros(shape[:-2] + p2.shape[-2:]) if grad2 else None
-        for k, scale in enumerate(ls):
-            diff = _scaled_diff(q1, q2, k, scale)
+        for k, (scale, diff) in enumerate(zip(ls, diffs)):
             weighted = spread(diff * slope)
             grad_ls[k] = np.vdot(weighted, spread_diff(diff)) * (-2.0 / scale)
             if g1 is not None:
-                g1[..., k] = np.sum(weighted, axis=-1) * (2.0 / scale)
+                g1[..., k] = weighted.sum(axis=-1) * (2.0 / scale)
             if g2 is not None:
-                g2[..., k] = np.sum(weighted, axis=-2) * (-2.0 / scale)
+                g2[..., k] = weighted.sum(axis=-2) * (-2.0 / scale)
         return g_v, grad_ls, g1, g2
 
     return value, backward
@@ -323,7 +350,7 @@ def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.
     else:
         shared, shared_backward = _stationary_with_backward(*shared_params, *points, *live)
         value = shared.copy()
-        value.reshape(-1)[pairs.gram] += np.take(replica, pairs.blocks)
+        value.reshape(-1)[pairs.gram] += replica.take(pairs.blocks)
         args = (*shared_params[1:], *args)
 
     def backward(g):

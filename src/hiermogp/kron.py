@@ -81,7 +81,7 @@ def spd_inverse(k, lower: np.ndarray):
     the step, so it has no gradient."""
     half = tril_inverse(lower)
     inverse = half.T @ half
-    logdet = 2.0 * np.sum(np.log(np.diagonal(lower)))
+    logdet = 2.0 * np.log(lower.diagonal()).sum()
 
     def backward(g_inverse, g_logdet):
         grad = inverse @ g_inverse @ inverse

@@ -126,18 +126,18 @@ def psi_stats(variance, lengthscales, mu, log_s, zh):
     l2 = ls * ls
     ratio = s / l2
     a1 = l2 + s  # (d, q)
-    log_norm1 = 0.5 * np.sum(np.log(1.0 + ratio), axis=1)  # (d,)
+    log_norm1 = 0.5 * np.log(1.0 + ratio).sum(axis=1)  # (d,)
     dmu = mu[:, None, :] - zh[None, :, :]  # (d, m, q)
-    expo1 = np.sum(dmu * dmu / a1[:, None, :], axis=2)
+    expo1 = (dmu * dmu / a1[:, None, :]).sum(axis=2)
     unit1 = np.exp(-0.5 * expo1 - log_norm1[:, None])
 
     zd = zh[:, None, :] - zh[None, :, :]  # (m, m, q)
-    fixed = np.sum(zd * zd / (4.0 * l2), axis=2)
+    fixed = (zd * zd / (4.0 * l2)).sum(axis=2)
     zbar = 0.5 * (zh[:, None, :] + zh[None, :, :])
     dmb = mu[:, None, None, :] - zbar[None]  # (d, m, m, q)
     a2 = l2 + 2.0 * s
-    expo2 = np.sum(dmb * dmb / a2[:, None, None, :], axis=3)
-    log_norm2 = 0.5 * np.sum(np.log(1.0 + 2.0 * ratio), axis=1)
+    expo2 = (dmb * dmb / a2[:, None, None, :]).sum(axis=3)
+    log_norm2 = 0.5 * np.log(1.0 + 2.0 * ratio).sum(axis=1)
     unit2 = np.exp(-fixed[None] - expo2 - log_norm2[:, None, None])
     psi1 = v * unit1
     psi2 = (v * v) * unit2
@@ -149,26 +149,26 @@ def psi_stats(variance, lengthscales, mu, log_s, zh):
         wr1 = w1[:, :, None] * r1
         r2 = dmb / a2[:, None, None, :]
         wr2 = w2[..., None] * r2
-        w1_sum = np.sum(w1, axis=1)[:, None]  # (d, 1)
-        w2_sum = np.sum(w2, axis=(1, 2))[:, None]
+        w1_sum = w1.sum(axis=1)[:, None]  # (d, 1)
+        w2_sum = w2.sum(axis=(1, 2))[:, None]
         # the exponents through a1 and a2, each entering as l^2 and as s
-        t1 = 0.5 * (np.sum(wr1 * r1, axis=1) - w1_sum / a1)
-        t2 = np.sum(wr2 * r2, axis=(1, 2)) - 0.5 * w2_sum / a2
-        w2_pairs = np.sum(w2, axis=0)  # (m, m), symmetrised below
+        t1 = 0.5 * ((wr1 * r1).sum(axis=1) - w1_sum / a1)
+        t2 = (wr2 * r2).sum(axis=(1, 2)) - 0.5 * w2_sum / a2
+        w2_pairs = w2.sum(axis=0)  # (m, m), symmetrised below
         w2_pairs = w2_pairs + w2_pairs.T
         grad_l2 = (
-            np.sum(t1 + t2, axis=0)
-            + 0.5 * np.sum(w1_sum + w2_sum) / l2  # the -log l^2 of both log-ratios
-            + np.sum(w2_pairs[:, :, None] * zd * zd, axis=(0, 1)) / (8.0 * l2 * l2)
+            (t1 + t2).sum(axis=0)
+            + 0.5 * (w1_sum + w2_sum).sum() / l2  # the -log l^2 of both log-ratios
+            + (w2_pairs[:, :, None] * zd * zd).sum(axis=(0, 1)) / (8.0 * l2 * l2)
         )
         grad_s = t1 + 2.0 * t2
-        grad_mu = -np.sum(wr1, axis=1) - 2.0 * np.sum(wr2, axis=(1, 2))
-        pairs = np.sum(wr2, axis=0)  # (m, m, q); z_m is in the midpoint of its row and its column
+        grad_mu = -wr1.sum(axis=1) - 2.0 * wr2.sum(axis=(1, 2))
+        pairs = wr2.sum(axis=0)  # (m, m, q); z_m is in the midpoint of its row and its column
         grad_zh = (
-            np.sum(wr1, axis=0)
-            + np.sum(pairs, axis=1)
-            + np.sum(pairs, axis=0)
-            - np.sum(w2_pairs[:, :, None] * zd, axis=1) / (2.0 * l2)
+            wr1.sum(axis=0)
+            + pairs.sum(axis=1)
+            + pairs.sum(axis=0)
+            - (w2_pairs[:, :, None] * zd).sum(axis=1) / (2.0 * l2)
         )
         grad_v = np.vdot(g1, unit1) + 2.0 * v * np.vdot(g2, unit2)
         return grad_v, 2.0 * ls * grad_l2, grad_mu, s * grad_s, grad_zh
@@ -190,9 +190,9 @@ def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, 
     m, s_h, s_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx = ad.values(args)
     m_x, m_h = m.shape
     ax_m = a_x @ m
-    quad_mean = np.trace(m.T @ ax_m @ a_h)
-    tr_h = np.trace(a_h @ s_h)
-    tr_x = np.trace(a_x @ s_x)
+    quad_mean = (m.T @ ax_m @ a_h).trace()
+    tr_h = (a_h @ s_h).trace()
+    tr_x = (a_x @ s_x).trace()
     value = 0.5 * (
         m_x * (logdet_kh - logdet_sh)
         + m_h * (logdet_kx - logdet_sx)
@@ -224,5 +224,5 @@ def kl_latent(mu, log_s):
     args = (mu, log_s)
     mu, log_s = ad.values(args)
     s = np.exp(log_s)
-    value = 0.5 * np.sum(s + mu * mu - 1.0 - log_s)
+    value = 0.5 * (s + mu * mu - 1.0 - log_s).sum()
     return ad.fused(value, args, lambda g: (g * mu, 0.5 * g * (s - 1.0)))

@@ -64,7 +64,15 @@ class BoundData:
     to every per-point array, and the padding's targets are zero. On a
     common grid every output indexes every point. ``kfu_pairs`` and
     ``kuu_pairs`` lay out the same-replica pairs of the data/inducing Gram
-    and of the inducing Gram, for the template's inducing blocks."""
+    and of the inducing Gram, for the template's inducing blocks.
+
+    The arrays are read-only, but a ``BoundData`` is per-fit scratch too: it
+    keeps the bins of :meth:`sum_to_points`, the data fit's per-point
+    cotangents (:meth:`point_buffer`) and, in its two ``ReplicaPairs``, the
+    spreader buffers of the replica level's backward pass, each built on
+    first use and overwritten by every step. So two steps may run on one
+    ``BoundData`` one after the other, never at once: do not share one
+    between threads."""
 
     points: np.ndarray  # (N_u, v)
     tags: np.ndarray  # (N_u,)
@@ -75,6 +83,7 @@ class BoundData:
     kfu_pairs: ReplicaPairs  # points x inducing inputs
     kuu_pairs: ReplicaPairs  # inducing inputs x inducing inputs
     _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy):
@@ -90,6 +99,15 @@ class BoundData:
         if c not in self._bins:
             self._bins[c] = (self.index.ravel()[:, None] * c + np.arange(c)).ravel()
         return np.bincount(self._bins[c], values.ravel(), minlength=(n + 1) * c).reshape(n + 1, c)[:n]
+
+    def point_buffer(self, c: int) -> np.ndarray:
+        """A (D, n_max, c) array for the per-point values that
+        :meth:`sum_to_points` reads, one per ``c``, allocated on first use
+        and returned again by every later call: the data fit's backward pass
+        fills it every step. Its content lasts until the next fill."""
+        if c not in self._buffers:
+            self._buffers[c] = np.empty((*self.index.shape, c))
+        return self._buffers[c]
 
 
 def read_data(template: ModelState, x, y) -> BoundData:
@@ -124,7 +142,7 @@ def read_data(template: ModelState, x, y) -> BoundData:
         index,
         targets,
         counts,
-        np.sum(targets**2, axis=1),
+        (targets**2).sum(axis=1),
         kfu_pairs=replica_pairs(tags, z_tags, n_replicas),
         kuu_pairs=replica_pairs(z_tags, z_tags, n_replicas),
     )
@@ -166,17 +184,17 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     u_d = np.concatenate([u, np.zeros((1, u.shape[1]))])[index]  # (D, n_max, m_h)
     yu = (y[:, None, :] @ u_d)[:, 0]
     ah_p1 = p1 @ a_h.T
-    data_dot = np.sum(yu * ah_p1, axis=1)
+    data_dot = (yu * ah_p1).sum(axis=1)
     p2_a = p2 @ a_h
     q = a_h @ p2_a
-    uu = np.swapaxes(u_d, 1, 2) @ u_d
-    quad_m = np.sum(uu * q, axis=(1, 2))
-    th_a = np.sum(p2 * a_h, axis=(1, 2))
-    th_g = np.sum(p2 * g_h, axis=(1, 2))
+    uu = u_d.swapaxes(1, 2) @ u_d
+    quad_m = (uu * q).sum(axis=(1, 2))
+    th_a = (p2 * a_h).sum(axis=(1, 2))
+    th_g = (p2 * g_h).sum(axis=(1, 2))
     sigma2 = np.exp(log_noise)
     inner = data_dot - 0.5 * (data.yy + vh * amp * n - th_a * tr_a + quad_m + th_g * tr_g)
     # the log of the variance itself: a variance that overflows leaves the bound non-finite
-    value = np.sum(-0.5 * n * (_LOG_2PI + np.log(sigma2)) + inner / sigma2)
+    value = (-0.5 * n * (_LOG_2PI + np.log(sigma2)) + inner / sigma2).sum()
 
     def backward(g):
         w = np.broadcast_to(g / sigma2, n.shape)  # the cotangent of each output's data_dot
@@ -184,11 +202,18 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
         d_uu = -half[:, None, None] * q
         d_q = -half[:, None, None] * uu
         d_th_a, d_th_g = half * tr_a, -half * tr_g
-        d_u_d = (w[:, None] * y)[:, :, None] * ah_p1[:, None, :] + u_d @ (d_uu + np.swapaxes(d_uu, 1, 2))
-        d_tr = np.stack([half * th_a, -half * th_g], axis=1)  # of each output's two traces
-        # each point collects the cotangents of the outputs indexing it
-        per_point = np.concatenate([np.broadcast_to(d_tr[:, None], (*index.shape, 2)), d_u_d], axis=2)
-        c_a, c_g, d_u = np.split(data.sum_to_points(per_point), [1, 2], axis=1)
+        # each point collects the cotangents of the outputs indexing it: of
+        # each output's two traces, then of its rows of U
+        per_point = data.point_buffer(u_d.shape[2] + 2)
+        per_point[..., 0] = (half * th_a)[:, None]
+        per_point[..., 1] = (-half * th_g)[:, None]
+        np.add(
+            (w[:, None] * y)[:, :, None] * ah_p1[:, None, :],
+            u_d @ (d_uu + d_uu.swapaxes(1, 2)),
+            out=per_point[..., 2:],
+        )
+        summed = data.sum_to_points(per_point)
+        c_a, c_g, d_u = summed[:, :1], summed[:, 1:2], summed[:, 2:]
         d_k = d_u @ (a_x @ m).T
         d_k += (2.0 * c_a) * k_a
         d_k += (2.0 * c_g) * k_g
@@ -199,13 +224,13 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
         d_gh = np.tensordot(d_th_g, p2, axes=1)
         d_ah = (
             d_ah_p1.T @ p1
-            + np.sum(d_q @ np.swapaxes(p2_a, 1, 2) + np.swapaxes(a_h @ p2, 1, 2) @ d_q, axis=0)
+            + (d_q @ p2_a.swapaxes(1, 2) + (a_h @ p2).swapaxes(1, 2) @ d_q).sum(axis=0)
             + np.tensordot(d_th_a, p2, axes=1)
             + d_gh @ (s_h @ a_h).T
             + (a_h @ s_h).T @ d_gh
         )
         d_p2 = a_h.T @ d_q @ a_h.T + d_th_a[:, None, None] * a_h + d_th_g[:, None, None] * g_h
-        d_psi0 = -np.sum(half * n)
+        d_psi0 = -(half * n).sum()
         d_noise = -0.5 * g * n - w * inner
         if log_noise.shape != d_noise.shape:  # tied across outputs
             d_noise = d_noise.sum(keepdims=True)

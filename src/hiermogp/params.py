@@ -79,10 +79,15 @@ _PASSED = (
 
 
 def _triangles(state: ModelState) -> dict[str, tuple]:
-    """Per covariance side, the indices of its factor's strict lower triangle
-    and of its diagonal."""
-    sides = zip(_SIDES, (state.inducing.cov_latent_chol, state.inducing.cov_input_chol))
-    return {side: (np.tril_indices(chol.shape[0], k=-1), np.diag_indices(chol.shape[0])) for side, chol in sides}
+    """Per covariance side, the flat positions in its (n, n) factor of the
+    strict lower triangle, in ``np.tril_indices`` order, and of the
+    diagonal."""
+    triangles = {}
+    for side, chol in zip(_SIDES, (state.inducing.cov_latent_chol, state.inducing.cov_input_chol)):
+        n = chol.shape[0]
+        rows, cols = np.tril_indices(n, k=-1)
+        triangles[side] = (rows * n + cols, np.arange(n) * (n + 1))
+    return triangles
 
 
 def _constrained(arrays: dict[str, np.ndarray], triangles: dict[str, tuple]) -> dict[str, np.ndarray]:
@@ -104,8 +109,9 @@ def _constrained(arrays: dict[str, np.ndarray], triangles: dict[str, tuple]) -> 
         log_diag = arrays[f"cov_{side}_log_diag"]
         lower, diagonal = triangles[side]
         chol = np.zeros((log_diag.size, log_diag.size))
-        chol[lower] = arrays[f"cov_{side}_offdiag"]
-        chol[diagonal] = np.exp(log_diag)
+        flat = chol.reshape(-1)
+        flat[lower] = arrays[f"cov_{side}_offdiag"]
+        flat[diagonal] = np.exp(log_diag)
         out[f"cov_{side}_chol"] = chol
     out["noise_variance"] = np.exp(arrays["log_noise_variance"])
     return out
@@ -126,6 +132,7 @@ class ParamLayout:
         self.spans: tuple[Span, ...] = tuple(spans)
         self.size = offset
         self._by_name = {s.name: s for s in self.spans}
+        self._slices = {s.name: slice(s.start, s.stop) for s in self.spans}
         self._triangles = _triangles(template)
 
     def span(self, name: str) -> Span:
@@ -216,28 +223,30 @@ class ParamLayout:
         for side in _SIDES:
             chol = c[f"cov_{side}_chol"]
             values[f"cov_{side}"] = chol @ chol.T
-            values[f"logdet_cov_{side}"] = 2.0 * np.sum(arrays[f"cov_{side}_log_diag"])
+            values[f"logdet_cov_{side}"] = 2.0 * arrays[f"cov_{side}_log_diag"].sum()
         values["input_self_variance"] = c["replica_variance"]
         if not self._flat:
             values["input_self_variance"] = values["input_self_variance"] + c["shared_variance"]
         names = tuple(values)
 
-        def backward(*cotangents):
+        def backward(*cotangents):  # each span's gradient written straight into the flat one
             g = dict(zip(names, cotangents))
-            grads = {name: g[name] for name in _PASSED}
+            flat, where = np.empty(self.size), self._slices
+            for name in _PASSED:
+                flat[where[name]] = g[name].reshape(-1)
             for kernel in kernels:
                 g_variance = g[f"{kernel}_variance"]
                 if kernel != "latent_kernel":
                     g_variance = g_variance + g["input_self_variance"]
-                grads[f"log_{kernel}_variance"] = g_variance * c[f"{kernel}_variance"]
+                flat[where[f"log_{kernel}_variance"]] = g_variance * c[f"{kernel}_variance"]
                 lengthscales = f"{kernel}_lengthscales"
-                grads[f"log_{lengthscales}"] = g[lengthscales] * c[lengthscales]
+                flat[where[f"log_{lengthscales}"]] = g[lengthscales] * c[lengthscales]
             for side in _SIDES:
                 chol, g_cov = c[f"cov_{side}_chol"], g[f"cov_{side}"]
                 g_chol = g_cov @ chol + g_cov.T @ chol
-                grads[f"cov_{side}_offdiag"] = g_chol[self._triangles[side][0]]
+                flat[where[f"cov_{side}_offdiag"]] = g_chol.take(self._triangles[side][0])
                 g_logdet = g[f"logdet_cov_{side}"]
-                grads[f"cov_{side}_log_diag"] = np.diagonal(g_chol) * np.diagonal(chol) + 2.0 * g_logdet
-            return (self.join(grads),)
+                flat[where[f"cov_{side}_log_diag"]] = g_chol.diagonal() * chol.diagonal() + 2.0 * g_logdet
+            return (flat,)
 
         return dict(zip(names, ad.fused(tuple(values.values()), (theta,), backward)))

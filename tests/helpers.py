@@ -1,4 +1,5 @@
 """Builders for random tiny model states and datasets used across tests,
+a fit's first step on synthetic data,
 finite-difference oracles for tape gradients and the bound's gradient, the
 fused nodes those oracles contract and transform tape outputs with, and a
 runner for child Python processes."""
@@ -12,10 +13,11 @@ import numpy as np
 
 import hiermogp
 from hiermogp import autodiff as ad
-from hiermogp import objective
+from hiermogp import data, objective, training
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
 from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.model import ModelState
+from hiermogp.params import ParamLayout
 
 
 def random_chol(rng, n, scale=0.5):
@@ -99,6 +101,18 @@ def random_per_output_data(rng, state, n_per_replica=3, ragged=False):
         x.append(blocks)
         y.append(rng.standard_normal(sum(counts)))
     return x, y
+
+
+def initial_step(n_outputs, n_replicas, inducing_per_replica, inducing_latent, points_per_replica=10, flat=False):
+    """``(theta, layout, template, bound_data)`` of a fit's first step on
+    synthetic data with per-output inputs."""
+    config = data.SyntheticConfig(n_outputs=n_outputs, n_replicas=n_replicas, points_per_replica=points_per_replica)
+    dataset = data.generate_synthetic(config, seed=0)
+    train, _ = data.split(dataset, data.SplitPlan(mode="random_fraction", fraction=0.5, seed=0))
+    model = training.ModelConfig(inducing_per_replica=inducing_per_replica, inducing_latent=inducing_latent, flat=flat)
+    template = training.initialize_state(train, model, seed=0)
+    layout = ParamLayout(template)
+    return layout.pack(template), layout, template, objective.read_data(template, *train.training_arrays())
 
 
 def central_fd_grad(theta, layout, state, data, step_rel=1e-5):

@@ -6,7 +6,8 @@ Monte Carlo psi statistics, the masked dense hierarchical Gram node and
 cross covariance, the naive dense bound, the exact marginal likelihood at
 fixed latent coordinates, the optimal dense inducing posterior, and the
 latent-mixture predictive moments by per-draw Monte Carlo and by
-Gauss-Hermite quadrature.
+Gauss-Hermite quadrature, and the tape walk as it was first written, with
+nodes keyed by ``id()`` and later outputs' cotangents in a dict of dicts.
 The package itself uses none of them.
 """
 
@@ -103,6 +104,53 @@ def full_cov(k_outputs, k_inputs):
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(m).max(initial=0.0))):
             raise ValueError(f"{name} covariance must be symmetric")
     return kron(k_outputs, k_inputs)
+
+
+# -- the tape walk, keyed by id()
+
+
+def _reference_order(root):
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node.parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return order
+
+
+def tape_grad(output, leaves):
+    """``autodiff.grad`` as first written: the same walk and the same order
+    of sums, keyed by ``id(node)``. ``autodiff.grad`` must equal it bit for
+    bit."""
+    if output.value.size != 1:
+        raise ValueError("grad requires a scalar output")
+    grads = {id(output): np.ones_like(output.value)}
+    later = {}  # by first output: the later outputs' cotangents
+    for node in reversed(_reference_order(output)):
+        if node.backward is None:
+            if node.parents:  # a later output
+                ((first, k),) = node.parents
+                later.setdefault(id(first), {})[k] = grads[id(node)]
+            continue
+        kept = later.get(id(node), {})
+        cotangents = [grads.get(id(node)), *(kept.get(k) for k in range(1, len(node.outputs)))]
+        gradients = node.backward(
+            *(np.zeros(np.shape(v)) if c is None else c for c, v in zip(cotangents, node.outputs))
+        )
+        for parent, i in node.parents:
+            seen = grads.get(id(parent))
+            grads[id(parent)] = gradients[i] if seen is None else seen + gradients[i]
+    return [grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.value) for leaf in leaves]
 
 
 # -- the package's closed forms on constant arrays

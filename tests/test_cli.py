@@ -187,6 +187,17 @@ def test_eval_on_perfect_predictions(tmp_path):
     )
 
 
+def test_eval_reads_predictions_with_a_byte_order_mark(tmp_path):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("output,replica,x_0,y\n0,0,0.1,1.0\n0,0,0.2,2.0\n1,0,0.3,3.0\n")
+    rows = "output,replica,x_0,mean,variance\n0,0,0.1,1.5,1.0\n0,0,0.2,2.0,0.5\n1,0,0.3,2.5,2.0\n"
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        (tmp_path / f"{name}.csv").write_text(rows, encoding=encoding)
+        argv = ["eval", "--predictions", str(tmp_path / f"{name}.csv"), "--truth", str(truth), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert (tmp_path / "marked" / "metrics.csv").read_text() == (tmp_path / "plain" / "metrics.csv").read_text()
+
+
 def test_grid_prediction(tmp_path):
     config_path = write_config(tmp_path, base_config(tmp_path / "run", iterations=10))
     main(["fit", "--config", str(config_path), "--out", str(tmp_path / "fit")])

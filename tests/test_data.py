@@ -15,6 +15,7 @@ from hiermogp.data import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    read_json,
     read_table,
     save_csv,
     split,
@@ -166,6 +167,24 @@ def test_csv_parse_shape(tmp_path):
         "0,0,0.10000000000000001,1\n0,1,0.20000000000000001,2\n0,2,0.29999999999999999,3\n"
         "1,0,0.40000000000000002,4\n1,1,0.5,5\n1,2,0.59999999999999998,6\n"
     )
+
+
+def test_table_and_sidecar_with_a_byte_order_mark_read_as_without(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+    text = "output,replica,x_0,y\n0,0,0.1,1.0\n0,1,0.2,2.0\n1,0,0.4,4.0\n1,1,0.5,5.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected, loaded = load_csv(plain), load_csv(marked)
+    assert (loaded.n_outputs, loaded.n_replicas) == (expected.n_outputs, expected.n_replicas)
+    for d in range(2):
+        for r in range(2):
+            assert np.array_equal(loaded.block(d, r).inputs, expected.block(d, r).inputs)
+            assert np.array_equal(loaded.block(d, r).targets, expected.block(d, r).targets)
+    sidecar = tmp_path / "marked.csv.meta.json"
+    sidecar.write_text('{"standardize": {"mean": 1.5}}', encoding="utf-8-sig")
+    assert read_json(sidecar) == {"standardize": {"mean": 1.5}}
 
 
 def test_gene_protocol_shape_accepted(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hiermogp import autodiff as ad
-from hiermogp import data, objective, training
+from hiermogp import objective
 from hiermogp.elbo import elbo_per_output, elbo_shared
 from hiermogp.kernels import HierarchicalKernel, RBF, StationaryKernel, hier_block_cov, latent_cov
 from hiermogp.latent import InducingState, LatentPosterior
@@ -10,7 +10,7 @@ from hiermogp.model import ElboBreakdown, ModelState
 from hiermogp.objective import read_data
 from hiermogp.params import ParamLayout
 
-from .helpers import check, random_chol, random_per_output_data, random_shared_data, random_state
+from .helpers import check, initial_step, random_chol, random_per_output_data, random_shared_data, random_state
 from .oracles import (
     SizeGuardError,
     _jittered,
@@ -611,21 +611,9 @@ def test_bound_tight_at_optimal_inducing_posterior():
         assert bound.data_fit - bound.kl_inducing <= exact + 1e-6
 
 
-def _initial_step(n_outputs, n_replicas, inducing_per_replica, inducing_latent, points_per_replica=10, flat=False):
-    """``(theta, layout, template, bound_data)`` of a fit's first step on
-    synthetic data with per-output inputs."""
-    config = data.SyntheticConfig(n_outputs=n_outputs, n_replicas=n_replicas, points_per_replica=points_per_replica)
-    dataset = data.generate_synthetic(config, seed=0)
-    train, _ = data.split(dataset, data.SplitPlan(mode="random_fraction", fraction=0.5, seed=0))
-    model = training.ModelConfig(inducing_per_replica=inducing_per_replica, inducing_latent=inducing_latent, flat=flat)
-    template = training.initialize_state(train, model, seed=0)
-    layout = ParamLayout(template)
-    return layout.pack(template), layout, template, read_data(template, *train.training_arrays())
-
-
 def _step_tape_nodes(n_replicas, inducing_per_replica, inducing_latent):
     """Nodes of one step's bound graph: 10 outputs with per-output inputs."""
-    pieces, _ = objective.build_graph(*_initial_step(10, n_replicas, inducing_per_replica, inducing_latent))
+    pieces, _ = objective.build_graph(*initial_step(10, n_replicas, inducing_per_replica, inducing_latent))
     return len(ad._topological_order(pieces.total))
 
 
@@ -645,7 +633,7 @@ def test_step_tape_does_not_grow_with_replicas():
 def test_gradient_runs_each_closed_form_backward_once(monkeypatch, flat):
     # the benchmark's tiny shape: 3 outputs, 2 replicas of 8 points, 3 inducing
     # inputs per replica and 2 inducing latents
-    step = _initial_step(3, 2, 3, 2, points_per_replica=8, flat=flat)
+    step = initial_step(3, 2, 3, 2, points_per_replica=8, flat=flat)
     calls = {}
     build_graph = objective.build_graph
 
@@ -694,3 +682,37 @@ def test_bound_and_gradient_factor_each_inducing_gram_once(monkeypatch):
     assert jitters == {"kuu_h": 0.0, "kuu_x": 0.0}
     # one factor of Kuu_h and one of Kuu_x, each used for its inverse and log-determinant
     assert sorted(calls) == [(2, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_steps_on_one_bound_data_equal_steps_on_fresh_bound_data(flat):
+    # a BoundData keeps the data fit's per-point buffer and its replica
+    # pairs' spreader buffers across steps; at another theta in between,
+    # each step is bitwise what a freshly read BoundData gives
+    rng = np.random.default_rng(21)
+    state = random_state(rng, n_outputs=3, n_replicas=2, flat=flat)
+    x, y = random_per_output_data(rng, state)
+    layout = ParamLayout(state)
+    theta = layout.pack(state)
+    reused = read_data(state, x, y)
+    for t in (theta, theta + 0.05 * rng.standard_normal(theta.shape), theta):
+        b_r, g_r, j_r = objective.evaluate_with_grad(t, layout, state, reused)
+        b_f, g_f, j_f = objective.evaluate_with_grad(t, layout, state, read_data(state, x, y))
+        assert b_r == b_f and j_r == j_f and np.array_equal(g_r, g_f)
+
+
+def test_two_read_data_calls_share_no_buffer():
+    rng = np.random.default_rng(22)
+    state = random_state(rng, n_outputs=3, n_replicas=2)
+    x, y = random_per_output_data(rng, state)
+    layout = ParamLayout(state)
+    datasets = read_data(state, x, y), read_data(state, x, y)
+    for bound_data in datasets:
+        objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
+
+    def buffers(d):
+        return [*d._buffers.values(), *d.kfu_pairs._buffers, *d.kuu_pairs._buffers]
+
+    first, second = map(buffers, datasets)
+    assert len(first) == len(second) == 5  # the per-point buffer and two per replica pairs
+    assert not any(np.shares_memory(a, b) for a in first for b in second)

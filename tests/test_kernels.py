@@ -370,3 +370,37 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
             assert np.array_equal(value, value_ref)
             for k, (g, g_ref) in enumerate(zip(grads, grads_ref)):
                 assert np.array_equal(g, g_ref), k
+
+
+@pytest.mark.parametrize("family", [RBF, MATERN32])
+@pytest.mark.parametrize("flat", [False, True])
+def test_hier_gram_backward_reuses_its_pair_buffers_bit_for_bit(family, flat):
+    # the replica level's backward sums run through two buffers kept on the
+    # ReplicaPairs: repeated passes on one node, at other cotangents in
+    # between, give what a node on fresh pairs gives, and the node's value
+    # (for the flat ablation, the spread replica level) is never a buffer
+    rng = np.random.default_rng(12)
+    z, z_tags = rng.uniform(size=(5, 2)), np.array([0, 0, 0, 1, 1])
+    x, x_tags = rng.uniform(size=(6, 2)), np.array([1, 0, 1, 1, 0, 0])
+    shared = None if flat else (family, 0.4, np.array([0.8, 1.3]))
+    replica = (family, 1.2, np.array([0.6, 0.9]))
+
+    def node(a, a_tags, pairs=None):
+        pairs = pairs or replica_pairs(a_tags, z_tags, 2)
+        zn = ad.Node(z)
+        return hier_gram(shared, replica, zn if a is None else a, zn, pairs), pairs
+
+    def same(got, want):
+        return all(g is w if g is None or w is None else np.array_equal(g, w) for g, w in zip(got, want))
+
+    for a, a_tags in ((None, z_tags), (x, x_tags)):  # the inducing Gram, then the cross covariance
+        reused, pairs = node(a, a_tags)
+        value = reused.value.copy()
+        g1, g2 = rng.standard_normal((2, a_tags.size, 5))
+        for g in (g1, g2, g1):
+            assert same(reused.backward(g), node(a, a_tags)[0].backward(g))
+        assert len(pairs._buffers) == 2
+        assert np.array_equal(reused.value, value)
+        assert not any(np.shares_memory(reused.value, buffer) for buffer in pairs._buffers)
+        # a second node on the same pairs reads none of the first node's sums
+        assert same(node(a, a_tags, pairs)[0].backward(g2), node(a, a_tags)[0].backward(g2))

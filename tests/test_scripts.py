@@ -29,3 +29,12 @@ def test_gene_style_study_runs_from_its_csv(tmp_path):
     summary = json.loads((tmp_path / "experiment" / "summary.json").read_text())
     assert summary["repeats"] == 2 and len(summary["nmse_values"]) == 2
     assert all(math.isfinite(summary[key]) for key in ("nmse_mean", "nmse_sd", "nlpd_mean", "nlpd_sd"))
+
+
+def test_fit_digest_prints_one_repeatable_line_per_shape():
+    runs = [run_child(str(SCRIPTS / "fit_digest.py"), "--shapes", "tiny", "--seeds", "0") for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr[-2000:]
+    lines = runs[0].stdout.strip().splitlines()
+    assert len(lines) == 1 and re.fullmatch(r"tiny +seed 0 +fit [0-9a-f]{64}  step [0-9a-f]{64}", lines[0]), lines
+    assert runs[1].stdout == runs[0].stdout
