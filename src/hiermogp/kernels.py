@@ -22,14 +22,14 @@ Grams are fused nodes of the ``autodiff`` tape, built on one numpy value and
 hand-written backward pass of the same formula: ``gram`` for the latent
 inducing Gram, and ``hier_gram`` for the inducing Gram ``Kuu_x`` and its
 cross covariance with the distinct training points, both levels of the
-hierarchical kernel in one node. Its replica level is block-diagonal once
-points are grouped by replica, so it is evaluated on the same-replica pairs
-only, as one batch of padded blocks that ``replica_pairs`` lays out once per
-fit (``ReplicaPairs``). ``hier_cross_cov`` is the hierarchical kernel in
-numpy, between tagged points and a replica layout: the inducing inputs
-stacked once, with each replica's column range (``stack_blocks``), which
-prediction builds once per fitted state and ``hier_block_cov`` builds per
-call for data generation, initialisation and the inducing Gram.
+hierarchical kernel in one node. Every caller shares one replica layout:
+points stacked replica by replica, with each replica's row range given by
+offsets (``stack_blocks``). Between two such sets the replica level is one
+rectangle per replica, which the bound evaluates as one batch of padded
+blocks laid out once per fit from both sets' offsets (``replica_pairs``).
+``hier_cross_cov`` is the hierarchical kernel in numpy, between tagged
+points in any order and the inducing inputs in that layout, which prediction
+builds once per fitted state and ``hier_block_cov`` per call.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def _stationary(spec: StationaryKernel, x1: np.ndarray, x2: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class ReplicaPairs:
-    """The same-replica pairs of two replica-tagged point sets ``a`` and
-    ``b``, laid out for a batched Gram: one block per replica that both sets
-    observe, with the set's rows of that replica padded to a common count.
+    """The same-replica pairs of two point sets ``a`` and ``b`` stacked
+    replica by replica: per replica both observe, its rectangle of their
+    Gram as one block of a batch, each set's rows padded to a common count.
     Built once per fit by :func:`replica_pairs`; the replica level of
     :func:`hier_gram` is evaluated on these blocks only. It also keeps the
     two (N_a, N_b) buffers that backward pass spreads its sums through
@@ -192,26 +192,26 @@ class ReplicaPairs:
 
     rows_a: np.ndarray  # (R', n_pad) rows of ``a`` per block, padded with a real row
     rows_b: np.ndarray  # (R', m_pad)
-    blocks: np.ndarray  # flat positions of the real pairs in the (R', n_pad, m_pad) block array
-    gram: np.ndarray  # and their flat positions in the (N_a, N_b) Gram, in the same order
+    rectangles: tuple  # per block, (its rectangle in the (N_a, N_b) Gram, its real pairs) as indices
     shape: tuple  # (N_a, N_b)
     _buffers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for array in (self.rows_a, self.rows_b, self.blocks, self.gram):
+        for array in (self.rows_a, self.rows_b):
             array.flags.writeable = False
 
     def gather(self, dense: np.ndarray) -> np.ndarray:
         """The block array of a Gram-shaped array: its real pairs, zero padding."""
         out = np.zeros(self.rows_a.shape + self.rows_b.shape[1:])
-        out.reshape(-1)[self.blocks] = dense.take(self.gram)
+        for in_gram, in_block in self.rectangles:
+            out[in_block] = dense[in_gram]
         return out
 
     def spreader(self, slot: int | None = None):
-        """A function that writes the real pairs of a block array at their
-        Gram positions in one zeroed (N_a, N_b) array and returns it. Every
-        call writes the same positions, so the rest of the array stays zero
-        and the array is reused by every call.
+        """A function that writes the real pairs of a block array into their
+        rectangles of one zeroed (N_a, N_b) array and returns it. Every call
+        writes the same rectangles, so the rest of the array stays zero and
+        the array is reused by every call.
 
         Without ``slot`` the array is new, as a node's value must be. With
         ``slot``, 0 or 1, it is this instance's buffer of that number,
@@ -226,37 +226,32 @@ class ReplicaPairs:
             while len(self._buffers) <= slot:
                 self._buffers.append(np.zeros(self.shape))
             out = self._buffers[slot]
-        flat = out.reshape(-1)
 
         def spread(blocks):
-            flat[self.gram] = blocks.take(self.blocks)
+            for in_gram, in_block in self.rectangles:
+                out[in_gram] = blocks[in_block]
             return out
 
         return spread
 
 
-def replica_pairs(tags_a, tags_b, n_replicas: int) -> ReplicaPairs:
-    """The :class:`ReplicaPairs` of points tagged ``tags_a`` and ``tags_b``."""
-    tags_a, tags_b = np.asarray(tags_a, int), np.asarray(tags_b, int)
-    rows = [(np.flatnonzero(tags_a == r), np.flatnonzero(tags_b == r)) for r in range(n_replicas)]
-    rows = [(ra, rb) for ra, rb in rows if ra.size and rb.size]
-    n_pad = max((ra.size for ra, _ in rows), default=0)
-    m_pad = max((rb.size for _, rb in rows), default=0)
-
-    def padded(index, width):
-        return np.concatenate([index, np.full(width - index.size, index[0])])
-
-    blocks, gram = [], []
-    for r, (ra, rb) in enumerate(rows):
-        i, j = np.arange(ra.size)[:, None], np.arange(rb.size)[None, :]
-        blocks.append(((r * n_pad + i) * m_pad + j).ravel())
-        gram.append((ra[:, None] * tags_b.size + rb[None, :]).ravel())
+def replica_pairs(starts_a, starts_b) -> ReplicaPairs:
+    """The :class:`ReplicaPairs` of two point sets stacked replica by
+    replica, with offsets as :func:`stack_blocks` gives them: replica r at
+    rows ``starts[r]:starts[r + 1]`` of each."""
+    bounds = zip(starts_a, starts_a[1:], starts_b, starts_b[1:])
+    ranges = tuple((a0, a1, b0, b1) for a0, a1, b0, b1 in bounds if a1 > a0 and b1 > b0)
+    n_pad = max((a1 - a0 for a0, a1, _, _ in ranges), default=0)
+    m_pad = max((b1 - b0 for _, _, b0, b1 in ranges), default=0)
+    i, j = np.arange(n_pad), np.arange(m_pad)  # rows a0:a1, then row a0 again, up to n_pad
     return ReplicaPairs(
-        rows_a=np.array([padded(ra, n_pad) for ra, _ in rows], int).reshape(len(rows), n_pad),
-        rows_b=np.array([padded(rb, m_pad) for _, rb in rows], int).reshape(len(rows), m_pad),
-        blocks=np.concatenate([np.zeros(0, int), *blocks]),
-        gram=np.concatenate([np.zeros(0, int), *gram]),
-        shape=(tags_a.size, tags_b.size),
+        rows_a=np.array([a0 + i * (i < a1 - a0) for a0, a1, _, _ in ranges], int).reshape(len(ranges), n_pad),
+        rows_b=np.array([b0 + j * (j < b1 - b0) for _, _, b0, b1 in ranges], int).reshape(len(ranges), m_pad),
+        rectangles=tuple(
+            ((slice(a0, a1), slice(b0, b1)), (r, slice(a1 - a0), slice(b1 - b0)))
+            for r, (a0, a1, b0, b1) in enumerate(ranges)
+        ),
+        shape=(starts_a[-1], starts_b[-1]),
     )
 
 
@@ -275,9 +270,9 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     With ``pairs``, the :class:`ReplicaPairs` of two (N_a, v) and (N_b, v)
     point sets, the value is the block array of their same-replica pairs
     only, and ``backward`` takes the (N_a, N_b) cotangent. Its sums run on
-    arrays laid out as that Gram, each block entry at its Gram position and
-    zeros elsewhere, so every sum adds the same nonzero terms in the same
-    order as the dense Gram times the same-replica mask, bit for bit."""
+    arrays laid out as that Gram, each block in its rectangle and zeros
+    elsewhere, so every sum adds the same nonzero terms in the same order as
+    the dense Gram times the same-replica mask, bit for bit."""
     v, ls = ad.values((variance, lengthscales))
     q1, q2 = (p1, p2) if pairs is None else (p1[pairs.rows_a], p2[pairs.rows_b])
     sq, diffs = _scaled_sqdist_keeping_diffs(q1, q2, ls)
@@ -327,17 +322,16 @@ def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
 
 
 def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.Node:
-    """Hierarchical Gram of replica-tagged points as one tape node, the form
-    of :func:`hier_cross_cov` the bound differentiates: the shared kernel
-    over every pair plus the replica kernel over the same-replica pairs that
-    ``pairs`` lays out. Each level is ``(family, variance, lengthscales)`` as
-    :func:`gram` takes them, and ``shared_params=None`` leaves the shared
-    level out (the flat ablation). The replica level is evaluated on the
-    same-replica blocks in one batch and added at their Gram positions to a
-    copy of the shared level (the RBF backward pass reads that level's
-    value), or written into zeros; value and gradients equal the dense
-    replica Gram times the ``(tag_a == tag_b)`` mask bit for bit. Gradients
-    flow into the ``Node`` arguments as in :func:`gram`."""
+    """Hierarchical Gram of two point sets stacked replica by replica as one
+    tape node, the form of :func:`hier_cross_cov` the bound differentiates:
+    the shared kernel over every pair plus the replica kernel over the
+    per-replica rectangles of ``pairs``. Each level is ``(family, variance,
+    lengthscales)`` as :func:`gram` takes them, and ``shared_params=None``
+    leaves the shared level out (the flat ablation). The replica level is
+    evaluated on the rectangles in one batch and written into zeros, one
+    slice each, and the shared level is added to that; value and gradients
+    equal the dense replica Gram times the ``(tag_a == tag_b)`` mask bit for
+    bit. Gradients flow into the ``Node`` arguments as in :func:`gram`."""
     live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
     points = ad.values((xa, xb))
     replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live, pairs)
@@ -345,12 +339,10 @@ def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.
     # column gradient first (the shared_grid fit is chaotic in the last bit,
     # and this order reproduces its recorded scores at seed 0)
     args = (*replica_params[1:], xb, xa)
-    if shared_params is None:
-        value = pairs.spreader()(replica)
-    else:
+    value = pairs.spreader()(replica)
+    if shared_params is not None:
         shared, shared_backward = _stationary_with_backward(*shared_params, *points, *live)
-        value = shared.copy()
-        value.reshape(-1)[pairs.gram] += replica.take(pairs.blocks)
+        value += shared
         args = (*shared_params[1:], *args)
 
     def backward(g):

@@ -24,11 +24,12 @@ The data reach the bound once, through ``read_data``: per-output input
 blocks and targets become a frozen ``BoundData`` of the distinct tagged
 points and one index into them per output, which every evaluation reuses,
 so the data/inducing Gram has one row per distinct point however many
-outputs observe it. It also holds the same-replica pairs of that Gram and
-of the inducing Gram (``kernels.ReplicaPairs``), laid out once for the
-template's inducing blocks, on which the replica level is evaluated. The
-noise in the template state is one variance per output or one tied across
-outputs; the bound has no other notion of a data regime."""
+outputs observe it. The points are stacked replica by replica, as the
+inducing inputs are, so the replica level of that Gram and of the inducing
+Gram is one rectangle per replica (``kernels.ReplicaPairs``), laid out once
+from both sets' offsets. The noise in the template state is one variance
+per output or one tied across outputs; the bound has no other notion of a
+data regime."""
 
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .kernels import RBF, ReplicaPairs, gram, hier_gram, replica_pairs
+from .kernels import RBF, ReplicaPairs, gram, hier_gram, replica_pairs, stack_blocks
 from .kron import cholesky_jitter as choose_jitter  # the name perfbench/tracing.py wraps per step
 from .kron import spd_inverse
 from .latent import kl_inducing, kl_latent, psi_stats
@@ -59,12 +60,12 @@ class GraphPieces:
 @dataclass(frozen=True)
 class BoundData:
     """Training data as the bound reads it: the N_u distinct replica-tagged
-    points, and per output an index into them with the targets laid out
-    along it. Indices are padded with N_u, which names a zero row appended
-    to every per-point array, and the padding's targets are zero. On a
-    common grid every output indexes every point. ``kfu_pairs`` and
-    ``kuu_pairs`` lay out the same-replica pairs of the data/inducing Gram
-    and of the inducing Gram, for the template's inducing blocks.
+    points, sorted on tag, and per output an index into them with the
+    targets laid out along it. Indices are padded with N_u, which names a
+    zero row appended to every per-point array, and the padding's targets
+    are zero. On a common grid every output indexes every point. ``kfu_pairs``
+    and ``kuu_pairs`` give the per-replica row and column ranges of the
+    data/inducing Gram and of the inducing Gram, for the template's blocks.
 
     The arrays are read-only, but a ``BoundData`` is per-fit scratch too: it
     keeps the bins of :meth:`sum_to_points`, the data fit's per-point
@@ -134,8 +135,11 @@ def read_data(template: ModelState, x, y) -> BoundData:
     for d, (rows_d, y_d) in enumerate(zip(rows, y)):
         index[d, : y_d.size] = rows_d
         targets[d, : y_d.size] = y_d
+    # np.unique sorts the rows tag first, so each replica's points are one
+    # row range, the layout kernels.replica_pairs needs
     points, tags = distinct[:, 1:].copy(), distinct[:, 0].astype(int)
-    z_tags = np.repeat(np.arange(n_replicas), [b.shape[0] for b in template.inducing.z_input])
+    starts = np.searchsorted(tags, np.arange(n_replicas + 1)).tolist()
+    _, z_starts = stack_blocks(template.inducing.z_input)
     return BoundData(
         points,
         tags,
@@ -143,8 +147,8 @@ def read_data(template: ModelState, x, y) -> BoundData:
         targets,
         counts,
         (targets**2).sum(axis=1),
-        kfu_pairs=replica_pairs(tags, z_tags, n_replicas),
-        kuu_pairs=replica_pairs(z_tags, z_tags, n_replicas),
+        kfu_pairs=replica_pairs(starts, z_starts),
+        kuu_pairs=replica_pairs(z_starts, z_starts),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -716,3 +718,42 @@ def test_two_read_data_calls_share_no_buffer():
     first, second = map(buffers, datasets)
     assert len(first) == len(second) == 5  # the per-point buffer and two per replica pairs
     assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_read_data_stacks_the_points_replica_by_replica():
+    # the replica level's layout rests on the points coming sorted on tag:
+    # on ragged data where outputs share points, skip replicas and all leave
+    # one replica unobserved, the tags never decrease, ones spread through
+    # both pairs are the (tag_a == tag_b) mask, and the unobserved replica
+    # has no rectangle in the data/inducing Gram
+    for trial in range(8):
+        rng = np.random.default_rng(740 + trial)
+        state = random_state(rng, n_outputs=4, n_replicas=4, m_per_replica=2, input_dim=2)
+        n_replicas, v = state.n_replicas, state.input_dim
+        sizes = rng.multinomial(4, np.ones(n_replicas) / n_replicas) + 1  # unequal inducing blocks
+        z_input = [rng.uniform(size=(m, v)) for m in sizes]
+        state = dataclasses.replace(state, inducing=dataclasses.replace(state.inducing, z_input=z_input))
+        unseen = int(rng.integers(n_replicas))
+        pool = [rng.uniform(size=(3, v)) for _ in range(n_replicas)]  # points several outputs observe
+        x, y = [], []
+        for _ in range(state.n_outputs):
+            blocks = []
+            for r in range(n_replicas):
+                if r == unseen or rng.random() < 0.3:
+                    blocks.append(np.zeros((0, v)))
+                else:
+                    own = rng.uniform(size=(int(rng.integers(0, 3)), v))
+                    blocks.append(rng.permutation(np.vstack([own, pool[r][rng.random(3) < 0.5]])))
+            x.append(blocks)
+            y.append(rng.standard_normal(sum(b.shape[0] for b in blocks)))
+        data = read_data(state, x, y)
+        assert np.all(np.diff(data.tags) >= 0), trial
+        z_tags = np.repeat(np.arange(n_replicas), sizes)
+        for pairs, tags in ((data.kfu_pairs, data.tags), (data.kuu_pairs, z_tags)):
+            ones = np.ones(pairs.rows_a.shape + pairs.rows_b.shape[1:])
+            mask = np.asarray(tags[:, None] == z_tags[None, :], float)
+            assert np.array_equal(pairs.spreader()(ones), mask), trial
+        assert len(data.kuu_pairs.rectangles) == n_replicas
+        assert len(data.kfu_pairs.rectangles) == np.unique(data.tags).size < n_replicas
+        z0, z1 = sum(sizes[:unseen]), sum(sizes[: unseen + 1])
+        assert all(c.stop <= z0 or c.start >= z1 for (_, c), _ in data.kfu_pairs.rectangles), trial

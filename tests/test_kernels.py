@@ -32,6 +32,17 @@ def matern(variance=1.0, lengthscales=1.0):
     return StationaryKernel(MATERN32, variance, lengthscales)
 
 
+def by_tag(points, tags):
+    """Points and tags stably sorted on tag, as the bound stacks its points."""
+    order = np.argsort(tags, kind="stable")
+    return points[order], tags[order]
+
+
+def offsets(tags, n_replicas):
+    """The stack_blocks offsets of points sorted on tag."""
+    return np.searchsorted(tags, np.arange(n_replicas + 1)).tolist()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         StationaryKernel("cubic", 1.0, 1.0)
@@ -314,8 +325,7 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
     z = rng.uniform(size=(5, 2))
     z[2] = z[0]
     z_tags = np.array([0, 0, 0, 1, 1])
-    x = rng.uniform(size=(6, 2))
-    x_tags = np.array([1, 0, 1, 1, 0, 0])
+    x, x_tags = by_tag(rng.uniform(size=(6, 2)), np.array([1, 0, 1, 1, 0, 0]))
     logs = [np.asarray(np.log(0.4)), np.log([0.8, 1.3]), np.asarray(np.log(1.2)), np.log([0.6, 0.9])]
     spec = HierarchicalKernel(
         shared=None if flat else StationaryKernel(family, 0.4, [0.8, 1.3]),
@@ -327,7 +337,8 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
         return shared, (family, exp(lvf), exp(llsf))
 
     blocks = [z[:3], z[3:]]
-    kuu_pairs, kfu_pairs = replica_pairs(z_tags, z_tags, 2), replica_pairs(x_tags, z_tags, 2)
+    z_starts = offsets(z_tags, 2)
+    kuu_pairs, kfu_pairs = replica_pairs(z_starts, z_starts), replica_pairs(offsets(x_tags, 2), z_starts)
     kuu = hier_gram(*levels(*map(ad.Node, logs)), ad.Node(z), ad.Node(z), kuu_pairs)
     kfu = hier_gram(*levels(*map(ad.Node, logs)), x, ad.Node(z), kfu_pairs)
     layout = stack_blocks(blocks)
@@ -351,11 +362,11 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
     z3 = rng.uniform(size=(6, 2))
     z3[4] = z3[3]
     z3_tags = np.array([0, 1, 1, 2, 2, 2])
-    x3_tags = np.array([2, 0, 2, 2, 0, 2])
-    for za, za_tags, xa, xa_tags, n_replicas in ((z, z_tags, x, x_tags, 2), (z3, z3_tags, x, x3_tags, 3)):
+    x3, x3_tags = by_tag(x, np.array([2, 0, 2, 2, 0, 2]))
+    for za, za_tags, xa, xa_tags, n_replicas in ((z, z_tags, x, x_tags, 2), (z3, z3_tags, x3, x3_tags, 3)):
         for a, a_tags in ((None, za_tags), (xa, xa_tags)):  # the inducing Gram, then the cross covariance
             weights = rng.standard_normal((a_tags.size, za_tags.size))
-            pairs = replica_pairs(a_tags, za_tags, n_replicas)
+            pairs = replica_pairs(offsets(a_tags, n_replicas), offsets(za_tags, n_replicas))
             nodes = []
             for masked in (False, True):
                 leaves = [ad.Node(v) for v in (*logs, za)]
@@ -381,12 +392,12 @@ def test_hier_gram_backward_reuses_its_pair_buffers_bit_for_bit(family, flat):
     # (for the flat ablation, the spread replica level) is never a buffer
     rng = np.random.default_rng(12)
     z, z_tags = rng.uniform(size=(5, 2)), np.array([0, 0, 0, 1, 1])
-    x, x_tags = rng.uniform(size=(6, 2)), np.array([1, 0, 1, 1, 0, 0])
+    x, x_tags = by_tag(rng.uniform(size=(6, 2)), np.array([1, 0, 1, 1, 0, 0]))
     shared = None if flat else (family, 0.4, np.array([0.8, 1.3]))
     replica = (family, 1.2, np.array([0.6, 0.9]))
 
     def node(a, a_tags, pairs=None):
-        pairs = pairs or replica_pairs(a_tags, z_tags, 2)
+        pairs = pairs or replica_pairs(offsets(a_tags, 2), offsets(z_tags, 2))
         zn = ad.Node(z)
         return hier_gram(shared, replica, zn if a is None else a, zn, pairs), pairs
 
