@@ -19,8 +19,11 @@ heap memory; the median microseconds per predicted block, over as many
 ``prediction.predict_missing_replica`` calls at the initial state on one
 10-point block (output 0's inputs in replica 0, predicted as a missing
 replica), after the state's first prediction has factored and cached what
-every block shares; and the number of distinct tape nodes one step builds
-(its one leaf, the parameter vector, included).
+every block shares: ``us/block`` on points the state has not seen (the block
+shifted by a new tiny offset on each call, so each call computes its cross
+covariance) and ``us/block seen`` on the block itself again (its input terms
+read from the state's memo); and the number of distinct tape nodes one step
+builds (its one leaf, the parameter vector, included).
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/scale_step.py [--steps 20]
 
@@ -93,10 +96,17 @@ def measure(n_outputs, n_replicas, m_r, m_h, share_inputs, steps, seed=0):
 
 
 def predict_block_us(state, grid, calls):
-    """Median microseconds of a missing-replica prediction of ``grid``, after a first call."""
+    """Median microseconds of a missing-replica prediction, after a first
+    call on ``grid``: on ``grid`` shifted by a new offset of 1e-9 per call,
+    points the state has not seen, and on ``grid`` itself, which it has."""
     prediction.predict_missing_replica(state, 0, 0, grid)
+    unseen = [grid + 1e-9 * (k + 1) for k in range(calls)]
+    return _median_us(state, unseen), _median_us(state, [grid] * calls)
+
+
+def _median_us(state, grids):
     times = []
-    for _ in range(calls):
+    for grid in grids:
         start = time.perf_counter()
         prediction.predict_missing_replica(state, 0, 0, grid)
         times.append(1e6 * (time.perf_counter() - start))
@@ -108,10 +118,11 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args()
     for n_outputs, n_replicas, m_r, m_h, share_inputs in SHAPES:
-        ms, user, system, block_us, nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
+        ms, user, system, (block_us, seen_us), nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
         inputs = "common grid" if share_inputs else "per output "
         print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h} {inputs}  {ms:8.2f} ms/step  "
-              f"user {user:7.2f}  sys {system:6.2f} ms/step  {block_us:7.1f} us/block  {nodes:4d} tape nodes",
+              f"user {user:7.2f}  sys {system:6.2f} ms/step  {block_us:7.1f} us/block  "
+              f"{seen_us:7.1f} us/block seen  {nodes:4d} tape nodes",
               flush=True)
     return 0
 

@@ -27,9 +27,11 @@ points stacked replica by replica, with each replica's row range given by
 offsets (``stack_blocks``). Between two such sets the replica level is one
 rectangle per replica, which the bound evaluates as one batch of padded
 blocks laid out once per fit from both sets' offsets (``replica_pairs``).
-``hier_cross_cov`` is the hierarchical kernel in numpy, between tagged
-points in any order and the inducing inputs in that layout, which prediction
-builds once per fitted state and ``hier_block_cov`` per call.
+In numpy the hierarchical kernel is one loop over replicas, written once:
+``hier_block_cov`` takes each replica's rows as a slice of points in that
+layout, and ``hier_cross_cov`` as an index of tagged points in any order,
+against inducing inputs in that layout, which prediction builds once per
+fitted state and ``hier_block_cov`` per call.
 """
 
 from __future__ import annotations
@@ -375,15 +377,14 @@ def hier_block_cov(spec: HierarchicalKernel, a, b) -> np.ndarray:
     Block (r, r') is ``shared(A_r, B_r')`` off the diagonal and
     ``(shared + replica)(A_r, B_r)`` on it. Serves the data Gram, the
     inducing Gram and the data/inducing cross covariance alike: both lists
-    stacked once, the rows of ``a`` tagged with their replica, through
-    :func:`hier_cross_cov`.
+    stacked once, replica r's rows of ``a`` one row slice.
     """
     if len(a) != len(b):
         raise ValueError(f"replica count mismatch: {len(a)} vs {len(b)}")
     points, rows = stack_blocks(a, spec.input_dim)
     columns, starts = stack_blocks(b, points.shape[1])
-    tags = np.repeat(np.arange(len(a)), np.diff(rows))
-    return hier_cross_cov(spec, points, tags, columns, starts)
+    ranges = ((r, slice(a0, a1)) for r, (a0, a1) in enumerate(zip(rows, rows[1:])) if a1 > a0)
+    return _hier_cov(spec, points, ranges, columns, starts)
 
 
 def hier_cross_cov(
@@ -393,9 +394,8 @@ def hier_cross_cov(
 
     Each row of ``points`` carries a replica tag; ``columns`` and ``starts``
     are a :func:`stack_blocks` layout, block r at columns
-    ``starts[r]:starts[r + 1]``. The shared level is evaluated over every
-    column as the output; the replica level is added on each present tag's
-    columns, as one column slice when every row has the same tag.
+    ``starts[r]:starts[r + 1]``. The replica level is added on each present
+    tag's rows, all of them as one slice when every row has the same tag.
     """
     points = np.atleast_2d(np.asarray(points, float))
     tags = np.asarray(replica_tags, int)
@@ -407,19 +407,28 @@ def hier_cross_cov(
         bad = tags[(tags < 0) | (tags >= n_replicas)][0]
         raise ValueError(f"unknown replica tag {bad}; dataset has {n_replicas} replicas")
     _check_dims(spec, points, columns)
+    if lo == hi:
+        rows = ((lo, slice(None)),)
+    else:
+        # the tags present; not np.unique, whose first call imports numpy.ma,
+        # 15-25 ms of a process's set-up
+        present = np.flatnonzero(np.bincount(tags, minlength=n_replicas))
+        rows = ((r, np.flatnonzero(tags == r)) for r in present)
+    return _hier_cov(spec, points, rows, columns, starts)
+
+
+def _hier_cov(spec: HierarchicalKernel, points, replica_rows, columns, starts) -> np.ndarray:
+    """The hierarchical kernel between checked float ``points`` and stacked
+    ``columns``: the shared level over every pair, and for each ``(r, rows)``
+    of ``replica_rows`` (a slice or an index of ``points``) the replica level
+    added on those rows and replica r's columns ``starts[r]:starts[r + 1]``."""
     if spec.shared is None:
         out = np.zeros((points.shape[0], columns.shape[0]))
     else:
         out = _stationary(spec.shared, points, columns)
-    if lo == hi:
-        block = slice(starts[lo], starts[lo + 1])
-        out[:, block] += _stationary(spec.replica, points, columns[block])
-    elif lo < hi:
-        # the tags present; not np.unique, whose first call imports numpy.ma,
-        # 15-25 ms of a process's set-up
-        for r in np.flatnonzero(np.bincount(tags, minlength=n_replicas)):
-            rows, block = np.flatnonzero(tags == r), slice(starts[r], starts[r + 1])
-            out[rows, block] += _stationary(spec.replica, points[rows], columns[block])
+    for r, rows in replica_rows:
+        block = slice(starts[r], starts[r + 1])
+        out[rows, block] += _stationary(spec.replica, points[rows], columns[block])
     return out
 
 

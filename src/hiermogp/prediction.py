@@ -17,16 +17,31 @@ latent moments; the inducing inputs are stacked once there too, with each
 replica's column range, the layout ``hier_cross_cov`` takes. A block then
 costs its cross covariance against that layout (the shared level over every
 column, the replica level on the block's tag's column range) plus GEMMs with
-the cached inverses, O(n m_x^2) in all. The cache is keyed on the state's
-identity, so a ``ModelState`` must not be changed in place once it has been
-predicted from.
+the cached inverses, O(n m_x^2) in all.
+
+Most of that work does not depend on the output: the product
+``base = cross Kx^-1 M Kh^-1`` and, per point, the sums of squares of
+``half = Lx^-1 cross^T`` and of its smoothing root. These are memoised per
+fitted state, keyed on the exact shape and bytes of the points (as float)
+and of their tags (as int), for at most ``_MEMO_POINT_SETS`` point sets, the
+oldest evicted first. Only points and tags that passed ``hier_cross_cov``'s
+checks are stored, and no stored array is returned or written to.
+When outputs share their inputs (a common time grid, every output over an
+unseen replica, ``predict --grid``), each distinct point set is computed
+once, and every other output costs only its own terms:
+``prior - nystrom_d sum(half^2) + smoothed_d sum(smooth^2) + diag(base C_d
+base^T)`` and the mean ``base psi1_d``, summed in the same order on a hit as
+on a miss, so the two agree bit for bit.
+
+The cache, memo included, is keyed on the state's identity, so a
+``ModelState`` must not be changed in place once it has been predicted from.
 """
 
 from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +53,7 @@ from .model import ModelState
 log = logging.getLogger(__name__)
 
 _NEGATIVE_VARIANCE_TOL = -1e-10
+_MEMO_POINT_SETS = 32  # point sets whose input terms a fitted state keeps, the oldest evicted first
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,8 @@ class _Posterior:
     smooth_h: np.ndarray
     w: np.ndarray  # (m_x, m_h): Kx^-1 M Kh^-1
     outputs: _LatentMoments  # under the outputs' latent posteriors
+    # (points' shape and bytes, tags' shape and bytes) -> their _point_terms, oldest first
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 _POSTERIORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -123,23 +141,39 @@ def _input_terms(post: _Posterior, hier_kernel, xstar: np.ndarray, replica_tags)
     return cross @ post.w, half, post.smooth_x @ half
 
 
+def _point_terms(post: _Posterior, hier_kernel, xstar, replica_tags):
+    """What tagged points contribute whatever the output: ``base`` (n, m_h)
+    and, per point, ``|half|^2`` and ``|smooth|^2``, the input-side factors
+    of the latent moments' ``nystrom`` and ``smoothed``. Computed on the first
+    call with these exact points and tags, then read from ``post.memo``, so
+    never written to."""
+    points, tags = np.asarray(xstar, float), np.asarray(replica_tags, int)
+    key = (points.shape, points.tobytes(), tags.shape, tags.tobytes())
+    terms = post.memo.get(key)
+    if terms is None:
+        base, half, smooth = _input_terms(post, hier_kernel, points, tags)
+        half *= half
+        smooth *= smooth
+        terms = base, half.sum(axis=0), smooth.sum(axis=0)
+        if len(post.memo) >= _MEMO_POINT_SETS:
+            post.memo.pop(next(iter(post.memo)), None)
+        post.memo[key] = terms
+    return terms
+
+
 def _block_moments(post, hier_kernel, xstar, replica_tags, moments: _LatentMoments, d: int):
     """Mixture mean and variance under row ``d`` of ``moments``: mean
     conditional variance plus variance of conditional means,
     ``prior - nystrom_d |half|^2 + smoothed_d |smooth|^2 + diag(base C_d base^T)``,
-    summed in place in that order."""
-    base, half, smooth = _input_terms(post, hier_kernel, xstar, replica_tags)
-    half *= half
-    variance = half.sum(axis=0)
-    variance *= -moments.nystrom[d]
+    summed in that order into a new array."""
+    base, half_sq, smooth_sq = _point_terms(post, hier_kernel, xstar, replica_tags)
+    variance = half_sq * -moments.nystrom[d]
     variance += post.prior
-    smooth *= smooth
-    spread = smooth.sum(axis=0)
-    spread *= moments.smoothed[d]
+    spread = smooth_sq * moments.smoothed[d]
     variance += spread
     mixed = base @ moments.row_cov[d]
     mixed *= base
-    variance += mixed.sum(axis=1)
+    variance += mixed.sum(axis=1, out=spread)
     return base @ moments.row_mean[d], _clip_variance(variance)
 
 

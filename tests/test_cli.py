@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hiermogp import cli
+from hiermogp import cli, prediction
 from hiermogp.cli import ConfigError, RunConfig, load_config, main, run_experiment, run_eval
 from hiermogp.data import (
     CsvSchemaError,
@@ -198,23 +198,34 @@ def test_eval_reads_predictions_with_a_byte_order_mark(tmp_path):
     assert (tmp_path / "marked" / "metrics.csv").read_text() == (tmp_path / "plain" / "metrics.csv").read_text()
 
 
-def test_grid_prediction(tmp_path):
+def test_grid_prediction(tmp_path, monkeypatch):
+    # every output is predicted at the same tagged grid points, so only the
+    # first output's call computes their cross covariance; the table holds
+    # the bits each output gets from a state that has predicted nothing else
     config_path = write_config(tmp_path, base_config(tmp_path / "run", iterations=10))
     main(["fit", "--config", str(config_path), "--out", str(tmp_path / "fit")])
-    assert main(
-        [
-            "predict",
-            "--model",
-            str(tmp_path / "fit" / "model.json"),
-            "--grid",
-            "5,0,1",
-            "--out",
-            str(tmp_path / "grid.csv"),
-        ]
-    ) == 0
-    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    model, out = tmp_path / "fit" / "model.json", tmp_path / "grid.csv"
+    crosses = []
+    cross = prediction.hier_cross_cov
+
+    def counted(*args):
+        crosses.append(args[1].shape)
+        return cross(*args)
+
+    monkeypatch.setattr(prediction, "hier_cross_cov", counted)
+    outputs = _count_predict_calls(monkeypatch)
+    assert main(["predict", "--model", str(model), "--grid", "5,0,1", "--out", str(out)]) == 0
+    assert outputs == [0, 1, 2] and crosses == [(5 * 2, 1)]  # the grid in both replicas
+    monkeypatch.undo()
+    lines = out.read_text().splitlines()
     assert lines[0] == "output,replica,x_0,mean,variance"
     assert len(lines) == 1 + 5 * 3 * 2  # grid x outputs x replicas
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    state = state_from_dict(json.loads(model.read_text()))
+    for d in range(state.n_outputs):
+        mine = rows[:, 0] == d
+        cold = predict_marginal(dataclasses.replace(state), rows[mine, 2:3], rows[mine, 1].astype(int), d)
+        assert np.array_equal(rows[mine, 3], cold.mean) and np.array_equal(rows[mine, 4], cold.variance)
 
 
 def _predict_at(tmp_path, points_text):

@@ -288,6 +288,118 @@ def test_each_state_factors_and_computes_its_moments_once(monkeypatch):
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.variance, b.variance)
 
 
+def assert_same_bits(got, want):
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.variance, want.variance)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_warm_predictions_on_a_common_grid_equal_cold_ones(flat):
+    # every output at the same points: after output 0 each block reads its
+    # input terms from the memo, and gives the bits of a state that has
+    # never predicted (an equal twin)
+    rng = np.random.default_rng(47)
+    state = random_state(rng, n_outputs=4, n_replicas=3, m_per_replica=3, flat=flat)
+    grid = rng.uniform(-0.2, 1.2, size=(6, 1))
+    for d in range(state.n_outputs):
+        for r in range(state.n_replicas):
+            tags = np.full(6, r)
+            for include_noise in (False, True):
+                assert_same_bits(
+                    predict_marginal(state, grid, tags, d, include_noise=include_noise),
+                    predict_marginal(dataclasses.replace(state), grid, tags, d, include_noise=include_noise),
+                )
+            assert_same_bits(
+                predict_missing_replica(state, d, r, grid), predict_missing_replica(dataclasses.replace(state), d, r, grid)
+            )
+        h = state.latent_posterior.means[d]
+        tags = rng.integers(0, state.n_replicas, size=6)
+        predict_conditional(state, grid, tags, h)  # the marginal path of a latent point reads the memo too
+        assert_same_bits(predict_conditional(state, grid, tags, h), predict_conditional(dataclasses.replace(state), grid, tags, h))
+
+
+def test_shared_points_compute_their_cross_covariance_once_per_replica(monkeypatch):
+    rng = np.random.default_rng(48)
+    state = random_state(rng, n_outputs=5, n_replicas=3)
+    grid = rng.uniform(size=(4, 1))
+    crosses = count_calls(monkeypatch, "hier_cross_cov")
+    for d in range(state.n_outputs):
+        for r in range(state.n_replicas):
+            predict_marginal(state, grid, np.full(4, r), d)
+            predict_missing_replica(state, d, r, grid.tolist())
+    assert len(crosses) == state.n_replicas
+
+
+def test_the_same_points_with_other_tags_get_their_own_entry(monkeypatch):
+    rng = np.random.default_rng(49)
+    state = random_state(rng, n_outputs=2, n_replicas=3)
+    xstar = rng.uniform(size=(5, 1))
+    crosses = count_calls(monkeypatch, "hier_cross_cov")
+    by_tags = {}
+    for tags in ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 2, 1, 0), (0, 1, 2, 1, 2)):
+        by_tags[tags] = predict_marginal(state, xstar, tags, 0)
+        assert_same_bits(by_tags[tags], predict_marginal(dataclasses.replace(state), xstar, tags, 0))
+    assert len(crosses) == 4 + 4  # one per tag set, then the twins'
+    for tags, first in by_tags.items():
+        assert_same_bits(predict_marginal(state, xstar, np.array(tags), 0), first)
+    assert len(crosses) == 8 and len(prediction._posterior(state).memo) == 4
+
+
+def test_changing_the_callers_arrays_changes_nothing_cached():
+    rng = np.random.default_rng(50)
+    state = random_state(rng, n_outputs=2, n_replicas=3)
+    xstar, tags = rng.uniform(size=(5, 1)), np.array([0, 2, 1, 1, 0])
+    kept_x, kept_tags = xstar.copy(), tags.copy()
+    first = predict_marginal(state, xstar, tags, 0)
+    first_mean = first.mean.copy()
+    xstar += 0.25
+    tags[:] = 2
+    first.mean[:] = 0.0  # nor the returned arrays
+    first.variance[:] = -1.0
+    for d in range(state.n_outputs):
+        assert_same_bits(predict_marginal(state, xstar, tags, d), predict_marginal(dataclasses.replace(state), xstar, tags, d))
+        assert_same_bits(
+            predict_marginal(state, kept_x, kept_tags, d), predict_marginal(dataclasses.replace(state), kept_x, kept_tags, d)
+        )
+    assert np.array_equal(predict_marginal(state, kept_x, kept_tags, 0).mean, first_mean)
+
+
+def test_bad_tags_and_points_still_raise_after_the_same_points_were_predicted():
+    rng = np.random.default_rng(51)
+    state = random_state(rng, n_outputs=2, n_replicas=3)
+    xstar = rng.uniform(size=(3, 1))
+    for tags in ([0, 1, 2], [1, 1, 1]):
+        predict_marginal(state, xstar, tags, 0)
+    memo = prediction._posterior(state).memo
+    for tags in ([0, 1, 3], [7, 7, 7], [-1, 0, 0], [0, 1], [[0], [1], [2]]):
+        with pytest.raises(ValueError, match="replica tag"):
+            predict_marginal(state, xstar, tags, 1)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        predict_missing_replica(state, 0, 3, xstar)
+    with pytest.raises(ValueError, match="dimension"):
+        predict_marginal(state, np.hstack([xstar, xstar]), [0, 1, 2], 0)
+    assert len(memo) == 2
+
+
+def test_eviction_at_the_cap_keeps_results_bit_for_bit(monkeypatch):
+    # one point set more than the cap evicts the oldest, and only it
+    rng = np.random.default_rng(52)
+    state = random_state(rng, n_outputs=2, n_replicas=2)
+    cap = prediction._MEMO_POINT_SETS
+    sets = [rng.uniform(size=(3, 1)) for _ in range(cap + 3)]
+    crosses = count_calls(monkeypatch, "hier_cross_cov")
+    first = [predict_marginal(state, x, [0, 1, 1], 0) for x in sets]
+    memo = prediction._posterior(state).memo
+    assert len(crosses) == cap + 3 and len(memo) == cap
+    again = predict_marginal(state, sets[-1], [0, 1, 1], 0)  # kept
+    assert len(crosses) == cap + 3
+    assert_same_bits(again, first[-1])
+    for k, x in enumerate(sets[:3]):  # evicted: computed again, each evicting the oldest left
+        assert_same_bits(predict_marginal(state, x, [0, 1, 1], 0), first[k])
+        assert len(crosses) == cap + 4 + k and len(memo) == cap
+    for x in sets:
+        assert_same_bits(predict_marginal(state, x, [0, 1, 1], 1), predict_marginal(dataclasses.replace(state), x, [0, 1, 1], 1))
+
+
 def test_prediction_rejects_a_latent_kernel_without_psi_statistics():
     rng = np.random.default_rng(46)
     state = random_state(rng)

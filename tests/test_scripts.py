@@ -17,8 +17,9 @@ def test_scale_step_reports_one_tape_count_for_every_shape():
     counts = [re.search(r"(\d+) tape nodes$", line) for line in lines]
     assert len(lines) == 5 and all(counts), done.stdout
     assert len({int(c.group(1)) for c in counts}) == 1, done.stdout
-    blocks = [re.search(r"([\d.]+) us/block ", line) for line in lines]
-    assert all(blocks) and all(float(b.group(1)) > 0.0 for b in blocks), done.stdout
+    for label in (r"us/block(?! seen)", r"us/block seen"):  # points the state has not seen, and a repeated block
+        blocks = [re.search(r"([\d.]+) " + label, line) for line in lines]
+        assert all(blocks) and all(float(b.group(1)) > 0.0 for b in blocks), done.stdout
 
 
 def test_gene_style_study_runs_from_its_csv(tmp_path):
