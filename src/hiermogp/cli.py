@@ -258,8 +258,6 @@ def _load_model(path) -> tuple[ModelState, dict]:
         if unknown:
             raise ValueError(f"{min(unknown)}: unknown field")
         state = state_from_dict(payload)
-        if state.latent_kernel.family != RBF:  # the bound and prediction need its psi statistics
-            raise ValueError(f"latent_kernel: family {state.latent_kernel.family!r}, expected {RBF!r}")
         _check_extras(state, payload)
         return state, payload
     except ValueError as err:
@@ -509,9 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="YAML run config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
 

@@ -26,7 +26,8 @@ hierarchical kernel in one node. Every caller shares one replica layout:
 points stacked replica by replica, with each replica's row range given by
 offsets (``stack_blocks``). Between two such sets the replica level is one
 rectangle per replica, which the bound evaluates as one batch of padded
-blocks laid out once per fit from both sets' offsets (``replica_pairs``).
+blocks laid out once per fit from both sets' offsets (``replica_pairs``),
+with the scratch arrays the backward pass overwrites.
 In numpy the hierarchical kernel is one loop over replicas, written once:
 ``hier_block_cov`` takes each replica's rows as a slice of points in that
 layout, and ``hier_cross_cov`` as an index of tagged points in any order,
@@ -36,7 +37,7 @@ fitted state and ``hier_block_cov`` per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -187,65 +188,48 @@ class ReplicaPairs:
     """The same-replica pairs of two point sets ``a`` and ``b`` stacked
     replica by replica: per replica both observe, its rectangle of their
     Gram as one block of a batch, each set's rows padded to a common count.
-    Built once per fit by :func:`replica_pairs`; the replica level of
-    :func:`hier_gram` is evaluated on these blocks only. It also keeps the
-    two (N_a, N_b) buffers that backward pass spreads its sums through
-    (:meth:`spreader`), so it is per-fit scratch as well as layout."""
+    Made once per fit by :func:`replica_pairs`; the replica level of
+    :func:`hier_gram` is evaluated on these blocks only. Its backward pass
+    overwrites ``block`` and the two ``sums``, made with the layout, on every
+    call, so one instance must not be used by two threads at once."""
 
     rows_a: np.ndarray  # (R', n_pad) rows of ``a`` per block, padded with a real row
     rows_b: np.ndarray  # (R', m_pad)
     rectangles: tuple  # per block, (its rectangle in the (N_a, N_b) Gram, its real pairs) as indices
     shape: tuple  # (N_a, N_b)
-    _buffers: list = field(default_factory=list, init=False, repr=False, compare=False)
+    block: np.ndarray  # (R', n_pad, m_pad) scratch for :meth:`gather`, zero in the padding
+    sums: tuple  # two (N_a, N_b) scratch arrays for :meth:`spread`, zero outside the rectangles
 
     def __post_init__(self):
         for array in (self.rows_a, self.rows_b):
             array.flags.writeable = False
 
     def gather(self, dense: np.ndarray) -> np.ndarray:
-        """The block array of a Gram-shaped array: its real pairs, zero padding."""
-        out = np.zeros(self.rows_a.shape + self.rows_b.shape[1:])
+        """``block`` holding the real pairs of a Gram-shaped array. What it
+        holds lasts until the next call."""
         for in_gram, in_block in self.rectangles:
-            out[in_block] = dense[in_gram]
+            self.block[in_block] = dense[in_gram]
+        return self.block
+
+    def spread(self, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, an (N_a, N_b) array zero outside the rectangles, with the
+        real pairs of a block array written into their rectangles."""
+        for in_gram, in_block in self.rectangles:
+            out[in_gram] = blocks[in_block]
         return out
-
-    def spreader(self, slot: int | None = None):
-        """A function that writes the real pairs of a block array into their
-        rectangles of one zeroed (N_a, N_b) array and returns it. Every call
-        writes the same rectangles, so the rest of the array stays zero and
-        the array is reused by every call.
-
-        Without ``slot`` the array is new, as a node's value must be. With
-        ``slot``, 0 or 1, it is this instance's buffer of that number,
-        allocated on first use and kept for the fit, as the backward pass of
-        :func:`hier_gram` uses it every step. What a buffer holds lasts until
-        the next spread into the same slot, so it must never outlive the
-        computation that reads it, and one instance must not be used by two
-        threads at once."""
-        if slot is None:
-            out = np.zeros(self.shape)
-        else:
-            while len(self._buffers) <= slot:
-                self._buffers.append(np.zeros(self.shape))
-            out = self._buffers[slot]
-
-        def spread(blocks):
-            for in_gram, in_block in self.rectangles:
-                out[in_gram] = blocks[in_block]
-            return out
-
-        return spread
 
 
 def replica_pairs(starts_a, starts_b) -> ReplicaPairs:
     """The :class:`ReplicaPairs` of two point sets stacked replica by
     replica, with offsets as :func:`stack_blocks` gives them: replica r at
-    rows ``starts[r]:starts[r + 1]`` of each."""
+    rows ``starts[r]:starts[r + 1]`` of each. Its scratch arrays start at
+    zero."""
     bounds = zip(starts_a, starts_a[1:], starts_b, starts_b[1:])
     ranges = tuple((a0, a1, b0, b1) for a0, a1, b0, b1 in bounds if a1 > a0 and b1 > b0)
     n_pad = max((a1 - a0 for a0, a1, _, _ in ranges), default=0)
     m_pad = max((b1 - b0 for _, _, b0, b1 in ranges), default=0)
     i, j = np.arange(n_pad), np.arange(m_pad)  # rows a0:a1, then row a0 again, up to n_pad
+    shape = (starts_a[-1], starts_b[-1])
     return ReplicaPairs(
         rows_a=np.array([a0 + i * (i < a1 - a0) for a0, a1, _, _ in ranges], int).reshape(len(ranges), n_pad),
         rows_b=np.array([b0 + j * (j < b1 - b0) for _, _, b0, b1 in ranges], int).reshape(len(ranges), m_pad),
@@ -253,11 +237,13 @@ def replica_pairs(starts_a, starts_b) -> ReplicaPairs:
             ((slice(a0, a1), slice(b0, b1)), (r, slice(a1 - a0), slice(b1 - b0)))
             for r, (a0, a1, b0, b1) in enumerate(ranges)
         ),
-        shape=(starts_a[-1], starts_b[-1]),
+        shape=shape,
+        block=np.zeros((len(ranges), n_pad, m_pad)),
+        sums=(np.zeros(shape), np.zeros(shape)),
     )
 
 
-def _same(array):
+def _same(array, out):
     return array
 
 
@@ -272,9 +258,9 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     With ``pairs``, the :class:`ReplicaPairs` of two (N_a, v) and (N_b, v)
     point sets, the value is the block array of their same-replica pairs
     only, and ``backward`` takes the (N_a, N_b) cotangent. Its sums run on
-    arrays laid out as that Gram, each block in its rectangle and zeros
-    elsewhere, so every sum adds the same nonzero terms in the same order as
-    the dense Gram times the same-replica mask, bit for bit."""
+    the two ``pairs.sums``, each block in its rectangle and zeros elsewhere,
+    so every sum adds the same nonzero terms in the same order as the dense
+    Gram times the same-replica mask, bit for bit."""
     v, ls = ad.values((variance, lengthscales))
     q1, q2 = (p1, p2) if pairs is None else (p1[pairs.rows_a], p2[pairs.rows_b])
     sq, diffs = _scaled_sqdist_keeping_diffs(q1, q2, ls)
@@ -284,9 +270,9 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     def backward(g):
         g_dense = g
         if pairs is None:
-            shape, spread, spread_diff = value.shape, _same, _same
+            shape, spread, (first, second) = value.shape, _same, (None, None)
         else:
-            shape, spread, spread_diff = pairs.shape, pairs.spreader(0), pairs.spreader(1)
+            shape, spread, (first, second) = pairs.shape, pairs.spread, pairs.sums
             g = pairs.gather(g_dense)
         if decay is None:  # RBF: d(value)/d(sq) = -value / 2
             slope = g * value
@@ -294,13 +280,13 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
         else:  # Matern 3/2: d(value)/d(sq) = -1.5 v exp(-sqrt(3) r)
             slope = g * decay
             slope *= -1.5 * v
-        g_v = np.vdot(g_dense, spread(unit))
+        g_v = np.vdot(g_dense, spread(unit, first))
         grad_ls = np.zeros(ls.shape)
         g1 = np.zeros(shape[:-1] + ls.shape) if grad1 else None
         g2 = np.zeros(shape[:-2] + p2.shape[-2:]) if grad2 else None
         for k, (scale, diff) in enumerate(zip(ls, diffs)):
-            weighted = spread(diff * slope)
-            grad_ls[k] = np.vdot(weighted, spread_diff(diff)) * (-2.0 / scale)
+            weighted = spread(diff * slope, first)
+            grad_ls[k] = np.vdot(weighted, spread(diff, second)) * (-2.0 / scale)
             if g1 is not None:
                 g1[..., k] = weighted.sum(axis=-1) * (2.0 / scale)
             if g2 is not None:
@@ -330,10 +316,12 @@ def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.
     per-replica rectangles of ``pairs``. Each level is ``(family, variance,
     lengthscales)`` as :func:`gram` takes them, and ``shared_params=None``
     leaves the shared level out (the flat ablation). The replica level is
-    evaluated on the rectangles in one batch and written into zeros, one
-    slice each, and the shared level is added to that; value and gradients
-    equal the dense replica Gram times the ``(tag_a == tag_b)`` mask bit for
-    bit. Gradients flow into the ``Node`` arguments as in :func:`gram`."""
+    evaluated on the rectangles in one batch and written into a new zero
+    array, one slice each, as a node's value is never scratch, and the
+    shared level is added to that; the backward pass sums through the
+    scratch of ``pairs``. Value and gradients equal the dense replica Gram
+    times the ``(tag_a == tag_b)`` mask bit for bit. Gradients flow into the
+    ``Node`` arguments as in :func:`gram`."""
     live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
     points = ad.values((xa, xb))
     replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live, pairs)
@@ -341,7 +329,7 @@ def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.
     # column gradient first (the shared_grid fit is chaotic in the last bit,
     # and this order reproduces its recorded scores at seed 0)
     args = (*replica_params[1:], xb, xa)
-    value = pairs.spreader()(replica)
+    value = pairs.spread(replica, np.zeros(pairs.shape))
     if shared_params is not None:
         shared, shared_backward = _stationary_with_backward(*shared_params, *points, *live)
         value += shared

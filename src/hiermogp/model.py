@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .kernels import HierarchicalKernel, StationaryKernel, validate_replica_blocks
+from .kernels import RBF, HierarchicalKernel, StationaryKernel, validate_replica_blocks
 from .latent import InducingState, LatentPosterior
 
 FORMAT = "hiermogp-model-v1"
@@ -31,6 +31,8 @@ class ModelState:
         self.noise_variance = np.asarray(self.noise_variance, float)
         if not np.all((0.0 < self.noise_variance) & (self.noise_variance < np.inf)):
             raise ValueError("noise variances must be strictly positive and finite")
+        if self.latent_kernel.family != RBF:  # the bound and prediction need its psi statistics
+            raise ValueError(f"latent_kernel: family {self.latent_kernel.family!r}, expected {RBF!r}")
         if self.latent_kernel.input_dim != self.latent_posterior.latent_dim:
             raise ValueError("latent kernel dimension disagrees with the posterior")
         if self.inducing.z_latent.shape[1] != self.latent_posterior.latent_dim:

@@ -27,13 +27,14 @@ so the data/inducing Gram has one row per distinct point however many
 outputs observe it. The points are stacked replica by replica, as the
 inducing inputs are, so the replica level of that Gram and of the inducing
 Gram is one rectangle per replica (``kernels.ReplicaPairs``), laid out once
-from both sets' offsets. The noise in the template state is one variance
-per output or one tied across outputs; the bound has no other notion of a
-data regime."""
+from both sets' offsets. ``read_data`` makes every array a step
+overwrites with that layout. The noise in the template state is one
+variance per output or one tied across outputs; the bound has no other
+notion of a data regime."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,13 +68,12 @@ class BoundData:
     and ``kuu_pairs`` give the per-replica row and column ranges of the
     data/inducing Gram and of the inducing Gram, for the template's blocks.
 
-    The arrays are read-only, but a ``BoundData`` is per-fit scratch too: it
-    keeps the bins of :meth:`sum_to_points`, the data fit's per-point
-    cotangents (:meth:`point_buffer`) and, in its two ``ReplicaPairs``, the
-    spreader buffers of the replica level's backward pass, each built on
-    first use and overwritten by every step. So two steps may run on one
-    ``BoundData`` one after the other, never at once: do not share one
-    between threads."""
+    :func:`read_data` also makes the step's scratch with this layout: the
+    bins of :meth:`sum_to_points` and ``per_point``, which the data fit's
+    backward pass fills, both for rows m_h + 2 wide, and the two
+    ``ReplicaPairs``' arrays. Every step overwrites them, so two steps may
+    run on one ``BoundData`` one after the other, never at once: do not
+    share one between threads."""
 
     points: np.ndarray  # (N_u, v)
     tags: np.ndarray  # (N_u,)
@@ -83,32 +83,20 @@ class BoundData:
     yy: np.ndarray  # (D,) y_d^T y_d
     kfu_pairs: ReplicaPairs  # points x inducing inputs
     kuu_pairs: ReplicaPairs  # inducing inputs x inducing inputs
-    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    bins: np.ndarray  # (D * n_max * c,) the bin of each per-point value, c = m_h + 2
+    per_point: np.ndarray  # (D, n_max, c) scratch
 
     def __post_init__(self):
-        for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy):
+        for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy, self.bins):
             array.flags.writeable = False
 
     def sum_to_points(self, values: np.ndarray) -> np.ndarray:
         """(N_u, c): the (D, n_max, c) ``values`` summed onto the points the
         index names, with the padding's sum dropped, in one ``bincount``. Bin
         ``point * c + column`` adds its terms in flat order, as a per-column
-        sum would. The bins are built once per ``c``: a fresh array of that
-        size every step costs more than the sum it serves."""
+        sum would."""
         n, c = self.points.shape[0], values.shape[-1]
-        if c not in self._bins:
-            self._bins[c] = (self.index.ravel()[:, None] * c + np.arange(c)).ravel()
-        return np.bincount(self._bins[c], values.ravel(), minlength=(n + 1) * c).reshape(n + 1, c)[:n]
-
-    def point_buffer(self, c: int) -> np.ndarray:
-        """A (D, n_max, c) array for the per-point values that
-        :meth:`sum_to_points` reads, one per ``c``, allocated on first use
-        and returned again by every later call: the data fit's backward pass
-        fills it every step. Its content lasts until the next fill."""
-        if c not in self._buffers:
-            self._buffers[c] = np.empty((*self.index.shape, c))
-        return self._buffers[c]
+        return np.bincount(self.bins, values.ravel(), minlength=(n + 1) * c).reshape(n + 1, c)[:n]
 
 
 def read_data(template: ModelState, x, y) -> BoundData:
@@ -140,6 +128,7 @@ def read_data(template: ModelState, x, y) -> BoundData:
     points, tags = distinct[:, 1:].copy(), distinct[:, 0].astype(int)
     starts = np.searchsorted(tags, np.arange(n_replicas + 1)).tolist()
     _, z_starts = stack_blocks(template.inducing.z_input)
+    c = template.inducing.m_h + 2  # a point's two trace cotangents, then its row of U
     return BoundData(
         points,
         tags,
@@ -149,6 +138,8 @@ def read_data(template: ModelState, x, y) -> BoundData:
         (targets**2).sum(axis=1),
         kfu_pairs=replica_pairs(starts, z_starts),
         kuu_pairs=replica_pairs(z_starts, z_starts),
+        bins=(index.ravel()[:, None] * c + np.arange(c)).ravel(),
+        per_point=np.empty((*index.shape, c)),
     )
 
 
@@ -208,7 +199,7 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
         d_th_a, d_th_g = half * tr_a, -half * tr_g
         # each point collects the cotangents of the outputs indexing it: of
         # each output's two traces, then of its rows of U
-        per_point = data.point_buffer(u_d.shape[2] + 2)
+        per_point = data.per_point
         per_point[..., 0] = (half * th_a)[:, None]
         per_point[..., 1] = (-half * th_g)[:, None]
         np.add(
@@ -258,8 +249,6 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
 def build_graph(theta: np.ndarray, layout: ParamLayout, template: ModelState, data: BoundData):
     """Assemble the bound; returns the graph pieces and the one leaf, the
     parameter vector, in a list."""
-    if template.latent_kernel.family != RBF:
-        raise ValueError("training requires an RBF kernel over latent coordinates")
     theta_leaf = ad.Node(np.asarray(theta, float))
     p = layout.constrain(theta_leaf)
     hk = template.hier_kernel

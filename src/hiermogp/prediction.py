@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import RBF, hier_block_cov, hier_cross_cov, latent_cov, stack_blocks
+from .kernels import hier_block_cov, hier_cross_cov, latent_cov, stack_blocks
 from .kron import cholesky_jitter, tril_inverse
 from .latent import psi_stats
 from .model import ModelState
@@ -99,8 +99,6 @@ def _posterior(state: ModelState) -> _Posterior:
     post = _POSTERIORS.get(state)
     if post is None:
         kernel, latents, ind = state.latent_kernel, state.latent_posterior, state.inducing
-        if kernel.family != RBF:
-            raise ValueError(f"prediction needs an {RBF!r} latent kernel, got {kernel.family!r}")
         kuu_x = hier_block_cov(state.hier_kernel, ind.z_input, ind.z_input)
         kuu_h = latent_cov(kernel, ind.z_latent, ind.z_latent)
         inv_x = tril_inverse(cholesky_jitter(kuu_x)[0])

@@ -301,7 +301,7 @@ def test_data_fit_node_matches_finite_differences(tied_noise):
     x[3] = [np.zeros((0, state.input_dim)) for _ in range(state.n_replicas)]
     y[3] = np.zeros(0)
     data = read_data(state, x, y)
-    n_points, m_x, m_h = data.points.shape[0], 4, 3
+    n_points, m_x, m_h = data.points.shape[0], 4, state.inducing.m_h
 
     def spd(n):
         lower = random_chol(rng, n)
@@ -688,8 +688,8 @@ def test_bound_and_gradient_factor_each_inducing_gram_once(monkeypatch):
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_steps_on_one_bound_data_equal_steps_on_fresh_bound_data(flat):
-    # a BoundData keeps the data fit's per-point buffer and its replica
-    # pairs' spreader buffers across steps; at another theta in between,
+    # a BoundData keeps the data fit's per-point array and its replica
+    # pairs' blocks and sums across steps; at another theta in between,
     # each step is bitwise what a freshly read BoundData gives
     rng = np.random.default_rng(21)
     state = random_state(rng, n_outputs=3, n_replicas=2, flat=flat)
@@ -703,6 +703,11 @@ def test_steps_on_one_bound_data_equal_steps_on_fresh_bound_data(flat):
         assert b_r == b_f and j_r == j_f and np.array_equal(g_r, g_f)
 
 
+def _scratch(data):
+    """The arrays of a BoundData that every step overwrites."""
+    return [data.per_point, data.bins, *(a for p in (data.kfu_pairs, data.kuu_pairs) for a in (p.block, *p.sums))]
+
+
 def test_two_read_data_calls_share_no_buffer():
     rng = np.random.default_rng(22)
     state = random_state(rng, n_outputs=3, n_replicas=2)
@@ -712,12 +717,36 @@ def test_two_read_data_calls_share_no_buffer():
     for bound_data in datasets:
         objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
 
-    def buffers(d):
-        return [*d._buffers.values(), *d.kfu_pairs._buffers, *d.kuu_pairs._buffers]
-
-    first, second = map(buffers, datasets)
-    assert len(first) == len(second) == 5  # the per-point buffer and two per replica pairs
+    first, second = map(_scratch, datasets)
+    assert len(first) == len(second) == 8  # the per-point array, its bins, and per replica pairs a block and two sums
     assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_read_data_makes_the_scratch_every_step_reuses(flat):
+    # steps at two parameter vectors write into the arrays read_data made,
+    # never replace them, and leave zero where the backward pass relies on
+    # zeros: the padding of each block and the sums outside the rectangles
+    rng = np.random.default_rng(23)
+    state = random_state(rng, n_outputs=3, n_replicas=3, flat=flat)
+    x, y = random_per_output_data(rng, state, n_per_replica=4, ragged=True)
+    layout = ParamLayout(state)
+    theta = layout.pack(state)
+    data = read_data(state, x, y)
+    made = _scratch(data)
+    assert data.per_point.shape == (*data.index.shape, state.inducing.m_h + 2)
+    padded = 0
+    for t in (theta, theta + 0.05 * rng.standard_normal(theta.shape)):
+        objective.evaluate_with_grad(t, layout, state, data)
+        assert all(a is b for a, b in zip(_scratch(data), made))
+        for p in (data.kfu_pairs, data.kuu_pairs):
+            padding, outside = np.ones(p.block.shape, bool), np.ones(p.shape, bool)
+            for in_gram, in_block in p.rectangles:
+                padding[in_block] = outside[in_gram] = False
+            assert not p.block[padding].any()
+            assert not any(s[outside].any() for s in p.sums)
+            padded += padding.sum()
+    assert padded  # the ragged data leave some blocks padded
 
 
 def test_read_data_stacks_the_points_replica_by_replica():
@@ -752,7 +781,7 @@ def test_read_data_stacks_the_points_replica_by_replica():
         for pairs, tags in ((data.kfu_pairs, data.tags), (data.kuu_pairs, z_tags)):
             ones = np.ones(pairs.rows_a.shape + pairs.rows_b.shape[1:])
             mask = np.asarray(tags[:, None] == z_tags[None, :], float)
-            assert np.array_equal(pairs.spreader()(ones), mask), trial
+            assert np.array_equal(pairs.spread(ones, np.zeros(pairs.shape)), mask), trial
         assert len(data.kuu_pairs.rectangles) == n_replicas
         assert len(data.kfu_pairs.rectangles) == np.unique(data.tags).size < n_replicas
         z0, z1 = sum(sizes[:unseen]), sum(sizes[: unseen + 1])

@@ -386,10 +386,11 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
 @pytest.mark.parametrize("family", [RBF, MATERN32])
 @pytest.mark.parametrize("flat", [False, True])
 def test_hier_gram_backward_reuses_its_pair_buffers_bit_for_bit(family, flat):
-    # the replica level's backward sums run through two buffers kept on the
-    # ReplicaPairs: repeated passes on one node, at other cotangents in
-    # between, give what a node on fresh pairs gives, and the node's value
-    # (for the flat ablation, the spread replica level) is never a buffer
+    # the replica level's backward pass runs through the block and the two
+    # sums made with the ReplicaPairs: repeated passes on one node, at other
+    # cotangents in between, give what a node on fresh pairs gives, and the
+    # node's value (for the flat ablation, the spread replica level) is never
+    # scratch
     rng = np.random.default_rng(12)
     z, z_tags = rng.uniform(size=(5, 2)), np.array([0, 0, 0, 1, 1])
     x, x_tags = by_tag(rng.uniform(size=(6, 2)), np.array([1, 0, 1, 1, 0, 0]))
@@ -410,8 +411,8 @@ def test_hier_gram_backward_reuses_its_pair_buffers_bit_for_bit(family, flat):
         g1, g2 = rng.standard_normal((2, a_tags.size, 5))
         for g in (g1, g2, g1):
             assert same(reused.backward(g), node(a, a_tags)[0].backward(g))
-        assert len(pairs._buffers) == 2
+        assert len(pairs.sums) == 2
         assert np.array_equal(reused.value, value)
-        assert not any(np.shares_memory(reused.value, buffer) for buffer in pairs._buffers)
+        assert not any(np.shares_memory(reused.value, scratch) for scratch in (pairs.block, *pairs.sums))
         # a second node on the same pairs reads none of the first node's sums
         assert same(node(a, a_tags, pairs)[0].backward(g2), node(a, a_tags)[0].backward(g2))

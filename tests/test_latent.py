@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiermogp.elbo import elbo_per_output
 from hiermogp.kernels import MATERN32, RBF, StationaryKernel, latent_cov
 from hiermogp.latent import InducingState, LatentPosterior, kl_inducing, kl_latent, psi_stats
 from hiermogp.model import ModelState
 
-from .helpers import check, contract, random_per_output_data, random_state
+from .helpers import check, contract, random_state
 from .oracles import (
     kl_inducing_closed_form,
     kl_latent_closed_form,
@@ -39,17 +38,15 @@ def test_non_rbf_kernel_rejected():
     # the closed-form psi statistics, hence the bound, exist for RBF only
     rng = np.random.default_rng(0)
     state = random_state(rng)
-    x, y = random_per_output_data(rng, state)
     spec = StationaryKernel(MATERN32, 1.0, np.ones(state.latent_dim))
-    matern = ModelState(
-        hier_kernel=state.hier_kernel,
-        latent_kernel=spec,
-        latent_posterior=state.latent_posterior,
-        inducing=state.inducing,
-        noise_variance=state.noise_variance,
-    )
-    with pytest.raises(ValueError, match="RBF"):
-        elbo_per_output(matern, x, y)
+    with pytest.raises(ValueError, match="latent_kernel: family 'matern32', expected 'rbf'"):
+        ModelState(
+            hier_kernel=state.hier_kernel,
+            latent_kernel=spec,
+            latent_posterior=state.latent_posterior,
+            inducing=state.inducing,
+            noise_variance=state.noise_variance,
+        )
     # the Monte Carlo oracle accepts any family
     post = LatentPosterior(means=np.zeros((1, 1)), variances=np.ones((1, 1)))
     psi_stats_mc(post, StationaryKernel(MATERN32, 1.0, [1.0]), np.zeros((1, 1)), samples=10, seed=0)

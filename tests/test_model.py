@@ -1,5 +1,6 @@
 """The model file: ``ModelState.to_dict`` and ``state_from_dict``."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -144,3 +145,11 @@ def test_state_from_dict_rewrites_the_same_text(tmp_path, flat, per_output_noise
     assert [b.shape[0] for b in again.inducing.z_input] == [1, 2, 3]
     assert again.is_flat == flat
     assert again.noise_variance.shape == state.noise_variance.shape
+
+
+def test_a_latent_kernel_other_than_rbf_is_rejected():
+    # the bound and prediction need the psi statistics of an RBF latent kernel
+    state = small_state()
+    matern = StationaryKernel(MATERN32, 1.5, [1.0])
+    with pytest.raises(ValueError, match="^latent_kernel: family 'matern32', expected 'rbf'$"):
+        dataclasses.replace(state, latent_kernel=matern)
