@@ -3,12 +3,16 @@
 
 For each shape of the benchmark (``perfbench/workloads.WORKLOADS``, read
 only) and each seed, generates and splits the workload's data as the
-benchmark does and prints one line with two SHA-256 digests:
+benchmark does and prints one line with three SHA-256 digests:
 
 - ``fit``: the bound trace of ``training.fit`` with the workload's model
   and optimiser settings, and the returned state's flat parameter vector;
 - ``step``: at the initial state, the bound breakdown, the gradient and
-  the jitters of one ``objective.evaluate_with_grad``.
+  the jitters of one ``objective.evaluate_with_grad``;
+- ``predict``: from the fitted state, the predictive mean and variance of
+  every held-out block, predicted as the benchmark predicts it
+  (``predict_missing_replica`` when whole replicas are held out,
+  ``predict_marginal`` with the block's replica tag otherwise).
 
 Run it on two checkouts and diff the output: any difference in the last
 bit of any of these numbers changes a digest.
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hiermogp import objective, training
+from hiermogp import objective, prediction, training
 from hiermogp.params import ParamLayout
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -48,7 +52,13 @@ def digest(*arrays) -> str:
     return sha.hexdigest()
 
 
-def fingerprint(workload, seed: int) -> tuple[str, str]:
+def predict_block(prepared, state, d: int, r: int, block):
+    if prepared.workload.holdout == "missing_replica":
+        return prediction.predict_missing_replica(state, d, r, block.inputs)
+    return prediction.predict_marginal(state, block.inputs, np.full(block.n_points, r, dtype=int), d)
+
+
+def fingerprint(workload, seed: int) -> tuple[str, str, str]:
     prepared = workloads.prepare(workload, seed)
     model = training.ModelConfig(
         latent_dim=2,
@@ -70,7 +80,9 @@ def fingerprint(workload, seed: int) -> tuple[str, str]:
 
     result = training.fit(prepared.train, model, optimizer)
     fit = digest(result.trace, layout.pack(result.state))
-    return fit, step
+    moments = [predict_block(prepared, result.state, d, r, block) for d, r, block in prepared.test_blocks()]
+    predict = digest(*[array for m in moments for array in (m.mean, m.variance)])
+    return fit, step, predict
 
 
 def main() -> int:
@@ -80,8 +92,8 @@ def main() -> int:
     args = parser.parse_args()
     for name in args.shapes.split(","):
         for seed in args.seeds:
-            fit, step = fingerprint(workloads.WORKLOADS[name], seed)
-            print(f"{name:<12s} seed {seed:<3d} fit {fit}  step {step}", flush=True)
+            fit, step, predict = fingerprint(workloads.WORKLOADS[name], seed)
+            print(f"{name:<12s} seed {seed:<3d} fit {fit}  step {step}  predict {predict}", flush=True)
     return 0
 
 

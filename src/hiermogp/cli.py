@@ -114,11 +114,10 @@ def _config_fields(config_class, set_elsewhere) -> dict:
     return {f.name: type(f.default) for f in fields if f.name not in set_elsewhere}
 
 
-# ``flat`` comes from the ablation, ``seed`` from the run seed and
-# ``trainable`` is the library's (every span is trained)
+# ``flat`` comes from the ablation and ``seed`` from the run seed
 _MODEL_FIELDS = _config_fields(ModelConfig, ("flat",))
 _SYNTHETIC_SCALARS = _config_fields(SyntheticConfig, _SYNTHETIC_KERNELS)  # the kernels are sections
-_OPTIMIZER_FIELDS = _config_fields(OptimizerConfig, ("seed", "trainable"))
+_OPTIMIZER_FIELDS = _config_fields(OptimizerConfig, ("seed",))
 _SPLIT_FIELDS = {"mode": str, "fraction": float, "missing": object}  # SplitPlan checks ``missing``
 
 

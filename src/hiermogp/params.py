@@ -155,16 +155,6 @@ class ParamLayout:
             theta[s.start : s.stop] = np.reshape(arrays[s.name], -1)
         return theta
 
-    def mask_for(self, names) -> np.ndarray:
-        """0/1 mask selecting the spans of the given names."""
-        mask = np.zeros(self.size)
-        for name in names:
-            if name not in self._by_name:
-                raise KeyError(f"no parameter span named {name!r}")
-            s = self._by_name[name]
-            mask[s.start : s.stop] = 1.0
-        return mask
-
     # -- state <-> vector ---------------------------------------------------
 
     def pack(self, state: ModelState) -> np.ndarray:

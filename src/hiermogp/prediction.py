@@ -132,24 +132,20 @@ def _latent_moments(inv_h, smooth_h, psi1: np.ndarray, psi2: np.ndarray) -> _Lat
     )
 
 
-def _input_terms(post: _Posterior, hier_kernel, xstar: np.ndarray, replica_tags):
-    """Per-block operators: ``cross Kx^-1 M Kh^-1``, ``Lx^-1 cross^T`` and its smoothing root."""
-    cross = hier_cross_cov(hier_kernel, xstar, replica_tags, post.z_input, post.z_starts)
-    half = post.inv_x @ cross.T
-    return cross @ post.w, half, post.smooth_x @ half
-
-
 def _point_terms(post: _Posterior, hier_kernel, xstar, replica_tags):
     """What tagged points contribute whatever the output: ``base`` (n, m_h)
     and, per point, ``|half|^2`` and ``|smooth|^2``, the input-side factors
-    of the latent moments' ``nystrom`` and ``smoothed``. Computed on the first
-    call with these exact points and tags, then read from ``post.memo``, so
-    never written to."""
+    of the latent moments' ``nystrom`` and ``smoothed``, where ``base`` is
+    ``cross Kx^-1 M Kh^-1``, ``half`` is ``Lx^-1 cross^T`` and ``smooth``
+    its smoothing root. Computed on the first call with these exact points
+    and tags, then read from ``post.memo``, so never written to."""
     points, tags = np.asarray(xstar, float), np.asarray(replica_tags, int)
     key = (points.shape, points.tobytes(), tags.shape, tags.tobytes())
     terms = post.memo.get(key)
     if terms is None:
-        base, half, smooth = _input_terms(post, hier_kernel, points, tags)
+        cross = hier_cross_cov(hier_kernel, points, tags, post.z_input, post.z_starts)
+        half = post.inv_x @ cross.T
+        base, smooth = cross @ post.w, post.smooth_x @ half
         half *= half
         smooth *= smooth
         terms = base, half.sum(axis=0), smooth.sum(axis=0)
@@ -191,14 +187,14 @@ def predict_conditional(
     latent_point: np.ndarray,
     output: int | None = None,
     include_noise: bool = False,
-    full_cov: bool = False,
-):
-    """Exact predictive moments for one output at a fixed latent coordinate.
+) -> PredictiveMoments:
+    """Exact predictive mean and marginal variances for one output at a
+    fixed latent coordinate. Averaged over draws from an output's latent
+    posterior, these give the mixture moments of :func:`predict_marginal`.
 
     ``xstar`` rows carry replica tags that route the replica-level kernel;
     ``output`` selects the noise variance, which ``include_noise`` needs when
-    it is per output. With ``full_cov`` the full covariance matrix is
-    returned in place of the marginal variances.
+    it is per output.
     """
     if output is not None and not 0 <= output < state.n_outputs:
         raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
@@ -210,22 +206,8 @@ def predict_conditional(
     row = latent_cov(state.latent_kernel, latent_point, state.inducing.z_latent)  # psi1 of a point mass
     moments = _latent_moments(post.inv_h, post.smooth_h, row, row[:, :, None] * row[:, None, :])
     noise = state.noise_for(output) if include_noise else 0.0
-    if not full_cov:
-        mean, variance = _block_moments(post, state.hier_kernel, xstar, replica_tags, moments, 0)
-        return PredictiveMoments(mean=mean, variance=variance + noise)
-    base, half, smooth = _input_terms(post, state.hier_kernel, xstar, replica_tags)
-    # prior covariance of the tagged points; the columns come grouped by
-    # replica, and column rank[i] is point i
-    tags = np.asarray(replica_tags, int)
-    blocks = [xstar[tags == r] for r in range(state.n_replicas)]
-    rank = np.argsort(np.argsort(tags, kind="stable"))
-    kxx = hier_cross_cov(state.hier_kernel, xstar, tags, *stack_blocks(blocks))[:, rank]
-    cov = (
-        state.latent_kernel.variance * kxx
-        - moments.nystrom[0] * (half.T @ half)
-        + moments.smoothed[0] * (smooth.T @ smooth)
-    )
-    return PredictiveMoments(mean=base @ row[0], variance=cov + noise * np.eye(cov.shape[0]))
+    mean, variance = _block_moments(post, state.hier_kernel, xstar, replica_tags, moments, 0)
+    return PredictiveMoments(mean=mean, variance=variance + noise)
 
 
 def predict_marginal(

@@ -57,7 +57,6 @@ class OptimizerConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    trainable: list = None  # span names; None trains everything
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:
@@ -130,28 +129,21 @@ def _strided_inducing_inputs(dataset: HierarchicalDataset, m_per_replica: int, r
     return blocks
 
 
-def initialize_state(
-    dataset: HierarchicalDataset,
-    config: ModelConfig,
-    seed: int,
-    init_strategy: str = "auto",
-) -> ModelState:
-    """Conventional starting point; every choice here lands in the manifest.
+def initialize_state(dataset: HierarchicalDataset, config: ModelConfig, seed: int) -> ModelState:
+    """Conventional starting point, which follows from the data, the model
+    config and the seed alone.
 
-    Latent means come from PCA of the targets when outputs share a grid and
-    from small Gaussian noise otherwise; inducing inputs stride the observed
-    inputs; the inducing posterior starts at a damped copy of its prior.
+    Latent means come from PCA of the targets when every output shares one
+    grid, and are 0.1-scale Gaussian draws otherwise; inducing inputs stride
+    the observed inputs; the inducing posterior starts at a damped copy of
+    its prior.
     """
-    if init_strategy not in ("auto", "pca", "random"):
-        raise ValueError(f"unknown init_strategy {init_strategy!r}")
     rng = np.random.default_rng(seed)
     d = dataset.n_outputs
     v = dataset.input_dim
     q = config.latent_dim
 
-    summary = None if init_strategy == "random" else _signal_summary(dataset)
-    if init_strategy == "pca" and summary is None:
-        raise ValueError("pca initialisation needs comparable input grids across outputs")
+    summary = _signal_summary(dataset)
     latent_means = (
         _pca_latent_init(summary, q, rng) if summary is not None else 0.1 * rng.standard_normal((d, q))
     )
@@ -232,10 +224,9 @@ def fit(
     dataset: HierarchicalDataset,
     model_config: ModelConfig,
     optimizer_config: OptimizerConfig,
-    init_strategy: str = "auto",
-    initial_state: ModelState | None = None,
 ) -> FitResult:
-    """Maximise the bound for a fixed number of Adam iterations.
+    """Maximise the bound for a fixed number of Adam iterations, from
+    :func:`initialize_state` at the optimiser's seed, over every parameter.
 
     Returns the best state encountered together with the full bound trace
     (one entry per evaluated iterate, including the final one). A plateau in
@@ -243,15 +234,9 @@ def fit(
     the best state so far (``None`` before the first finite bound) and the
     trace so far in its ``diagnostics``, under ``best_state`` and ``trace``.
     """
-    template = initial_state or initialize_state(
-        dataset, model_config, optimizer_config.seed, init_strategy
-    )
+    template = initialize_state(dataset, model_config, optimizer_config.seed)
     layout = ParamLayout(template)
     data = objective.read_data(template, *dataset.training_arrays())
-
-    mask = None
-    if optimizer_config.trainable is not None:
-        mask = layout.mask_for(optimizer_config.trainable)
 
     theta = layout.pack(template)
     moments = (np.zeros_like(theta), np.zeros_like(theta))
@@ -282,8 +267,6 @@ def fit(
             last_improvement = t
         elif t - last_improvement == _PLATEAU_WINDOW:
             log.info("bound has not improved for %d iterations (iteration %d)", _PLATEAU_WINDOW, t)
-        if mask is not None:
-            grad = grad * mask
         theta, moments = adam_step(theta, grad, moments, optimizer_config, t)
     final, _ = objective.evaluate(theta, layout, template, data)
     trace[-1] = final.total

@@ -92,7 +92,7 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
 def test_config_accepts_every_model_and_optimizer_field(tmp_path, capsys):
     # every field of the model, optimizer and synthetic-dataset config
     # dataclasses but those the CLI sets itself (flat from the ablation, seed
-    # from the run seed, trainable) and the dataset's kernels (sections of
+    # from the run seed) and the dataset's kernels (sections of
     # their own) is read from YAML with the type of its default
     other = {MATERN32: RBF, RBF: MATERN32, "per_output": "shared"}
     config = base_config(tmp_path / "run")
@@ -105,7 +105,7 @@ def test_config_accepts_every_model_and_optimizer_field(tmp_path, capsys):
         parent[section] = {}
         for field in dataclasses.fields(config_class):
             default = field.default
-            if field.name in ("flat", "seed", "trainable") or default is None:
+            if field.name in ("flat", "seed") or field.name in cli._SYNTHETIC_KERNELS:
                 continue
             if isinstance(default, str):
                 parent[section][field.name] = other[default]

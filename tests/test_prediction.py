@@ -237,20 +237,6 @@ def test_mixed_tag_block_predicts_as_its_per_tag_blocks(flat):
             assert np.allclose(mixed.variance[rows], apart.variance, rtol=1e-9, atol=0.0)
 
 
-def test_full_covariance_diagonal_matches_marginal_variances():
-    rng = np.random.default_rng(44)
-    state = random_state(rng, n_outputs=2)
-    xstar = rng.uniform(size=(5, 1))
-    tags = rng.integers(0, state.n_replicas, size=5)
-    h = state.latent_posterior.means[1]
-    for include_noise in (False, True):
-        marginal = predict_conditional(state, xstar, tags, h, output=1, include_noise=include_noise)
-        full = predict_conditional(state, xstar, tags, h, output=1, include_noise=include_noise, full_cov=True)
-        assert np.allclose(full.mean, marginal.mean, rtol=1e-12, atol=0.0)
-        assert np.allclose(np.diag(full.variance), marginal.variance, rtol=1e-10, atol=1e-12)
-        assert np.allclose(full.variance, full.variance.T, rtol=0.0, atol=1e-12)
-
-
 def count_calls(monkeypatch, name):
     calls = []
     original = getattr(prediction, name)
@@ -277,7 +263,7 @@ def test_each_state_factors_and_computes_its_moments_once(monkeypatch):
     # the latent Gram and every output's psi statistics, each in one call
     assert (len(factored), len(latent_rows), len(psi)) == (2, 1, 1)
     # a latent point's kernel row, then nothing more is computed for the state
-    predict_conditional(state, xstar, [0] * 4, state.latent_posterior.means[0], full_cov=True)
+    predict_conditional(state, xstar, [0] * 4, state.latent_posterior.means[0])
     assert (len(factored), len(latent_rows), len(psi)) == (2, 2, 1)
 
     # an equal state that is a different object is factored again

@@ -37,5 +37,5 @@ def test_fit_digest_prints_one_repeatable_line_per_shape():
     for done in runs:
         assert done.returncode == 0, done.stderr[-2000:]
     lines = runs[0].stdout.strip().splitlines()
-    assert len(lines) == 1 and re.fullmatch(r"tiny +seed 0 +fit [0-9a-f]{64}  step [0-9a-f]{64}", lines[0]), lines
+    assert len(lines) == 1 and re.fullmatch(r"tiny +seed 0 +fit [0-9a-f]{64}  step [0-9a-f]{64}  predict [0-9a-f]{64}", lines[0]), lines
     assert runs[1].stdout == runs[0].stdout

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hiermogp import autodiff as ad
-from hiermogp.data import SyntheticConfig, generate_synthetic
+from hiermogp.data import SyntheticConfig, generate_synthetic, load_csv, save_csv
 from hiermogp.latent import InducingState, kl_latent
 from hiermogp.objective import read_data
 from hiermogp.params import ParamLayout
+from hiermogp.prediction import predict_marginal
 from hiermogp.training import (
     FitError,
     ModelConfig,
@@ -95,12 +96,11 @@ def test_span_lookup_and_mask():
     state = random_state(rng)
     layout = ParamLayout(state)
     assert layout.span_of_index(0) == layout.spans[0].name
-    mask = layout.mask_for(["log_noise_variance"])
     span = layout.span("log_noise_variance")
-    assert mask.sum() == span.size
-    assert np.all(mask[span.start : span.stop] == 1.0)
+    assert span.size == state.n_outputs
+    assert layout.span_of_index(span.start) == layout.span_of_index(span.stop - 1) == span.name
     with pytest.raises(KeyError):
-        layout.mask_for(["no_such_span"])
+        layout.span("no_such_span")
 
 
 def test_inducing_inputs_are_one_span_at_twelve_replicas():
@@ -138,10 +138,10 @@ def test_inducing_inputs_are_one_span_at_twelve_replicas():
     unpacked = layout.unpack(random_theta, state)
     assert np.array_equal(np.concatenate(unpacked.inducing.z_input).ravel(), random_theta[span.start : span.stop])
 
-    assert layout.mask_for(["inducing_inputs"]).sum() == m_x * 2
+    assert layout.span("inducing_inputs").size == m_x * 2
     for name in ("inducing_inputs_1", "inducing_inputs_0", "inducing", "log_noise_varianc"):
         with pytest.raises(KeyError):
-            layout.mask_for([name])
+            layout.span(name)
 
 
 def test_gradient_zero_at_latent_prior():
@@ -274,46 +274,84 @@ def test_fit_best_state_attains_trace_max():
     assert np.isclose(value, result.trace.max(), rtol=1e-9)
 
 
-def test_noise_only_fit_recovers_residual_variance():
+def test_noise_gradient_vanishes_at_the_residual_mean_square():
     # shrink every kernel amplitude so the model explains nothing: the
-    # targets are then pure residuals and the noise MLE is their mean square
+    # targets are then pure residuals, and the bound's gradient in a log
+    # noise variance s is -n/2 + sum(y^2)/(2 s) over the n points it covers,
+    # zero where s is their mean square and -n/4 at twice that; tied noise
+    # sums the per-output gradients
     from hiermogp.kernels import HierarchicalKernel, StationaryKernel
     from hiermogp.model import ModelState
 
     dataset = tiny_dataset(seed=7, n_outputs=2, points=8)
-    model_config = ModelConfig(inducing_per_replica=2, inducing_latent=2)
-    base = initialize_state(dataset, model_config, seed=0)
-    tiny = lambda k: StationaryKernel(k.family, 1e-8, k.lengthscales)
-    state = ModelState(
-        hier_kernel=HierarchicalKernel(
-            shared=tiny(base.hier_kernel.shared), replica=tiny(base.hier_kernel.replica)
-        ),
-        latent_kernel=tiny(base.latent_kernel),
-        latent_posterior=base.latent_posterior,
-        inducing=base.inducing,
-        noise_variance=base.noise_variance,
-    )
-    state.inducing.cov_input_chol *= 1e-4
-    state.inducing.cov_latent_chol *= 1e-4
-    opt = OptimizerConfig(
-        iterations=2500, learning_rate=0.05, seed=2, trainable=["log_noise_variance"]
-    )
-    result = fit(dataset, model_config, opt, initial_state=state)
     x, y = dataset.training_arrays()
-    for d in range(dataset.n_outputs):
-        residual_ms = float(np.mean(np.asarray(y[d]) ** 2))
-        assert np.isclose(result.state.noise_variance[d], residual_ms, rtol=0.01)
+    sum_sq = np.array([np.sum(t**2) for t in y])
+    n = np.array([t.size for t in y], dtype=float)
+    tiny = lambda k: StationaryKernel(k.family, 1e-8, k.lengthscales)
+    for regime, mean_sq, n_covered in (
+        ("per_output", sum_sq / n, n),
+        ("shared", sum_sq.sum() / n.sum(), n.sum()),
+    ):
+        base = initialize_state(dataset, ModelConfig(inducing_per_replica=2, inducing_latent=2, regime=regime), seed=0)
+        base.inducing.cov_input_chol *= 1e-4
+        base.inducing.cov_latent_chol *= 1e-4
+        for scale, want, tol in ((1.0, 0.0, 1e-9 * n_covered), (2.0, -n_covered / 4, 1e-9)):
+            state = ModelState(
+                hier_kernel=HierarchicalKernel(
+                    shared=tiny(base.hier_kernel.shared), replica=tiny(base.hier_kernel.replica)
+                ),
+                latent_kernel=tiny(base.latent_kernel),
+                latent_posterior=base.latent_posterior,
+                inducing=base.inducing,
+                noise_variance=np.asarray(scale * mean_sq),
+            )
+            layout = ParamLayout(state)
+            _, grad, _ = grad_elbo(layout.pack(state), layout, state, read_data(state, x, y))
+            span = layout.span("log_noise_variance")
+            assert np.all(np.abs(grad[span.start : span.stop] - want) <= tol), (regime, scale)
 
 
 def test_noise_only_best_sequence_is_monotone():
     # the sequence of accepted (best so far) bound values never decreases
     dataset = tiny_dataset(seed=8)
     model_config = ModelConfig(inducing_per_replica=2, inducing_latent=2)
-    opt = OptimizerConfig(iterations=300, learning_rate=0.05, seed=0, trainable=["log_noise_variance"])
+    opt = OptimizerConfig(iterations=300, learning_rate=0.05, seed=0)
     result = fit(dataset, model_config, opt)
     best_sequence = np.maximum.accumulate(result.trace)
     assert np.all(np.diff(best_sequence) >= -1e-9)
     assert np.isclose(best_sequence[-1], result.trace[result.best_index])
+
+
+def test_an_output_without_rows_keeps_its_initial_noise(tmp_path):
+    # a table with rows for outputs 0 and 2 only: output 1 is still fitted
+    # (its latent coordinate and noise are parameters), but no datum reaches
+    # its noise, whose gradient is zero, so Adam never moves it; it is still
+    # predicted, from the other outputs through its latent coordinate
+    full = tmp_path / "full.csv"
+    save_csv(tiny_dataset(seed=13), full)
+    lines = full.read_text().splitlines()
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("\n".join(line for line in lines if not line.startswith("1,")) + "\n")
+    dataset = load_csv(gapped)
+    assert dataset.n_outputs == 3 and dataset.per_output_targets(1).size == 0
+
+    model_config = ModelConfig(inducing_per_replica=2, inducing_latent=2)
+    initial = initialize_state(dataset, model_config, seed=0)
+    layout = ParamLayout(initial)
+    theta = layout.pack(initial)
+    _, grad, _ = grad_elbo(theta, layout, initial, read_data(initial, *dataset.training_arrays()))
+    noise = layout.span("log_noise_variance")
+    assert grad[noise.start + 1] == 0.0 and np.all(grad[[noise.start, noise.start + 2]] != 0.0)
+
+    result = fit(dataset, model_config, OptimizerConfig(iterations=50, seed=0))
+    assert np.all(np.isfinite(result.trace))
+    assert result.state.noise_variance[1] == layout.unpack(theta, initial).noise_variance[1]
+    assert result.state.noise_variance[0] != initial.noise_variance[0]
+    xstar = np.linspace(0.0, 1.0, 5)[:, None]
+    for r in range(dataset.n_replicas):
+        moments = predict_marginal(result.state, xstar, np.full(5, r), 1)
+        assert np.all(np.isfinite(moments.mean)) and np.all(np.isfinite(moments.variance))
+        assert np.all(moments.variance > 0.0)
 
 
 def test_fit_shared_regime_ties_the_noise_on_per_output_inputs():
@@ -360,8 +398,6 @@ def test_initialize_state_random_fallback_on_ragged_grids():
     assert not dataset.has_common_inputs()
     state = initialize_state(dataset, ModelConfig(inducing_per_replica=2), seed=0)
     assert state.latent_posterior.means.std() < 0.5  # 0.1-scale draw
-    with pytest.raises(ValueError, match="comparable"):
-        initialize_state(dataset, ModelConfig(inducing_per_replica=2), seed=0, init_strategy="pca")
 
 
 def test_initialize_state_degenerate_pca_direction():
