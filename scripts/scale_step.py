@@ -15,7 +15,10 @@ line per shape: the median milliseconds per step over ``--steps`` steps,
 after one warm-up step; the user and system CPU milliseconds per step over
 those steps (``os.times``, this process only, counted in clock ticks of
 typically 10 ms), where system time shows the kernel mapping and trimming
-heap memory; the median microseconds per predicted block, over as many
+heap memory; the minor page faults per step over those steps
+(``resource.getrusage(RUSAGE_SELF).ru_minflt``, this process only), each a
+page of memory the step touched for the first time since the allocator gave
+it back; the median microseconds per predicted block, over as many
 ``prediction.predict_missing_replica`` calls at the initial state on one
 10-point block (output 0's inputs in replica 0, predicted as a missing
 replica), after the state's first prediction has factored and cached what
@@ -35,6 +38,7 @@ common grid, and D = 1000 with R = 3 on per-output inputs.
 
 import argparse
 import os
+import resource
 import statistics
 import time
 
@@ -84,15 +88,16 @@ def measure(n_outputs, n_replicas, m_r, m_h, share_inputs, steps, seed=0):
     nodes = len(autodiff._topological_order(objective.build_graph(theta, layout, template, bound_data)[0].total))
     objective.evaluate_with_grad(theta, layout, template, bound_data)  # warm-up
     times = []
-    cpu_start = os.times()
+    cpu_start, faults_start = os.times(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(steps):
         start = time.perf_counter()
         objective.evaluate_with_grad(theta, layout, template, bound_data)
         times.append(1e3 * (time.perf_counter() - start))
-    cpu_end = os.times()
+    cpu_end, faults_end = os.times(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     user, system = (1e3 * (b - a) / steps for a, b in zip(cpu_start[:2], cpu_end[:2]))
+    faults = (faults_end - faults_start) / steps
     block_us = predict_block_us(template, dataset.block(0, 0).inputs, steps)
-    return statistics.median(times), user, system, block_us, nodes
+    return statistics.median(times), user, system, faults, block_us, nodes
 
 
 def predict_block_us(state, grid, calls):
@@ -118,10 +123,12 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args()
     for n_outputs, n_replicas, m_r, m_h, share_inputs in SHAPES:
-        ms, user, system, (block_us, seen_us), nodes = measure(n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps)
+        ms, user, system, faults, (block_us, seen_us), nodes = measure(
+            n_outputs, n_replicas, m_r, m_h, share_inputs, args.steps
+        )
         inputs = "common grid" if share_inputs else "per output "
         print(f"D={n_outputs:<5d} R={n_replicas:<3d} m_r={m_r} m_h={m_h} {inputs}  {ms:8.2f} ms/step  "
-              f"user {user:7.2f}  sys {system:6.2f} ms/step  {block_us:7.1f} us/block  "
+              f"user {user:7.2f}  sys {system:6.2f} ms/step  {faults:8.1f} faults/step  {block_us:7.1f} us/block  "
               f"{seen_us:7.1f} us/block seen  {nodes:4d} tape nodes",
               flush=True)
     return 0

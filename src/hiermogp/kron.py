@@ -8,20 +8,47 @@ factors a Gram with the smallest diagonal jitter from a fixed ladder and
 returns the factor from the trial that succeeded, with the jitter the bound
 reports. ``spd_inverse`` builds the Gram's inverse and log-determinant from
 that factor as two nodes of the ``autodiff`` tape, and ``tril_inverse`` is
-the one numpy-only triangular inverse it and prediction share. The dense
-Kronecker helpers the tests check this structure with live in
-``tests/oracles.py``.
+the one numpy-only triangular inverse it and prediction share. Both the
+factorisation and the inverse call the LAPACK gufuncs that
+``np.linalg.cholesky`` and ``np.linalg.inv`` call, through ``_lapack``, with
+the same error handling and without those functions' Python wrappers, so
+the results are theirs bit for bit. The dense Kronecker helpers the tests
+check this structure with live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .autodiff import fused
 
 
 class IndefiniteMatrixError(np.linalg.LinAlgError):
     """Matrix stayed non positive definite after jitter escalation."""
+
+
+def _raise_linalg_error(err, flag):
+    raise np.linalg.LinAlgError("LAPACK found the matrix not positive definite or singular")
+
+
+@np.errstate(call=_raise_linalg_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack(gufunc, a: np.ndarray) -> np.ndarray:
+    """``gufunc(a)`` in double precision, raising ``LinAlgError`` where LAPACK
+    reports failure, as ``np.linalg`` runs the gufuncs of ``cholesky`` and
+    ``inv``: a failed factorisation or solve fills its result with NaN and
+    sets the invalid flag, and every other floating-point flag is ignored."""
+    return gufunc(a, signature="d->d")
+
+
+@functools.lru_cache(maxsize=32)
+def _lower_mask(n: int) -> np.ndarray:
+    """The (n, n) mask of the lower triangle, the one ``np.tril`` builds."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarray, float]:
@@ -33,7 +60,7 @@ def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarra
     if a.shape[0] != a.shape[1]:
         raise ValueError("cholesky_jitter requires a square matrix")
     try:
-        return np.linalg.cholesky(a), 0.0
+        return _lapack(_umath_linalg.cholesky_lo, a), 0.0
     except np.linalg.LinAlgError:
         pass
     scale = float(np.mean(np.diag(a))) if a.size else 1.0
@@ -43,7 +70,7 @@ def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarra
     for k in range(7):
         jitter = base_jitter * scale * 10.0**k
         try:
-            return np.linalg.cholesky(a + jitter * eye), jitter
+            return _lapack(_umath_linalg.cholesky_lo, a + jitter * eye), jitter
         except np.linalg.LinAlgError:
             continue
     raise IndefiniteMatrixError(
@@ -54,18 +81,20 @@ def cholesky_jitter(a: np.ndarray, base_jitter: float = 1e-6) -> tuple[np.ndarra
 def tril_inverse(l: np.ndarray) -> np.ndarray:
     """Inverse of the lower triangle of ``l``; the upper triangle is never read.
 
-    The inverse is taken of the triangle reversed in both axes, which is
-    upper triangular. ``np.linalg.inv`` is LAPACK's ``gesv`` against the
-    identity, as ``np.linalg.solve(u, np.eye(m))`` is, without building the
-    identity in Python: partial pivoting finds nothing to swap and every
-    elimination multiplier is zero, so the LU factorisation is exact and the
-    solve is one substitution, in the row order of forward substitution on
-    ``L`` as a LAPACK triangular solve takes it. Solving against ``L`` itself
-    pivots on ill-conditioned factors and loses several times more accuracy.
-    The copy keeps the result contiguous, which matrix products need to be
-    fast.
+    The triangle is taken as ``np.tril`` takes it, through a mask cached per
+    size, and inverted reversed in both axes, which is upper triangular. The
+    inverse is LAPACK's ``gesv`` against the identity, the gufunc
+    ``np.linalg.inv`` calls, as ``np.linalg.solve(u, np.eye(m))`` is, without
+    building the identity in Python: partial pivoting finds nothing to swap
+    and every elimination multiplier is zero, so the LU factorisation is
+    exact and the solve is one substitution, in the row order of forward
+    substitution on ``L`` as a LAPACK triangular solve takes it. Solving
+    against ``L`` itself pivots on ill-conditioned factors and loses several
+    times more accuracy. The copy keeps the result contiguous, which matrix
+    products need to be fast.
     """
-    return np.linalg.inv(np.tril(l)[::-1, ::-1])[::-1, ::-1].copy()
+    lower = np.where(_lower_mask(l.shape[0]), l, 0.0)
+    return _lapack(_umath_linalg.inv, lower[::-1, ::-1])[::-1, ::-1].copy()
 
 
 def spd_inverse(k, lower: np.ndarray):

@@ -70,10 +70,16 @@ class BoundData:
 
     :func:`read_data` also makes the step's scratch with this layout: the
     bins of :meth:`sum_to_points` and ``per_point``, which the data fit's
-    backward pass fills, both for rows m_h + 2 wide, and the two
-    ``ReplicaPairs``' arrays. Every step overwrites them, so two steps may
-    run on one ``BoundData`` one after the other, never at once: do not
-    share one between threads."""
+    backward pass fills, both for rows m_h + 2 wide; ``u_rows`` and
+    ``u_rows_grad``, two contiguous (D, n_max, m_h) arrays for each
+    output's rows of ``U`` and the two addends of their cotangent; and the
+    two ``ReplicaPairs``' arrays. So a step allocates no per-output array
+    m_h wide. Every step overwrites them, so two steps may run on one
+    ``BoundData`` one after the other, never at once: do not share one
+    between threads. The data fit's forward pass gathers the rows of ``U``
+    into ``u_rows`` and its backward pass gathers them again from the small
+    ``U`` it keeps, so another forward pass on the same ``BoundData`` before
+    a graph's backward pass leaves that graph's gradient unchanged."""
 
     points: np.ndarray  # (N_u, v)
     tags: np.ndarray  # (N_u,)
@@ -85,6 +91,8 @@ class BoundData:
     kuu_pairs: ReplicaPairs  # inducing inputs x inducing inputs
     bins: np.ndarray  # (D * n_max * c,) the bin of each per-point value, c = m_h + 2
     per_point: np.ndarray  # (D, n_max, c) scratch
+    u_rows: np.ndarray  # (D, n_max, m_h) scratch
+    u_rows_grad: np.ndarray  # (D, n_max, m_h) scratch
 
     def __post_init__(self):
         for array in (self.points, self.tags, self.index, self.targets, self.counts, self.yy, self.bins):
@@ -140,6 +148,8 @@ def read_data(template: ModelState, x, y) -> BoundData:
         kuu_pairs=replica_pairs(z_starts, z_starts),
         bins=(index.ravel()[:, None] * c + np.arange(c)).ravel(),
         per_point=np.empty((*index.shape, c)),
+        u_rows=np.empty((*index.shape, c - 2)),
+        u_rows_grad=np.empty((*index.shape, c - 2)),
     )
 
 
@@ -176,7 +186,8 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
 
     tr_a = per_output(np.einsum("ij,ij->i", k_a, k))
     tr_g = per_output(np.einsum("ij,ij->i", k_g, k))
-    u_d = np.concatenate([u, np.zeros((1, u.shape[1]))])[index]  # (D, n_max, m_h)
+    u_pad = np.concatenate([u, np.zeros((1, u.shape[1]))])  # the padding's row of U is zero
+    u_d = np.take(u_pad, index, axis=0, out=data.u_rows)  # (D, n_max, m_h)
     yu = (y[:, None, :] @ u_d)[:, 0]
     ah_p1 = p1 @ a_h.T
     data_dot = (yu * ah_p1).sum(axis=1)
@@ -187,26 +198,31 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     th_a = (p2 * a_h).sum(axis=(1, 2))
     th_g = (p2 * g_h).sum(axis=(1, 2))
     sigma2 = np.exp(log_noise)
+    tied = log_noise.shape != n.shape  # one noise variance for every output
     inner = data_dot - 0.5 * (data.yy + vh * amp * n - th_a * tr_a + quad_m + th_g * tr_g)
     # the log of the variance itself: a variance that overflows leaves the bound non-finite
     value = (-0.5 * n * (_LOG_2PI + np.log(sigma2)) + inner / sigma2).sum()
 
     def backward(g):
-        w = np.broadcast_to(g / sigma2, n.shape)  # the cotangent of each output's data_dot
+        w = g / sigma2  # the cotangent of each output's data_dot
+        if tied:
+            w = np.broadcast_to(w, n.shape)
         half = 0.5 * w
         d_uu = -half[:, None, None] * q
         d_q = -half[:, None, None] * uu
         d_th_a, d_th_g = half * tr_a, -half * tr_g
         # each point collects the cotangents of the outputs indexing it: of
-        # each output's two traces, then of its rows of U
+        # each output's two traces, then of its rows of U, whose two addends
+        # are made in the contiguous scratch and added into the strided
+        # per_point in one pass; the rows are gathered again, since another
+        # forward pass may have overwritten u_rows
         per_point = data.per_point
         per_point[..., 0] = (half * th_a)[:, None]
         per_point[..., 1] = (-half * th_g)[:, None]
-        np.add(
-            (w[:, None] * y)[:, :, None] * ah_p1[:, None, :],
-            u_d @ (d_uu + d_uu.swapaxes(1, 2)),
-            out=per_point[..., 2:],
-        )
+        u_d = np.take(u_pad, index, axis=0, out=data.u_rows)
+        from_quad = np.matmul(u_d, d_uu + d_uu.swapaxes(1, 2), out=data.u_rows_grad)
+        from_dot = np.multiply((w[:, None] * y)[:, :, None], ah_p1[:, None, :], out=data.u_rows)  # u_d is read no more
+        np.add(from_dot, from_quad, out=per_point[..., 2:])
         summed = data.sum_to_points(per_point)
         c_a, c_g, d_u = summed[:, :1], summed[:, 1:2], summed[:, 2:]
         d_k = d_u @ (a_x @ m).T
@@ -216,18 +232,19 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
         d_ax_m = k.T @ d_u
         d_ax = (c_a * k).T @ k + d_gx @ s_a.T + (a_x @ s_x).T @ d_gx + d_ax_m @ m.T
         d_ah_p1 = w[:, None] * yu
-        d_gh = np.tensordot(d_th_g, p2, axes=1)
+        p2_flat = p2.reshape(p2.shape[0], -1)  # the operands np.tensordot(d_th, p2, axes=1) builds
+        d_gh = np.dot(d_th_g.reshape(1, -1), p2_flat).reshape(p2.shape[1:])
         d_ah = (
             d_ah_p1.T @ p1
             + (d_q @ p2_a.swapaxes(1, 2) + (a_h @ p2).swapaxes(1, 2) @ d_q).sum(axis=0)
-            + np.tensordot(d_th_a, p2, axes=1)
+            + np.dot(d_th_a.reshape(1, -1), p2_flat).reshape(p2.shape[1:])
             + d_gh @ (s_h @ a_h).T
             + (a_h @ s_h).T @ d_gh
         )
         d_p2 = a_h.T @ d_q @ a_h.T + d_th_a[:, None, None] * a_h + d_th_g[:, None, None] * g_h
         d_psi0 = -(half * n).sum()
         d_noise = -0.5 * g * n - w * inner
-        if log_noise.shape != d_noise.shape:  # tied across outputs
+        if tied:
             d_noise = d_noise.sum(keepdims=True)
         return (
             d_k,

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from hiermogp import autodiff as ad
+from hiermogp import kron as kron_module
 from hiermogp import objective
 from hiermogp.elbo import elbo_per_output, elbo_shared
 from hiermogp.kernels import HierarchicalKernel, RBF, StationaryKernel, hier_block_cov, latent_cov
@@ -673,13 +675,14 @@ def test_bound_and_gradient_factor_each_inducing_gram_once(monkeypatch):
     layout = ParamLayout(state)
     bound_data = read_data(state, *random_per_output_data(rng, state))
     calls = []
-    original = np.linalg.cholesky
+    original = kron_module._lapack
 
-    def counted(a):
-        calls.append(a.shape)
-        return original(a)
+    def counted(gufunc, a):  # every factorisation and inverse kron runs passes here
+        if gufunc is _umath_linalg.cholesky_lo:
+            calls.append(a.shape)
+        return original(gufunc, a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(kron_module, "_lapack", counted)
     _, _, jitters = objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
     assert jitters == {"kuu_h": 0.0, "kuu_x": 0.0}
     # one factor of Kuu_h and one of Kuu_x, each used for its inverse and log-determinant
@@ -697,15 +700,23 @@ def test_steps_on_one_bound_data_equal_steps_on_fresh_bound_data(flat):
     layout = ParamLayout(state)
     theta = layout.pack(state)
     reused = read_data(state, x, y)
-    for t in (theta, theta + 0.05 * rng.standard_normal(theta.shape), theta):
+    other = theta + 0.05 * rng.standard_normal(theta.shape)
+    for t in (theta, other, theta):
         b_r, g_r, j_r = objective.evaluate_with_grad(t, layout, state, reused)
         b_f, g_f, j_f = objective.evaluate_with_grad(t, layout, state, read_data(state, x, y))
         assert b_r == b_f and j_r == j_f and np.array_equal(g_r, g_f)
+    # a graph's gradient taken after another forward pass on the same data
+    pieces, leaves = objective.build_graph(theta, layout, state, reused)
+    objective.evaluate(other, layout, state, reused)
+    (g_late,) = ad.grad(pieces.total, leaves)
+    fresh, fresh_leaves = objective.build_graph(theta, layout, state, read_data(state, x, y))
+    assert np.array_equal(g_late, ad.grad(fresh.total, fresh_leaves)[0])
 
 
 def _scratch(data):
     """The arrays of a BoundData that every step overwrites."""
-    return [data.per_point, data.bins, *(a for p in (data.kfu_pairs, data.kuu_pairs) for a in (p.block, *p.sums))]
+    pairs = (a for p in (data.kfu_pairs, data.kuu_pairs) for a in (p.block, *p.sums))
+    return [data.per_point, data.bins, data.u_rows, data.u_rows_grad, *pairs]
 
 
 def test_two_read_data_calls_share_no_buffer():
@@ -718,7 +729,8 @@ def test_two_read_data_calls_share_no_buffer():
         objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
 
     first, second = map(_scratch, datasets)
-    assert len(first) == len(second) == 8  # the per-point array, its bins, and per replica pairs a block and two sums
+    # the per-point array, its bins, the rows of U and their cotangent, and per replica pairs a block and two sums
+    assert len(first) == len(second) == 10
     assert not any(np.shares_memory(a, b) for a in first for b in second)
 
 
@@ -735,6 +747,7 @@ def test_read_data_makes_the_scratch_every_step_reuses(flat):
     data = read_data(state, x, y)
     made = _scratch(data)
     assert data.per_point.shape == (*data.index.shape, state.inducing.m_h + 2)
+    assert data.u_rows.shape == data.u_rows_grad.shape == (*data.index.shape, state.inducing.m_h)
     padded = 0
     for t in (theta, theta + 0.05 * rng.standard_normal(theta.shape)):
         objective.evaluate_with_grad(t, layout, state, data)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,3 +240,41 @@ def test_tril_inverse_equals_the_solve_form_bit_for_bit(lengthscale):
     flipped = np.tril(lower)[::-1, ::-1]
     solved = np.linalg.solve(flipped, np.eye(lower.shape[0]))[::-1, ::-1]
     assert np.array_equal(tril_inverse(lower), solved)
+
+
+# cholesky_jitter and tril_inverse call the LAPACK gufuncs of np.linalg
+# directly; these pin them to np.linalg's results bit for bit, and fail if a
+# numpy release renames the gufuncs
+
+
+@pytest.mark.parametrize("n", [1, 4, 18])
+def test_cholesky_jitter_is_np_linalg_cholesky_bit_for_bit(n):
+    a = random_spd(np.random.default_rng(60 + n), n)
+    lower, jitter = cholesky_jitter(a)
+    assert jitter == 0.0
+    assert np.array_equal(lower, np.linalg.cholesky(a))
+
+
+@pytest.mark.parametrize("n", [1, 4, 18])
+def test_tril_inverse_is_np_linalg_inv_bit_for_bit(n):
+    lower = np.linalg.cholesky(random_spd(np.random.default_rng(70 + n), n))
+    expected = np.linalg.inv(np.tril(lower)[::-1, ::-1])[::-1, ::-1]
+    lower[np.triu_indices(n, k=1)] = np.nan  # never read
+    got = tril_inverse(lower)
+    assert np.array_equal(got, expected)
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 4, 18])
+def test_indefinite_input_climbs_the_ladder_or_raises_without_warnings(n):
+    a = random_spd(np.random.default_rng(80 + n), n)
+    slightly = a.copy()
+    slightly[-1, -1] = -1e-7 * np.mean(np.diag(a))  # one rung past zero jitter
+    far = -a  # no rung makes it positive definite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower, jitter = cholesky_jitter(slightly)
+        assert jitter > 0.0
+        assert np.array_equal(lower, np.linalg.cholesky(slightly + jitter * np.eye(n)))
+        with pytest.raises(IndefiniteMatrixError):
+            cholesky_jitter(far)

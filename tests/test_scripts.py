@@ -20,6 +20,8 @@ def test_scale_step_reports_one_tape_count_for_every_shape():
     for label in (r"us/block(?! seen)", r"us/block seen"):  # points the state has not seen, and a repeated block
         blocks = [re.search(r"([\d.]+) " + label, line) for line in lines]
         assert all(blocks) and all(float(b.group(1)) > 0.0 for b in blocks), done.stdout
+    faults = [re.search(r"user +[\d.]+ +sys +[\d.]+ ms/step +([\d.]+) faults/step", line) for line in lines]
+    assert all(faults), done.stdout
 
 
 def test_gene_style_study_runs_from_its_csv(tmp_path):
