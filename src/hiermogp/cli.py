@@ -293,7 +293,7 @@ def _fit_repeat(config: RunConfig, out_dir: pathlib.Path, seed: int, ablation: s
 
 def _fit_record(result: FitResult) -> dict:
     return {
-        "final_elbo": float(result.trace[result.best_index]),
+        "final_elbo": float(result.diagnostics["best_value"]),
         "jitter_events": result.diagnostics["jitter_events"],
     }
 
@@ -359,7 +359,7 @@ def cmd_fit(config: RunConfig, out_dir: pathlib.Path, ablation: str | None = Non
     result, _, _ = _fit_repeat(config, out_dir, config.seed, ablation, tag="")
     _write_manifest(out_dir, "fit", config, ablation, started, {"seed": config.seed, **_fit_record(result)})
     model_path = out_dir / "model.json"
-    print(f"wrote {model_path} (best bound {result.trace[result.best_index]:.4f})")
+    print(f"wrote {model_path} (best bound {result.diagnostics['best_value']:.4f})")
     return model_path
 
 

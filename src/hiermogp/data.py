@@ -34,6 +34,7 @@ from .kernels import (
     latent_cov,
 )
 from .kron import cholesky_jitter
+from .model import plain
 
 
 @dataclass
@@ -198,26 +199,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> HierarchicalDatase
             f = values[rows_of(di, rep), di]
             replicas.append(ReplicaBlock(inputs=grids[di][rep], targets=f + noise[di, rep]))
         outputs.append(OutputRecord(replicas=replicas, name=f"output_{di}"))
-    metadata = {
-        "generator": {
-            "seed": int(seed),
-            "n_outputs": d,
-            "n_replicas": r,
-            "points_per_replica": n,
-            "input_dim": v,
-            "latent_dim": config.latent_dim,
-            "noise_variance": config.noise_variance,
-            "share_inputs": config.share_inputs,
-            "shared_kernel": _kernel_meta(config.shared_kernel),
-            "replica_kernel": _kernel_meta(config.replica_kernel),
-            "latent_kernel": _kernel_meta(config.latent_kernel),
-        }
-    }
-    return HierarchicalDataset(outputs=outputs, metadata=metadata)
-
-
-def _kernel_meta(k: StationaryKernel) -> dict:
-    return {"family": k.family, "variance": float(k.variance), "lengthscales": k.lengthscales.tolist()}
+    return HierarchicalDataset(outputs=outputs, metadata={"generator": {"seed": int(seed), **plain(config)}})
 
 
 @dataclass
@@ -416,14 +398,28 @@ def read_table(path, tail, optional=False):
     return outputs, replicas, values[:, :v], tail_values, line_nos
 
 
+# (output, replica) blocks a data file may span; every block is built, empty
+# or not, at about 1 KB and 8 us each
+_MAX_BLOCKS = 1_000_000
+
+
 def load_csv(path, standardize: bool = False, targets_optional: bool = False) -> HierarchicalDataset:
     """Read a dataset; optionally rescale inputs and targets to zero mean and
     unit variance, recording the constants in the metadata. With
     ``targets_optional`` the ``y`` column may be left out, and the targets
-    then read NaN."""
+    then read NaN. Indices may leave gaps, which read as empty blocks, but a
+    file whose largest indices span more than ``_MAX_BLOCKS`` (output,
+    replica) blocks is a ``CsvSchemaError`` that names the row with the
+    largest index."""
     path = pathlib.Path(path)
-    outputs, replicas, inputs, targets, _ = read_table(path, ("y",), optional=targets_optional)
-    n_outputs, n_replicas = outputs.max() + 1, replicas.max() + 1
+    outputs, replicas, inputs, targets, line_nos = read_table(path, ("y",), optional=targets_optional)
+    n_outputs, n_replicas = int(outputs.max()) + 1, int(replicas.max()) + 1
+    if n_outputs * n_replicas > _MAX_BLOCKS:
+        i = int(np.argmax(np.maximum(outputs, replicas)))
+        raise CsvSchemaError(
+            f"{path}:{int(line_nos[i])}: output {int(outputs[i])}, replica {int(replicas[i])} would make "
+            f"{n_outputs} x {n_replicas} (output, replica) blocks, more than {_MAX_BLOCKS}"
+        )
     block_of = outputs * n_replicas + replicas  # blocks go by output, then replica
     ends = np.cumsum(np.bincount(block_of, minlength=n_outputs * n_replicas))
     rows = np.split(np.argsort(block_of, kind="stable"), ends[:-1])  # each block's rows in file order

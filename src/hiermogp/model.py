@@ -70,14 +70,16 @@ class ModelState:
 
     def to_dict(self) -> dict:
         """JSON-ready form: the format tag and every field, arrays as nested lists."""
-        return {"format": FORMAT, **_plain(self)}
+        return {"format": FORMAT, **plain(self)}
 
 
-def _plain(value):
+def plain(value):
+    """``value`` in JSON-ready form: a dataclass as a dict of its fields,
+    lists item by item and arrays as nested lists, recursively."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, list):
-        return [_plain(v) for v in value]
+        return [plain(v) for v in value]
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 

@@ -185,29 +185,21 @@ def predict_conditional(
     xstar: np.ndarray,
     replica_tags,
     latent_point: np.ndarray,
-    output: int | None = None,
-    include_noise: bool = False,
 ) -> PredictiveMoments:
-    """Exact predictive mean and marginal variances for one output at a
-    fixed latent coordinate. Averaged over draws from an output's latent
-    posterior, these give the mixture moments of :func:`predict_marginal`.
+    """Exact predictive mean and marginal variances of the latent function,
+    noise excluded, at a fixed latent coordinate. Averaged over draws from an
+    output's latent posterior, these give the mixture moments of
+    :func:`predict_marginal` less that output's noise.
 
-    ``xstar`` rows carry replica tags that route the replica-level kernel;
-    ``output`` selects the noise variance, which ``include_noise`` needs when
-    it is per output.
+    ``xstar`` rows carry replica tags that route the replica-level kernel.
     """
-    if output is not None and not 0 <= output < state.n_outputs:
-        raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
-    if include_noise and output is None and state.noise_variance.ndim == 1:
-        raise ValueError("include_noise with per-output noise needs an output index")
     xstar = np.atleast_2d(np.asarray(xstar, float))
     latent_point = np.asarray(latent_point, float).reshape(1, -1)
     post = _posterior(state)
     row = latent_cov(state.latent_kernel, latent_point, state.inducing.z_latent)  # psi1 of a point mass
     moments = _latent_moments(post.inv_h, post.smooth_h, row, row[:, :, None] * row[:, None, :])
-    noise = state.noise_for(output) if include_noise else 0.0
     mean, variance = _block_moments(post, state.hier_kernel, xstar, replica_tags, moments, 0)
-    return PredictiveMoments(mean=mean, variance=variance + noise)
+    return PredictiveMoments(mean=mean, variance=variance)
 
 
 def predict_marginal(
@@ -215,23 +207,22 @@ def predict_marginal(
     xstar: np.ndarray,
     replica_tags,
     output: int,
-    include_noise: bool = True,
     *,
     seed=None,
 ) -> PredictiveMoments:
-    """Exact moments of the latent-posterior mixture for one output.
+    """Exact moments of an observation of one output: the latent-posterior
+    mixture plus the output's noise variance.
 
     The mean is the conditional mean at the expected latent kernel row psi1;
     the variance adds the spread of the conditional means to the average
-    conditional variance, both through psi2. ``seed`` is accepted and
-    ignored: nothing is sampled.
+    conditional variance, both through psi2, then the noise. ``seed`` is
+    accepted and ignored: nothing is sampled.
     """
     if not 0 <= output < state.n_outputs:
         raise ValueError(f"output {output} outside 0..{state.n_outputs - 1}")
     post = _posterior(state)
     mean, variance = _block_moments(post, state.hier_kernel, xstar, replica_tags, post.outputs, output)
-    if include_noise:
-        variance += state.noise_for(output)
+    variance += state.noise_for(output)
     return PredictiveMoments(mean=mean, variance=variance)
 
 
@@ -240,11 +231,11 @@ def predict_missing_replica(
     output: int,
     replica: int,
     grid: np.ndarray,
-    include_noise: bool = True,
     *,
     seed=None,
 ) -> PredictiveMoments:
-    """Predict an output over a replica it was never observed in.
+    """Predict an observation of an output, noise included, over a replica it
+    was never observed in.
 
     Information reaches the block through the shared-level kernel and the
     inducing variables, which pool every output's view of that replica.
@@ -254,4 +245,4 @@ def predict_missing_replica(
     if not 0 <= replica < state.n_replicas:
         raise ValueError(f"replica {replica} outside 0..{state.n_replicas - 1}")
     tags = np.full(grid.shape[0], replica, dtype=int)
-    return predict_marginal(state, grid, tags, output, include_noise)
+    return predict_marginal(state, grid, tags, output)

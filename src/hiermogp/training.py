@@ -18,6 +18,10 @@ from .params import ParamLayout
 log = logging.getLogger(__name__)
 
 _PLATEAU_WINDOW = 500
+# Adam's decay rates and denominator offset (Kingma & Ba 2015's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class FitError(RuntimeError):
@@ -53,9 +57,6 @@ class ModelConfig:
 class OptimizerConfig:
     learning_rate: float = 0.01
     iterations: int = 10_000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -63,11 +64,6 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.adam_eps > 0.0:
-            raise ValueError("adam_eps must be positive")
 
 
 @dataclass
@@ -208,15 +204,15 @@ def grad_elbo(theta: np.ndarray, layout: ParamLayout, template: ModelState, data
 
 
 def adam_step(params, grads, moments, config: OptimizerConfig, t: int):
-    """One bias-corrected Adam ascent step; t counts from 1."""
+    """One bias-corrected Adam ascent step at ``config.learning_rate``; t counts from 1."""
     if t < 1:
         raise ValueError("step index starts at 1")
     m, v = moments
-    m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grads
-    v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grads**2
-    m_hat = m / (1.0 - config.adam_beta1**t)
-    v_hat = v / (1.0 - config.adam_beta2**t)
-    new_params = params + config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grads
+    v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grads**2
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    new_params = params + config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return new_params, (m, v)
 
 
@@ -277,9 +273,5 @@ def fit(
     if not np.all(np.isfinite(trace)):
         raise FitError("bound trace contains non-finite values", diagnostics=progress(trace.size))
     best_state = layout.unpack(best_theta, template)
-    diagnostics = {
-        "jitter_events": jitter_events,
-        "best_value": best_value,
-        "final_value": float(final.total),
-    }
+    diagnostics = {"jitter_events": jitter_events, "best_value": best_value}
     return FitResult(state=best_state, trace=trace, best_index=best_index, diagnostics=diagnostics)

@@ -30,6 +30,11 @@ def test_benchmark_runs_on_tiny_workload(trace):
     assert result["correct"] is True, result
     if trace == "1":
         metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+        # the step's hooks: fit calls Adam through the module global
+        # training.adam_step, and the bound through objective.build_graph
+        # and autodiff.grad
+        for hook in ("training.adam_step", "autodiff.grad", "objective.build_graph"):
+            assert metrics[f"{hook}.ms_per_step"] > 0, hook
         # the bound factors each inducing Gram through objective.choose_jitter
         assert metrics["kron.choose_jitter.ms_per_step"] > 0
         # a fitted state's prediction factors Kuu_x and Kuu_h once each

@@ -73,6 +73,7 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
         "optimizer.lerning_rate": {"optimizer": {"lerning_rate": 0.5}},
         "optimizer.gradient_mode": {"optimizer": {"gradient_mode": "numeric"}},
         "optimizer.fd_step": {"optimizer": {"fd_step": 1e-5}},
+        "optimizer.adam_beta1": {"optimizer": {"adam_beta1": 0.9}},
         "dataset.synthetic.shared_kernel.famly": {
             "dataset": {"synthetic": {"shared_kernel": {"famly": "rbf"}}}
         },
@@ -125,6 +126,24 @@ def test_config_accepts_every_model_and_optimizer_field(tmp_path, capsys):
         bad[section]["bogus"] = 1
         assert main(["fit", "--config", str(write_config(tmp_path, bad))]) == 2
         assert f"{section}.bogus: unknown field" in capsys.readouterr().err
+
+
+def test_readme_grammar_lists_exactly_the_fields_the_config_accepts():
+    # flat and seed are left out on both sides: the CLI sets them itself
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config grammar \(YAML\)\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+    grammar = yaml.safe_load(block)
+    accepted = {
+        "model": set(cli._MODEL_FIELDS),
+        "optimizer": set(cli._OPTIMIZER_FIELDS),
+        "dataset.synthetic": {*cli._SYNTHETIC_SCALARS, *cli._SYNTHETIC_KERNELS},
+    }
+    listed = {
+        "model": set(grammar["model"]),
+        "optimizer": set(grammar["optimizer"]),
+        "dataset.synthetic": set(grammar["dataset"]["synthetic"]),
+    }
+    assert listed == accepted
 
 
 def test_generate_fit_predict_eval_chain(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from hiermogp.data import (
     standardize_dataset,
     write_columns,
 )
-from hiermogp.kernels import MATERN32, StationaryKernel, eval_stationary
+from hiermogp.kernels import MATERN32, RBF, StationaryKernel, eval_stationary
 
 
 @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
@@ -138,6 +139,22 @@ def test_csv_roundtrip(tmp_path):
     assert loaded.metadata["generator"]["seed"] == 2
 
 
+def test_sidecar_holds_the_generator_config_and_its_seed(tmp_path):
+    config = SyntheticConfig(
+        n_outputs=2, n_replicas=2, points_per_replica=3, input_dim=2, share_inputs=True, noise_variance=0.0,
+        shared_kernel=StationaryKernel(RBF, 0.3, [0.5, 2.0]),
+    )
+    save_csv(generate_synthetic(config, seed=7), tmp_path / "data.csv")
+
+    def written(value):
+        if isinstance(value, StationaryKernel):
+            return {"family": value.family, "variance": value.variance, "lengthscales": value.lengthscales.tolist()}
+        return value
+
+    expected = {f.name: written(getattr(config, f.name)) for f in dataclasses.fields(SyntheticConfig)}
+    assert read_json(tmp_path / "data.csv.meta.json") == {"generator": {"seed": 7, **expected}}
+
+
 def test_csv_roundtrip_with_missing_replica(tmp_path):
     config = SyntheticConfig(n_outputs=2, n_replicas=3, points_per_replica=4)
     dataset = generate_synthetic(config, seed=3)
@@ -243,6 +260,23 @@ def test_load_csv_groups_rows_into_blocks_in_file_order(tmp_path):
     assert dataset.block(0, 1).inputs.tolist() == [[0.2], [0.4]]
     assert dataset.block(0, 0).targets.tolist() == [5.0]
     assert dataset.block(1, 1).inputs.shape == (0, 1) and dataset.block(1, 1).targets.shape == (0,)
+
+
+def test_load_csv_bounds_the_blocks_its_indices_span(tmp_path):
+    # an index of 10^9 would build 10^9 empty blocks: the file fails before
+    # any is built and names the row; a gap between indices still loads
+    huge = {"output": "0,0,0.5,1\n1000000000,0,0.2,2\n", "replica": "0,1000000000,0.5,1\n1,0,0.2,2\n"}
+    for kind, rows in huge.items():
+        path = tmp_path / f"huge_{kind}.csv"
+        path.write_text("output,replica,x_0,y\n" + rows)
+        line = 3 if kind == "output" else 2
+        with pytest.raises(CsvSchemaError, match=rf"huge_{kind}.csv:{line}: output \d+, replica \d+ would make"):
+            load_csv(path)
+    gap = tmp_path / "gap.csv"
+    gap.write_text("output,replica,x_0,y\n0,0,0.5,1.0\n999,2,0.25,2.0\n")
+    dataset = load_csv(gap)
+    assert (dataset.n_outputs, dataset.n_replicas, dataset.n_points) == (1000, 3, 2)
+    assert dataset.block(999, 2).targets.tolist() == [2.0] and dataset.block(500, 1).n_points == 0
 
 
 def test_csv_schema_errors(tmp_path):

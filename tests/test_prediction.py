@@ -10,6 +10,7 @@ from hiermogp.latent import InducingState, LatentPosterior
 from hiermogp.metrics import nmse
 from hiermogp.model import ModelState
 from hiermogp.prediction import (
+    PredictiveMoments,
     predict_conditional,
     predict_marginal,
     predict_missing_replica,
@@ -72,6 +73,12 @@ def with_optimal_inducing(state, x_blocks, y):
     )
 
 
+def without_noise(moments, state, d):
+    """An observation's moments of output ``d`` as the latent function's: the
+    output's noise taken off the variance."""
+    return PredictiveMoments(mean=moments.mean, variance=moments.variance - state.noise_for(d))
+
+
 def test_interpolation_at_training_points():
     # inducing on the 20 data points, optimal posterior, vanishing noise:
     # the predictive mean reproduces the targets
@@ -121,11 +128,15 @@ def test_marginal_delta_limit_matches_conditional():
     state.latent_posterior.variances[:] = 1e-14
     xstar = rng.uniform(size=(5, 1))
     tags = rng.integers(0, state.n_replicas, size=5)
-    for d in range(2):
-        marg = predict_marginal(state, xstar, tags, d, include_noise=False)
-        cond = predict_conditional(state, xstar, tags, state.latent_posterior.means[d])
-        assert np.allclose(marg.mean, cond.mean, rtol=0.0, atol=1e-8)
-        assert np.allclose(marg.variance, cond.variance, rtol=0.0, atol=1e-8)
+    # the marginal adds output d's own noise, per output or tied, which the
+    # conditional leaves out
+    tied = dataclasses.replace(state, noise_variance=np.asarray(0.2))
+    for model, noise in ((state, state.noise_variance.tolist()), (tied, [0.2, 0.2])):
+        for d in range(2):
+            marg = predict_marginal(model, xstar, tags, d)
+            cond = predict_conditional(model, xstar, tags, model.latent_posterior.means[d])
+            assert np.allclose(marg.mean, cond.mean, rtol=0.0, atol=1e-8)
+            assert np.allclose(marg.variance - noise[d], cond.variance, rtol=0.0, atol=1e-8)
 
 
 def test_marginal_variance_obeys_total_variance_law():
@@ -135,7 +146,7 @@ def test_marginal_variance_obeys_total_variance_law():
     state = random_state(rng, n_outputs=2, latent_var_scale=2.0)
     xstar = rng.uniform(size=(4, 1))
     tags = rng.integers(0, state.n_replicas, size=4)
-    marg = predict_marginal(state, xstar, tags, 0, include_noise=False)
+    marg = without_noise(predict_marginal(state, xstar, tags, 0), state, 0)
     t, w = np.polynomial.hermite.hermgauss(80)
     mu = state.latent_posterior.means[0]
     scale = np.sqrt(2.0 * state.latent_posterior.variances[0])
@@ -171,11 +182,10 @@ def test_marginal_matches_quadrature_oracle(flat):
     xstar = rng.uniform(-0.5, 1.5, size=(7, 1))
     tags = rng.integers(0, state.n_replicas, size=7)
     for d in range(state.n_outputs):
-        for include_noise in (False, True):
-            assert_matches_oracle(
-                predict_marginal(state, xstar, tags, d, include_noise=include_noise),
-                predict_marginal_quadrature(state, xstar, tags, d, include_noise=include_noise),
-            )
+        noisy = predict_marginal(state, xstar, tags, d)
+        assert_matches_oracle(noisy, predict_marginal_quadrature(state, xstar, tags, d))
+        latent = predict_marginal_quadrature(state, xstar, tags, d, include_noise=False)
+        assert_matches_oracle(without_noise(noisy, state, d), latent)
 
 
 def assert_within_monte_carlo_error(got, state, xstar, tags, d, samples, seed):
@@ -196,7 +206,7 @@ def test_marginal_matches_per_draw_oracle(flat):
     xstar = rng.uniform(-0.5, 1.5, size=(7, 1))
     tags = rng.integers(0, state.n_replicas, size=7)
     for d in range(state.n_outputs):
-        got = predict_marginal(state, xstar, tags, d, include_noise=False)
+        got = without_noise(predict_marginal(state, xstar, tags, d), state, d)
         assert_within_monte_carlo_error(got, state, xstar, tags, d, samples=200_000, seed=d)
 
 
@@ -208,11 +218,10 @@ def test_missing_replica_matches_per_draw_oracle(flat):
     for d in range(state.n_outputs):
         for r in range(state.n_replicas):
             tags = np.full(6, r)
-            latent = predict_missing_replica(state, d, r, grid, include_noise=False)
-            assert_within_monte_carlo_error(latent, state, grid, tags, d, samples=20_000, seed=3)
             noisy = predict_missing_replica(state, d, r, grid)
             assert_matches_oracle(noisy, predict_marginal_quadrature(state, grid, tags, d))
-            assert np.allclose(noisy.variance - latent.variance, state.noise_for(d), rtol=1e-12)
+            latent = without_noise(noisy, state, d)
+            assert_within_monte_carlo_error(latent, state, grid, tags, d, samples=20_000, seed=3)
 
 
 @pytest.mark.parametrize("flat", [False, True])
@@ -289,11 +298,9 @@ def test_warm_predictions_on_a_common_grid_equal_cold_ones(flat):
     for d in range(state.n_outputs):
         for r in range(state.n_replicas):
             tags = np.full(6, r)
-            for include_noise in (False, True):
-                assert_same_bits(
-                    predict_marginal(state, grid, tags, d, include_noise=include_noise),
-                    predict_marginal(dataclasses.replace(state), grid, tags, d, include_noise=include_noise),
-                )
+            assert_same_bits(
+                predict_marginal(state, grid, tags, d), predict_marginal(dataclasses.replace(state), grid, tags, d)
+            )
             assert_same_bits(
                 predict_missing_replica(state, d, r, grid), predict_missing_replica(dataclasses.replace(state), d, r, grid)
             )
@@ -413,7 +420,9 @@ def test_variance_never_negative():
         xstar = rng.uniform(-0.5, 1.5, size=(8, 1))
         tags = rng.integers(0, state.n_replicas, size=8)
         for d in range(state.n_outputs):
-            m = predict_marginal(state, xstar, tags, d, include_noise=False)
+            # for v >= 0, (v + noise) - noise >= 0 holds exactly, so a variance
+            # clipped at zero still reads non-negative here
+            m = without_noise(predict_marginal(state, xstar, tags, d), state, d)
             assert np.all(m.variance >= 0.0)
 
 
@@ -499,19 +508,3 @@ def test_adding_data_never_increases_variance():
     small = moments_for(list(subset_idx))
     large = moments_for(list(range(xs.shape[0])))
     assert np.all(large.variance <= small.variance + 1e-9)
-
-
-def test_conditional_noise_needs_a_valid_output():
-    state = random_state(np.random.default_rng(31), n_outputs=2, per_output_noise=True)
-    xstar, tags, h = np.zeros((2, 1)), [0, 1], state.latent_posterior.means[0]
-    for output in (-1, 2, 5):
-        with pytest.raises(ValueError, match="outside 0..1"):
-            predict_conditional(state, xstar, tags, h, output=output, include_noise=True)
-    with pytest.raises(ValueError, match="needs an output index"):
-        predict_conditional(state, xstar, tags, h, include_noise=True)
-    latent = predict_conditional(state, xstar, tags, h).variance
-    noisy = predict_conditional(state, xstar, tags, h, output=1, include_noise=True).variance
-    assert np.allclose(noisy - latent, state.noise_variance[1], rtol=1e-12)
-    tied = dataclasses.replace(state, noise_variance=np.asarray(0.2))
-    noisy = predict_conditional(tied, xstar, tags, h, include_noise=True).variance
-    assert np.allclose(noisy - latent, 0.2, rtol=1e-12)
