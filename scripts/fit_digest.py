@@ -3,7 +3,9 @@
 
 For each shape of the benchmark (``perfbench/workloads.WORKLOADS``, read
 only) and each seed, generates and splits the workload's data as the
-benchmark does and prints one line with three SHA-256 digests:
+benchmark does and prints one line with three SHA-256 digests. Each shape
+also has a ``<shape>-flat`` line: the same data and settings with the flat
+ablation (``ModelConfig(flat=True)``), which has no shared level.
 
 - ``fit``: the bound trace of ``training.fit`` with the workload's model
   and optimiser settings, and the returned state's flat parameter vector;
@@ -17,7 +19,7 @@ benchmark does and prints one line with three SHA-256 digests:
 Run it on two checkouts and diff the output: any difference in the last
 bit of any of these numbers changes a digest.
 
-    PYTHONPATH=src python3 scripts/fit_digest.py [--seeds 0-9] [--shapes desk,tiny]
+    PYTHONPATH=src python3 scripts/fit_digest.py [--seeds 0-9] [--shapes desk,tiny-flat]
 """
 
 import argparse
@@ -58,12 +60,13 @@ def predict_block(prepared, state, d: int, r: int, block):
     return prediction.predict_marginal(state, block.inputs, np.full(block.n_points, r, dtype=int), d)
 
 
-def fingerprint(workload, seed: int) -> tuple[str, str, str]:
+def fingerprint(workload, seed: int, flat: bool) -> tuple[str, str, str]:
     prepared = workloads.prepare(workload, seed)
     model = training.ModelConfig(
         latent_dim=2,
         inducing_per_replica=workload.inducing_per_replica,
         inducing_latent=workload.inducing_latent,
+        flat=flat,
         regime=workload.regime,
     )
     optimizer = training.OptimizerConfig(learning_rate=0.01, iterations=workload.iterations, seed=seed)
@@ -88,12 +91,14 @@ def fingerprint(workload, seed: int) -> tuple[str, str, str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seeds, default=[0], help="e.g. 0-9 or 0,3 (default 0)")
-    parser.add_argument("--shapes", default=",".join(workloads.WORKLOADS), help="comma-separated workload names")
+    shapes = [name for workload in workloads.WORKLOADS for name in (workload, f"{workload}-flat")]
+    parser.add_argument("--shapes", default=",".join(shapes), help="comma-separated workload names, each with or without -flat")
     args = parser.parse_args()
     for name in args.shapes.split(","):
+        workload, flat = name.removesuffix("-flat"), name.endswith("-flat")
         for seed in args.seeds:
-            fit, step, predict = fingerprint(workloads.WORKLOADS[name], seed)
-            print(f"{name:<12s} seed {seed:<3d} fit {fit}  step {step}  predict {predict}", flush=True)
+            fit, step, predict = fingerprint(workloads.WORKLOADS[workload], seed, flat)
+            print(f"{name:<16s} seed {seed:<3d} fit {fit}  step {step}  predict {predict}", flush=True)
     return 0
 
 
