@@ -74,7 +74,7 @@ def fingerprint(workload, seed: int, flat: bool) -> tuple[str, str, str]:
     template = training.initialize_state(prepared.train, model, seed)
     layout = ParamLayout(template)
     data = objective.read_data(template, *prepared.train.training_arrays())
-    breakdown, grad, jitters = objective.evaluate_with_grad(layout.pack(template), layout, template, data)
+    breakdown, grad, jitters = objective.evaluate_with_grad(layout.pack(template), layout, data)
     step = digest(
         [breakdown.data_fit, breakdown.kl_inducing, breakdown.kl_latent],
         grad,

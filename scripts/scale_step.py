@@ -85,13 +85,13 @@ def measure(n_outputs, n_replicas, m_r, m_h, share_inputs, steps, seed=0):
     bound_data = objective.read_data(template, *train.training_arrays())
     theta = layout.pack(template)
     # every node reachable from the bound, parameter and constant leaves included
-    nodes = len(autodiff._topological_order(objective.build_graph(theta, layout, template, bound_data)[0].total))
-    objective.evaluate_with_grad(theta, layout, template, bound_data)  # warm-up
+    nodes = len(autodiff._topological_order(objective.build_graph(theta, layout, bound_data)[0].total))
+    objective.evaluate_with_grad(theta, layout, bound_data)  # warm-up
     times = []
     cpu_start, faults_start = os.times(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(steps):
         start = time.perf_counter()
-        objective.evaluate_with_grad(theta, layout, template, bound_data)
+        objective.evaluate_with_grad(theta, layout, bound_data)
         times.append(1e3 * (time.perf_counter() - start))
     cpu_end, faults_end = os.times(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     user, system = (1e3 * (b - a) / steps for a, b in zip(cpu_start[:2], cpu_end[:2]))

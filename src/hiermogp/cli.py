@@ -122,21 +122,26 @@ _SPLIT_FIELDS = {"mode": str, "fraction": float, "missing": object}  # SplitPlan
 
 
 def _kernel_from_config(node, path, default: StationaryKernel) -> StationaryKernel:
-    """A kernel section; the fields it leaves out, or all of them, come from ``default``."""
+    """A kernel section; the fields it leaves out, or all of them, come from
+    ``default``. ``lengthscale`` is one number for every input dimension or
+    a list of one per dimension."""
     if node is None:
         return default
-    node = _expect_mapping(node, path, ("family", "variance", "lengthscale", "lengthscales"))
+    node = _expect_mapping(node, path, ("family", "variance", "lengthscale"))
     family = _take(node, path, "family", str, default.family)
     if family not in (RBF, MATERN32):
         raise ConfigError(f"{path}.family: unknown kernel family {family!r}")
     variance = _take(node, path, "variance", float, default.variance)
-    lengthscale = node.get("lengthscale", node.get("lengthscales", default.lengthscales))
-    lengthscales = np.atleast_1d(np.asarray(lengthscale, float))
-    input_dim = default.input_dim
-    if lengthscales.size == 1:
-        lengthscales = np.full(input_dim, lengthscales[0])
-    if lengthscales.size != input_dim:
-        raise ConfigError(f"{path}.lengthscales: expected {input_dim} values")
+    lengthscales, input_dim = default.lengthscales, default.input_dim
+    if "lengthscale" in node:
+        given = node["lengthscale"] if isinstance(node["lengthscale"], list) else [node["lengthscale"]]
+        if not all(type(value) in (int, float) for value in given):
+            raise ConfigError(f"{path}.lengthscale: expected a number or a list of numbers")
+        lengthscales = np.array(given, float)
+        if lengthscales.size == 1:
+            lengthscales = np.full(input_dim, lengthscales[0])
+        if lengthscales.size != input_dim:
+            raise ConfigError(f"{path}.lengthscale: expected {input_dim} values")
     try:
         return StationaryKernel(family, variance, lengthscales)
     except ValueError as err:

@@ -170,22 +170,15 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> HierarchicalDatase
         config.input_dim,
     )
     latents = rng.standard_normal((d, config.latent_dim))
-    if config.share_inputs:
-        grids = [[np.sort(rng.uniform(size=(n, v)), axis=0) for _ in range(r)]] * d
-    else:
-        grids = [[np.sort(rng.uniform(size=(n, v)), axis=0) for _ in range(r)] for _ in range(d)]
+    k = 1 if config.share_inputs else d  # the distinct input sets; output di has set di mod k
+    sets = [[np.sort(rng.uniform(size=(n, v)), axis=0) for _ in range(r)] for _ in range(k)]
 
     hier = HierarchicalKernel(shared=config.shared_kernel, replica=config.replica_kernel)
     kh = latent_cov(config.latent_kernel, latents, latents)
     chol_h, _ = cholesky_jitter(kh, base_jitter=1e-10)
-    if config.share_inputs:
-        pooled = [grids[0][rep] for rep in range(r)]
-        rows_of = lambda d_idx, rep: np.arange(rep * n, (rep + 1) * n)
-    else:
-        # pool every output's replica-r grid into one super block so a single
-        # Kronecker draw carries the exact cross-output covariance
-        pooled = [np.concatenate([grids[di][rep] for di in range(d)], axis=0) for rep in range(r)]
-        rows_of = lambda d_idx, rep: np.arange(rep * d * n + d_idx * n, rep * d * n + (d_idx + 1) * n)
+    # pool every set's replica-r grid into one super block so a single
+    # Kronecker draw carries the exact cross-output covariance
+    pooled = [np.concatenate([grids[rep] for grids in sets], axis=0) for rep in range(r)]
     kx = hier_block_cov(hier, pooled, pooled)
     chol_x, _ = cholesky_jitter(kx, base_jitter=1e-10)
     white = rng.standard_normal((kx.shape[0], d))
@@ -196,8 +189,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> HierarchicalDatase
     for di in range(d):
         replicas = []
         for rep in range(r):
-            f = values[rows_of(di, rep), di]
-            replicas.append(ReplicaBlock(inputs=grids[di][rep], targets=f + noise[di, rep]))
+            start = (rep * k + di % k) * n  # replica rep's block, then output di's set within it
+            f = values[start : start + n, di]
+            replicas.append(ReplicaBlock(inputs=sets[di % k][rep], targets=f + noise[di, rep]))
         outputs.append(OutputRecord(replicas=replicas, name=f"output_{di}"))
     return HierarchicalDataset(outputs=outputs, metadata={"generator": {"seed": int(seed), **plain(config)}})
 
@@ -389,6 +383,8 @@ def read_table(path, tail, optional=False):
             raise CsvSchemaError(f"{path}:{line_no}: non-finite value")
         if min(index) < 0:
             raise CsvSchemaError(f"{path}:{line_no}: output and replica indices must be >= 0")
+        if max(index) >= 2**63:  # so the index columns are int64
+            raise CsvSchemaError(f"{path}:{line_no}: output and replica indices must be below 2**63")
         labels.append((*index, line_no))
         values.append(row)
     if not labels:

@@ -30,5 +30,5 @@ def elbo_per_output(state: ModelState, x, y) -> ElboBreakdown:
     """Bound for per-output input sets: D lists of R input blocks and D target vectors."""
     layout = ParamLayout(state)
     data = objective.read_data(state, x, y)
-    breakdown, _ = objective.evaluate(layout.pack(state), layout, state, data)
+    breakdown, _ = objective.evaluate(layout.pack(state), layout, data)
     return breakdown

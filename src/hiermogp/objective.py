@@ -263,14 +263,14 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     return ad.fused(value, args, backward)
 
 
-def build_graph(theta: np.ndarray, layout: ParamLayout, template: ModelState, data: BoundData):
+def build_graph(theta: np.ndarray, layout: ParamLayout, data: BoundData):
     """Assemble the bound; returns the graph pieces and the one leaf, the
     parameter vector, in a list."""
     theta_leaf = ad.Node(np.asarray(theta, float))
     p = layout.constrain(theta_leaf)
-    hk = template.hier_kernel
+    hk = layout.template.hier_kernel
     shared_params = None
-    if not template.is_flat:
+    if not layout.template.is_flat:
         shared_params = (hk.shared.family, p["shared_variance"], p["shared_lengthscales"])
     replica_params = (hk.replica.family, p["replica_variance"], p["replica_lengthscales"])
     vh, lsh = p["latent_kernel_variance"], p["latent_kernel_lengthscales"]
@@ -310,12 +310,12 @@ def _breakdown(pieces: GraphPieces) -> ElboBreakdown:
     return ElboBreakdown(*(float(v.value) for v in values))
 
 
-def evaluate(theta, layout, template, data):
-    pieces, _ = build_graph(theta, layout, template, data)
+def evaluate(theta, layout, data):
+    pieces, _ = build_graph(theta, layout, data)
     return _breakdown(pieces), pieces.jitters
 
 
-def evaluate_with_grad(theta, layout, template, data):
-    pieces, leaves = build_graph(theta, layout, template, data)
+def evaluate_with_grad(theta, layout, data):
+    pieces, leaves = build_graph(theta, layout, data)
     (flat_grad,) = ad.grad(pieces.total, leaves)
     return _breakdown(pieces), flat_grad, pieces.jitters

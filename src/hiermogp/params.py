@@ -6,12 +6,16 @@ lower triangle with a log diagonal. Locations and means pass through
 unchanged. The layout is an ordered list of named spans so gradients and
 diagnostics can always be attributed to a parameter group; their names,
 order and shapes come from the same map from state to unconstrained arrays
-that packing uses (``_unconstrained``). The inverse map is written once too
+that packing uses (``_unconstrained``), with each factor's triangle at the
+flat positions ``_triangles`` gives. The inverse map is written once too
 (``_constrained``): ``unpack`` builds a state from it, and ``constrain``
 makes it the bound's one parameter node, whose outputs are every quantity
 the bound reads of the vector. The inducing inputs of every replica form
 one span, ``inducing_inputs``, of shape (m_x, v): the replica blocks
-stacked in order, as the bound reads them.
+stacked in order, as the bound reads them. A layout keeps the template it
+was built from for what the vector does not hold (kernel families, the
+flat ablation, tied or per-output noise, inducing block sizes), so the
+bound's entry points take ``(theta, layout, data)``.
 """
 
 from __future__ import annotations
@@ -33,15 +37,12 @@ class Span:
     start: int
     stop: int
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
 
-
-def _unconstrained(state: ModelState) -> dict[str, np.ndarray]:
+def _unconstrained(state: ModelState, triangles: dict[str, tuple]) -> dict[str, np.ndarray]:
     """The state's unconstrained arrays by span name, in layout order: the
     one map from state to vector, from which the spans take their names,
-    order and shapes."""
+    order and shapes. ``triangles`` are the factors' flat positions, from
+    :func:`_triangles`."""
     arrays: dict[str, np.ndarray] = {}
     hk = state.hier_kernel
     if hk.shared is not None:
@@ -57,10 +58,10 @@ def _unconstrained(state: ModelState) -> dict[str, np.ndarray]:
     arrays["inducing_latents"] = state.inducing.z_latent
     arrays["inducing_mean"] = state.inducing.mean
     for side, chol in (("latent", state.inducing.cov_latent_chol), ("input", state.inducing.cov_input_chol)):
-        n = chol.shape[0]
-        rows, cols = np.tril_indices(n, k=-1)
-        arrays[f"cov_{side}_offdiag"] = chol[rows, cols]
-        arrays[f"cov_{side}_log_diag"] = np.log(np.diag(chol))
+        lower, diagonal = triangles[side]
+        flat = chol.reshape(-1)
+        arrays[f"cov_{side}_offdiag"] = flat[lower]
+        arrays[f"cov_{side}_log_diag"] = np.log(flat[diagonal])
     arrays["log_noise_variance"] = np.log(np.atleast_1d(state.noise_variance))
     return arrays
 
@@ -91,20 +92,15 @@ def _triangles(state: ModelState) -> dict[str, tuple]:
 
 
 def _constrained(arrays: dict[str, np.ndarray], triangles: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """The constrained arrays of unconstrained ``arrays`` by name, the inverse
-    of :func:`_unconstrained`: each kernel's variance (0-d) and
-    lengthscales, the latent means and variances, the inducing inputs,
-    latents and mean, both covariance factors and the noise variance.
-    ``triangles`` are the factors' indices, from :func:`_triangles`."""
+    """What both the state and the bound read of unconstrained ``arrays``,
+    by name, the inverse of :func:`_unconstrained` on those spans: each
+    kernel's variance (0-d) and lengthscales, and both covariance factors.
+    ``triangles`` are the factors' flat positions, from :func:`_triangles`."""
     out = {}
     for kernel in _KERNELS:
         if f"log_{kernel}_variance" in arrays:
             out[f"{kernel}_variance"] = np.exp(arrays[f"log_{kernel}_variance"].reshape(()))
             out[f"{kernel}_lengthscales"] = np.exp(arrays[f"log_{kernel}_lengthscales"])
-    out["latent_mean"] = arrays["latent_mean"]
-    out["latent_variance"] = np.exp(arrays["latent_log_variance"])
-    for name in ("inducing_inputs", "inducing_latents", "inducing_mean"):
-        out[name] = arrays[name]
     for side in _SIDES:
         log_diag = arrays[f"cov_{side}_log_diag"]
         lower, diagonal = triangles[side]
@@ -113,30 +109,24 @@ def _constrained(arrays: dict[str, np.ndarray], triangles: dict[str, tuple]) -> 
         flat[lower] = arrays[f"cov_{side}_offdiag"]
         flat[diagonal] = np.exp(log_diag)
         out[f"cov_{side}_chol"] = chol
-    out["noise_variance"] = np.exp(arrays["log_noise_variance"])
     return out
 
 
 class ParamLayout:
-    """Named spans of one flat vector, derived from a template state."""
+    """Named spans of one flat vector, derived from a template state, which
+    the layout keeps."""
 
     def __init__(self, template: ModelState):
-        self._flat = template.is_flat
-        # at D=1 the span shape cannot tell tied noise from per-output noise
-        self._per_output_noise = template.noise_variance.ndim == 1
+        self.template = template
+        self._triangles = _triangles(template)
         spans = []
         offset = 0
-        for name, array in _unconstrained(template).items():
+        for name, array in _unconstrained(template, self._triangles).items():
             spans.append(Span(name=name, shape=array.shape, start=offset, stop=offset + array.size))
             offset += array.size
         self.spans: tuple[Span, ...] = tuple(spans)
         self.size = offset
-        self._by_name = {s.name: s for s in self.spans}
         self._slices = {s.name: slice(s.start, s.stop) for s in self.spans}
-        self._triangles = _triangles(template)
-
-    def span(self, name: str) -> Span:
-        return self._by_name[name]
 
     def span_of_index(self, index: int) -> str:
         for s in self.spans:
@@ -149,19 +139,18 @@ class ParamLayout:
             raise ValueError(f"expected a vector of length {self.size}, got {theta.shape}")
         return {s.name: theta[s.start : s.stop].reshape(s.shape) for s in self.spans}
 
-    def join(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        theta = np.empty(self.size)
-        for s in self.spans:
-            theta[s.start : s.stop] = np.reshape(arrays[s.name], -1)
-        return theta
-
     # -- state <-> vector ---------------------------------------------------
 
     def pack(self, state: ModelState) -> np.ndarray:
-        return self.join(_unconstrained(state))
+        theta = np.empty(self.size)
+        for name, array in _unconstrained(state, self._triangles).items():
+            theta[self._slices[name]] = np.reshape(array, -1)
+        return theta
 
-    def unpack(self, theta: np.ndarray, template: ModelState) -> ModelState:
-        c = _constrained(self.split(np.asarray(theta, float)), self._triangles)
+    def unpack(self, theta: np.ndarray) -> ModelState:
+        arrays = self.split(np.asarray(theta, float))
+        c = _constrained(arrays, self._triangles)
+        template = self.template
 
         def kernel(name: str, family: str) -> StationaryKernel:
             variance = float(c[f"{name}_variance"])
@@ -170,22 +159,25 @@ class ParamLayout:
         hk = template.hier_kernel
         ends = np.cumsum([b.shape[0] for b in template.inducing.z_input])[:-1]
         inducing = InducingState(
-            z_input=[b.copy() for b in np.split(c["inducing_inputs"], ends)],
-            z_latent=c["inducing_latents"].copy(),
-            mean=c["inducing_mean"].copy(),
+            z_input=[b.copy() for b in np.split(arrays["inducing_inputs"], ends)],
+            z_latent=arrays["inducing_latents"].copy(),
+            mean=arrays["inducing_mean"].copy(),
             cov_latent_chol=c["cov_latent_chol"],
             cov_input_chol=c["cov_input_chol"],
         )
-        noise = c["noise_variance"]
-        if not self._per_output_noise:
+        noise = np.exp(arrays["log_noise_variance"])
+        # at D=1 the span shape cannot tell tied noise from per-output noise
+        if template.noise_variance.ndim == 0:
             noise = np.asarray(noise[0])
         return ModelState(
             hier_kernel=HierarchicalKernel(
-                shared=None if self._flat else kernel("shared", hk.shared.family),
+                shared=None if template.is_flat else kernel("shared", hk.shared.family),
                 replica=kernel("replica", hk.replica.family),
             ),
             latent_kernel=kernel("latent_kernel", template.latent_kernel.family),
-            latent_posterior=LatentPosterior(means=c["latent_mean"].copy(), variances=c["latent_variance"]),
+            latent_posterior=LatentPosterior(
+                means=arrays["latent_mean"].copy(), variances=np.exp(arrays["latent_log_variance"])
+            ),
             inducing=inducing,
             noise_variance=noise,
         )
@@ -215,7 +207,7 @@ class ParamLayout:
             values[f"cov_{side}"] = chol @ chol.T
             values[f"logdet_cov_{side}"] = 2.0 * arrays[f"cov_{side}_log_diag"].sum()
         values["input_self_variance"] = c["replica_variance"]
-        if not self._flat:
+        if not self.template.is_flat:
             values["input_self_variance"] = values["input_self_variance"] + c["shared_variance"]
         names = tuple(values)
 

@@ -185,9 +185,9 @@ def initialize_state(dataset: HierarchicalDataset, config: ModelConfig, seed: in
     )
 
 
-def grad_elbo(theta: np.ndarray, layout: ParamLayout, template: ModelState, data: objective.BoundData):
+def grad_elbo(theta: np.ndarray, layout: ParamLayout, data: objective.BoundData):
     """Bound value and analytic gradient at an unconstrained parameter vector."""
-    breakdown, grad, jitters = objective.evaluate_with_grad(theta, layout, template, data)
+    breakdown, grad, jitters = objective.evaluate_with_grad(theta, layout, data)
     if not np.isfinite(breakdown.total):
         raise FitError(
             "bound is not finite at the requested parameters",
@@ -245,12 +245,12 @@ def fit(
 
     def progress(evaluated: int) -> dict:
         """The best state so far and the first ``evaluated`` trace entries."""
-        best_state = layout.unpack(best_theta, template) if best_value > -np.inf else None
+        best_state = layout.unpack(best_theta) if best_value > -np.inf else None
         return {"best_state": best_state, "trace": trace[:evaluated].copy()}
 
     for t in range(1, optimizer_config.iterations + 1):
         try:
-            breakdown, grad, jitters = grad_elbo(theta, layout, template, data)
+            breakdown, grad, jitters = grad_elbo(theta, layout, data)
         except FitError as err:
             err.diagnostics.update(iteration=t, **progress(t - 1))
             raise
@@ -264,7 +264,7 @@ def fit(
         elif t - last_improvement == _PLATEAU_WINDOW:
             log.info("bound has not improved for %d iterations (iteration %d)", _PLATEAU_WINDOW, t)
         theta, moments = adam_step(theta, grad, moments, optimizer_config, t)
-    final, _ = objective.evaluate(theta, layout, template, data)
+    final, _ = objective.evaluate(theta, layout, data)
     trace[-1] = final.total
     if final.total > best_value:
         best_value = final.total
@@ -272,6 +272,6 @@ def fit(
         best_index = optimizer_config.iterations
     if not np.all(np.isfinite(trace)):
         raise FitError("bound trace contains non-finite values", diagnostics=progress(trace.size))
-    best_state = layout.unpack(best_theta, template)
+    best_state = layout.unpack(best_theta)
     diagnostics = {"jitter_events": jitter_events, "best_value": best_value}
     return FitResult(state=best_state, trace=trace, best_index=best_index, diagnostics=diagnostics)

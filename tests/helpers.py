@@ -1,5 +1,5 @@
 """Builders for random tiny model states and datasets used across tests,
-a fit's first step on synthetic data,
+a fit's first step on synthetic data, a layout's spans by name,
 finite-difference oracles for tape gradients and the bound's gradient, the
 fused nodes those oracles contract and transform tape outputs with, and a
 runner for child Python processes."""
@@ -104,7 +104,7 @@ def random_per_output_data(rng, state, n_per_replica=3, ragged=False):
 
 
 def initial_step(n_outputs, n_replicas, inducing_per_replica, inducing_latent, points_per_replica=10, flat=False):
-    """``(theta, layout, template, bound_data)`` of a fit's first step on
+    """``(theta, layout, bound_data)`` of a fit's first step on
     synthetic data with per-output inputs."""
     config = data.SyntheticConfig(n_outputs=n_outputs, n_replicas=n_replicas, points_per_replica=points_per_replica)
     dataset = data.generate_synthetic(config, seed=0)
@@ -112,10 +112,15 @@ def initial_step(n_outputs, n_replicas, inducing_per_replica, inducing_latent, p
     model = training.ModelConfig(inducing_per_replica=inducing_per_replica, inducing_latent=inducing_latent, flat=flat)
     template = training.initialize_state(train, model, seed=0)
     layout = ParamLayout(template)
-    return layout.pack(template), layout, template, objective.read_data(template, *train.training_arrays())
+    return layout.pack(template), layout, objective.read_data(template, *train.training_arrays())
 
 
-def central_fd_grad(theta, layout, state, data, step_rel=1e-5):
+def span(layout, name):
+    """The span of ``layout`` named ``name``; a ``KeyError`` if it has none."""
+    return {s.name: s for s in layout.spans}[name]
+
+
+def central_fd_grad(theta, layout, data, step_rel=1e-5):
     """Central differences of the bound, one coordinate at a time, with a step
     of ``step_rel`` relative to the coordinate (at least ``step_rel``)."""
     theta = np.asarray(theta, float)
@@ -126,8 +131,8 @@ def central_fd_grad(theta, layout, state, data, step_rel=1e-5):
         minus = theta.copy()
         plus[i] += step
         minus[i] -= step
-        f_plus = objective.evaluate(plus, layout, state, data)[0].total
-        f_minus = objective.evaluate(minus, layout, state, data)[0].total
+        f_plus = objective.evaluate(plus, layout, data)[0].total
+        f_minus = objective.evaluate(minus, layout, data)[0].total
         grad[i] = (f_plus - f_minus) / (2.0 * step)
     return grad
 

@@ -69,8 +69,8 @@ def test_tape_walk_equals_the_reference_walk_bit_for_bit(flat):
     # same leaf a second parameter node whose outputs several closed forms
     # read, psi statistics reached only through their later output and an
     # inverse Gram reached only through its first
-    theta, layout, template, bound_data = initial_step(10, 3, 8, 6, flat=flat)
-    pieces, (leaf,) = objective.build_graph(theta, layout, template, bound_data)
+    theta, layout, bound_data = initial_step(10, 3, 8, 6, flat=flat)
+    pieces, (leaf,) = objective.build_graph(theta, layout, bound_data)
     p = layout.constrain(leaf)
     v, ls, zh = p["latent_kernel_variance"], p["latent_kernel_lengthscales"], p["inducing_latents"]
     _, psi2 = psi_stats(v, ls, p["latent_mean"], p["latent_log_variance"], zh)

@@ -68,6 +68,37 @@ def test_config_validation_reports_field_paths():
         )
 
 
+def _kernel_section(lengthscale_field, value):
+    """The shared kernel a 2-D synthetic config reads from one lengthscale field."""
+    section = {"family": "rbf", lengthscale_field: value}
+    return RunConfig({"dataset": {"synthetic": {"input_dim": 2, "shared_kernel": section}}}).synthetic.shared_kernel
+
+
+def test_kernel_lengthscale_is_one_number_or_one_per_input_dimension():
+    assert np.array_equal(_kernel_section("lengthscale", 0.5).lengthscales, [0.5, 0.5])
+    assert np.array_equal(_kernel_section("lengthscale", 3).lengthscales, [3.0, 3.0])
+    assert np.array_equal(_kernel_section("lengthscale", [0.5, 2.0]).lengthscales, [0.5, 2.0])
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        ("lengthscale", [0.5, 1.0, 2.0], "lengthscale: expected 2 values"),
+        ("lengthscale", [], "lengthscale: expected 2 values"),
+        ("lengthscale", "wide", "lengthscale: expected a number or a list of numbers"),
+        ("lengthscale", [0.5, True], "lengthscale: expected a number or a list of numbers"),
+        ("lengthscales", [0.5, 2.0], "lengthscales: unknown field"),
+    ],
+)
+def test_kernel_lengthscale_rejects_a_wrong_count_type_or_spelling(tmp_path, capsys, field, value, problem):
+    with pytest.raises(ConfigError, match=f"^dataset.synthetic.shared_kernel.{re.escape(problem)}$"):
+        _kernel_section(field, value)
+    config = base_config(tmp_path / "run")
+    config["dataset"]["synthetic"].update(input_dim=2, shared_kernel={field: value})
+    assert main(["fit", "--config", str(write_config(tmp_path, config))]) == 2
+    assert f"dataset.synthetic.shared_kernel.{problem}" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_fields(tmp_path, capsys):
     cases = {
         "optimizer.lerning_rate": {"optimizer": {"lerning_rate": 0.5}},
@@ -312,11 +343,12 @@ _GOOD_TABLES = {  # two aligned rows of each table, with its header
         ("{header}\n{good}\n0,0,nan,{tail}\n", ":3: non-finite value"),
         ("{header}\n{good}\n0,0,0.2,inf{rest}\n", ":3: non-finite value"),
         ("{header}\n{good}\n0,-1,0.2,{tail}\n", ":3: output and replica indices must be >= 0"),
+        ("{header}\n{good}\n9223372036854775808,0,0.2,{tail}\n", ":3: output and replica indices must be below 2**63"),
         ("{header}\n\n", ": no observations"),
         ("", ": empty file"),
         ("output,replica,x_1,{names}\n{good}\n", ":1: input columns must be x_0, x_1, ..."),
     ],
-    ids=["index", "input", "fields", "nan_input", "inf_tail", "negative_index", "no_rows", "empty", "input_names"],
+    ids=["index", "input", "fields", "nan_input", "inf_tail", "negative_index", "int64_index", "no_rows", "empty", "input_names"],
 )
 def test_malformed_table_is_the_same_data_error_as_truth_or_as_predictions(tmp_path, capsys, table, text, problem):
     # a dataset and a predictions table go through one reader and its checks

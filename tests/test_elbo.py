@@ -111,7 +111,7 @@ def test_regimes_coincide_on_identical_inputs_and_noise():
         results = []
         for state in (tied, per_output):
             layout = ParamLayout(state)
-            breakdown, grad, _ = objective.evaluate_with_grad(layout.pack(state), layout, state, data)
+            breakdown, grad, _ = objective.evaluate_with_grad(layout.pack(state), layout, data)
             results.append((breakdown, layout.split(grad)))
         (a, grad_a), (b, grad_b) = results
         for name in ("data_fit", "kl_inducing", "kl_latent", "total"):
@@ -282,7 +282,7 @@ def test_an_output_with_no_points_contributes_only_its_n_d_zero_terms():
         kl_empty = 0.5 * np.sum(s + mu**2 - 1.0 - np.log(s))
         assert np.isclose(full.kl_latent - without.kl_latent, kl_empty, rtol=1e-10, atol=1e-12), trial
         layout = ParamLayout(state)
-        _, grad, _ = objective.evaluate_with_grad(layout.pack(state), layout, state, read_data(state, x, y))
+        _, grad, _ = objective.evaluate_with_grad(layout.pack(state), layout, read_data(state, x, y))
         grads = layout.split(grad)
         assert grads["log_noise_variance"][empty] == 0.0
         assert np.allclose(grads["latent_mean"][empty], -mu, rtol=1e-12, atol=1e-14)
@@ -683,7 +683,7 @@ def test_bound_and_gradient_factor_each_inducing_gram_once(monkeypatch):
         return original(gufunc, a)
 
     monkeypatch.setattr(kron_module, "_lapack", counted)
-    _, _, jitters = objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
+    _, _, jitters = objective.evaluate_with_grad(layout.pack(state), layout, bound_data)
     assert jitters == {"kuu_h": 0.0, "kuu_x": 0.0}
     # one factor of Kuu_h and one of Kuu_x, each used for its inverse and log-determinant
     assert sorted(calls) == [(2, 2), (4, 4)]
@@ -702,14 +702,14 @@ def test_steps_on_one_bound_data_equal_steps_on_fresh_bound_data(flat):
     reused = read_data(state, x, y)
     other = theta + 0.05 * rng.standard_normal(theta.shape)
     for t in (theta, other, theta):
-        b_r, g_r, j_r = objective.evaluate_with_grad(t, layout, state, reused)
-        b_f, g_f, j_f = objective.evaluate_with_grad(t, layout, state, read_data(state, x, y))
+        b_r, g_r, j_r = objective.evaluate_with_grad(t, layout, reused)
+        b_f, g_f, j_f = objective.evaluate_with_grad(t, layout, read_data(state, x, y))
         assert b_r == b_f and j_r == j_f and np.array_equal(g_r, g_f)
     # a graph's gradient taken after another forward pass on the same data
-    pieces, leaves = objective.build_graph(theta, layout, state, reused)
-    objective.evaluate(other, layout, state, reused)
+    pieces, leaves = objective.build_graph(theta, layout, reused)
+    objective.evaluate(other, layout, reused)
     (g_late,) = ad.grad(pieces.total, leaves)
-    fresh, fresh_leaves = objective.build_graph(theta, layout, state, read_data(state, x, y))
+    fresh, fresh_leaves = objective.build_graph(theta, layout, read_data(state, x, y))
     assert np.array_equal(g_late, ad.grad(fresh.total, fresh_leaves)[0])
 
 
@@ -726,7 +726,7 @@ def test_two_read_data_calls_share_no_buffer():
     layout = ParamLayout(state)
     datasets = read_data(state, x, y), read_data(state, x, y)
     for bound_data in datasets:
-        objective.evaluate_with_grad(layout.pack(state), layout, state, bound_data)
+        objective.evaluate_with_grad(layout.pack(state), layout, bound_data)
 
     first, second = map(_scratch, datasets)
     # the per-point array, its bins, the rows of U and their cotangent, and per replica pairs a block and two sums
@@ -750,7 +750,7 @@ def test_read_data_makes_the_scratch_every_step_reuses(flat):
     assert data.u_rows.shape == data.u_rows_grad.shape == (*data.index.shape, state.inducing.m_h)
     padded = 0
     for t in (theta, theta + 0.05 * rng.standard_normal(theta.shape)):
-        objective.evaluate_with_grad(t, layout, state, data)
+        objective.evaluate_with_grad(t, layout, data)
         assert all(a is b for a, b in zip(_scratch(data), made))
         for p in (data.kfu_pairs, data.kuu_pairs):
             padding, outside = np.ones(p.block.shape, bool), np.ones(p.shape, bool)

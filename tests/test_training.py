@@ -30,6 +30,7 @@ from .helpers import (
     random_shared_data,
     random_state,
     shared_as_per_output,
+    span,
 )
 
 
@@ -39,11 +40,22 @@ def test_layout_roundtrip_state():
         state = random_state(rng, flat=flat)
         layout = ParamLayout(state)
         theta = layout.pack(state)
-        rebuilt = layout.unpack(theta, state)
+        rebuilt = layout.unpack(theta)
         assert np.allclose(layout.pack(rebuilt), theta)
         assert rebuilt.hier_kernel.replica.family == state.hier_kernel.replica.family
         assert np.allclose(rebuilt.inducing.mean, state.inducing.mean)
         assert np.allclose(rebuilt.latent_posterior.variances, state.latent_posterior.variances)
+
+
+@pytest.mark.parametrize("per_output_noise", [True, False])
+def test_layout_keeps_the_noise_shape_of_a_single_output(per_output_noise):
+    # at D=1 tied noise (0-d) and per-output noise (1,) have equal span
+    # shapes; the layout reads which from its template
+    state = random_state(np.random.default_rng(5), n_outputs=1, per_output_noise=per_output_noise)
+    layout = ParamLayout(state)
+    rebuilt = layout.unpack(layout.pack(state))
+    assert rebuilt.noise_variance.shape == state.noise_variance.shape == ((1,) if per_output_noise else ())
+    assert np.allclose(rebuilt.noise_variance, state.noise_variance, rtol=1e-15, atol=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -53,7 +65,7 @@ def test_pack_unpack_identity_on_random_vectors(seed):
     state = random_state(rng)
     layout = ParamLayout(state)
     theta = rng.standard_normal(layout.size)
-    rebuilt = layout.pack(layout.unpack(theta, state))
+    rebuilt = layout.pack(layout.unpack(theta))
     assert np.allclose(rebuilt, theta, rtol=0, atol=1e-12)
 
 
@@ -65,7 +77,7 @@ def test_parameter_node_matches_unpack_and_finite_differences(flat, per_output_n
     layout = ParamLayout(state)
     theta = layout.pack(state) + 0.1 * rng.standard_normal(layout.size)
     p = {name: node.value for name, node in layout.constrain(ad.Node(theta)).items()}
-    rebuilt = layout.unpack(theta, state)
+    rebuilt = layout.unpack(theta)
     hk = rebuilt.hier_kernel
     kernels = {"replica": hk.replica, "latent_kernel": rebuilt.latent_kernel}
     if not flat:
@@ -97,11 +109,11 @@ def test_span_lookup_and_mask():
     state = random_state(rng)
     layout = ParamLayout(state)
     assert layout.span_of_index(0) == layout.spans[0].name
-    span = layout.span("log_noise_variance")
-    assert span.size == state.n_outputs
-    assert layout.span_of_index(span.start) == layout.span_of_index(span.stop - 1) == span.name
+    noise = span(layout, "log_noise_variance")
+    assert noise.stop - noise.start == state.n_outputs
+    assert layout.span_of_index(noise.start) == layout.span_of_index(noise.stop - 1) == noise.name
     with pytest.raises(KeyError):
-        layout.span("no_such_span")
+        span(layout, "no_such_span")
 
 
 def test_inducing_inputs_are_one_span_at_twelve_replicas():
@@ -121,28 +133,28 @@ def test_inducing_inputs_are_one_span_at_twelve_replicas():
     theta = layout.pack(state)
 
     # the span sits where the per-replica spans were and holds their blocks in order
-    span = layout.span("inducing_inputs")
-    assert span.shape == (m_x, 2)
-    assert span.start == layout.span("latent_log_variance").stop
-    assert span.stop == layout.span("inducing_latents").start
-    assert np.array_equal(theta[span.start : span.stop], np.concatenate([b.ravel() for b in state.inducing.z_input]))
+    inputs = span(layout, "inducing_inputs")
+    assert inputs.shape == (m_x, 2)
+    assert inputs.start == span(layout, "latent_log_variance").stop
+    assert inputs.stop == span(layout, "inducing_latents").start
+    assert np.array_equal(theta[inputs.start : inputs.stop], np.concatenate([b.ravel() for b in state.inducing.z_input]))
 
     # round trip: pack, unpack and pack again reproduce theta; blocks keep their sizes
-    rebuilt = layout.unpack(theta, state)
+    rebuilt = layout.unpack(theta)
     assert [b.shape for b in rebuilt.inducing.z_input] == [(m, 2) for m in sizes]
     for got, want in zip(rebuilt.inducing.z_input, state.inducing.z_input):
         assert np.array_equal(got, want)
     repacked = layout.pack(rebuilt)
-    assert np.array_equal(repacked[span.start : span.stop], theta[span.start : span.stop])
+    assert np.array_equal(repacked[inputs.start : inputs.stop], theta[inputs.start : inputs.stop])
     assert np.allclose(repacked, theta, rtol=0, atol=1e-12)
     random_theta = rng.standard_normal(layout.size)
-    unpacked = layout.unpack(random_theta, state)
-    assert np.array_equal(np.concatenate(unpacked.inducing.z_input).ravel(), random_theta[span.start : span.stop])
+    unpacked = layout.unpack(random_theta)
+    assert np.array_equal(np.concatenate(unpacked.inducing.z_input).ravel(), random_theta[inputs.start : inputs.stop])
 
-    assert layout.span("inducing_inputs").size == m_x * 2
+    assert inputs.stop - inputs.start == m_x * 2
     for name in ("inducing_inputs_1", "inducing_inputs_0", "inducing", "log_noise_varianc"):
         with pytest.raises(KeyError):
-            layout.span(name)
+            span(layout, name)
 
 
 def test_gradient_zero_at_latent_prior():
@@ -164,8 +176,8 @@ def fd_check(state, x, y, rtol=1e-4, step=1e-5):
     layout = ParamLayout(state)
     theta = layout.pack(state)
     data = read_data(state, x, y)
-    _, grad, _ = grad_elbo(theta, layout, state, data)
-    grad_fd = central_fd_grad(theta, layout, state, data, step_rel=step)
+    _, grad, _ = grad_elbo(theta, layout, data)
+    grad_fd = central_fd_grad(theta, layout, data, step_rel=step)
     scale = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(grad_fd)))
     worst = np.max(np.abs(grad - grad_fd) / scale)
     assert worst < rtol, (worst, layout.span_of_index(int(np.argmax(np.abs(grad - grad_fd) / scale))))
@@ -195,18 +207,18 @@ def test_noise_only_gradient_matches_hand_derivative():
     layout = ParamLayout(state)
     theta = layout.pack(state)
     data = read_data(state, x, y)
-    breakdown, grad, _ = grad_elbo(theta, layout, state, data)
-    span = layout.span("log_noise_variance")
+    breakdown, grad, _ = grad_elbo(theta, layout, data)
+    noise = span(layout, "log_noise_variance")
 
     def value_at(log_sig2):
         theta2 = theta.copy()
-        theta2[span.start] = log_sig2
-        b, _, _ = grad_elbo(theta2, layout, state, data)
+        theta2[noise.start] = log_sig2
+        b, _, _ = grad_elbo(theta2, layout, data)
         return b.total
 
     step = 1e-6
-    fd = (value_at(theta[span.start] + step) - value_at(theta[span.start] - step)) / (2 * step)
-    assert np.isclose(grad[span.start], fd, rtol=1e-6, atol=1e-8)
+    fd = (value_at(theta[noise.start] + step) - value_at(theta[noise.start] - step)) / (2 * step)
+    assert np.isclose(grad[noise.start], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_adam_zero_gradient_is_identity():
@@ -307,9 +319,9 @@ def test_noise_gradient_vanishes_at_the_residual_mean_square():
                 noise_variance=np.asarray(scale * mean_sq),
             )
             layout = ParamLayout(state)
-            _, grad, _ = grad_elbo(layout.pack(state), layout, state, read_data(state, x, y))
-            span = layout.span("log_noise_variance")
-            assert np.all(np.abs(grad[span.start : span.stop] - want) <= tol), (regime, scale)
+            _, grad, _ = grad_elbo(layout.pack(state), layout, read_data(state, x, y))
+            noise = span(layout, "log_noise_variance")
+            assert np.all(np.abs(grad[noise.start : noise.stop] - want) <= tol), (regime, scale)
 
 
 def test_noise_only_best_sequence_is_monotone():
@@ -340,13 +352,13 @@ def test_an_output_without_rows_keeps_its_initial_noise(tmp_path):
     initial = initialize_state(dataset, model_config, seed=0)
     layout = ParamLayout(initial)
     theta = layout.pack(initial)
-    _, grad, _ = grad_elbo(theta, layout, initial, read_data(initial, *dataset.training_arrays()))
-    noise = layout.span("log_noise_variance")
+    _, grad, _ = grad_elbo(theta, layout, read_data(initial, *dataset.training_arrays()))
+    noise = span(layout, "log_noise_variance")
     assert grad[noise.start + 1] == 0.0 and np.all(grad[[noise.start, noise.start + 2]] != 0.0)
 
     result = fit(dataset, model_config, OptimizerConfig(iterations=50, seed=0))
     assert np.all(np.isfinite(result.trace))
-    assert result.state.noise_variance[1] == layout.unpack(theta, initial).noise_variance[1]
+    assert result.state.noise_variance[1] == layout.unpack(theta).noise_variance[1]
     assert result.state.noise_variance[0] != initial.noise_variance[0]
     xstar = np.linspace(0.0, 1.0, 5)[:, None]
     for r in range(dataset.n_replicas):
@@ -420,9 +432,9 @@ def test_fit_error_reports_offending_span():
     x, y = random_per_output_data(rng, state)
     layout = ParamLayout(state)
     theta = layout.pack(state)
-    theta[layout.span("log_noise_variance").start] = 800.0  # exp overflows
+    theta[span(layout, "log_noise_variance").start] = 800.0  # exp overflows
     with pytest.raises(FitError):
-        grad_elbo(theta, layout, state, read_data(state, x, y))
+        grad_elbo(theta, layout, read_data(state, x, y))
 
 
 @pytest.mark.parametrize(
@@ -495,9 +507,9 @@ def test_fit_reads_the_data_once(monkeypatch):
         reads.append(original_read(*args))
         return reads[-1]
 
-    def recording_build(theta, layout, template, data, *rest):
+    def recording_build(theta, layout, data, *rest):
         seen.add(id(data))
-        return build_graph(theta, layout, template, data, *rest)
+        return build_graph(theta, layout, data, *rest)
 
     monkeypatch.setattr(objective, "read_data", counting_read)
     monkeypatch.setattr(objective, "build_graph", recording_build)
