@@ -20,6 +20,19 @@ Run it on two checkouts and diff the output: any difference in the last
 bit of any of these numbers changes a digest.
 
     PYTHONPATH=src python3 scripts/fit_digest.py [--seeds 0-9] [--shapes desk,tiny-flat]
+
+A change that is not bit for bit is measured instead with two more modes.
+``--dump PATH.npz`` fits nothing: for each shape and seed it writes, at the
+initial state and at three perturbed states ``theta + 0.05 N(0, 1)`` drawn
+from the seed, the bound breakdown, the gradient, both jitters and every
+held-out block's predictive mean and variance. ``--compare A.npz B.npz``
+prints, per shape and quantity, the largest relative difference between
+two dumps (an array's largest absolute difference over the larger of the
+two arrays' largest magnitudes) and the key where it occurs; it exits 1
+when the dumps hold different keys or shapes.
+
+    PYTHONPATH=src python3 scripts/fit_digest.py --seeds 0-2 --dump before.npz
+    PYTHONPATH=src python3 scripts/fit_digest.py --compare before.npz after.npz
 """
 
 import argparse
@@ -60,7 +73,9 @@ def predict_block(prepared, state, d: int, r: int, block):
     return prediction.predict_marginal(state, block.inputs, np.full(block.n_points, r, dtype=int), d)
 
 
-def fingerprint(workload, seed: int, flat: bool) -> tuple[str, str, str]:
+def setup(workload, seed: int, flat: bool):
+    """The workload's prepared data and model settings at ``seed``, the
+    layout of the initial state and the bound's data."""
     prepared = workloads.prepare(workload, seed)
     model = training.ModelConfig(
         latent_dim=2,
@@ -69,12 +84,14 @@ def fingerprint(workload, seed: int, flat: bool) -> tuple[str, str, str]:
         flat=flat,
         regime=workload.regime,
     )
-    optimizer = training.OptimizerConfig(learning_rate=0.01, iterations=workload.iterations, seed=seed)
-
     template = training.initialize_state(prepared.train, model, seed)
-    layout = ParamLayout(template)
-    data = objective.read_data(template, *prepared.train.training_arrays())
-    breakdown, grad, jitters = objective.evaluate_with_grad(layout.pack(template), layout, data)
+    return prepared, model, ParamLayout(template), objective.read_data(template, *prepared.train.training_arrays())
+
+
+def fingerprint(workload, seed: int, flat: bool) -> tuple[str, str, str]:
+    prepared, model, layout, data = setup(workload, seed, flat)
+    optimizer = training.OptimizerConfig(learning_rate=0.01, iterations=workload.iterations, seed=seed)
+    breakdown, grad, jitters = objective.evaluate_with_grad(layout.pack(layout.template), layout, data)
     step = digest(
         [breakdown.data_fit, breakdown.kl_inducing, breakdown.kl_latent],
         grad,
@@ -88,17 +105,88 @@ def fingerprint(workload, seed: int, flat: bool) -> tuple[str, str, str]:
     return fit, step, predict
 
 
+def states(name: str, workload, seed: int, flat: bool) -> dict[str, np.ndarray]:
+    """What ``--dump`` writes for one shape and seed, keyed
+    ``shape/seed<s>/state<k>/quantity`` (``.../mean/<block>`` and
+    ``.../variance/<block>`` for the predictions); state 0 is the initial
+    state and states 1-3 its perturbations."""
+    prepared, _, layout, data = setup(workload, seed, flat)
+    theta = layout.pack(layout.template)
+    rng = np.random.default_rng(seed)
+    out = {}
+    for k in range(4):
+        at = theta if k == 0 else theta + 0.05 * rng.standard_normal(theta.shape)
+        breakdown, grad, jitters = objective.evaluate_with_grad(at, layout, data)
+        key = f"{name}/seed{seed}/state{k}"
+        for quantity in ("data_fit", "kl_inducing", "kl_latent"):
+            out[f"{key}/{quantity}"] = np.asarray(getattr(breakdown, quantity))
+        out[f"{key}/gradient"] = grad
+        for jitter in sorted(jitters):
+            out[f"{key}/jitter_{jitter}"] = np.asarray(jitters[jitter])
+        state = layout.unpack(at)
+        for i, (d, r, block) in enumerate(prepared.test_blocks()):
+            moments = predict_block(prepared, state, d, r, block)
+            out[f"{key}/mean/{i}"], out[f"{key}/variance/{i}"] = moments.mean, moments.variance
+    return out
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest ``|a - b|`` over the larger of ``max |a|`` and ``max |b|``
+    for arrays of one shape: 0 for equal arrays, NaNs included, and inf for
+    arrays with a non-finite value where they differ."""
+    if np.array_equal(a, b, equal_nan=True):
+        return 0.0
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return np.inf
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b))))
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the largest relative difference per shape and quantity; 1 when
+    the dumps hold different keys or an array of another shape."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        if set(a.files) != set(b.files):
+            for key in sorted(set(a.files) ^ set(b.files)):
+                print(f"only in {path_a if key in a.files else path_b}: {key}")
+            return 1
+        worst = {}  # (shape, quantity) -> (difference, key), in the dump's order
+        for key in a.files:
+            x, y = a[key], b[key]
+            if x.shape != y.shape:
+                print(f"{key}: shape {x.shape} against {y.shape}")
+                return 1
+            parts = key.split("/")
+            group, difference = (parts[0], parts[3]), relative_difference(x, y)
+            if group not in worst or difference > worst[group][0]:
+                worst[group] = (difference, key)
+    for (shape, quantity), (difference, key) in worst.items():
+        print(f"{shape:<16s} {quantity:<14s} {difference:.3e}  {key if difference else ''}".rstrip())
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seeds, default=[0], help="e.g. 0-9 or 0,3 (default 0)")
     shapes = [name for workload in workloads.WORKLOADS for name in (workload, f"{workload}-flat")]
     parser.add_argument("--shapes", default=",".join(shapes), help="comma-separated workload names, each with or without -flat")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="PATH.npz", help="write the initial and perturbed states' quantities instead")
+    mode.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"), help="compare two dumps instead")
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    dumped = {}
     for name in args.shapes.split(","):
         workload, flat = name.removesuffix("-flat"), name.endswith("-flat")
         for seed in args.seeds:
+            if args.dump:
+                dumped.update(states(name, workloads.WORKLOADS[workload], seed, flat))
+                continue
             fit, step, predict = fingerprint(workloads.WORKLOADS[workload], seed, flat)
             print(f"{name:<16s} seed {seed:<3d} fit {fit}  step {step}  predict {predict}", flush=True)
+    if args.dump:
+        np.savez(args.dump, **dumped)
+        print(f"wrote {len(dumped)} arrays to {args.dump}")
     return 0
 
 

@@ -1,16 +1,15 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A tape of ``Node`` objects, each a value and the parents it was computed
-from. Every node of the bound is an output of a closed form with a
-hand-written backward pass, built with ``fused``: the constrained parameters
-(``params.ParamLayout.constrain``), the stationary and hierarchical Grams
-(``kernels.gram`` and ``kernels.hier_gram``), each inducing Gram's inverse
-and log-determinant (``kron.spd_inverse``), the psi statistics and both KL
-terms (``latent``), the data fit and the total (``objective``). The tape
-itself factors nothing and has no generic operations: ``grad`` calls each
-closed form's backward pass once, with every output's cotangent, and adds
-the gradients it returns into the arguments. Values are float64 throughout.
-Every fused node's backward pass is checked against central finite
+from. The bound's closed forms (``kernels``, ``latent``, ``kron``,
+``params`` and ``objective.data_fit``) are plain numpy functions, each
+returning its value, or a tuple of values, with a hand-written backward
+pass; ``objective.build_graph`` alone records them, with ``record``, or
+with ``fused`` where a form reads no parent's value. The tape itself
+factors nothing and has no generic operations: ``grad`` calls each closed
+form's backward pass once, with every output's cotangent, and adds the
+gradients it returns into the arguments. Values are float64 throughout.
+Every closed form's backward pass is checked against central finite
 differences in the test suite.
 """
 
@@ -36,11 +35,6 @@ class Node:
         self.outputs = outputs
 
 
-def values(args) -> list[np.ndarray]:
-    """The values of ``args``: a ``Node``'s value, or the argument as a float array."""
-    return [a.value if isinstance(a, Node) else np.asarray(a, float) for a in args]
-
-
 def fused(values, args, backward):
     """Nodes for the outputs of one closed form with a hand-written backward pass.
 
@@ -62,6 +56,15 @@ def fused(values, args, backward):
     if not several:
         return first
     return (first, *[Node(v, ((first, k),)) for k, v in enumerate(values[1:], 1)])
+
+
+def record(form, *args, **constants):
+    """The nodes of one closed form: ``form(*values, **constants)``, called
+    on the values of the ``Node``s ``args``, returns its output (or a tuple
+    of outputs) and its backward pass, which gives one gradient per ``args``
+    entry; :func:`fused` makes the nodes, with ``args`` as parents."""
+    result, backward = form(*[a.value for a in args], **constants)
+    return fused(result, args, backward)
 
 
 # ---------------------------------------------------------------------------

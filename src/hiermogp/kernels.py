@@ -18,11 +18,12 @@ distance sq = sum_k ((x1_k - x2_k) / l_k)^2 and r = sqrt(sq), the kernel is
 (Matern 3/2), and its derivative in sq is ``-k / 2`` or
 ``-1.5 v exp(-sqrt(3) r)``, finite at r = 0. ``eval_stationary`` serves the
 numpy callers (data generation, initialisation, prediction). The bound's
-Grams are fused nodes of the ``autodiff`` tape, built on one numpy value and
-hand-written backward pass of the same formula: ``gram`` for the latent
-inducing Gram, and ``hier_gram`` for the inducing Gram ``Kuu_x`` and its
-cross covariance with the distinct training points, both levels of the
-hierarchical kernel in one node. Every caller shares one replica layout:
+Grams are closed forms of the same formula that return their value with a
+hand-written backward pass, which ``objective.build_graph`` records on the
+``autodiff`` tape: ``gram`` for the latent inducing Gram, and ``hier_gram``
+for the inducing Gram ``Kuu_x`` and its cross covariance with the distinct
+training points, both levels of the hierarchical kernel in one form. Every
+caller shares one replica layout:
 points stacked replica by replica, with each replica's row range given by
 offsets (``stack_blocks``). Between two such sets the replica level is one
 rectangle per replica, which the bound evaluates as one batch of padded
@@ -41,8 +42,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-
-from . import autodiff as ad
 
 RBF = "rbf"
 MATERN32 = "matern32"
@@ -65,6 +64,8 @@ class StationaryKernel:
         object.__setattr__(self, "lengthscales", np.atleast_1d(np.asarray(self.lengthscales, float)))
         if not 0.0 < self.variance < np.inf:
             raise ValueError("kernel variance must be positive and finite")
+        if self.lengthscales.ndim != 1 or self.lengthscales.size == 0:
+            raise ValueError(f"kernel lengthscales must be a non-empty vector, got shape {self.lengthscales.shape}")
         if not np.all((0.0 < self.lengthscales) & (self.lengthscales < np.inf)):
             raise ValueError("kernel lengthscales must be positive and finite")
 
@@ -103,9 +104,12 @@ class HierarchicalKernel:
 
 
 def validate_replica_blocks(blocks, input_dim=None):
-    """Check a list of (n_r, v) arrays shares one input dimension; return v."""
+    """Check a list of 2-D (n_r, v) arrays shares one input dimension; return v."""
     if len(blocks) == 0:
         raise ValueError("at least one replica block is required")
+    ranks = {np.ndim(b) for b in blocks}
+    if ranks != {2}:
+        raise ValueError(f"replica blocks must be 2-D (points, input dimension), got ranks {sorted(ranks)}")
     dims = {np.asarray(b).shape[1] for b in blocks}
     if len(dims) != 1:
         raise ValueError(f"replica blocks disagree on input dimension: {sorted(dims)}")
@@ -247,13 +251,13 @@ def _same(array, out):
     return array
 
 
-def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1: bool, grad2: bool, pairs=None):
-    """The stationary Gram of point arrays (..., n1, v) and (..., n2, v) and
-    its backward pass: ``backward(g)`` gives the gradients in the variance,
-    the lengthscales and each point set, ``None`` for a point set whose flag
-    is off (the data get none and cost nothing). A point set's gradient has
-    the Gram's leading axes, not summed over any axis the set was broadcast
-    along.
+def gram(v, ls, x1, x2, *, family: str, grad1: bool = True, pairs=None):
+    """The stationary Gram of point arrays (..., n1, v) and (..., n2, v),
+    with variance ``v`` (0-d) and lengthscales ``ls``, and its backward
+    pass: ``backward(g)`` gives the gradients in ``v``, ``ls``, ``x1`` and
+    ``x2``, ``None`` for ``x1`` with ``grad1`` off (the data get none and
+    cost nothing). A point set's gradient has the Gram's leading axes, not
+    summed over any axis the set was broadcast along.
 
     With ``pairs``, the :class:`ReplicaPairs` of two (N_a, v) and (N_b, v)
     point sets, the value is the block array of their same-replica pairs
@@ -261,8 +265,7 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
     the two ``pairs.sums``, each block in its rectangle and zeros elsewhere,
     so every sum adds the same nonzero terms in the same order as the dense
     Gram times the same-replica mask, bit for bit."""
-    v, ls = ad.values((variance, lengthscales))
-    q1, q2 = (p1, p2) if pairs is None else (p1[pairs.rows_a], p2[pairs.rows_b])
+    q1, q2 = (x1, x2) if pairs is None else (x1[pairs.rows_a], x2[pairs.rows_b])
     sq, diffs = _scaled_sqdist_keeping_diffs(q1, q2, ls)
     unit, decay = _profile(family, sq)
     value = v * unit
@@ -283,70 +286,61 @@ def _stationary_with_backward(family: str, variance, lengthscales, p1, p2, grad1
         g_v = np.vdot(g_dense, spread(unit, first))
         grad_ls = np.zeros(ls.shape)
         g1 = np.zeros(shape[:-1] + ls.shape) if grad1 else None
-        g2 = np.zeros(shape[:-2] + p2.shape[-2:]) if grad2 else None
+        g2 = np.zeros(shape[:-2] + x2.shape[-2:])
         for k, (scale, diff) in enumerate(zip(ls, diffs)):
             weighted = spread(diff * slope, first)
             grad_ls[k] = np.vdot(weighted, spread(diff, second)) * (-2.0 / scale)
             if g1 is not None:
                 g1[..., k] = weighted.sum(axis=-1) * (2.0 / scale)
-            if g2 is not None:
-                g2[..., k] = weighted.sum(axis=-2) * (-2.0 / scale)
+            g2[..., k] = weighted.sum(axis=-2) * (-2.0 / scale)
         return g_v, grad_ls, g1, g2
 
     return value, backward
 
 
-def gram(family: str, variance, lengthscales, x1, x2) -> ad.Node:
-    """The stationary Gram of point sets (n1, v) and (n2, v) as one tape node.
+def hier_gram(*arrays, families, pairs: ReplicaPairs, xa=None):
+    """The hierarchical Gram of two point sets stacked replica by replica,
+    the form of :func:`hier_cross_cov` the bound differentiates, and its
+    backward pass: the shared kernel over every pair plus the replica kernel
+    over the per-replica rectangles of ``pairs``.
 
-    Gradients flow into whichever arguments are ``Node``s (the variance, the
-    lengthscales and the inducing inputs, never the data); the rest are
-    constants. The same node may be passed as both point sets. Batched point
-    sets (..., n, v) give the batched value (..., n1, n2), but their
-    gradients are not summed over broadcast axes."""
-    live = (isinstance(x1, ad.Node), isinstance(x2, ad.Node))
-    value, backward = _stationary_with_backward(family, variance, lengthscales, *ad.values((x1, x2)), *live)
-    return ad.fused(value, (variance, lengthscales, x1, x2), backward)
-
-
-def hier_gram(shared_params, replica_params, xa, xb, pairs: ReplicaPairs) -> ad.Node:
-    """Hierarchical Gram of two point sets stacked replica by replica as one
-    tape node, the form of :func:`hier_cross_cov` the bound differentiates:
-    the shared kernel over every pair plus the replica kernel over the
-    per-replica rectangles of ``pairs``. Each level is ``(family, variance,
-    lengthscales)`` as :func:`gram` takes them, and ``shared_params=None``
-    leaves the shared level out (the flat ablation). The replica level is
+    ``arrays`` are, in the order of their gradients, the shared level's
+    variance and lengthscales (left out with the shared family ``None`` in
+    ``families``: the flat ablation), the replica level's, then ``xb`` and
+    ``xa``. Points passed as ``xa=`` instead, such as the data, are a
+    constant, whose gradient is never computed. ``xb`` comes first: where
+    one node is both point sets, the tape sums its column gradient first
+    (the shared_grid fit is chaotic in the last bit, and this order
+    reproduces its recorded scores at seed 0). The replica level is
     evaluated on the rectangles in one batch and written into a new zero
-    array, one slice each, as a node's value is never scratch, and the
-    shared level is added to that; the backward pass sums through the
-    scratch of ``pairs``. Value and gradients equal the dense replica Gram
-    times the ``(tag_a == tag_b)`` mask bit for bit. Gradients flow into the
-    ``Node`` arguments as in :func:`gram`."""
-    live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
-    points = ad.values((xa, xb))
-    replica, replica_backward = _stationary_with_backward(*replica_params, *points, *live, pairs)
-    # the second point set first: with one node as both, the tape sums its
-    # column gradient first (the shared_grid fit is chaotic in the last bit,
-    # and this order reproduces its recorded scores at seed 0)
-    args = (*replica_params[1:], xb, xa)
+    array, as a value is never scratch, and the shared level is added to
+    that; the backward pass sums through the scratch of ``pairs``. Value
+    and gradients equal the dense replica Gram times the
+    ``(tag_a == tag_b)`` mask bit for bit."""
+    grad_a = xa is None
+    if grad_a:
+        *levels, xb, xa = arrays
+    else:
+        *levels, xb = arrays
+    shared_family, replica_family = families
+    replica, replica_backward = gram(*levels[-2:], xa, xb, family=replica_family, grad1=grad_a, pairs=pairs)
     value = pairs.spread(replica, np.zeros(pairs.shape))
-    if shared_params is not None:
-        shared, shared_backward = _stationary_with_backward(*shared_params, *points, *live)
+    if shared_family is not None:
+        shared, shared_backward = gram(*levels[:2], xa, xb, family=shared_family, grad1=grad_a)
         value += shared
-        args = (*shared_params[1:], *args)
 
     def backward(g):
         g_vf, g_lsf, g_a, g_b = replica_backward(g)
-        if shared_params is None:
-            return g_vf, g_lsf, g_b, g_a
+        points = (g_b, g_a) if grad_a else (g_b,)
+        if shared_family is None:
+            return g_vf, g_lsf, *points
         g_vg, g_lsg, s_a, s_b = shared_backward(g)
-        if live[0]:
+        if grad_a:
             g_a += s_a
-        if live[1]:
-            g_b += s_b
-        return g_vg, g_lsg, g_vf, g_lsf, g_b, g_a
+        g_b += s_b
+        return g_vg, g_lsg, g_vf, g_lsf, *points
 
-    return ad.fused(value, args, backward)
+    return value, backward
 
 
 def stack_blocks(blocks, input_dim=None) -> tuple[np.ndarray, tuple]:

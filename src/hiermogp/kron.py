@@ -7,8 +7,9 @@ so only the factors are ever decomposed, and each once. ``cholesky_jitter``
 factors a Gram with the smallest diagonal jitter from a fixed ladder and
 returns the factor from the trial that succeeded, with the jitter the bound
 reports. ``spd_inverse`` builds the Gram's inverse and log-determinant from
-that factor as two nodes of the ``autodiff`` tape, and ``tril_inverse`` is
-the one numpy-only triangular inverse it and prediction share. Both the
+that factor, with their backward pass, as a plain numpy closed form that
+``objective.build_graph`` records on the tape, and ``tril_inverse`` is the
+one triangular inverse it and prediction share. Both the
 factorisation and the inverse call the LAPACK gufuncs that
 ``np.linalg.cholesky`` and ``np.linalg.inv`` call, through ``_lapack``, with
 the same error handling and without those functions' Python wrappers, so
@@ -22,8 +23,6 @@ import functools
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-
-from .autodiff import fused
 
 
 class IndefiniteMatrixError(np.linalg.LinAlgError):
@@ -97,10 +96,10 @@ def tril_inverse(l: np.ndarray) -> np.ndarray:
     return _lapack(_umath_linalg.inv, lower[::-1, ::-1])[::-1, ::-1].copy()
 
 
-def spd_inverse(k, lower: np.ndarray):
-    """``(A, log|K + j I|)`` with ``A = (K + j I)^-1``, as two nodes of one
-    closed form, from ``lower``, the factor of ``K + j I`` that
-    :func:`cholesky_jitter` returned for the value of ``K``.
+def spd_inverse(lower: np.ndarray):
+    """``((A, log|K + j I|), backward)`` with ``A = (K + j I)^-1``, from
+    ``lower``, the factor of ``K + j I`` that :func:`cholesky_jitter`
+    returned for ``K``.
 
     ``A = L^-T L^-1`` and the log-determinant is ``2 sum(log diag L)``; no
     factorisation runs here. The backward pass is ``g_logdet A - A G A`` for
@@ -118,4 +117,4 @@ def spd_inverse(k, lower: np.ndarray):
         grad += g_logdet * inverse
         return (grad,)
 
-    return fused((inverse, logdet), (k,), backward)
+    return (inverse, logdet), backward

@@ -7,14 +7,14 @@ Gaussian whose covariance is the Kronecker product of an output-side and an
 input-side factor, which shrinks the variational parameter count from
 (m_h * m_x)^2 to m_h^2 + m_x^2.
 
-The three closed forms the bound needs are written once here, each as a fused
-``autodiff`` node with a hand-written backward pass (``autodiff.fused``): the
-psi statistics of the ARD RBF output kernel under the latent posterior
-(Titsias & Lawrence, Bayesian GPLVM), the Kronecker-factorised inducing KL
-and the latent KL. Gradients flow into whichever arguments are ``Node``s.
-``objective.build_graph`` assembles the bound from them; the tests evaluate
-them on constant arrays and check every backward pass against finite
-differences.
+The three closed forms the bound needs are written once here, each a plain
+numpy function of arrays that returns its value with a hand-written
+backward pass, which gives one gradient per argument: the psi statistics
+of the ARD RBF output kernel under the latent posterior (Titsias &
+Lawrence, Bayesian GPLVM), the Kronecker-factorised inducing KL and the
+latent KL. ``objective.build_graph`` records them on the ``autodiff`` tape
+to assemble the bound, prediction reads the psi statistics' value, and the
+tests check every backward pass against finite differences.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .kernels import validate_replica_blocks
 
 
@@ -39,6 +38,8 @@ class LatentPosterior:
         self.variances = np.atleast_2d(np.asarray(self.variances, float))
         if self.means.shape != self.variances.shape:
             raise ValueError("means and variances must share a shape")
+        if self.means.ndim != 2:
+            raise ValueError(f"means and variances must be 2-D (outputs, latent dimension), got {self.means.shape}")
         if np.any(self.variances <= 0.0):
             raise ValueError("latent variances must be strictly positive")
 
@@ -70,6 +71,8 @@ class InducingState:
         self.z_input = [np.atleast_2d(np.asarray(b, float)) for b in self.z_input]
         validate_replica_blocks(self.z_input)
         self.z_latent = np.atleast_2d(np.asarray(self.z_latent, float))
+        if self.z_latent.ndim != 2:
+            raise ValueError(f"z_latent must be 2-D (m_h, latent dimension), got {self.z_latent.shape}")
         self.mean = np.asarray(self.mean, float)
         self.cov_latent_chol = np.asarray(self.cov_latent_chol, float)
         self.cov_input_chol = np.asarray(self.cov_input_chol, float)
@@ -96,18 +99,11 @@ class InducingState:
     def m_h(self) -> int:
         return self.z_latent.shape[0]
 
-    @property
-    def cov_latent(self) -> np.ndarray:
-        return self.cov_latent_chol @ self.cov_latent_chol.T
 
-    @property
-    def cov_input(self) -> np.ndarray:
-        return self.cov_input_chol @ self.cov_input_chol.T
-
-
-def psi_stats(variance, lengthscales, mu, log_s, zh):
-    """Closed-form psi1 (d, m) and psi2 (d, m, m) of an ARD RBF output kernel,
-    as two nodes of one closed form.
+def psi_stats(v, ls, mu, log_s, zh):
+    """``((psi1, psi2), backward)``: the closed-form psi1 (d, m) and psi2
+    (d, m, m) of an ARD RBF output kernel with variance ``v`` and
+    lengthscales ``ls``.
 
     For each output with posterior N(mu, diag(exp(log_s))) and inducing
     coordinates z, psi1[m] integrates k(h, z_m) against the Gaussian, which
@@ -120,8 +116,6 @@ def psi_stats(variance, lengthscales, mu, log_s, zh):
     for psi2, ``(z_m - z_m')^2 / 4 l^2``, whose derivatives are written out
     below.
     """
-    args = (variance, lengthscales, mu, log_s, zh)
-    v, ls, mu, log_s, zh = ad.values(args)
     s = np.exp(log_s)
     l2 = ls * ls
     ratio = s / l2
@@ -173,12 +167,12 @@ def psi_stats(variance, lengthscales, mu, log_s, zh):
         grad_v = np.vdot(g1, unit1) + 2.0 * v * np.vdot(g2, unit2)
         return grad_v, 2.0 * ls * grad_l2, grad_mu, s * grad_s, grad_zh
 
-    return ad.fused((psi1, psi2), args, backward)
+    return (psi1, psi2), backward
 
 
-def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, logdet_kh, logdet_kx):
+def kl_inducing(m, s_h, s_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx):
     """KL divergence of N(vec M, S_h (x) S_x) from its prior N(0, K_h (x) K_x),
-    as one node.
+    with its backward pass.
 
     Both Gaussians factor over the output (h) and input (x) sides, so the
     divergence reduces to per-factor log determinants and traces plus one
@@ -186,8 +180,6 @@ def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, 
     built. Takes the posterior factors S with their log determinants and the
     inverse prior Grams A = K^-1 with the log determinants of K.
     """
-    args = (mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, logdet_kh, logdet_kx)
-    m, s_h, s_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx = ad.values(args)
     m_x, m_h = m.shape
     ax_m = a_x @ m
     quad_mean = (m.T @ ax_m @ a_h).trace()
@@ -215,14 +207,12 @@ def kl_inducing(mean, cov_h, cov_x, logdet_cov_h, logdet_cov_x, inv_kh, inv_kx, 
             h * m_h,
         )
 
-    return ad.fused(value, args, backward)
+    return value, backward
 
 
 def kl_latent(mu, log_s):
     """KL divergence of the diagonal latent posterior from its standard normal
-    prior, as one node."""
-    args = (mu, log_s)
-    mu, log_s = ad.values(args)
+    prior, with its backward pass."""
     s = np.exp(log_s)
     value = 0.5 * (s + mu * mu - 1.0 - log_s).sum()
-    return ad.fused(value, args, lambda g: (g * mu, 0.5 * g * (s - 1.0)))
+    return value, lambda g: (g * mu, 0.5 * g * (s - 1.0))

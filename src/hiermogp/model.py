@@ -52,10 +52,6 @@ class ModelState:
         return self.inducing.n_replicas
 
     @property
-    def latent_dim(self) -> int:
-        return self.latent_posterior.latent_dim
-
-    @property
     def input_dim(self) -> int:
         return self.hier_kernel.input_dim
 

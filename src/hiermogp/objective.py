@@ -4,21 +4,23 @@ Builds the bound as an autodiff graph over the flat unconstrained parameter
 vector, in the Kronecker-efficient form: every term factors into an
 output-side piece (built from psi statistics of the latent posterior) and an
 input-side piece (built from the hierarchical kernel), so nothing of size
-(m_h * m_x)^2 is ever materialised. The graph has one leaf, the parameter
-vector, and fused nodes only, each a closed form with a hand-written
+(m_h * m_x)^2 is ever materialised. The bound is a fixed chain of closed
+forms, plain numpy functions that return their value with a hand-written
 backward pass: the constrained parameters (``params.ParamLayout.constrain``),
 the psi statistics and both KL terms (``latent``), the Grams (``kernels``:
 ``gram`` and ``hier_gram``), each inducing Gram's inverse and
 log-determinant from the one factor the jitter ladder of ``kron`` finds
-(``kron.spd_inverse``), and the two closed forms written here, the data fit
-(``data_fit``) and the total. ``autodiff.grad`` calls each closed form's
-backward pass once per gradient, with the cotangents of all its outputs,
-and each returns its arguments' gradients in their shapes (the tied noise's
-is summed over outputs). The inducing inputs are one span of
-replica-tagged points, as the data are, so a step's tape has the same nodes
-at any replica count and any output count. The forward value backs the
-public bound evaluation; the backward pass supplies analytic gradients for
-training, as one flat vector.
+(``kron.spd_inverse``), and the two written here, the data fit
+(``data_fit``) and the total. ``build_graph`` alone records them on the
+``autodiff`` tape, over one leaf, the parameter vector, and says which
+arguments get no gradient (the data points). ``autodiff.grad`` calls
+each closed form's backward pass once per gradient, with the cotangents of
+all its outputs, and each returns its arguments' gradients in their shapes
+(the tied noise's is summed over outputs). The inducing inputs are one span
+of replica-tagged points, as the data are, so a step's tape has the same
+nodes at any replica count and any output count. The forward value backs
+the public bound evaluation; the backward pass supplies analytic gradients
+for training, as one flat vector.
 
 The data reach the bound once, through ``read_data``: per-output input
 blocks and targets become a frozen ``BoundData`` of the distinct tagged
@@ -153,17 +155,16 @@ def read_data(template: ModelState, x, y) -> BoundData:
     )
 
 
-def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise):
+def data_fit(k, p1, p2, a_x, a_h, m, s_x, s_h, vh, amp, log_noise, *, data: BoundData):
     """The bound's expected log-likelihood of ``data``, summed over outputs,
-    as one node.
+    with its backward pass.
 
-    ``kfu`` is the (N_u, m_x) Gram between the distinct points of ``data`` and
-    the inducing inputs; ``psi1`` and ``psi2`` are the outputs' psi
-    statistics; ``a_x`` and ``a_h`` the inverse inducing Grams; ``mean`` the
-    (m_x, m_h) inducing mean; ``sigma_x`` and ``sigma_h`` the inducing
-    covariance factors; ``variance * amplitude`` the prior variance of one
-    point; and ``log_noise`` the log noise variance, per output (D,) or tied
-    (1,).
+    ``k`` is the (N_u, m_x) Gram ``kfu`` between the distinct points of
+    ``data`` and the inducing inputs; ``p1`` and ``p2`` are the outputs' psi
+    statistics; ``a_x`` and ``a_h`` the inverse inducing Grams; ``m`` the
+    (m_x, m_h) inducing mean; ``s_x`` and ``s_h`` the inducing covariance
+    factors; ``vh * amp`` the prior variance of one point; and
+    ``log_noise`` the log noise variance, per output (D,) or tied (1,).
 
     Output d reads the rows ``I_d`` of ``K = kfu``. With ``U = K A_x M``,
     ``Q_d = A_h psi2_d A_h`` and ``G = A S A`` on either side, its statistics
@@ -171,10 +172,8 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
     traces ``tr(K[I_d]^T K[I_d] B) = sum_{i in I_d} (K B K^T)_ii`` for
     ``B = A_x`` and ``G_x``. So every product over the inducing inputs runs
     once per distinct point, and the per-output work is gathers and batched
-    products m_h wide. The gradient is exact where ``a_x`` and ``sigma_x``
+    products m_h wide. The gradient is exact where ``a_x`` and ``s_x``
     are symmetric, as the bound's are."""
-    args = (kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h, variance, amplitude, log_noise)
-    k, p1, p2, a_x, a_h, m, s_x, s_h, vh, amp, log_noise = ad.values(args)
     index, y, n = data.index, data.targets, data.counts
     g_h = a_h @ s_h @ a_h
     s_a = s_x @ a_x
@@ -260,40 +259,44 @@ def data_fit(data: BoundData, kfu, psi1, psi2, a_x, a_h, mean, sigma_x, sigma_h,
             d_noise,
         )
 
-    return ad.fused(value, args, backward)
+    return value, backward
 
 
 def build_graph(theta: np.ndarray, layout: ParamLayout, data: BoundData):
     """Assemble the bound; returns the graph pieces and the one leaf, the
     parameter vector, in a list."""
     theta_leaf = ad.Node(np.asarray(theta, float))
-    p = layout.constrain(theta_leaf)
+    named, backward = layout.constrain(theta_leaf.value)
+    p = dict(zip(named, ad.fused(tuple(named.values()), (theta_leaf,), backward)))
     hk = layout.template.hier_kernel
-    shared_params = None
+    levels = (p["replica_variance"], p["replica_lengthscales"])
+    families = (None, hk.replica.family)
     if not layout.template.is_flat:
-        shared_params = (hk.shared.family, p["shared_variance"], p["shared_lengthscales"])
-    replica_params = (hk.replica.family, p["replica_variance"], p["replica_lengthscales"])
+        levels = (p["shared_variance"], p["shared_lengthscales"], *levels)
+        families = (hk.shared.family, hk.replica.family)
     vh, lsh = p["latent_kernel_variance"], p["latent_kernel_lengthscales"]
     mu, log_s = p["latent_mean"], p["latent_log_variance"]
     z = p["inducing_inputs"]  # (m_x, v): the replica blocks, stacked
     zh, m_mat = p["inducing_latents"], p["inducing_mean"]
     sigma_h, sigma_x = p["cov_latent"], p["cov_input"]
 
-    kuu_h = gram(RBF, vh, lsh, zh, zh)
-    kuu_x = hier_gram(shared_params, replica_params, z, z, data.kuu_pairs)
+    kuu_h = ad.record(gram, vh, lsh, zh, zh, family=RBF)
+    kuu_x = ad.record(hier_gram, *levels, z, z, families=families, pairs=data.kuu_pairs)
     lower_h, jitter_h = choose_jitter(kuu_h.value)
     lower_x, jitter_x = choose_jitter(kuu_x.value)
-    a_h, logdet_kh = spd_inverse(kuu_h, lower_h)
-    a_x, logdet_kx = spd_inverse(kuu_x, lower_x)
+    inverse_h, backward_h = spd_inverse(lower_h)  # the factor is read; the Gram gets the gradient
+    a_h, logdet_kh = ad.fused(inverse_h, (kuu_h,), backward_h)
+    inverse_x, backward_x = spd_inverse(lower_x)
+    a_x, logdet_kx = ad.fused(inverse_x, (kuu_x,), backward_x)
 
-    kl_u = kl_inducing(
-        m_mat, sigma_h, sigma_x, p["logdet_cov_latent"], p["logdet_cov_input"], a_h, a_x, logdet_kh, logdet_kx
-    )
-    kl_h = kl_latent(mu, log_s)
-    psi1, psi2 = psi_stats(vh, lsh, mu, log_s, zh)
-    kfu = hier_gram(shared_params, replica_params, data.points, z, data.kfu_pairs)  # (N_u, m_x)
+    logdet_sh, logdet_sx = p["logdet_cov_latent"], p["logdet_cov_input"]
+    kl_u = ad.record(kl_inducing, m_mat, sigma_h, sigma_x, logdet_sh, logdet_sx, a_h, a_x, logdet_kh, logdet_kx)
+    kl_h = ad.record(kl_latent, mu, log_s)
+    psi1, psi2 = ad.record(psi_stats, vh, lsh, mu, log_s, zh)
+    # (N_u, m_x); the data points are a constant of the form: they get no gradient
+    kfu = ad.record(hier_gram, *levels, z, families=families, pairs=data.kfu_pairs, xa=data.points)
     amplitude, log_noise = p["input_self_variance"], p["log_noise_variance"]
-    fit = data_fit(data, kfu, psi1, psi2, a_x, a_h, m_mat, sigma_x, sigma_h, vh, amplitude, log_noise)
+    fit = ad.record(data_fit, kfu, psi1, psi2, a_x, a_h, m_mat, sigma_x, sigma_h, vh, amplitude, log_noise, data=data)
     total = ad.fused(fit.value - kl_u.value - kl_h.value, (fit, kl_u, kl_h), lambda g: (g, -g, -g))
     pieces = GraphPieces(
         data_fit=fit,

@@ -9,8 +9,10 @@ order and shapes come from the same map from state to unconstrained arrays
 that packing uses (``_unconstrained``), with each factor's triangle at the
 flat positions ``_triangles`` gives. The inverse map is written once too
 (``_constrained``): ``unpack`` builds a state from it, and ``constrain``
-makes it the bound's one parameter node, whose outputs are every quantity
-the bound reads of the vector. The inducing inputs of every replica form
+makes it the bound's first closed form, a plain numpy function whose
+outputs are every quantity the bound reads of the vector and whose
+backward pass gives the flat gradient; ``objective.build_graph`` records it
+as the one parameter node. The inducing inputs of every replica form
 one span, ``inducing_inputs``, of shape (m_x, v): the replica blocks
 stacked in order, as the bound reads them. A layout keeps the template it
 was built from for what the vector does not hold (kernel families, the
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .kernels import HierarchicalKernel, StationaryKernel
 from .latent import InducingState, LatentPosterior
 from .model import ModelState
@@ -182,10 +183,11 @@ class ParamLayout:
             noise_variance=noise,
         )
 
-    def constrain(self, theta: ad.Node) -> dict[str, ad.Node]:
-        """Every quantity the bound reads of the vector ``theta``, by name, as
-        the outputs of one tape node: each kernel's variance (0-d) and
-        lengthscales; the spans of ``_PASSED`` unchanged; the inducing
+    def constrain(self, theta: np.ndarray):
+        """``(arrays, backward)``: every quantity the bound reads of the
+        vector ``theta``, by name, and the backward pass, which takes their
+        cotangents in that order. The arrays are each kernel's variance (0-d)
+        and lengthscales; the spans of ``_PASSED`` unchanged; the inducing
         covariances ``cov_latent`` and ``cov_input`` (``L L^T`` of each
         factor) with their log-determinants ``logdet_cov_latent`` and
         ``logdet_cov_input``; and ``input_self_variance``, the input kernel's
@@ -193,7 +195,7 @@ class ParamLayout:
         gradient: through ``S = L L^T`` the factor gets ``(G + G^T) L``, whose
         diagonal is chained through the exp and gets twice the
         log-determinant's cotangent."""
-        arrays = self.split(theta.value)
+        arrays = self.split(theta)
         c = _constrained(arrays, self._triangles)
         kernels = [k for k in _KERNELS if f"{k}_variance" in c]
         values = {}
@@ -231,4 +233,4 @@ class ParamLayout:
                 flat[where[f"cov_{side}_log_diag"]] = g_chol.diagonal() * chol.diagonal() + 2.0 * g_logdet
             return (flat,)
 
-        return dict(zip(names, ad.fused(tuple(values.values()), (theta,), backward)))
+        return values, backward

@@ -104,7 +104,7 @@ def _posterior(state: ModelState) -> _Posterior:
         inv_x = tril_inverse(cholesky_jitter(kuu_x)[0])
         inv_h = tril_inverse(cholesky_jitter(kuu_h)[0])
         smooth_h = (inv_h @ ind.cov_latent_chol).T
-        psi = psi_stats(kernel.variance, kernel.lengthscales, latents.means, np.log(latents.variances), ind.z_latent)
+        psi, _ = psi_stats(kernel.variance, kernel.lengthscales, latents.means, np.log(latents.variances), ind.z_latent)
         z_input, z_starts = stack_blocks(ind.z_input)
         post = _POSTERIORS[state] = _Posterior(
             z_input=z_input,
@@ -115,7 +115,7 @@ def _posterior(state: ModelState) -> _Posterior:
             smooth_x=(inv_x @ ind.cov_input_chol).T,
             smooth_h=smooth_h,
             w=inv_x.T @ (inv_x @ ind.mean @ inv_h.T) @ inv_h,
-            outputs=_latent_moments(inv_h, smooth_h, *(node.value for node in psi)),
+            outputs=_latent_moments(inv_h, smooth_h, *psi),
         )
     return post
 

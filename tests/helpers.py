@@ -1,8 +1,9 @@
 """Builders for random tiny model states and datasets used across tests,
-a fit's first step on synthetic data, a layout's spans by name,
-finite-difference oracles for tape gradients and the bound's gradient, the
-fused nodes those oracles contract and transform tape outputs with, and a
-runner for child Python processes."""
+a fit's first step on synthetic data, a layout's spans by name, the
+parameter node as the bound records it, the inducing covariances and the
+latent dimension of a state, finite-difference oracles for tape gradients
+and the bound's gradient, the fused nodes those oracles contract and
+transform tape outputs with, and a runner for child Python processes."""
 
 import os
 import pathlib
@@ -118,6 +119,28 @@ def initial_step(n_outputs, n_replicas, inducing_per_replica, inducing_latent, p
 def span(layout, name):
     """The span of ``layout`` named ``name``; a ``KeyError`` if it has none."""
     return {s.name: s for s in layout.spans}[name]
+
+
+def constrained(layout, leaf):
+    """The outputs of ``layout.constrain`` on the vector node ``leaf`` as
+    nodes by name, recorded as ``objective.build_graph`` records them."""
+    named, backward = layout.constrain(leaf.value)
+    return dict(zip(named, ad.fused(tuple(named.values()), (leaf,), backward)))
+
+
+def cov_latent(inducing):
+    """The output-side inducing covariance ``S_h = L_h L_h^T``."""
+    return inducing.cov_latent_chol @ inducing.cov_latent_chol.T
+
+
+def cov_input(inducing):
+    """The input-side inducing covariance ``S_x = L_x L_x^T``."""
+    return inducing.cov_input_chol @ inducing.cov_input_chol.T
+
+
+def latent_dim(state):
+    """The dimension of a state's latent output coordinates."""
+    return state.latent_posterior.latent_dim
 
 
 def central_fd_grad(theta, layout, data, step_rel=1e-5):

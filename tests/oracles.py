@@ -1,9 +1,8 @@
 """Slow, direct reference formulas that the package's fast paths are held to.
 
 Dense Kronecker algebra, LAPACK triangular solves (scipy, which only the
-tests use), the closed forms of ``latent`` evaluated on constant arrays,
-Monte Carlo psi statistics, the masked dense hierarchical Gram node and
-cross covariance, the naive dense bound, the exact marginal likelihood at
+tests use), the values of the closed forms of ``latent``, Monte Carlo psi
+statistics, the masked dense hierarchical Gram form and cross covariance, the naive dense bound, the exact marginal likelihood at
 fixed latent coordinates, the optimal dense inducing posterior, and the
 latent-mixture predictive moments by per-draw Monte Carlo and by
 Gauss-Hermite quadrature, and the tape walk as it was first written, with
@@ -14,12 +13,13 @@ The package itself uses none of them.
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from hiermogp import autodiff as ad
 from hiermogp import kernels, latent
 from hiermogp.kernels import eval_stationary, hier_block_cov, latent_cov
 from hiermogp.kron import cholesky_jitter
 from hiermogp.model import ElboBreakdown
 from hiermogp.prediction import PredictiveMoments
+
+from .helpers import cov_input, cov_latent, latent_dim
 
 
 class SizeGuardError(ValueError):
@@ -153,47 +153,41 @@ def tape_grad(output, leaves):
     return [grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.value) for leaf in leaves]
 
 
-# -- the package's closed forms on constant arrays
+# -- the package's closed forms, their values
 
 
-def tape_value(fn, *args):
-    """Value of a tape function of ``latent`` with every array argument as a
-    constant leaf; a tuple of nodes gives a tuple of arrays."""
-    out = fn(*[ad.Node(a) if isinstance(a, np.ndarray) else a for a in args])
-    if isinstance(out, tuple):
-        return tuple(node.value for node in out)
-    return out.value
-
-
-def hier_gram_masked(shared_params, replica_params, xa, tags_a, xb, tags_b):
-    """``kernels.hier_gram`` in its dense form, as one tape node: the replica
-    kernel over every pair of points, times the ``(tag_a == tag_b)`` mask,
-    plus the shared kernel; the backward pass sends the masked cotangent to
-    the replica level. ``hier_gram`` evaluates the replica level on the
-    same-replica pairs only and must equal this node bit for bit."""
-    live = (isinstance(xa, ad.Node), isinstance(xb, ad.Node))
-    points = ad.values((xa, xb))
-    mask = np.asarray(tags_a[:, None] == tags_b[None, :], float)
-    replica, replica_backward = kernels._stationary_with_backward(*replica_params, *points, *live)
+def hier_gram_masked(*arrays, families, tags, xa=None):
+    """``kernels.hier_gram`` in its dense form, with its backward pass: the
+    replica kernel over every pair of points, times the ``(tag_a == tag_b)``
+    mask of ``tags = (tag_a, tag_b)``, plus the shared kernel; the backward
+    pass sends the masked cotangent to the replica level. The other
+    arguments are ``hier_gram``'s, which evaluates the replica level on the
+    same-replica pairs only and must equal this form bit for bit."""
+    grad_a = xa is None
+    if grad_a:
+        *levels, xb, xa = arrays
+    else:
+        *levels, xb = arrays
+    shared_family, replica_family = families
+    mask = np.asarray(tags[0][:, None] == tags[1][None, :], float)
+    replica, replica_backward = kernels.gram(*levels[-2:], xa, xb, family=replica_family, grad1=grad_a)
     value = replica * mask
-    args = (*replica_params[1:], xb, xa)
-    if shared_params is not None:
-        shared, shared_backward = kernels._stationary_with_backward(*shared_params, *points, *live)
+    if shared_family is not None:
+        shared, shared_backward = kernels.gram(*levels[:2], xa, xb, family=shared_family, grad1=grad_a)
         value = shared + value
-        args = (*shared_params[1:], *args)
 
     def backward(g):
         g_vf, g_lsf, g_a, g_b = replica_backward(g * mask)
-        if shared_params is None:
-            return g_vf, g_lsf, g_b, g_a
+        points = (g_b, g_a) if grad_a else (g_b,)
+        if shared_family is None:
+            return g_vf, g_lsf, *points
         g_vg, g_lsg, s_a, s_b = shared_backward(g)
-        if live[0]:
+        if grad_a:
             g_a += s_a
-        if live[1]:
-            g_b += s_b
-        return g_vg, g_lsg, g_vf, g_lsf, g_b, g_a
+        g_b += s_b
+        return g_vg, g_lsg, g_vf, g_lsf, *points
 
-    return ad.fused(value, args, backward)
+    return value, backward
 
 
 def hier_cross_dense(spec, points, tags, blocks):
@@ -209,39 +203,32 @@ def hier_cross_dense(spec, points, tags, blocks):
 
 def psi_closed_form(posterior, kernel, z_latent):
     """``latent.psi_stats`` (psi1, psi2) for a posterior and an RBF output kernel."""
-    return tape_value(
-        latent.psi_stats,
-        kernel.variance,
-        kernel.lengthscales,
-        posterior.means,
-        np.log(posterior.variances),
-        np.atleast_2d(np.asarray(z_latent, float)),
-    )
+    z_latent = np.atleast_2d(np.asarray(z_latent, float))
+    log_s = np.log(posterior.variances)
+    return latent.psi_stats(kernel.variance, kernel.lengthscales, posterior.means, log_s, z_latent)[0]
 
 
 def kl_latent_closed_form(posterior):
     """``latent.kl_latent`` of a latent posterior."""
-    return float(tape_value(latent.kl_latent, posterior.means, np.log(posterior.variances)))
+    return float(latent.kl_latent(posterior.means, np.log(posterior.variances))[0])
 
 
 def kl_inducing_closed_form(inducing, kuu_h, kuu_x):
     """``latent.kl_inducing`` of an inducing state against prior Grams."""
     lower_h, _ = cholesky_jitter(np.asarray(kuu_h, float))
     lower_x, _ = cholesky_jitter(np.asarray(kuu_x, float))
-    return float(
-        tape_value(
-            latent.kl_inducing,
-            inducing.mean,
-            inducing.cov_latent,
-            inducing.cov_input,
-            float(2.0 * np.sum(np.log(np.diag(inducing.cov_latent_chol)))),
-            float(2.0 * np.sum(np.log(np.diag(inducing.cov_input_chol)))),
-            tri_solve(lower_h, np.eye(lower_h.shape[0])),
-            tri_solve(lower_x, np.eye(lower_x.shape[0])),
-            logdet(lower_h),
-            logdet(lower_x),
-        )
+    value, _ = latent.kl_inducing(
+        inducing.mean,
+        cov_latent(inducing),
+        cov_input(inducing),
+        float(2.0 * np.sum(np.log(np.diag(inducing.cov_latent_chol)))),
+        float(2.0 * np.sum(np.log(np.diag(inducing.cov_input_chol)))),
+        tri_solve(lower_h, np.eye(lower_h.shape[0])),
+        tri_solve(lower_x, np.eye(lower_x.shape[0])),
+        logdet(lower_h),
+        logdet(lower_x),
     )
+    return float(value)
 
 
 def psi_stats_mc(posterior, kernel, z_latent, samples, seed):
@@ -300,7 +287,7 @@ def elbo_naive_oracle(state, x, y, sigma_u=None):
     kuu_inv = tri_solve(lower, np.eye(m_total))
     m_vec = vec(ind.mean)
     if sigma_u is None:
-        sigma_u = kron(ind.cov_latent, ind.cov_input)
+        sigma_u = kron(cov_latent(ind), cov_input(ind))
     else:
         sigma_u = np.asarray(sigma_u, float)
         if sigma_u.shape != (m_total, m_total):
@@ -468,13 +455,13 @@ def conditional_moments_at(state, xstar, replica_tags, latents):
     half = solve_triangular(lower_x, cross.T, lower=True)
     b = solve_triangular(lower_x, half, lower=True, trans="T").T  # cross Kx^-1
     nystrom_x = np.sum(b * cross, axis=1)
-    smoothed_x = np.sum((b @ ind.cov_input) * b, axis=1)
+    smoothed_x = np.sum((b @ cov_input(ind)) * b, axis=1)
 
     rows = latent_cov(state.latent_kernel, np.atleast_2d(latents), ind.z_latent)  # (s, m_h)
     half_h = solve_triangular(lower_h, rows.T, lower=True)
     rows_inv = solve_triangular(lower_h, half_h, lower=True, trans="T").T  # rows Kh^-1
     nystrom_h = np.sum(rows_inv * rows, axis=1)
-    smoothed_h = np.sum((rows_inv @ ind.cov_latent) * rows_inv, axis=1)
+    smoothed_h = np.sum((rows_inv @ cov_latent(ind)) * rows_inv, axis=1)
 
     means = mean_base(state, xstar, replica_tags) @ rows.T
     variances = (
@@ -515,7 +502,7 @@ def predict_marginal_quadrature(state, xstar, replica_tags, output, nodes=80, in
     rule nodes t and weights w, the points are ``mu + sqrt(2 s) t`` and the
     weights ``w / sqrt(pi)``, multiplied over dimensions."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
-    q = state.latent_dim
+    q = latent_dim(state)
     grid = np.stack(np.meshgrid(*[t] * q, indexing="ij"), axis=-1).reshape(-1, q)
     weights = np.prod(np.stack(np.meshgrid(*[w] * q, indexing="ij"), axis=-1).reshape(-1, q), axis=1)
     mu = state.latent_posterior.means[output]

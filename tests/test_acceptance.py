@@ -26,6 +26,9 @@ from hiermogp.training import ModelConfig, OptimizerConfig, grad_elbo
 
 from .helpers import (
     central_fd_grad,
+    cov_input,
+    cov_latent,
+    latent_dim,
     random_chol,
     random_per_output_data,
     random_shared_data,
@@ -154,7 +157,7 @@ def test_criterion_3_kl_factorisation():
         kuu_h, kuu_x = spd(m_h), spd(m_r * r)
         got = kl_inducing_closed_form(state, kuu_h, kuu_x)
         prior = kron(kuu_h, kuu_x)
-        cov = kron(state.cov_latent, state.cov_input)
+        cov = kron(cov_latent(state), cov_input(state))
         mean = vec(state.mean)
         prior_inv = np.linalg.inv(prior)
         sign_p, ld_p = np.linalg.slogdet(prior)
@@ -248,7 +251,7 @@ def test_criterion_6_bound_tightness():
             latent_kernel=base.latent_kernel,
             latent_posterior=LatentPosterior(
                 means=base.latent_posterior.means,
-                variances=np.full((d, base.latent_dim), 1e-10),
+                variances=np.full((d, latent_dim(base)), 1e-10),
             ),
             inducing=InducingState(
                 z_input=[b.copy() for b in blocks],

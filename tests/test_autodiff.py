@@ -10,7 +10,7 @@ from hiermogp.kernels import RBF, gram
 from hiermogp.kron import cholesky_jitter, spd_inverse
 from hiermogp.latent import psi_stats
 
-from .helpers import contract, initial_step
+from .helpers import constrained, contract, initial_step
 from .oracles import tape_grad
 
 
@@ -71,11 +71,12 @@ def test_tape_walk_equals_the_reference_walk_bit_for_bit(flat):
     # inverse Gram reached only through its first
     theta, layout, bound_data = initial_step(10, 3, 8, 6, flat=flat)
     pieces, (leaf,) = objective.build_graph(theta, layout, bound_data)
-    p = layout.constrain(leaf)
+    p = constrained(layout, leaf)
     v, ls, zh = p["latent_kernel_variance"], p["latent_kernel_lengthscales"], p["inducing_latents"]
-    _, psi2 = psi_stats(v, ls, p["latent_mean"], p["latent_log_variance"], zh)
-    kuu_h = gram(RBF, v, ls, zh, zh)
-    inverse, _ = spd_inverse(kuu_h, cholesky_jitter(kuu_h.value)[0])
+    _, psi2 = ad.record(psi_stats, v, ls, p["latent_mean"], p["latent_log_variance"], zh)
+    kuu_h = ad.record(gram, v, ls, zh, zh, family=RBF)
+    values, backward = spd_inverse(cholesky_jitter(kuu_h.value)[0])
+    inverse, _ = ad.fused(values, (kuu_h,), backward)
     rng = np.random.default_rng(4)
     root = contract(
         (pieces.total, 1.0),

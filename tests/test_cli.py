@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import json
+import operator
 import pathlib
 import re
 
@@ -452,6 +454,19 @@ def _edit(change):
     return apply
 
 
+def _deeper(*paths):
+    """A model-file edit that nests every number of each field, named by its
+    dotted path, one level deeper."""
+
+    def change(payload):
+        for path in paths:
+            *parents, name = path.split(".")
+            holder = functools.reduce(operator.getitem, parents, payload)
+            holder[name] = np.asarray(holder[name])[..., None].tolist()
+
+    return _edit(change)
+
+
 def _standardized(**changes):
     """A model-file edit that adds standardisation constants of a
     one-dimensional model, with ``changes`` applied (``None`` drops a key)."""
@@ -474,6 +489,11 @@ def _standardized(**changes):
         (_standardized(x_std=[np.nan]), "standardization.x_std: expected 1 finite numbers"),
         (_edit(lambda p: p.update(n_replicas=7)), "n_replicas: 7, but the inducing inputs cover 2 replicas"),
         (_edit(lambda p: p["latent_kernel"].update(family="matern32")), "latent_kernel: family 'matern32', expected"),
+        (_deeper("latent_posterior.means", "latent_posterior.variances"), "latent_posterior: means and variances must be 2-D"),
+        (_deeper("inducing.z_latent"), "inducing: z_latent must be 2-D"),
+        (_deeper("inducing.z_input"), "inducing: replica blocks must be 2-D"),
+        (_deeper("hier_kernel.replica.lengthscales"), "hier_kernel: kernel lengthscales must be a non-empty vector"),
+        (_edit(lambda p: p["latent_kernel"].update(lengthscales=[])), "latent_kernel: kernel lengthscales must be a non-empty"),
     ],
     ids=[
         "missing_field",
@@ -488,6 +508,11 @@ def _standardized(**changes):
         "standardization_non_finite",
         "wrong_replica_count",
         "latent_kernel_without_psi_statistics",
+        "latent_moments_of_rank_3",
+        "latent_inducing_inputs_of_rank_3",
+        "inducing_input_blocks_of_rank_3",
+        "lengthscales_of_rank_2",
+        "empty_lengthscales",
     ],
 )
 def test_malformed_model_file_exits_2_with_its_path(tmp_path, capsys, edit, problem):

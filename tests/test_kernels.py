@@ -275,7 +275,7 @@ def test_hyperparameter_gradients_match_finite_differences(family):
 
     lv_node = ad.Node(np.asarray(log_v))
     lls_node = ad.Node(log_ls)
-    gram_node = gram(family, exp(lv_node), exp(lls_node), x1, x2)
+    gram_node = ad.record(gram, exp(lv_node), exp(lls_node), ad.Node(x1), ad.Node(x2), family=family)
     assert np.allclose(gram_node.value, numpy_gram(log_v, log_ls), rtol=1e-12, atol=1e-12)
     step = 1e-6
     for i in range(4):
@@ -298,7 +298,8 @@ def test_hyperparameter_gradients_match_finite_differences(family):
     points = rng.uniform(size=(5, 2))
     spec = StationaryKernel(family, 1.3, [0.7, 1.4])
     rng.standard_normal((3, 4, 5))  # the square check draws its weights after this draw
-    node = gram(family, 1.3, [0.7, 1.4], batch, ad.Node(points))
+    value, backward = gram(1.3, np.array([0.7, 1.4]), batch, points, family=family)
+    node = ad.fused(value, (1.3, [0.7, 1.4], batch, ad.Node(points)), backward)
     assert len(node.parents) == 1  # constants are no parents
     for i in range(3):
         assert np.allclose(node.value[i], eval_stationary(spec, batch[i], points), rtol=1e-12, atol=1e-12)
@@ -309,7 +310,7 @@ def test_hyperparameter_gradients_match_finite_differences(family):
     weights_zz = rng.standard_normal((6, 6))
 
     def square(lv, lls, z):
-        return contract((gram(family, exp(lv), exp(lls), z, z), weights_zz))
+        return contract((ad.record(gram, exp(lv), exp(lls), z, z, family=family), weights_zz))
 
     check(square, np.asarray(log_v), log_ls, z, rtol=1e-5)
 
@@ -332,15 +333,17 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
         replica=StationaryKernel(family, 1.2, [0.6, 0.9]),
     )
 
+    families = (None if flat else family, family)
+
     def levels(lvg, llsg, lvf, llsf):
-        shared = None if flat else (family, exp(lvg), exp(llsg))
-        return shared, (family, exp(lvf), exp(llsf))
+        replica = (exp(lvf), exp(llsf))
+        return replica if flat else (exp(lvg), exp(llsg), *replica)
 
     blocks = [z[:3], z[3:]]
     z_starts = offsets(z_tags, 2)
     kuu_pairs, kfu_pairs = replica_pairs(z_starts, z_starts), replica_pairs(offsets(x_tags, 2), z_starts)
-    kuu = hier_gram(*levels(*map(ad.Node, logs)), ad.Node(z), ad.Node(z), kuu_pairs)
-    kfu = hier_gram(*levels(*map(ad.Node, logs)), x, ad.Node(z), kfu_pairs)
+    kuu = ad.record(hier_gram, *levels(*map(ad.Node, logs)), ad.Node(z), ad.Node(z), families=families, pairs=kuu_pairs)
+    kfu = ad.record(hier_gram, *levels(*map(ad.Node, logs)), ad.Node(z), families=families, pairs=kfu_pairs, xa=x)
     layout = stack_blocks(blocks)
     assert np.allclose(kuu.value, hier_cross_cov(spec, z, z_tags, *layout), rtol=1e-14, atol=1e-15)
     assert np.allclose(kfu.value, hier_cross_cov(spec, x, x_tags, *layout), rtol=1e-14, atol=1e-15)
@@ -349,10 +352,12 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
     w_uu, w_fu = rng.standard_normal((5, 5)), rng.standard_normal((6, 5))
 
     def inducing(lvg, llsg, lvf, llsf, z):
-        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), z, z, kuu_pairs), w_uu))
+        node = ad.record(hier_gram, *levels(lvg, llsg, lvf, llsf), z, z, families=families, pairs=kuu_pairs)
+        return contract((node, w_uu))
 
     def cross(lvg, llsg, lvf, llsf, z):
-        return contract((hier_gram(*levels(lvg, llsg, lvf, llsf), x, z, kfu_pairs), w_fu))
+        node = ad.record(hier_gram, *levels(lvg, llsg, lvf, llsf), z, families=families, pairs=kfu_pairs, xa=x)
+        return contract((node, w_fu))
 
     check(inducing, *logs, z, rtol=1e-5)
     check(cross, *logs, z, rtol=1e-5)
@@ -371,11 +376,14 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
             for masked in (False, True):
                 leaves = [ad.Node(v) for v in (*logs, za)]
                 zn = leaves[-1]
-                an = zn if a is None else a
+                if a is None:  # one node as both point sets
+                    arrays, points = (*levels(*leaves[:4]), zn, zn), {}
+                else:  # the data are a constant
+                    arrays, points = (*levels(*leaves[:4]), zn), {"xa": a}
                 if masked:
-                    node = hier_gram_masked(*levels(*leaves[:4]), an, a_tags, zn, za_tags)
+                    node = ad.record(hier_gram_masked, *arrays, families=families, tags=(a_tags, za_tags), **points)
                 else:
-                    node = hier_gram(*levels(*leaves[:4]), an, zn, pairs)
+                    node = ad.record(hier_gram, *arrays, families=families, pairs=pairs, **points)
                 nodes.append((node.value, ad.grad(contract((node, weights)), leaves)))
             (value, grads), (value_ref, grads_ref) = nodes
             assert np.array_equal(value, value_ref)
@@ -387,32 +395,34 @@ def test_hier_gram_node_matches_numpy_and_finite_differences(family, flat):
 @pytest.mark.parametrize("flat", [False, True])
 def test_hier_gram_backward_reuses_its_pair_buffers_bit_for_bit(family, flat):
     # the replica level's backward pass runs through the block and the two
-    # sums made with the ReplicaPairs: repeated passes on one node, at other
-    # cotangents in between, give what a node on fresh pairs gives, and the
-    # node's value (for the flat ablation, the spread replica level) is never
+    # sums made with the ReplicaPairs: repeated passes of one form, at other
+    # cotangents in between, give what a form on fresh pairs gives, and the
+    # form's value (for the flat ablation, the spread replica level) is never
     # scratch
     rng = np.random.default_rng(12)
     z, z_tags = rng.uniform(size=(5, 2)), np.array([0, 0, 0, 1, 1])
     x, x_tags = by_tag(rng.uniform(size=(6, 2)), np.array([1, 0, 1, 1, 0, 0]))
-    shared = None if flat else (family, 0.4, np.array([0.8, 1.3]))
-    replica = (family, 1.2, np.array([0.6, 0.9]))
+    levels = (1.2, np.array([0.6, 0.9])) if flat else (0.4, np.array([0.8, 1.3]), 1.2, np.array([0.6, 0.9]))
+    families = (None if flat else family, family)
 
-    def node(a, a_tags, pairs=None):
+    def form(a, a_tags, pairs=None):
+        # (value, backward) of the inducing Gram (a is None) or of the cross covariance
         pairs = pairs or replica_pairs(offsets(a_tags, 2), offsets(z_tags, 2))
-        zn = ad.Node(z)
-        return hier_gram(shared, replica, zn if a is None else a, zn, pairs), pairs
+        if a is None:
+            return hier_gram(*levels, z, z, families=families, pairs=pairs), pairs
+        return hier_gram(*levels, z, families=families, pairs=pairs, xa=a), pairs
 
     def same(got, want):
         return all(g is w if g is None or w is None else np.array_equal(g, w) for g, w in zip(got, want))
 
     for a, a_tags in ((None, z_tags), (x, x_tags)):  # the inducing Gram, then the cross covariance
-        reused, pairs = node(a, a_tags)
-        value = reused.value.copy()
+        (reused, backward), pairs = form(a, a_tags)
+        value = reused.copy()
         g1, g2 = rng.standard_normal((2, a_tags.size, 5))
         for g in (g1, g2, g1):
-            assert same(reused.backward(g), node(a, a_tags)[0].backward(g))
+            assert same(backward(g), form(a, a_tags)[0][1](g))
         assert len(pairs.sums) == 2
-        assert np.array_equal(reused.value, value)
-        assert not any(np.shares_memory(reused.value, scratch) for scratch in (pairs.block, *pairs.sums))
-        # a second node on the same pairs reads none of the first node's sums
-        assert same(node(a, a_tags, pairs)[0].backward(g2), node(a, a_tags)[0].backward(g2))
+        assert np.array_equal(reused, value)
+        assert not any(np.shares_memory(reused, scratch) for scratch in (pairs.block, *pairs.sums))
+        # a second form on the same pairs reads none of the first one's sums
+        assert same(form(a, a_tags, pairs)[0][1](g2), form(a, a_tags)[0][1](g2))

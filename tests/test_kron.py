@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiermogp import autodiff as ad
 from hiermogp.kernels import RBF, StationaryKernel, eval_stationary
 from hiermogp.kron import IndefiniteMatrixError, cholesky_jitter, spd_inverse, tril_inverse
 
@@ -168,25 +169,27 @@ def test_spd_inverse_values_and_vjp(jitter):
     rng = np.random.default_rng(42)
     a = random_spd(np.random.default_rng(1), 4)
     shifted = a + jitter * np.eye(4)
-    inverse, logdet = spd_inverse(a, np.linalg.cholesky(shifted))
-    assert np.allclose(inverse.value, np.linalg.inv(shifted), rtol=1e-12, atol=1e-14)
-    assert np.isclose(logdet.value, np.linalg.slogdet(shifted)[1], rtol=1e-13)
+    (inverse, logdet), _ = spd_inverse(np.linalg.cholesky(shifted))
+    assert np.allclose(inverse, np.linalg.inv(shifted), rtol=1e-12, atol=1e-14)
+    assert np.isclose(logdet, np.linalg.slogdet(shifted)[1], rtol=1e-13)
 
-    def factored(a):
-        # the node and the factor of its value, as the bound passes them
+    def recorded(a):
+        # the two nodes of a symmetrised node, from the factor of its value,
+        # as the bound records them
         symmetric = symmetrised(a)
-        return symmetric, np.linalg.cholesky(symmetric.value + jitter * np.eye(4))
+        values, backward = spd_inverse(np.linalg.cholesky(symmetric.value + jitter * np.eye(4)))
+        return ad.fused(values, (symmetric,), backward)
 
     weights = rng.standard_normal((4, 4))
 
     def both(a):
-        inverse, logdet = spd_inverse(*factored(a))
+        inverse, logdet = recorded(a)
         return contract((inverse, weights), (logdet, 1.7))
 
     check(both, a, rtol=1e-5)
     # each output alone: the other one's cotangent is zero
-    check(lambda a: contract((spd_inverse(*factored(a))[0], weights)), a, rtol=1e-5)
-    check(lambda a: spd_inverse(*factored(a))[1], a, rtol=1e-5)
+    check(lambda a: contract((recorded(a)[0], weights)), a, rtol=1e-5)
+    check(lambda a: recorded(a)[1], a, rtol=1e-5)
 
 
 @pytest.mark.parametrize("case", ["positive definite", "near singular", "escalation"])
@@ -205,17 +208,17 @@ def test_ladder_and_inverse_read_only_the_lower_triangle(case):
         assert jitter > 0.0
     else:  # past the first rung of the ladder
         assert jitter > 1e-6 * np.mean(np.diag(a))
-    inverse, logdet = spd_inverse(a, lower)
+    (inverse, logdet), _ = spd_inverse(lower)
     shifted = a + jitter * np.eye(5)
     expected = np.linalg.inv(shifted)
-    assert np.abs(inverse.value - expected).max() <= 1e-8 * np.abs(expected).max()
-    assert np.isclose(logdet.value, np.linalg.slogdet(shifted)[1], rtol=1e-10)
+    assert np.abs(inverse - expected).max() <= 1e-8 * np.abs(expected).max()
+    assert np.isclose(logdet, np.linalg.slogdet(shifted)[1], rtol=1e-10)
     # upper perturbations of the Gram and of its factor are inert
     upper = np.triu(rng.standard_normal((5, 5)), k=1)
     lower_upset, jitter_upset = cholesky_jitter(a + upper)
     assert jitter_upset == jitter
     assert np.array_equal(lower_upset, lower)
-    assert np.array_equal(spd_inverse(a + upper, lower_upset)[0].value, inverse.value)
+    assert np.array_equal(spd_inverse(lower_upset)[0][0], inverse)
     assert np.array_equal(tril_inverse(lower + upper), tril_inverse(lower))
 
 

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
-from hiermogp import prediction
+import hiermogp
+from hiermogp import autodiff, prediction
 from hiermogp.data import SyntheticConfig, generate_synthetic, split, SplitPlan
 from hiermogp.kernels import MATERN32, RBF, HierarchicalKernel, StationaryKernel
 from hiermogp.latent import InducingState, LatentPosterior
@@ -281,6 +284,40 @@ def test_each_state_factors_and_computes_its_moments_once(monkeypatch):
     b = predict_marginal(state, xstar, [1] * 4, 0)
     assert (len(factored), len(psi)) == (4, 2)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.variance, b.variance)
+
+
+def test_a_prediction_pass_builds_no_tape_node(monkeypatch):
+    # the psi statistics are read as values: predicting from a freshly
+    # fitted state records nothing on the autodiff tape
+    dataset = generate_synthetic(SyntheticConfig(n_outputs=3, n_replicas=2, points_per_replica=6), seed=3)
+    model = ModelConfig(inducing_per_replica=3, inducing_latent=2)
+    state = fit(dataset, model, OptimizerConfig(learning_rate=0.01, iterations=3, seed=0)).state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prediction built a tape node")
+
+    monkeypatch.setattr(autodiff, "fused", refuse)  # every node of a closed form is made here
+    xstar = np.linspace(0.0, 1.0, 5)[:, None]
+    for d in range(state.n_outputs):
+        predict_marginal(state, xstar, np.zeros(5, int), d)
+        predict_missing_replica(state, d, 1, xstar)
+    predict_conditional(state, xstar, np.ones(5, int), state.latent_posterior.means[0])
+
+
+def test_only_the_bound_imports_the_tape():
+    # the closed forms are plain numpy functions; objective alone records them
+    importers = set()
+    for path in pathlib.Path(hiermogp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "autodiff" for name in names):
+                importers.add(path.name)
+    assert importers == {"objective.py"}
 
 
 def assert_same_bits(got, want):
